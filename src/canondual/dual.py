@@ -91,13 +91,19 @@ def split_dual(p: Problem, s) -> tuple:
     return s[:q], (s[q:] if p.is_sign_integer else None)
 
 
-def assemble_G(p: Problem, s) -> GapMatrix:
+def operator(p: Problem, s) -> np.ndarray:
+    """The bare operator G(s) as a dense array, without spectral data."""
     varsig, sigma = split_dual(p, s)
     G = p.plain_block.copy()
     for varsig_s, idx in zip(varsig, p.dual_terms):
         G += varsig_s * p.terms[idx].Q
     if sigma is not None:
         G[np.diag_indices(p.n)] += 2.0 * sigma
+    return G
+
+
+def assemble_G(p: Problem, s) -> GapMatrix:
+    G = operator(p, s)
     decomp = linalg.eigh(G)
     cls = linalg.classify_eigvals(decomp.eigvals, boundary_tol(G))
     return GapMatrix(G=G, decomp=decomp, classification=cls)
@@ -182,37 +188,29 @@ def hess_dual(p: Problem, s, gm: Optional[GapMatrix] = None) -> np.ndarray:
     gm = gm if gm is not None else assemble_G(p, s)
     if gm.is_singular():
         raise SingularG("dual Hessian undefined where G is singular")
-    varsig, sigma = split_dual(p, s)
-    x = gm.apply_pinv(p.f)
-    d = p.dual_dim
-    A = np.empty((p.n, d))
-    for k, idx in enumerate(p.dual_terms):
-        t = p.terms[idx]
-        A[:, k] = t.factor.T @ (t.factor @ x)
-    if sigma is not None:
-        q = len(p.dual_terms)
-        A[:, q:] = 2.0 * np.diag(x)
-    W = _apply_inv_matrix(gm, A)
-    H = -(A.T @ W)
+    varsig, _ = split_dual(p, s)
+    A = coordinate_images(p, gm.apply_pinv(p.f))
+    w, v = gm.decomp
+    H = -(A.T @ (v @ ((v.T @ A) / w[:, None])))
     for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
         H[k, k] -= model.conj_hess(p.terms[idx], float(varsig_s))
     return 0.5 * (H + H.T)
 
 
-def _apply_inv_matrix(gm: GapMatrix, A: np.ndarray) -> np.ndarray:
-    w, v = gm.decomp
-    return v @ ((v.T @ A) / w[:, None])
+def coordinate_images(p: Problem, x) -> np.ndarray:
+    """Columns dG/ds_k x: Q_k x for each dual term, 2 x_i e_i for each sigma_i.
 
-
-def grad_G_matrices(p: Problem) -> list:
-    """Derivative of G with respect to each dual coordinate, as dense matrices."""
-    mats = [p.terms[idx].Q for idx in p.dual_terms]
+    Term k enters G(s) through Q_k = D_k'D_k and sign multiplier i through
+    2 e_i e_i', so this (n, dual_dim) matrix is the Jacobian of G(s)x in s.
+    """
+    A = np.zeros((p.n, p.dual_dim))
+    for k, idx in enumerate(p.dual_terms):
+        D = p.terms[idx].factor
+        A[:, k] = D.T @ (D @ x)
     if p.is_sign_integer:
-        for i in range(p.n):
-            E = np.zeros((p.n, p.n))
-            E[i, i] = 2.0
-            mats.append(E)
-    return mats
+        q = len(p.dual_terms)
+        A[:, q:] = np.diag(2.0 * x)
+    return A
 
 
 def domain_slacks(p: Problem, s) -> list:

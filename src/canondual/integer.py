@@ -136,7 +136,7 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
                 )
 
     try:
-        rep = solver.perturbed_solve(p, cfg)
+        rep = solver.perturbed_solve(p, cfg, base=report)
     except (EmptyInterior, MaxIterations):
         rep = None
     if rep is not None:

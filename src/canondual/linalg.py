@@ -2,10 +2,11 @@
 
 Everything here operates on plain float64 ndarrays.  Matrices are validated
 once on entry (finite, symmetric to 1e-12 relative) and symmetrized so the
-eigensolver sees an exactly symmetric array.  The eigensolver itself is the
-cyclic Jacobi kernel from :mod:`canondual._kernels`; all downstream spectral
-operations (pseudoinverse, definiteness classification, range-restricted
-solves) are built on it.
+eigensolver sees an exactly symmetric array.  The eigensolver is the one
+:mod:`canondual._kernels` dispatches to: LAPACK ``eigh`` through numpy, or
+the numba-compiled cyclic Jacobi kernel when numba imports and the pure-numpy
+path is not forced.  All downstream spectral operations (pseudoinverse,
+definiteness classification, range-restricted solves) are built on it.
 """
 
 from __future__ import annotations

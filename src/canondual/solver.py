@@ -8,9 +8,14 @@ interior-point ascent: maximize
 
 by damped Newton steps for a geometrically shrinking barrier weight mu, then
 polish with barrier-free Newton when the maximizer is strictly interior.
-Feasibility phase one finds a strictly positive-definite start by a doubling
-scan along the domain-feasible direction followed by projected subgradient
-ascent on the smallest eigenvalue.
+The barrier loop factorizes G(s) by Cholesky only: a trial point is feasible
+when its domain slacks are positive and the factor exists, and the factor
+gives log det G, G^-1 f and the closed-form barrier derivatives.  The
+eigendecomposition is used only by phase one, the polish, the report and
+triality classification.  Feasibility phase one finds a strictly
+positive-definite start by a doubling scan along the domain-feasible
+direction followed by projected subgradient ascent on the smallest
+eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
 quadratic perturbation scheme: at round k the operator gains delta_k * I and
@@ -86,11 +91,18 @@ class SolverConfig:
 
 
 class _DualSurface:
-    """Cached per-problem data for barrier and Newton evaluations."""
+    """Cached per-problem data for barrier and Newton evaluations.
+
+    The barrier ascent works from a Cholesky factor L of G(s): ``value``
+    decides strict feasibility from the domain slacks and whether the factor
+    exists, and takes log det G = 2 sum log diag L and x = G^-1 f from it;
+    ``derivatives`` takes G^-1 from the same factor.  The eigendecomposition
+    (``gap``, ``strictly_feasible``) serves only phase one, the polish, the
+    report and classification, which need the spectrum itself.
+    """
 
     def __init__(self, p: Problem):
         self.p = p
-        self.dG = dual.grad_G_matrices(p)
         self.d = p.dual_dim
         self.f_scale = 1.0 + float(np.linalg.norm(p.f))
 
@@ -107,52 +119,69 @@ class _DualSurface:
             return None
         return gm
 
-    def value(self, s, mu: float, gm: Optional[dual.GapMatrix] = None):
-        gm = gm if gm is not None else self.strictly_feasible(s)
-        if gm is None:
-            return None, None
-        x = gm.apply_pinv(self.p.f)
-        val = -0.5 * float(self.p.f @ x) - dual.conjugate_total(self.p, s)
-        if mu > 0.0:
-            val += mu * float(np.sum(np.log(gm.decomp.eigvals)))
-            for _, slack, _ in dual.domain_slacks(self.p, s):
-                val += mu * math.log(slack)
-        return val, gm
-
-    def derivatives(self, s, mu: float, gm: dual.GapMatrix):
-        """Gradient and Hessian of the barrier objective at a feasible point."""
+    def value(self, s, mu: float):
+        """Barrier objective and the factor pair (L, x = G^-1 f) at s, or
+        (None, None) when s is outside the open certified region."""
         p = self.p
-        varsig, sigma = dual.split_dual(p, s)
-        x = gm.apply_pinv(p.f)
-        w, v = gm.decomp
-        Ginv = (v / w) @ v.T
+        slacks = dual.domain_slacks(p, s)
+        if any(slack <= 0.0 for _, slack, _ in slacks):
+            return None, None
+        try:
+            L = np.linalg.cholesky(dual.operator(p, s))
+        except np.linalg.LinAlgError:
+            return None, None
+        x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
+        val = -0.5 * float(p.f @ x) - dual.conjugate_total(p, s)
+        if mu > 0.0:
+            val += 2.0 * mu * float(np.sum(np.log(np.diag(L))))
+            for _, slack, _ in slacks:
+                val += mu * math.log(slack)
+        return val, (L, x)
 
-        A = np.empty((p.n, self.d))
-        for k, M in enumerate(self.dG):
-            A[:, k] = M @ x
-        W = Ginv @ A
-        g = np.empty(self.d)
-        for k in range(self.d):
-            g[k] = 0.5 * float(x @ A[:, k])
-        H = -(A.T @ W)
+    def derivatives(self, s, mu: float, factor: tuple):
+        """Gradient and Hessian of the barrier objective at a feasible point.
+
+        ``factor`` is the (L, x) pair from ``value``.  Term k enters G through
+        Q_k = D_k'D_k and sigma_i through 2 e_i e_i', so with Ginv = G^-1 and
+        R_k = L^-1 D_k' the log-det terms are closed-form: the gradient is
+        <D_k Ginv, D_k> = ||R_k||_F^2 and 2 diag(Ginv); the Hessian blocks are
+        ||D_k Ginv D_l'||_F^2 = <R_k R_k', R_l R_l'>, 2 colsum((D_k Ginv)^2)
+        and 4 (Ginv o Ginv).
+        """
+        p = self.p
+        L, x = factor
+        varsig, sigma = dual.split_dual(p, s)
+        q = len(p.dual_terms)
+        Linv = np.linalg.inv(L)
+        A = dual.coordinate_images(p, x)
+        W = Linv @ A
+        g = 0.5 * (x @ A)
+        H = -(W.T @ W)
         for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
             t = p.terms[idx]
             g[k] -= model.conj_grad(t, float(varsig_s))
             H[k, k] -= model.conj_hess(t, float(varsig_s))
         if sigma is not None:
-            q = len(p.dual_terms)
             g[q:] -= 1.0
 
         if mu > 0.0:
-            B = [Ginv @ M for M in self.dG]
-            for k, Bk in enumerate(B):
-                g[k] += mu * float(np.trace(Bk))
-            for k in range(self.d):
-                for l in range(k, self.d):
-                    corr = mu * float(np.sum(B[k] * B[l].T))
+            R = [Linv @ p.terms[idx].factor.T for idx in p.dual_terms]
+            S = [Rk @ Rk.T for Rk in R]
+            for k in range(q):
+                g[k] += mu * float(np.sum(R[k] * R[k]))
+                for l in range(k, q):
+                    corr = mu * float(np.sum(S[k] * S[l]))
                     H[k, l] -= corr
                     if l != k:
                         H[l, k] -= corr
+            if sigma is not None:
+                Ginv = Linv.T @ Linv
+                g[q:] += 2.0 * mu * np.diag(Ginv)
+                H[q:, q:] -= 4.0 * mu * (Ginv * Ginv)
+                for k in range(q):
+                    cross = 2.0 * mu * np.sum((R[k].T @ Linv) ** 2, axis=0)
+                    H[k, q:] -= cross
+                    H[q:, k] -= cross
             for k, slack, dslack in dual.domain_slacks(p, s):
                 g[k] += mu * dslack / slack
                 H[k, k] -= mu * (dslack / slack) ** 2
@@ -162,11 +191,11 @@ class _DualSurface:
 def _newton_ascend(surface: _DualSurface, s: np.ndarray, mu: float, cfg: SolverConfig,
                    max_iter: int, tol: float) -> tuple:
     """Damped Newton ascent of the barrier objective; returns (s, iterations)."""
-    val, gm = surface.value(s, mu)
-    if gm is None:
+    val, factor = surface.value(s, mu)
+    if factor is None:
         raise EmptyInterior("ascent started at an infeasible point")
     for it in range(max_iter):
-        g, H = surface.derivatives(s, mu, gm)
+        g, H = surface.derivatives(s, mu, factor)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return s, it
@@ -179,9 +208,9 @@ def _newton_ascend(surface: _DualSurface, s: np.ndarray, mu: float, cfg: SolverC
         moved = False
         for _ in range(60):
             trial = s + t * step
-            tval, tgm = surface.value(trial, mu)
+            tval, tfactor = surface.value(trial, mu)
             if tval is not None and tval >= val + _ARMIJO * t * decr and math.isfinite(tval):
-                s, val, gm = trial, tval, tgm
+                s, val, factor = trial, tval, tfactor
                 moved = True
                 break
             t *= 0.5
@@ -307,7 +336,7 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
             return s
         best = max(best, gm.min_eig)
         vmin = gm.decomp.eigvecs[:, 0]
-        sub = np.array([float(vmin @ (M @ vmin)) for M in surface.dG])
+        sub = vmin @ dual.coordinate_images(p, vmin)  # d lambda_min / ds
         norm = float(np.linalg.norm(sub))
         if norm == 0.0:
             break
@@ -475,25 +504,29 @@ def _draw_anchor(p: Problem, rng: np.random.Generator) -> np.ndarray:
     return v / norm if norm > 0 else np.ones(p.n) / math.sqrt(p.n)
 
 
-def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
+def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None,
+                    base: Optional[SolveReport] = None) -> SolveReport:
     """Solve through the shrinking-perturbation rounds.
 
     Tries the unperturbed dual first and returns immediately on interior
-    certification (zero rounds).  Each round solves the dual of the problem
-    perturbed by the current anchor; the anchor follows the recovered primal
-    point, re-randomized (seeded) if a round stalls without certification.
-    The returned report is evaluated against the original problem and keeps
-    the ``perturbation`` status, since boundary instances carry no interior
+    certification (zero rounds); ``base``, when given, is the caller's
+    report of ``solve_dual(p, cfg)`` and stands in for that first solve.
+    Each round solves the dual of the problem perturbed by the current
+    anchor; the anchor follows the recovered primal point, re-randomized
+    (seeded) if a round stalls without certification.  The returned report
+    is evaluated against the original problem and keeps the
+    ``perturbation`` status, since boundary instances carry no interior
     certificate.
     """
     cfg = cfg or SolverConfig()
-    base_report = None
-    try:
-        base_report = solve_dual(p, cfg)
-        if base_report.status == "interior":
-            return base_report
-    except (EmptyInterior, MaxIterations):
-        base_report = None
+    base_report = base
+    if base_report is None:
+        try:
+            base_report = solve_dual(p, cfg)
+        except (EmptyInterior, MaxIterations):
+            base_report = None
+    if base_report is not None and base_report.status == "interior":
+        return base_report
     if cfg.perturb_delta0 == 0.0:
         if base_report is not None:
             return base_report
@@ -584,13 +617,17 @@ def existence_check(p: Problem, cfg: Optional[SolverConfig] = None) -> Existence
 
 
 def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
-                         n_starts: int = 12, include_certified: bool = True) -> list:
+                         n_starts: int = 12, include_certified: bool = True,
+                         base: Optional[SolveReport] = None) -> list:
     """Multistart damped Newton on the dual gradient across the dual domain.
 
     Returns deduplicated stationary points as (sigma, dual value, membership)
     sorted by descending value then lexicographic sigma.  This searches the
     whole nonsingular dual domain, not only the certified region, so it sees
-    the local pairs on the negative-definite side as well.
+    the local pairs on the negative-definite side as well.  With
+    ``include_certified`` the certified-region maximizer joins the starts;
+    ``base``, when given, is the caller's report of ``solve_dual(p, cfg)``
+    and saves solving for it again.
     """
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -598,7 +635,7 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     found = []
     if include_certified:
         try:
-            rep = solve_dual(p, cfg)
+            rep = base if base is not None else solve_dual(p, cfg)
             if rep.status == "interior":
                 found.append(np.asarray(rep.sigma_bar))
         except (EmptyInterior, MaxIterations):
@@ -768,7 +805,7 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     def run_one(m: float) -> FcRow:
         pm = Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
                      variables=p_template.variables)
-        points = dual_critical_points(pm, cfg, n_starts=n_starts)
+        rep = None
         try:
             rep = solve_dual(pm, cfg)
             outcome = rep.status
@@ -776,6 +813,8 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
             outcome = "empty_interior"
         except MaxIterations:
             outcome = "stalled"
+        points = dual_critical_points(pm, cfg, n_starts=n_starts,
+                                      include_certified=rep is not None, base=rep)
         boundary = outcome != "interior"
         clusters = []
         for s, _, _ in points:

@@ -7,10 +7,10 @@ from canondual import dual, oracle, solver
 from canondual.dual import Membership
 from canondual.errors import EmptyInterior, MaxIterations
 from canondual.integer import QipInstance
-from canondual.model import CanonicalTerm, Problem, TermKind
+from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 from canondual.solver import SolverConfig
 
-from conftest import WELL_FC, WELL_S1, WELL_X1, double_well, random_problem
+from conftest import WELL_FC, WELL_S1, WELL_X1, double_well, random_problem, random_qip
 
 
 # --------------------------------------------------------------- cubic
@@ -93,6 +93,68 @@ def test_monotone_ascent_of_barrier_objective():
         s, _ = solver._newton_ascend(surface, s, mu, cfg, max_iter=1, tol=1e-14)
         values.append(surface.value(s, mu)[0])
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _barrier_problem(name: str) -> Problem:
+    rng = np.random.default_rng(11)
+    n = 3
+
+    def factor(m):
+        return rng.standard_normal((m, n)) / np.sqrt(n)
+
+    plain = CanonicalTerm(TermKind.PLAIN_QUADRATIC, factor(n), 1.0)
+    if name == "continuous":
+        terms = [plain,
+                 CanonicalTerm(TermKind.QUARTIC, factor(2), 0.8, -1.0),
+                 CanonicalTerm(TermKind.EXPONENTIAL, factor(1), 0.6),
+                 CanonicalTerm(TermKind.XLOGX, factor(n), 1.2)]
+        return Problem(n=n, terms=terms, f=rng.standard_normal(n))
+    if name == "sign_qp":
+        return random_qip(rng, 4).to_problem()
+    # sign-integer with a quartic term: exercises the term/sigma Hessian block
+    terms = [plain, CanonicalTerm(TermKind.QUARTIC, factor(2), 0.7, -0.5)]
+    return Problem(n=n, terms=terms, f=rng.standard_normal(n),
+                   variables=Variables.SIGN_INTEGER)
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.0])
+@pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
+def test_barrier_derivatives_match_finite_differences(name, mu):
+    p = _barrier_problem(name)
+    surface = solver._DualSurface(p)
+    cfg = SolverConfig()
+    # the mu = 1 barrier center keeps every difference step inside the region
+    s, _ = solver._newton_ascend(surface, solver._phase1(surface, cfg), 1.0, cfg,
+                                 max_iter=30, tol=1e-10)
+    assert dual.assemble_G(p, s).min_eig > 1e-2
+    g, H = surface.derivatives(s, mu, surface.value(s, mu)[1])
+
+    def value(z):
+        return surface.value(z, mu)[0]
+
+    fd_g = oracle.fd_gradient(value, s, h=1e-6)
+    fd_H = oracle.fd_hessian(value, s, h=1e-4)
+    assert np.max(np.abs(g - fd_g)) <= 1e-6 * (1.0 + np.max(np.abs(fd_g)))
+    assert np.max(np.abs(H - fd_H)) <= 1e-5 * (1.0 + np.max(np.abs(fd_H)))
+
+
+def test_barrier_value_rejects_points_outside_the_region():
+    # indefinite operator, positive multipliers: G = [[0.2, 1], [1, 0.2]]
+    qip = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([1.0, 0.0]))
+    surface = solver._DualSurface(qip.to_problem())
+    assert surface.value(np.array([0.1, 0.1]), 0.3) == (None, None)
+    assert surface.value(np.array([1.0, 1.0]), 0.3)[0] is not None
+
+    # positive-definite operator G = 2 + s with the quartic slack s - 1 <= 0
+    p = Problem(n=1, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.array([[2.0 ** 0.5]]), 1.0),
+                            CanonicalTerm(TermKind.QUARTIC, np.array([[1.0]]), 1.0, 1.0)],
+                f=np.array([0.5]))
+    surface = solver._DualSurface(p)
+    for s in (0.5, 1.0):
+        assert dual.assemble_G(p, [s]).min_eig > 0.0
+        assert surface.value(np.array([s]), 0.3) == (None, None)
+        assert surface.value(np.array([s]), 0.0) == (None, None)
+    assert surface.value(np.array([1.5]), 0.3)[0] is not None
 
 
 def test_interior_solutions_beat_grid_oracle(rng):
