@@ -10,7 +10,7 @@ against brute-force oracles at desk scale.
 
 __version__ = "0.1.0"
 
-from . import _kernels, dual, errors, integer, linalg, model, oracle, relaxations, solver, triality
+from . import dual, errors, integer, linalg, model, oracle, relaxations, solver, triality
 from .dual import Membership, SolveReport, assemble_G, eval_Xi, eval_dual, gap_value, grad_dual, in_S_plus, recover_x
 from .errors import CanonDualError
 from .integer import QipInstance, QipReport, qip_dual_solve

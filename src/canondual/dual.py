@@ -147,11 +147,6 @@ def recover_x(p: Problem, s, gm: Optional[GapMatrix] = None, range_tol: float = 
     return x
 
 
-def recovery_residual(p: Problem, s, x) -> float:
-    gm = assemble_G(p, s)
-    return float(np.linalg.norm(gm.G @ np.asarray(x, dtype=float) - p.f))
-
-
 def eval_dual(p: Problem, s, gm: Optional[GapMatrix] = None, range_tol: float = RANGE_TOL) -> float:
     gm = gm if gm is not None else assemble_G(p, s)
     x = recover_x(p, s, gm=gm, range_tol=range_tol)
@@ -233,14 +228,15 @@ def domain_slacks(p: Problem, s) -> list:
     return out
 
 
-def in_S_plus(p: Problem, s, tol: Optional[float] = None) -> Membership:
+def in_S_plus(p: Problem, s, tol: Optional[float] = None,
+              gm: Optional[GapMatrix] = None) -> Membership:
     """Membership of the certified dual region.
 
     interior: G(s) strictly positive definite (and sigma strictly positive for
     sign-integer problems); boundary: positive semidefinite with a zero
     eigenvalue, or a sigma pinned at zero; outside otherwise.
     """
-    gm = assemble_G(p, s)
+    gm = gm if gm is not None else assemble_G(p, s)
     tol = tol if tol is not None else gm.tol
     _, sigma = split_dual(p, s)
     min_eig = gm.min_eig

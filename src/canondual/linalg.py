@@ -2,10 +2,8 @@
 
 Everything here operates on plain float64 ndarrays.  Matrices are validated
 once on entry (finite, symmetric to 1e-12 relative) and symmetrized so the
-eigensolver sees an exactly symmetric array.  The eigensolver is the one
-:mod:`canondual._kernels` dispatches to: LAPACK ``eigh`` through numpy, or
-the numba-compiled cyclic Jacobi kernel when numba imports and the pure-numpy
-path is not forced.  All downstream spectral operations (pseudoinverse,
+eigensolver sees an exactly symmetric array.  The eigensolver is LAPACK's
+``eigh`` through numpy.  All downstream spectral operations (pseudoinverse,
 definiteness classification, range-restricted solves) are built on it.
 """
 
@@ -16,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidMatrix, RangeViolation
 
 SYM_RTOL = 1e-12
@@ -61,7 +58,7 @@ def check_symmetric(M, name: str = "matrix") -> np.ndarray:
 def eigh(M) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
     A = check_symmetric(M)
-    w, v = _kernels.jacobi_eigh(A)
+    w, v = np.linalg.eigh(A)
     return EigenDecomp(w, v)
 
 

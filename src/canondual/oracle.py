@@ -1,10 +1,11 @@
 """Independent ground-truth generators used as arbiters in the test suite.
 
 Nothing here goes through the dual machinery: sign problems are enumerated
-exhaustively, continuous problems are scanned on grids or random multistarts
-with optional first-order polishing, derivatives come from central
-differences, and the conjugate formulas are re-derived from a dense grid
-supremum.  Budget guards keep everything under a desk-scale time budget.
+exhaustively, a block of objective values per matrix product, continuous
+problems are scanned on grids or random multistarts with optional
+first-order polishing, derivatives come from central differences, and the
+conjugate formulas are re-derived from a dense grid supremum.  Budget guards
+keep everything under a desk-scale time budget.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels, model
+from . import model
 from .errors import TooLarge
 from .integer import QipInstance
 from .model import CanonicalTerm, Problem, TermKind
 
 ENUM_MAX_N = 24
+ENUM_BLOCK = 1 << 20  # objective values held at once by enumerate_signs
 GRID_MAX_N = 6
 
 
@@ -43,18 +45,58 @@ class OracleResult:
 def enumerate_signs(inst: QipInstance) -> OracleResult:
     """Exact optimum over all 2^n sign assignments.
 
-    Deterministic lexicographic tie-break with -1 ordered before +1; guarded
-    at n <= 24.
+    Deterministic lexicographic tie-break with -1 ordered before +1
+    (coordinate 0 most significant); guarded at n <= 24.  The coordinates
+    split into a high half H and a low half L, so that every objective value
+    is one entry of
+
+        V = (X_H Q_HL) X_L' + c_H 1' + 1 c_L',
+
+    with X_H, X_L the sign rows of each half and c_H, c_L their own
+    objectives.  V is formed a block of at most ENUM_BLOCK entries at a time.
+    Entries within 1e-9 (1 + |min|) of the running minimum are recomputed by
+    0.5 x'(Qx) - f'x, and the first exact minimum wins.
     """
     if inst.n > ENUM_MAX_N:
         raise TooLarge(f"enumeration over 2^{inst.n} assignments exceeds the budget")
-    best_val, best_x = _kernels.enum_signs(inst.Q, inst.f)
+    Q, f = inst.Q, inst.f
+    h = inst.n // 2
+    X_H, X_L = _sign_rows(h), _sign_rows(inst.n - h)
+    c_H = _sign_objective(X_H, Q[:h, :h], f[:h])
+    c_L = _sign_objective(X_L, Q[h:, h:], f[h:])
+    P = X_H @ Q[:h, h:]
+    rows = max(1, ENUM_BLOCK // len(X_L))
+    chunk = ENUM_BLOCK // max(1, inst.n)  # near-tie rows recomputed at once
+    best_val, best_x = math.inf, None
+    for r0 in range(0, len(X_H), rows):
+        V = P[r0:r0 + rows] @ X_L.T
+        V += c_H[r0:r0 + rows, None]
+        V += c_L[None, :]
+        lo = min(best_val, float(V.min()))
+        i, j = np.nonzero(V <= lo + 1e-9 * (1.0 + abs(lo)))
+        for c0 in range(0, len(i), chunk):
+            X = np.hstack([X_H[r0 + i[c0:c0 + chunk]], X_L[j[c0:c0 + chunk]]])
+            exact = _sign_objective(X, Q, f)
+            k = int(np.argmin(exact))
+            if exact[k] < best_val:
+                best_val, best_x = float(exact[k]), X[k].copy()
     return OracleResult(
-        best_x=np.asarray(best_x, dtype=float),
-        best_value=float(best_val),
+        best_x=best_x,
+        best_value=best_val,
         samples=1 << inst.n,
         method="enumeration",
     )
+
+
+def _sign_rows(m: int) -> np.ndarray:
+    """All 2^m sign vectors of length m in lexicographic order, -1 first."""
+    ks = np.arange(1 << m)[:, None]
+    return ((ks >> np.arange(m - 1, -1, -1)) & 1) * 2.0 - 1.0
+
+
+def _sign_objective(X: np.ndarray, Q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """0.5 x'(Qx) - f'x for every row x of X."""
+    return 0.5 * np.einsum("ij,ij->i", X, X @ Q) - X @ f
 
 
 def grid_multistart(p: Problem, box, grid_points: int = 21, local_refine: bool = True,

@@ -8,14 +8,17 @@ interior-point ascent: maximize
 
 by damped Newton steps for a geometrically shrinking barrier weight mu, then
 polish with barrier-free Newton when the maximizer is strictly interior.
-The barrier loop factorizes G(s) by Cholesky only: a trial point is feasible
-when its domain slacks are positive and the factor exists, and the factor
-gives log det G, G^-1 f and the closed-form barrier derivatives.  The
-eigendecomposition is used only by phase one, the polish, the report and
-triality classification.  Feasibility phase one finds a strictly
-positive-definite start by a doubling scan along the domain-feasible
-direction followed by projected subgradient ascent on the smallest
-eigenvalue.
+The barrier ascent, the polish and the multistart root search of
+``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``, with
+different callbacks: the ascent backtracks on the barrier value, the other
+two on the norm of the dual gradient.  The barrier loop factorizes G(s) by Cholesky
+only: a trial point is feasible when its domain slacks are positive and the
+factor exists, and the factor gives log det G, G^-1 f and the closed-form
+barrier derivatives.  The eigendecomposition is used only by phase one, the
+polish, the report and triality classification.  Feasibility phase one
+finds a strictly positive-definite start by a doubling scan along the
+domain-feasible direction followed by projected subgradient ascent on the
+smallest eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
 quadratic perturbation scheme: at round k the operator gains delta_k * I and
@@ -47,6 +50,10 @@ from .model import CanonicalTerm, Problem, TermKind
 from .runtime import parallel_map
 
 _ARMIJO = 1e-4
+# Line-search trials per Newton step; the last is t = 2^-39.  From t = 2^-41
+# on, _ARMIJO * t < 2^-54, so m - _ARMIJO * t * m rounds back to m and a trial
+# that does not lower the gradient-norm merit would pass the Armijo test.
+_HALVINGS = 40
 _MU_FLOOR = 1e-12
 _FEAS_MARGIN = 1e-7
 
@@ -97,8 +104,8 @@ class _DualSurface:
     decides strict feasibility from the domain slacks and whether the factor
     exists, and takes log det G = 2 sum log diag L and x = G^-1 f from it;
     ``derivatives`` takes G^-1 from the same factor.  The eigendecomposition
-    (``gap``, ``strictly_feasible``) serves only phase one, the polish, the
-    report and classification, which need the spectrum itself.
+    (``gap``, ``strictly_feasible``, ``stationarity``) serves only phase one,
+    the polish, the root search, the report and classification.
     """
 
     def __init__(self, p: Problem):
@@ -187,42 +194,105 @@ class _DualSurface:
                 H[k, k] -= mu * (dslack / slack) ** 2
         return g, 0.5 * (H + H.T)
 
+    def barrier(self, mu: float) -> tuple:
+        """``_damped_newton`` callbacks for ascent of the barrier objective:
+        the merit is the negated value, the slope g'd."""
+        def trial(s):
+            val, factor = self.value(s, mu)
+            return None if factor is None else (val, factor)
 
-def _newton_ascend(surface: _DualSurface, s: np.ndarray, mu: float, cfg: SolverConfig,
-                   max_iter: int, tol: float) -> tuple:
-    """Damped Newton ascent of the barrier objective; returns (s, iterations)."""
-    val, factor = surface.value(s, mu)
-    if factor is None:
-        raise EmptyInterior("ascent started at an infeasible point")
+        return (trial, lambda state: -state[0], lambda g, d, m: float(g @ d),
+                lambda s, state: self.derivatives(s, mu, state[1]))
+
+    def stationarity(self, certified: bool) -> tuple:
+        """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
+        gradient norm as merit and slope.  A state is (GapMatrix, gradient).
+
+        Value-based line searches stall once the remaining improvement falls
+        below the rounding of the objective itself; descending on the
+        gradient norm instead converges to stationarity at machine precision.
+        The domain is the strict interior of the certified region, or without
+        ``certified`` every point with positive domain slacks and nonsingular G.
+        """
+        p = self.p
+
+        def trial(s):
+            if any(slack <= 0.0 for _, slack, _ in dual.domain_slacks(p, s)):
+                return None
+            try:
+                gm = self.gap(s)
+                if certified and gm.min_eig <= 0.0:
+                    return None
+                return gm, dual.grad_dual(p, s, gm=gm)
+            except CanonDualError:
+                return None
+
+        def derivatives(s, state):
+            try:
+                return state[1], dual.hess_dual(p, s, gm=state[0])
+            except CanonDualError:
+                return None
+
+        return trial, _gradient_norm, lambda g, d, m: m, derivatives
+
+
+def _gradient_norm(state) -> float:
+    return float(np.linalg.norm(state[1]))
+
+
+def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
+                   max_iter: int, step_tol: Optional[float] = None) -> tuple:
+    """Damped Newton iteration with a backtracking line search.
+
+    ``trial(s)`` is the state at s, or None outside the domain;
+    ``derivatives(s, state)`` is the pair (g, H), or None where it is
+    undefined.  The direction d solves (-H) d = g, replaced by the scaled
+    gradient when ``slope(g, d, m)`` is not positive.  A step of length t is
+    accepted when the finite ``merit`` of its state is at most
+    m - _ARMIJO * t * slope(g, d, m), where m is the current merit.  Stops at
+    |g| <= tol, when _HALVINGS halvings find no step, after ``max_iter``
+    steps, or, with ``step_tol``, after a step shorter than
+    step_tol * (1 + |s|).  Returns (s, state, steps); the state is None when
+    the start is outside the domain.
+    """
+    state = trial(s)
+    if state is None:
+        return s, None, 0
+    m = merit(state)
     for it in range(max_iter):
-        g, H = surface.derivatives(s, mu, factor)
+        gh = derivatives(s, state)
+        if gh is None:
+            return s, state, it
+        g, H = gh
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
-            return s, it
-        step = _solve_newton(H, g)
-        decr = float(g @ step)
-        if decr <= 0.0:
-            step = g / max(1.0, gnorm)
-            decr = float(g @ step)
+            return s, state, it
+        d = _solve_newton(H, g)
+        rate = slope(g, d, m)
+        if rate <= 0.0:
+            d = g / max(1.0, gnorm)
+            rate = slope(g, d, m)
         t = 1.0
-        moved = False
-        for _ in range(60):
-            trial = s + t * step
-            tval, tfactor = surface.value(trial, mu)
-            if tval is not None and tval >= val + _ARMIJO * t * decr and math.isfinite(tval):
-                s, val, factor = trial, tval, tfactor
-                moved = True
-                break
+        for _ in range(_HALVINGS):
+            z = s + t * d
+            zstate = trial(z)
+            if zstate is not None:
+                zm = merit(zstate)
+                if math.isfinite(zm) and zm <= m - _ARMIJO * t * rate:
+                    break
             t *= 0.5
-        if not moved:
-            return s, it + 1
-        if t * float(np.linalg.norm(step)) <= cfg.step_tol * (1.0 + float(np.linalg.norm(s))):
-            return s, it + 1
-    return s, max_iter
+        else:
+            return s, state, it + 1
+        s, state, m = z, zstate, zm
+        if step_tol is not None and (t * float(np.linalg.norm(d))
+                                     <= step_tol * (1.0 + float(np.linalg.norm(s)))):
+            return s, state, it + 1
+    return s, state, max_iter
 
 
 def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Ascent direction from (-H) d = g with a ridge fallback."""
+    """Newton direction from (-H) d = g with a ridge fallback: the ascent step
+    of a concave objective, and the root step H d = -g for g = 0."""
     scale = float(np.max(np.abs(H))) + 1.0
     A = -H
     for ridge in (0.0, 1e-12 * scale, 1e-8 * scale, 1e-4 * scale):
@@ -243,54 +313,6 @@ def _interior_converged(surface: _DualSurface, s: np.ndarray, gtol: float) -> bo
         return float(np.linalg.norm(dual.grad_dual(surface.p, s, gm=gm))) <= gtol
     except SingularG:
         return False
-
-
-def _polish_interior(surface: _DualSurface, s: np.ndarray, cfg: SolverConfig, tol: float) -> tuple:
-    """Newton on the bare dual gradient with norm-descent acceptance.
-
-    Value-based line searches stall once the remaining improvement falls
-    below the rounding of the objective itself; descending on the gradient
-    norm instead converges to stationarity at machine precision.  Steps are
-    confined to the strictly feasible region; a boundary-bound iterate is
-    returned as-is for the caller to report.
-    """
-    p = surface.p
-    gm = surface.strictly_feasible(s)
-    if gm is None:
-        return s, 0
-    try:
-        g = dual.grad_dual(p, s, gm=gm)
-    except SingularG:
-        return s, 0
-    for it in range(cfg.max_inner):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return s, it
-        try:
-            H = dual.hess_dual(p, s, gm=gm)
-        except SingularG:
-            return s, it
-        step = _solve_newton(H, g)  # solves (-H) d = g, the root step H d = -g
-        if not np.all(np.isfinite(step)):
-            step = g / max(1.0, gnorm)
-        t = 1.0
-        moved = False
-        for _ in range(50):
-            trial = s + t * step
-            tgm = surface.strictly_feasible(trial)
-            if tgm is not None:
-                try:
-                    gt = dual.grad_dual(p, trial, gm=tgm)
-                except SingularG:
-                    gt = None
-                if gt is not None and float(np.linalg.norm(gt)) <= (1.0 - _ARMIJO * t) * gnorm:
-                    s, g, gm = trial, gt, tgm
-                    moved = True
-                    break
-            t *= 0.5
-        if not moved:
-            return s, it + 1
-    return s, cfg.max_inner
 
 
 def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
@@ -389,18 +411,22 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     iterations = 0
     mu = cfg.barrier_weight
     for _ in range(cfg.max_outer):
-        s, its = _newton_ascend(surface, s, mu, cfg, cfg.max_inner, tol=max(gtol, 0.1 * mu))
+        s, state, its = _damped_newton(s, *surface.barrier(mu), tol=max(gtol, 0.1 * mu),
+                                       max_iter=cfg.max_inner, step_tol=cfg.step_tol)
+        if state is None:
+            raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
         mu *= cfg.barrier_shrink
         if mu < _MU_FLOOR or (mu < 1e-4 and _interior_converged(surface, s, gtol)):
             break
 
     # Barrier-free polish while the iterate stays strictly interior.
-    s, its = _polish_interior(surface, s, cfg, tol=min(gtol, 1e-12 * surface.f_scale))
+    s, _, its = _damped_newton(s, *surface.stationarity(certified=True),
+                               tol=min(gtol, 1e-12 * surface.f_scale), max_iter=cfg.max_inner)
     iterations += its
 
     gm = surface.gap(s)
-    membership = dual.in_S_plus(p, s)
+    membership = dual.in_S_plus(p, s, gm=gm)
     slacks = dual.domain_slacks(p, s)
     slack_tol = 1e-6 * surface.f_scale
     at_domain_edge = any(slack <= slack_tol for _, slack, _ in slacks)
@@ -445,7 +471,7 @@ def _build_report(p: Problem, s: np.ndarray, gm: dual.GapMatrix, status: str,
             messages.append(f"input outside range of G at the reported dual point: {exc}")
     rec_residual = float(np.linalg.norm(gm.G @ x - p.f))
     primal = model.eval_primal(p, x)
-    membership = dual.in_S_plus(p, s)
+    membership = dual.in_S_plus(p, s, gm=gm)
     if membership is Membership.OUTSIDE:
         # The evaluation formula is only a certified lower bound on the
         # positive semidefinite side; report no bound elsewhere.
@@ -642,9 +668,10 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
             pass
     gtol = max(cfg.grad_tol, 1e-11) * surface.f_scale
     starts = _ladder_starts(p) + [_random_dual_start(p, rng) for _ in range(n_starts)]
+    newton = surface.stationarity(certified=False)
     for s in starts:
-        s = _newton_root(p, s, gtol, max_iter=60)
-        if s is not None:
+        s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
+        if state is not None and _gradient_norm(state) <= gtol:
             found.append(s)
     merged = []
     for s in found:
@@ -703,52 +730,6 @@ def _random_dual_start(p: Problem, rng: np.random.Generator) -> np.ndarray:
         q = len(p.dual_terms)
         s[q:] = rng.uniform(0.05, 3.0, size=p.n)
     return s
-
-
-def _newton_root(p: Problem, s: np.ndarray, gtol: float, max_iter: int = 60):
-    """Damped Newton for grad = 0 over the nonsingular dual domain."""
-    def residual(point):
-        try:
-            return dual.grad_dual(p, point)
-        except (SingularG, RangeViolation, CanonDualError):
-            return None
-
-    def in_domain(point):
-        return all(slack > 0.0 for _, slack, _ in dual.domain_slacks(p, point))
-
-    if not in_domain(s):
-        return None
-    g = residual(s)
-    if g is None:
-        return None
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= gtol:
-            return s
-        try:
-            H = dual.hess_dual(p, s)
-        except (SingularG, CanonDualError):
-            return None
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if not np.all(np.isfinite(step)):
-            step = -g
-        t = 1.0
-        moved = False
-        for _ in range(40):
-            trial = s + t * step
-            if in_domain(trial):
-                gt = residual(trial)
-                if gt is not None and float(np.linalg.norm(gt)) < (1.0 - _ARMIJO * t) * gnorm:
-                    s, g = trial, gt
-                    moved = True
-                    break
-            t *= 0.5
-        if not moved:
-            return s if float(np.linalg.norm(g)) <= gtol else None
-    return s if float(np.linalg.norm(g)) <= gtol else None
 
 
 @dataclass

@@ -82,20 +82,21 @@ def hessian_dual_fd(p: Problem, s, h: Optional[float] = None) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def _dual_stationarity(p: Problem, x, s, ctol: float) -> float:
+def _dual_stationarity(p: Problem, x, s, gm: dual.GapMatrix) -> float:
     """Residual of dual-side stationarity, usable on the boundary.
 
     Interior: norm of the dual gradient.  Singular G: fall back to the
     canonical balance equations, measure recovery G x = f plus the per-term
     matching xi_s(x) = dPhi*(varsigma_s) and the per-variable x_i^2 = 1.
+    ``gm`` is G assembled at s.
     """
     try:
-        return float(np.linalg.norm(dual.grad_dual(p, s)))
+        return float(np.linalg.norm(dual.grad_dual(p, s, gm=gm)))
     except SingularG:
         pass
     varsig, sigma = dual.split_dual(p, s)
-    res = dual.recovery_residual(p, s, x)
     x = np.asarray(x, dtype=float).reshape(-1)
+    res = float(np.linalg.norm(gm.G @ x - p.f))
     for varsig_s, idx in zip(varsig, p.dual_terms):
         t = p.terms[idx]
         res = max(res, abs(t.xi(x) - model.conj_grad(t, float(varsig_s))))
@@ -114,14 +115,14 @@ def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL) -> Tri
         primal_res = 0.0 if np.all(np.abs(np.abs(x_bar) - 1.0) <= ctol) else np.inf
     else:
         primal_res = float(np.linalg.norm(model.grad_primal(p, x_bar)))
-    dual_res = _dual_stationarity(p, x_bar, sigma_bar, ctol)
+    gm = dual.assemble_G(p, sigma_bar)
+    dual_res = _dual_stationarity(p, x_bar, sigma_bar, gm)
     if primal_res > ctol or dual_res > ctol:
         raise NotCritical(
             f"stationarity residuals (primal {primal_res:.3e}, dual {dual_res:.3e}) "
             f"exceed tolerance {ctol:.3e}"
         )
 
-    gm = dual.assemble_G(p, sigma_bar)
     gtol = gm.tol
     eigs = gm.decomp.eigvals
     dims_equal = p.n == p.dual_dim

@@ -67,15 +67,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # first call pays the JIT compile; keep it out of timed test bodies
-    from canondual import _kernels
-
-    _kernels.jacobi_eigh(np.eye(2))
-    _kernels.enum_signs(np.zeros((2, 2)), np.zeros(2))
-
-
 # One line per acceptance criterion, shown in the terminal summary so the
 # PASS/FAIL verdicts survive output capture.
 ACCEPTANCE_LINES = []

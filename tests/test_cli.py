@@ -34,7 +34,8 @@ def test_solve_double_well_exit_zero(tmp_path):
     payload = json.loads(res.stdout)["payload"]
     report = payload["report"]
     assert report["triality_class"] == "global_min"
-    assert report["x_bar"][0] == pytest.approx(2.1149075414767558, abs=1e-6)
+    # perfbench/gate.py requires exactly this float of the README well
+    assert report["x_bar"] == [2.1149075414767558]
 
 
 def test_solve_qip_certified(tmp_path):

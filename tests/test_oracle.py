@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,18 +39,70 @@ def test_enumerate_signs_budget_guard():
         oracle.enumerate_signs(QipInstance(Q=np.eye(25), f=np.zeros(25)))
 
 
-def test_enumeration_agrees_with_batch_scan(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
+def _batch_scan(inst: QipInstance, ks) -> tuple:
+    """Sign rows of the assignment indices ks (coordinate 0 most significant,
+    bit 0 meaning -1) and their objective values."""
+    n = inst.n
+    X = (((ks[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1) * 2 - 1).astype(float)
+    return X, 0.5 * np.einsum("ij,ij->i", X, X @ inst.Q) - X @ inst.f
+
+
+def test_enumeration_agrees_with_batch_scan(rng, monkeypatch):
+    for n in range(1, 17):
         A = rng.standard_normal((n, n))
         inst = QipInstance(Q=0.5 * (A + A.T), f=rng.standard_normal(n))
+        X, vals = _batch_scan(inst, np.arange(1 << n))
+        for block in (oracle.ENUM_BLOCK, 64):
+            monkeypatch.setattr(oracle, "ENUM_BLOCK", block)
+            res = oracle.enumerate_signs(inst)
+            assert res.best_value == pytest.approx(float(np.min(vals)), abs=1e-9)
+            assert np.array_equal(res.best_x, X[int(np.argmin(vals))])
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+@pytest.mark.parametrize("kind", ["zero", "identity", "integer"])
+def test_enumeration_ties_keep_the_lexicographically_first(rng, monkeypatch, kind, n, block):
+    # with f = 0 every assignment ties with its negation, and Q = 0 or I makes
+    # all 2^n of them tie; the integer values are exact in floating point.
+    # A 64-value block spreads the ties over many blocks and recomputations.
+    if block is not None:
+        monkeypatch.setattr(oracle, "ENUM_BLOCK", block)
+    if kind == "zero":
+        Q = np.zeros((n, n))
+    elif kind == "identity":
+        Q = np.eye(n)
+    else:
+        A = rng.integers(-2, 3, (n, n)).astype(float)
+        Q = A + A.T
+    inst = QipInstance(Q=Q, f=np.zeros(n))
+    res = oracle.enumerate_signs(inst)
+    X, vals = _batch_scan(inst, np.arange(1 << n))
+    first = X[int(np.argmin(vals))]
+    assert first[0] == -1.0
+    assert np.array_equal(res.best_x, first)
+    assert res.best_value == float(np.min(vals))
+
+
+def test_enumeration_at_the_size_limit(rng):
+    n = oracle.ENUM_MAX_N
+    A = rng.standard_normal((n, n))
+    inst = QipInstance(Q=0.5 * (A + A.T), f=rng.standard_normal(n))
+    tracemalloc.start()
+    try:
         res = oracle.enumerate_signs(inst)
-        # independent vectorized check over all assignments
-        ks = np.arange(1 << n)
-        X = (((ks[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1) * 2 - 1).astype(float)
-        vals = 0.5 * np.einsum("ij,ij->i", X, X @ inst.Q) - X @ inst.f
-        assert res.best_value == pytest.approx(float(np.min(vals)), abs=1e-9)
-        assert np.array_equal(res.best_x, X[int(np.argmin(vals))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 2^24 values at once would take 128 MB; the blocks stay far below
+    assert peak < 64 * 2 ** 20
+    assert res.samples == 1 << n
+    _, vals = _batch_scan(inst, rng.integers(0, 1 << n, 1 << 12))
+    assert res.best_value <= float(np.min(vals)) + 1e-12 * (1.0 + abs(res.best_value))
+    x = res.best_x
+    assert set(np.abs(x)) == {1.0}
+    assert 0.5 * float(x @ (inst.Q @ x)) - float(inst.f @ x) == pytest.approx(res.best_value,
+                                                                             rel=1e-12)
 
 
 def test_grid_double_well():

@@ -90,9 +90,11 @@ def test_monotone_ascent_of_barrier_objective():
     mu = 0.3
     values = [surface.value(s, mu)[0]]
     for _ in range(6):
-        s, _ = solver._newton_ascend(surface, s, mu, cfg, max_iter=1, tol=1e-14)
+        s, _, _ = solver._damped_newton(s, *surface.barrier(mu), tol=1e-14, max_iter=1,
+                                        step_tol=cfg.step_tol)
         values.append(surface.value(s, mu)[0])
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    assert values[-1] > values[0]
 
 
 def _barrier_problem(name: str) -> Problem:
@@ -124,8 +126,8 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     surface = solver._DualSurface(p)
     cfg = SolverConfig()
     # the mu = 1 barrier center keeps every difference step inside the region
-    s, _ = solver._newton_ascend(surface, solver._phase1(surface, cfg), 1.0, cfg,
-                                 max_iter=30, tol=1e-10)
+    s, _, _ = solver._damped_newton(solver._phase1(surface, cfg), *surface.barrier(1.0),
+                                    tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
     g, H = surface.derivatives(s, mu, surface.value(s, mu)[1])
 
