@@ -60,7 +60,12 @@ def _merge_dash_values(argv: list) -> list:
 
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_merge_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    try:
+        args = parser.parse_args(_merge_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which it has
+        # already printed to stderr; 2 here means a heuristic answer
+        return EXIT_OK if not exc.code else EXIT_INPUT
     try:
         return args.handler(args)
     except (CanonDualError, OSError, ValueError) as exc:
@@ -78,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None, help="gradient tolerance")
         p.add_argument("--max-iter", type=int, default=None, help="outer iteration cap")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--config", default=None, help="solver config JSON file")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="pretty", action="store_false", default=False,
@@ -118,6 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--direction", required=True, help="comma-separated direction")
     p_sweep.add_argument("--grid", required=True, help="comma-separated magnitudes")
+    p_sweep.add_argument("--threads", type=int, default=None,
+                         help="worker threads for the grid solves")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_plot = sub.add_parser("plotdata", help="primal and dual curve samples as TSV")
@@ -277,8 +283,7 @@ def _cmd_export(args) -> int:
     loaded = _load_document(args.problem)
     if args.format == "sdpa":
         p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
-        sdp = relaxations.build_sdp(p)
-        data = relaxations.export_sdp(sdp, args.out)
+        data = relaxations.export_sdp(p, args.out)
         payload = {"format": "sdpa", "out": args.out, "variables": data.m,
                    "blocks": data.block_sizes}
     else:

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import linalg, model
 from .errors import DimensionMismatch, RangeViolation, SingularG
-from .linalg import EigenDecomp, PsdClass
+from .linalg import EigenDecomp
 from .model import Problem
 
 RANGE_TOL = 1e-8
@@ -56,12 +55,6 @@ class GapMatrix:
 
     G: np.ndarray
     decomp: EigenDecomp
-    classification: PsdClass
-    rank_tol: float = linalg.DEFAULT_RANK_TOL
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        return linalg.pinv_from_decomp(self.decomp, self.rank_tol)
 
     @property
     def min_eig(self) -> float:
@@ -76,7 +69,7 @@ class GapMatrix:
 
     def apply_pinv(self, b: np.ndarray) -> np.ndarray:
         w, v = self.decomp
-        cutoff = self.rank_tol * np.max(np.abs(w)) if w.size else 0.0
+        cutoff = linalg.DEFAULT_RANK_TOL * np.max(np.abs(w)) if w.size else 0.0
         coeff = v.T @ b
         inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
         return v @ (coeff * inv)
@@ -104,9 +97,7 @@ def operator(p: Problem, s) -> np.ndarray:
 
 def assemble_G(p: Problem, s) -> GapMatrix:
     G = operator(p, s)
-    decomp = linalg.eigh(G)
-    cls = linalg.classify_eigvals(decomp.eigvals, boundary_tol(G))
-    return GapMatrix(G=G, decomp=decomp, classification=cls)
+    return GapMatrix(G=G, decomp=linalg.eigh(G))
 
 
 def conjugate_total(p: Problem, s) -> float:

@@ -1,16 +1,22 @@
 """Convex reformulations: block-PSD epigraph form and level-1 linearization.
 
-The epigraph form replaces the dual maximization by the equivalent
-minimization of g + conjugate(s) under the block constraint
+The epigraph form of a problem's dual replaces the dual maximization by the
+equivalent minimization of g + conjugate(s) under the block constraint
 
     [[G(s), f], [f', 2g]]  psd,
 
-whose Schur complement encodes g >= 0.5 f'[G(s)]^+ f together with G psd and
-f in range(G).  The level-1 linearization replaces every product x_k x_l of
-a box-constrained quadratic program by a fresh unknown and adds all pairwise
-products of the bound factors, giving a small LP whose value bounds the true
-minimum from below.  The LP is solved by a dense two-phase simplex with
-Bland's rule; termination is guaranteed and speed is explicitly not a goal.
+of block size n + 1, whose Schur complement encodes g >= 0.5 f'[G(s)]^+ f
+together with G psd and f in range(G).  Its functions take the ``Problem``
+itself.
+
+The level-1 linearization replaces every product x_k x_l of a
+box-constrained quadratic program by a fresh unknown xi_kl.  Each row is the
+linearized product (a1'x + c1)(a2'x + c2) >= 0 of two nonnegative factors:
+every pair of bound factors (x - lower, upper - x), and every optional extra
+row a'x - b against every bound factor.  The result is a small LP over
+[x | xi] whose value bounds the true minimum from below.  The LP is solved by
+a dense two-phase simplex with Bland's rule; termination is guaranteed and
+speed is explicitly not a goal.
 
 Both constructions export to deterministic text files (sparse block format
 for the PSD form, a plain row format for the LP) that re-parse to the exact
@@ -44,25 +50,6 @@ _FMT = ".17g"
 # Block-PSD form ----------------------------------------------------------
 
 
-@dataclass(eq=False)
-class SdpProblem:
-    """Epigraph reformulation of a problem's dual; block size is n + 1."""
-
-    problem: Problem
-
-    @property
-    def n(self) -> int:
-        return self.problem.n
-
-    @property
-    def block_size(self) -> int:
-        return self.problem.n + 1
-
-
-def build_sdp(p: Problem) -> SdpProblem:
-    return SdpProblem(problem=p)
-
-
 @dataclass
 class SdpSolution:
     value: float  # optimum of g + conjugate(s), equals minus the dual optimum
@@ -70,15 +57,15 @@ class SdpSolution:
     g_star: float
 
 
-def solve_sdp_via_dual(sdp: SdpProblem, cfg: Optional[solver.SolverConfig] = None) -> SdpSolution:
+def solve_sdp_via_dual(p: Problem, cfg: Optional[solver.SolverConfig] = None) -> SdpSolution:
     """Optimum of the epigraph form computed through the equivalent dual solve.
 
     At the maximizer, g* = 0.5 f'G^+ f, and the epigraph objective value
     g* + conjugate(s*) is exactly minus the dual optimum.
     """
-    report = solver.solve_dual(sdp.problem, cfg or solver.SolverConfig())
+    report = solver.solve_dual(p, cfg or solver.SolverConfig())
     if math.isfinite(report.dual_value):
-        g_star = -report.dual_value - dual.conjugate_total(sdp.problem, report.sigma_bar)
+        g_star = -report.dual_value - dual.conjugate_total(p, report.sigma_bar)
     else:
         g_star = float("nan")
     return SdpSolution(value=-report.dual_value, sigma=np.asarray(report.sigma_bar),
@@ -130,7 +117,7 @@ class SdpaData:
     entries: dict  # (matno, block, i, j) -> value, 1-based, i <= j
 
 
-def sdpa_data(sdp: SdpProblem) -> SdpaData:
+def sdpa_data(p: Problem) -> SdpaData:
     """Explicit block data for the epigraph form.
 
     Quadratic conjugates (the quartic kind) are representable through a 2x2
@@ -138,7 +125,6 @@ def sdpa_data(sdp: SdpProblem) -> SdpaData:
     ordered: term dual coordinates, sign multipliers, quartic epigraph
     auxiliaries, then g.
     """
-    p = sdp.problem
     quartic_idx = []
     for idx in p.dual_terms:
         t = p.terms[idx]
@@ -154,7 +140,7 @@ def sdpa_data(sdp: SdpProblem) -> SdpaData:
     m = q + nsig + q + 1  # varsigma, sigma, epigraph t, g
     g_var = m  # 1-based variable numbers follow
 
-    n1 = sdp.block_size
+    n1 = p.n + 1
     block_sizes = [n1] + [2] * q
     ndiag = q + nsig
     if ndiag:
@@ -202,9 +188,9 @@ def sdpa_data(sdp: SdpProblem) -> SdpaData:
     return SdpaData(m=m, block_sizes=block_sizes, c=c, entries=entries)
 
 
-def export_sdp(sdp: SdpProblem, path) -> SdpaData:
+def export_sdp(p: Problem, path) -> SdpaData:
     """Write the sparse block file; byte-deterministic for a given problem."""
-    data = sdpa_data(sdp)
+    data = sdpa_data(p)
     lines = [
         f"{data.m}",
         f"{len(data.block_sizes)}",
@@ -245,16 +231,14 @@ def pair_index(n: int) -> list:
 class RltProblem:
     """Linear view of the level-1 relaxation.
 
-    Unknowns are x (n of them) and one product surrogate per ordered pair
-    k <= l; every row reads a_x'x + a_xi'xi >= rhs, and the box rows are kept
-    as explicit variable bounds.
+    Unknowns are z = [x | xi]: x (n of them), then one product surrogate per
+    ordered pair k <= l in pair_index order.  Every row reads
+    rows[r] @ z >= rhs[r]; the box rows are kept as explicit variable bounds.
     """
 
     n: int
-    obj_x: np.ndarray
-    obj_xi: np.ndarray
-    rows_x: np.ndarray  # (m, n)
-    rows_xi: np.ndarray  # (m, npairs)
+    obj: np.ndarray  # (n_vars,)
+    rows: np.ndarray  # (m, n_vars)
     rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -268,26 +252,35 @@ class RltProblem:
         return self.n + len(self.pairs)
 
     def equals(self, other: "RltProblem") -> bool:
-        return (
-            self.n == other.n
-            and np.array_equal(self.obj_x, other.obj_x)
-            and np.array_equal(self.obj_xi, other.obj_xi)
-            and np.array_equal(self.rows_x, other.rows_x)
-            and np.array_equal(self.rows_xi, other.rows_xi)
-            and np.array_equal(self.rhs, other.rhs)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
+        return self.n == other.n and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("obj", "rows", "rhs", "lower", "upper")
         )
+
+
+def _product_rows(a1: np.ndarray, c1: np.ndarray, a2: np.ndarray, c2: np.ndarray) -> tuple:
+    """Linearize (a1_r'x + c1_r)(a2_r'x + c2_r) >= 0 for every r.
+
+    Row r over [x | xi] has x coefficients c1_r a2_r + c2_r a1_r and
+    right-hand side -(c1_r c2_r); each product a1_rj a2_rk goes into the
+    surrogate of the pair (min(j, k), max(j, k)).
+    """
+    K, L = np.triu_indices(a1.shape[1])
+    xi = a1[:, K] * a2[:, L]
+    off = K != L
+    xi[:, off] += a1[:, L[off]] * a2[:, K[off]]
+    return np.hstack([c1[:, None] * a2 + c2[:, None] * a1, xi]), -(c1 * c2)
 
 
 def build_rlt(Q, f, lower, upper, extra_rows: Sequence = ()) -> RltProblem:
     """Level-1 relaxation of min 0.5 x'Qx - f'x over a finite box.
 
-    All pairwise products of the bound factors (x - lower >= 0 and
-    upper - x >= 0) are expanded and linearized through the product
-    surrogates.  Optional extra linear rows a'x >= rhs are kept verbatim and
-    additionally multiplied against every bound factor, subject to the row
-    cap.
+    Every row is the linearized product of two nonnegative factors a'x + c.
+    For each pair k <= l of bound factors (x - lower >= 0 and upper - x >= 0)
+    the rows are lower-lower, upper-upper, lower-upper and, for k != l,
+    upper-lower.  Each optional extra row a'x >= b follows as the factor
+    a'x - b times the unit factor (the row itself), then times the lower and
+    upper factor of every variable, subject to the row cap.
     """
     Q = linalg.check_symmetric(Q, name="Q")
     n = Q.shape[0]
@@ -300,81 +293,39 @@ def build_rlt(Q, f, lower, upper, extra_rows: Sequence = ()) -> RltProblem:
         raise DimensionMismatch("box must be finite with upper >= lower")
 
     pairs = pair_index(n)
-    pos = {pair: idx for idx, pair in enumerate(pairs)}
-    obj_x = -f
-    obj_xi = np.zeros(len(pairs))
-    for (k, l), idx in pos.items():
-        obj_xi[idx] = 0.5 * Q[k, k] if k == l else Q[k, l]
+    obj = np.concatenate([-f, [0.5 * Q[k, k] if k == l else Q[k, l] for k, l in pairs]])
 
-    rows_x, rows_xi, rhs = [], [], []
-
-    def add_row(ax, axi, b):
-        if len(rhs) >= RLT_MAX_ROWS:
-            raise TooLarge(f"relaxation exceeds the {RLT_MAX_ROWS}-row cap")
-        rows_x.append(ax)
-        rows_xi.append(axi)
-        rhs.append(b)
-
-    for (k, l), idx in pos.items():
-        # (x_k - lo_k)(x_l - lo_l) >= 0
-        ax = np.zeros(n)
-        axi = np.zeros(len(pairs))
-        axi[idx] = 1.0
-        ax[k] -= lo[l]
-        ax[l] -= lo[k]
-        add_row(ax, axi, -lo[k] * lo[l])
-        # (up_k - x_k)(up_l - x_l) >= 0
-        ax = np.zeros(n)
-        axi = np.zeros(len(pairs))
-        axi[idx] = 1.0
-        ax[k] -= up[l]
-        ax[l] -= up[k]
-        add_row(ax, axi, -up[k] * up[l])
-        # (x_k - lo_k)(up_l - x_l) >= 0
-        ax = np.zeros(n)
-        axi = np.zeros(len(pairs))
-        axi[idx] = -1.0
-        ax[k] += up[l]
-        ax[l] += lo[k]
-        add_row(ax, axi, lo[k] * up[l])
+    cap = f"relaxation exceeds the {RLT_MAX_ROWS}-row cap"
+    if 2 * n * n + n > RLT_MAX_ROWS:  # the bound-factor rows alone
+        raise TooLarge(cap)
+    # Factor i reads fa[i]'x + fc[i] >= 0: x_i - lo_i for i < n, up_i - x_i
+    # at n + i, the unit factor at 2n, then one factor per extra row.
+    fa = list(np.eye(n)) + list(-np.eye(n)) + [np.zeros(n)]
+    fc = list(-lo) + list(up) + [1.0]
+    index_pairs = []
+    for k, l in pairs:
+        index_pairs += [(k, l), (n + k, n + l), (k, n + l)]
         if k != l:
-            # (up_k - x_k)(x_l - lo_l) >= 0
-            ax = np.zeros(n)
-            axi = np.zeros(len(pairs))
-            axi[idx] = -1.0
-            ax[k] += lo[l]
-            ax[l] += up[k]
-            add_row(ax, axi, up[k] * lo[l])
-
+            index_pairs.append((n + k, l))
     for a, b in extra_rows:
+        if len(index_pairs) > RLT_MAX_ROWS:
+            break
         a = np.asarray(a, dtype=float).reshape(-1)
         if a.shape != (n,):
             raise DimensionMismatch("extra row length must equal n")
-        add_row(a.copy(), np.zeros(len(pairs)), float(b))
+        r = len(fa)
+        fa.append(a)
+        fc.append(-float(b))
+        index_pairs.append((r, 2 * n))
         for k in range(n):
-            # (a'x - b)(x_k - lo_k) >= 0
-            ax = -b * np.eye(n)[k] - lo[k] * a
-            axi = np.zeros(len(pairs))
-            for j in range(n):
-                axi[pos[(min(j, k), max(j, k))]] += a[j]
-            add_row(ax, axi, -b * lo[k])
-            # (a'x - b)(up_k - x_k) >= 0
-            ax = b * np.eye(n)[k] + up[k] * a
-            axi = np.zeros(len(pairs))
-            for j in range(n):
-                axi[pos[(min(j, k), max(j, k))]] -= a[j]
-            add_row(ax, axi, b * up[k])
+            index_pairs += [(r, k), (r, n + k)]
+    if len(index_pairs) > RLT_MAX_ROWS:
+        raise TooLarge(cap)
 
-    return RltProblem(
-        n=n,
-        obj_x=obj_x,
-        obj_xi=obj_xi,
-        rows_x=np.array(rows_x) if rows_x else np.zeros((0, n)),
-        rows_xi=np.array(rows_xi) if rows_xi else np.zeros((0, len(pairs))),
-        rhs=np.array(rhs),
-        lower=lo,
-        upper=up,
-    )
+    fa, fc = np.array(fa), np.array(fc)
+    first, second = np.array(index_pairs, dtype=int).reshape(-1, 2).T
+    rows, rhs = _product_rows(fa[first], fc[first], fa[second], fc[second])
+    return RltProblem(n=n, obj=obj, rows=rows, rhs=rhs, lower=lo, upper=up)
 
 
 @dataclass
@@ -402,124 +353,95 @@ def solve_lp_small(lp: RltProblem) -> RltSolution:
     """
     if lp.n_vars > LP_MAX_VARS:
         raise TooLarge(f"{lp.n_vars} unknowns exceed the {LP_MAX_VARS}-variable guard")
-    pairs = lp.pairs
-    xi_lo = np.empty(len(pairs))
-    xi_up = np.empty(len(pairs))
-    for idx, (k, l) in enumerate(pairs):
-        corners = [
-            lp.lower[k] * lp.lower[l],
-            lp.lower[k] * lp.upper[l],
-            lp.upper[k] * lp.lower[l],
-            lp.upper[k] * lp.upper[l],
-        ]
-        xi_lo[idx] = min(corners)
-        xi_up[idx] = max(corners)
+    K, L = np.triu_indices(lp.n)
+    lo, up = lp.lower, lp.upper
+    corners = np.stack([lo[K] * lo[L], lo[K] * up[L], up[K] * lo[L], up[K] * up[L]])
+    xi_lo = corners.min(axis=0)
+    offset = np.concatenate([lo, xi_lo])
+    span = np.concatenate([up - lo, corners.max(axis=0) - xi_lo])
 
-    offset = np.concatenate([lp.lower, xi_lo])
-    span = np.concatenate([lp.upper - lp.lower, xi_up - xi_lo])
-    c = np.concatenate([lp.obj_x, lp.obj_xi])
+    b_ge = lp.rhs - lp.rows @ offset
+    A_ub = np.vstack([-lp.rows, np.eye(lp.n_vars)])
+    b_ub = np.concatenate([-b_ge, span])
 
-    A_ge = np.hstack([lp.rows_x, lp.rows_xi])
-    b_ge = lp.rhs - A_ge @ offset
-    rows = [-A_ge]
-    rhs = [-b_ge]
-    eye = np.eye(lp.n_vars)
-    rows.append(eye)
-    rhs.append(span)
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-
-    z, _ = _simplex_min(c, A_ub, b_ub)
+    z, _ = _simplex_min(lp.obj, A_ub, b_ub)
     full = z + offset
-    value = float(c @ full)
+    value = float(lp.obj @ full)
     return RltSolution(x=full[: lp.n], xi=full[lp.n:], value=value)
 
 
+def _pivot(T: np.ndarray, r: int, j: int) -> None:
+    """Make column j a unit column with its one in row r."""
+    T[r] /= T[r, j]
+    rows = np.flatnonzero(T[:, j])
+    rows = rows[rows != r]
+    T[rows] -= T[rows, j, None] * T[r]
+
+
 def _simplex_min(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
-    """Two-phase dense simplex with Bland's rule for min c'z, Az <= b, z >= 0."""
+    """Two-phase dense simplex with Bland's rule for min c'z, Az <= b, z >= 0.
+
+    Columns are z, one slack per row, then one artificial per row with b < 0
+    (such rows are negated first).  The entering column is the lowest index
+    with a negative reduced cost; the leaving row has the least ratio, ties
+    going to the lowest basic index.
+    """
     m, nv = A.shape
-    A = A.copy()
-    b = b.copy()
-    T = np.hstack([A, np.eye(m), b[:, None]])
     flip = b < 0
+    art = np.flatnonzero(flip)
+    ncols = nv + m + len(art)
+    T = np.zeros((m, ncols + 1))
+    T[:, :nv] = A
+    T[:, nv:nv + m] = np.eye(m)
+    T[:, -1] = b
     T[flip] *= -1.0
-    n_art = int(np.sum(flip))
-    art_cols = []
-    if n_art:
-        art_block = np.zeros((m, n_art))
-        for k, r in enumerate(np.nonzero(flip)[0]):
-            art_block[r, k] = 1.0
-            art_cols.append(nv + m + k)
-        T = np.hstack([T[:, :-1], art_block, T[:, -1:]])
-    ncols = T.shape[1] - 1
-    basis = np.empty(m, dtype=int)
-    art_iter = iter(art_cols)
-    for r in range(m):
-        basis[r] = next(art_iter) if flip[r] else nv + r
+    T[art, nv + m + np.arange(len(art))] = 1.0
+    basis = np.arange(nv, nv + m)
+    basis[art] = nv + m + np.arange(len(art))
 
     scale = 1.0 + float(np.max(np.abs(T)))
     tol = 1e-10 * scale
 
-    def pivot(T, basis, allowed, cost):
+    def bland(cost: np.ndarray, n_allowed: int) -> float:
         reduced = cost.copy()
         for r, bv in enumerate(basis):
             if cost[bv] != 0.0:
                 reduced -= cost[bv] * T[r, :-1]
-        # full tableau Bland loop
         for _ in range(200000):
-            enter = -1
-            for j in allowed:
-                if reduced[j] < -tol:
-                    enter = j
-                    break
-            if enter < 0:
+            entering = np.flatnonzero(reduced[:n_allowed] < -tol)
+            if not entering.size:
                 obj = 0.0
                 for r, bv in enumerate(basis):
                     obj += cost[bv] * T[r, -1]
                 return obj
-            ratios = []
-            for r in range(m):
-                if T[r, enter] > tol:
-                    ratios.append((T[r, -1] / T[r, enter], basis[r], r))
-            if not ratios:
+            j = entering[0]
+            rows = np.flatnonzero(T[:, j] > tol)
+            if not rows.size:
                 raise Unbounded("objective decreases without bound")
-            ratios.sort(key=lambda item: (item[0], item[1]))
-            _, _, leave = ratios[0]
-            piv = T[leave, enter]
-            T[leave] /= piv
-            for r in range(m):
-                if r != leave and T[r, enter] != 0.0:
-                    T[r] -= T[r, enter] * T[leave]
-            delta = reduced[enter]
-            reduced -= delta * T[leave, :-1]
-            reduced[enter] = 0.0
-            basis[leave] = enter
+            ratios = T[rows, -1] / T[rows, j]
+            ties = rows[ratios == ratios.min()]
+            r = ties[np.argmin(basis[ties])]
+            _pivot(T, r, j)
+            reduced -= reduced[j] * T[r, :-1]
+            reduced[j] = 0.0
+            basis[r] = j
         raise MaxIterations("simplex pivot budget exhausted")
 
-    if n_art:
+    if len(art):
         cost1 = np.zeros(ncols)
-        for jc in art_cols:
-            cost1[jc] = 1.0
-        allowed = list(range(ncols))
-        phase1 = pivot(T, basis, allowed, cost1)
+        cost1[nv + m:] = 1.0
+        phase1 = bland(cost1, ncols)
         if phase1 > 1e-7 * scale:
             raise Infeasible(f"no feasible point (phase-one value {phase1:.3e})")
-        for r in range(m):
-            if basis[r] in art_cols:
-                for j in range(nv + m):
-                    if abs(T[r, j]) > tol:
-                        piv = T[r, j]
-                        T[r] /= piv
-                        for rr in range(m):
-                            if rr != r and T[rr, j] != 0.0:
-                                T[rr] -= T[rr, j] * T[r]
-                        basis[r] = j
-                        break
+        for r in np.flatnonzero(basis >= nv + m):
+            candidates = np.flatnonzero(np.abs(T[r, :nv + m]) > tol)
+            if candidates.size:
+                _pivot(T, r, candidates[0])
+                basis[r] = candidates[0]
 
     cost2 = np.zeros(ncols)
     cost2[:nv] = c
-    allowed = list(range(nv + m))
-    obj = pivot(T, basis, allowed, cost2)
+    obj = bland(cost2, nv + m)
     z = np.zeros(nv)
     for r, bv in enumerate(basis):
         if bv < nv:
@@ -536,8 +458,7 @@ def _var_names(n: int) -> list:
     return names
 
 
-def _terms_line(ax: np.ndarray, axi: np.ndarray, names: list) -> str:
-    coeffs = np.concatenate([ax, axi])
+def _terms_line(coeffs: np.ndarray, names: list) -> str:
     parts = [f"{format(v, _FMT)} {name}" for v, name in zip(coeffs, names) if v != 0.0]
     return " + ".join(parts) if parts else "0"
 
@@ -546,13 +467,11 @@ def export_rlt_lp(lp: RltProblem, path) -> None:
     """Write the relaxation rows as plain text; byte-deterministic."""
     names = _var_names(lp.n)
     lines = [f"vars {lp.n}"]
-    lines.append("minimize: " + _terms_line(lp.obj_x, lp.obj_xi, names))
+    lines.append("minimize: " + _terms_line(lp.obj, names))
     lines.append("subject:")
     for r in range(len(lp.rhs)):
         lines.append(
-            f"r{r + 1}: "
-            + _terms_line(lp.rows_x[r], lp.rows_xi[r], names)
-            + f" >= {format(float(lp.rhs[r]), _FMT)}"
+            f"r{r + 1}: " + _terms_line(lp.rows[r], names) + f" >= {format(float(lp.rhs[r]), _FMT)}"
         )
     lines.append("bounds:")
     for i in range(lp.n):
@@ -570,32 +489,27 @@ def parse_rlt_lp(path) -> RltProblem:
     if not lines or not lines[0].startswith("vars "):
         raise DimensionMismatch("missing vars header")
     n = int(lines[0].split()[1])
-    pairs = pair_index(n)
-    index = {name: k for k, name in enumerate(_var_names(n))}
+    names = _var_names(n)
+    index = {name: k for k, name in enumerate(names)}
 
-    def parse_terms(text: str) -> tuple:
-        ax = np.zeros(n)
-        axi = np.zeros(len(pairs))
+    def parse_terms(text: str) -> np.ndarray:
+        coeffs = np.zeros(len(names))
         text = text.strip()
         if text == "0":
-            return ax, axi
+            return coeffs
         for part in text.split(" + "):
             coef, name = part.split()
-            k = index[name]
-            if k < n:
-                ax[k] += float(coef)
-            else:
-                axi[k - n] += float(coef)
-        return ax, axi
+            coeffs[index[name]] += float(coef)
+        return coeffs
 
-    obj_x = obj_xi = None
-    rows_x, rows_xi, rhs = [], [], []
+    obj = None
+    rows, rhs = [], []
     lower = np.zeros(n)
     upper = np.zeros(n)
     mode = None
     for ln in lines[1:]:
         if ln.startswith("minimize: "):
-            obj_x, obj_xi = parse_terms(ln[len("minimize: "):])
+            obj = parse_terms(ln[len("minimize: "):])
         elif ln == "subject:":
             mode = "rows"
         elif ln == "bounds:":
@@ -605,9 +519,7 @@ def parse_rlt_lp(path) -> RltProblem:
         elif mode == "rows":
             _, body = ln.split(": ", 1)
             expr, b = body.rsplit(" >= ", 1)
-            ax, axi = parse_terms(expr)
-            rows_x.append(ax)
-            rows_xi.append(axi)
+            rows.append(parse_terms(expr))
             rhs.append(float(b))
         elif mode == "bounds":
             lo_s, rest = ln.split(" <= ", 1)
@@ -615,14 +527,12 @@ def parse_rlt_lp(path) -> RltProblem:
             i = int(name.split("_")[1]) - 1
             lower[i] = float(lo_s)
             upper[i] = float(hi_s)
-    if obj_x is None:
+    if obj is None:
         raise DimensionMismatch("missing objective line")
     return RltProblem(
         n=n,
-        obj_x=obj_x,
-        obj_xi=obj_xi,
-        rows_x=np.array(rows_x) if rows_x else np.zeros((0, n)),
-        rows_xi=np.array(rows_xi) if rows_xi else np.zeros((0, len(pairs))),
+        obj=obj,
+        rows=np.array(rows) if rows else np.zeros((0, len(names))),
         rhs=np.array(rhs),
         lower=lower,
         upper=upper,

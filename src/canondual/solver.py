@@ -485,7 +485,7 @@ def _build_report(p: Problem, s: np.ndarray, gm: dual.GapMatrix, status: str,
     residual = abs(primal - dual_value) if math.isfinite(dual_value) else float("nan")
 
     try:
-        label = triality.classify(p, x, s).label.value
+        label = triality.classify(p, x, s, gm=gm).label.value
     except (NotCritical, CanonDualError):
         label = (
             triality.TrialityLabel.BOUNDARY_DEGENERATE.value

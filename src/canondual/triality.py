@@ -105,8 +105,12 @@ def _dual_stationarity(p: Problem, x, s, gm: dual.GapMatrix) -> float:
     return res
 
 
-def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL) -> TrialityClass:
-    """Label a critical pair; raises NotCritical on stationarity failure."""
+def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL,
+             gm: Optional[dual.GapMatrix] = None) -> TrialityClass:
+    """Label a critical pair; raises NotCritical on stationarity failure.
+
+    ``gm`` is G already assembled at sigma_bar, if the caller holds it.
+    """
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     sigma_bar = np.asarray(sigma_bar, dtype=float).reshape(-1)
     ctol = tol * (1.0 + float(np.linalg.norm(p.f)))
@@ -115,7 +119,7 @@ def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL) -> Tri
         primal_res = 0.0 if np.all(np.abs(np.abs(x_bar) - 1.0) <= ctol) else np.inf
     else:
         primal_res = float(np.linalg.norm(model.grad_primal(p, x_bar)))
-    gm = dual.assemble_G(p, sigma_bar)
+    gm = gm if gm is not None else dual.assemble_G(p, sigma_bar)
     dual_res = _dual_stationarity(p, x_bar, sigma_bar, gm)
     if primal_res > ctol or dual_res > ctol:
         raise NotCritical(

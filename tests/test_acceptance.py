@@ -199,7 +199,7 @@ def test_criterion_6_block_psd_equivalence():
         rep = qip_dual_solve(inst)
         if rep.certificate != "dual_certified":
             continue
-        sd = rx.solve_sdp_via_dual(rx.build_sdp(inst.to_problem()))
+        sd = rx.solve_sdp_via_dual(inst.to_problem())
         value_ok &= abs(sd.value - (-rep.dual_value)) <= 1e-6 * (1 + abs(sd.value))
         checked += 1
     ok = mismatches == 0 and value_ok

@@ -62,6 +62,25 @@ def test_solve_malformed_file(tmp_path):
     assert "error" in res.stderr
 
 
+def test_usage_error_exits_one(tmp_path):
+    # 2 is reserved for heuristic answers, so argparse's usage exit must not leak
+    res = run_cli("solve", write(tmp_path, "q.json", QIP), "--bogus")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "usage:" in res.stderr and "--bogus" in res.stderr
+    assert run_cli("solve").returncode == 1  # missing problem file
+    help_res = run_cli("solve", "--help")
+    assert help_res.returncode == 0
+    assert "usage:" in help_res.stdout
+
+
+def test_threads_flag_only_on_sweep(tmp_path):
+    dw = write(tmp_path, "dw.json", DW)
+    assert run_cli("solve", dw, "--threads", "3").returncode == 1
+    res = run_cli("sweep", dw, "--direction", "1", "--grid", "0.5,2.0", "--threads", "2")
+    assert res.returncode == 0
+
+
 def test_report_bytes_deterministic(tmp_path):
     path = write(tmp_path, "q.json", QIP)
     a = run_cli("solve", path, "--seed", "7")
@@ -129,7 +148,7 @@ def test_export_sdpa_roundtrip(tmp_path):
 
     inst = integer.QipInstance(Q=np.array(QIP["qip"]["Q"], dtype=float),
                                f=np.array(QIP["qip"]["f"], dtype=float))
-    assert rx.parse_sdpa(out) == rx.sdpa_data(rx.build_sdp(inst.to_problem()))
+    assert rx.parse_sdpa(out) == rx.sdpa_data(inst.to_problem())
 
 
 def test_export_lp_roundtrip(tmp_path):
