@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("problem", help="path to a JSON problem file")
-        p.add_argument("--tol", type=float, default=None, help="gradient tolerance")
+        p.add_argument("--tol", type=float, default=None,
+                       help="gradient tolerance (classify: stationarity tolerance of the pair)")
         p.add_argument("--max-iter", type=int, default=None, help="outer iteration cap")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--config", default=None, help="solver config JSON file")
@@ -115,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_exp)
     p_exp.add_argument("--format", required=True, choices=["sdpa", "lp"])
     p_exp.add_argument("--out", required=True)
-    p_exp.add_argument("--box", default="-1:1", help="box for the lp relaxation")
+    p_exp.add_argument("--box", default=None,
+                       help="box lo:hi for the lp relaxation of a non-qip problem (default -1:1)")
     p_exp.set_defaults(handler=_cmd_export)
 
     p_sweep = sub.add_parser("sweep", help="input-magnitude uniqueness sweep")
@@ -237,8 +239,9 @@ def _cmd_classify(args) -> int:
     p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
     x = np.array([float(tok) for tok in args.x.split(",")])
     s = np.array([float(tok) for tok in args.sigma.split(",")])
+    tol = triality.DEFAULT_CRIT_TOL if args.tol is None else args.tol
     try:
-        result = triality.classify(p, x, s)
+        result = triality.classify(p, x, s, tol=tol)
     except NotCritical as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -281,19 +284,18 @@ def _cmd_export(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args)
     loaded = _load_document(args.problem)
+    if args.box is not None and (args.format == "sdpa" or isinstance(loaded, integer.QipInstance)):
+        raise ValueError("--box applies only to the lp export of a non-qip problem "
+                         "(a qip document's box is [-1, 1])")
     if args.format == "sdpa":
         p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
         data = relaxations.export_sdp(p, args.out)
         payload = {"format": "sdpa", "out": args.out, "variables": data.m,
                    "blocks": data.block_sizes}
     else:
-        lo, hi = _parse_range2(args.box)
-        if isinstance(loaded, integer.QipInstance):
-            Q, f, n = loaded.Q, loaded.f, loaded.n
-            lo, hi = -1.0, 1.0
-        else:
-            qp = _problem_to_qip(loaded)
-            Q, f, n = qp.Q, qp.f, qp.n
+        lo, hi = _parse_range2(args.box or "-1:1")
+        qp = loaded if isinstance(loaded, integer.QipInstance) else _problem_to_qip(loaded)
+        Q, f, n = qp.Q, qp.f, qp.n
         lp = relaxations.build_rlt(Q, f, np.full(n, lo), np.full(n, hi))
         relaxations.export_rlt_lp(lp, args.out)
         payload = {"format": "lp", "out": args.out, "rows": len(lp.rhs),

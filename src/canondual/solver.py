@@ -11,13 +11,16 @@ polish with barrier-free Newton when the maximizer is strictly interior.
 The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``, with
 different callbacks: the ascent backtracks on the barrier value, the other
-two on the norm of the dual gradient.  The barrier loop factorizes G(s) by Cholesky
-only: a trial point is feasible when its domain slacks are positive and the
-factor exists, and the factor gives log det G, G^-1 f and the closed-form
-barrier derivatives.  The eigendecomposition is used only by phase one, the
-polish, the report and triality classification.  Feasibility phase one
-finds a strictly positive-definite start by a doubling scan along the
-domain-feasible direction followed by projected subgradient ascent on the
+two on the norm of the dual gradient.  The barrier loop factorizes G(s) by
+Cholesky only, once per point: a trial point is feasible when its domain
+slacks are positive and the factor exists, and the factor gives log det G,
+G^-1 f and the closed-form barrier derivatives at every mu.  Each outer step
+starts from the factorized point the last one ended at, and the convergence
+test reads that point: a Cholesky test of G minus the feasibility margin and
+the bare gradient from the factor.  The eigendecomposition is used only by
+phase one, the polish, the report and triality classification.  Feasibility
+phase one finds a strictly positive-definite start by a doubling scan along
+the domain-feasible direction followed by projected subgradient ascent on the
 smallest eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
@@ -32,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,15 +101,73 @@ class SolverConfig:
         return cls.from_dict(json.loads(text) if isinstance(text, (str, bytes)) else dict(text))
 
 
+class _BarrierPoint:
+    """A dual point of the barrier ascent, factorized once.
+
+    Holds the domain slacks, G, its Cholesky factor L, x = G^-1 f, the
+    barrier-free value -0.5 f'x - conjugate total and sum log diag L.  The
+    mu-independent derivative pieces are computed on first use and serve
+    the barrier derivatives at every mu and the convergence test.
+    """
+
+    def __init__(self, p: Problem, s: np.ndarray, slacks: list, G: np.ndarray, L: np.ndarray):
+        self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
+        self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
+        self.bare_value = -0.5 * float(p.f @ self.x) - dual.conjugate_total(p, s)
+        self.logdet = float(np.sum(np.log(np.diag(L))))
+
+    @cached_property
+    def Linv(self) -> np.ndarray:
+        return np.linalg.inv(self.L)
+
+    @cached_property
+    def bare(self) -> tuple:
+        """Gradient and (unsymmetrized) Hessian of the bare dual objective:
+        g = 0.5 x'Q_k x - dPhi*_k and H = -(A'Ginv A) - diag(Phi*''_k) with
+        A the coordinate images of x."""
+        p = self.p
+        varsig, sigma = dual.split_dual(p, self.s)
+        A = dual.coordinate_images(p, self.x)
+        W = self.Linv @ A
+        g = 0.5 * (self.x @ A)
+        H = -(W.T @ W)
+        for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
+            t = p.terms[idx]
+            g[k] -= model.conj_grad(t, float(varsig_s))
+            H[k, k] -= model.conj_hess(t, float(varsig_s))
+        if sigma is not None:
+            g[len(varsig):] -= 1.0
+        return g, H
+
+    @cached_property
+    def log_det_sums(self) -> tuple:
+        """The log-det derivative sums before scaling by mu, with
+        R_k = L^-1 D_k' and S_k = R_k R_k' (see ``_DualSurface.derivatives``):
+        ||R_k||_F^2, <S_k, S_l> for l >= k, and for sign-integer problems
+        diag(Ginv), Ginv o Ginv and colsum((R_k' L^-1)^2)."""
+        p, Linv = self.p, self.Linv
+        q = len(p.dual_terms)
+        R = [Linv @ p.terms[idx].factor.T for idx in p.dual_terms]
+        S = [Rk @ Rk.T for Rk in R]
+        rsq = [float(np.sum(R[k] * R[k])) for k in range(q)]
+        cross_ss = [[float(np.sum(S[k] * S[l])) for l in range(k, q)] for k in range(q)]
+        if not p.is_sign_integer:
+            return rsq, cross_ss, None
+        Ginv = Linv.T @ Linv
+        cols = [np.sum((R[k].T @ Linv) ** 2, axis=0) for k in range(q)]
+        return rsq, cross_ss, (np.diag(Ginv), Ginv * Ginv, cols)
+
+
 class _DualSurface:
     """Cached per-problem data for barrier and Newton evaluations.
 
-    The barrier ascent works from a Cholesky factor L of G(s): ``value``
-    decides strict feasibility from the domain slacks and whether the factor
-    exists, and takes log det G = 2 sum log diag L and x = G^-1 f from it;
-    ``derivatives`` takes G^-1 from the same factor.  The eigendecomposition
-    (``gap``, ``strictly_feasible``, ``stationarity``) serves only phase one,
-    the polish, the root search, the report and classification.
+    The barrier ascent visits points through ``trial``, which decides strict
+    feasibility from the domain slacks and whether the Cholesky factor of
+    G(s) exists, and factorizes each point once: the ``_BarrierPoint`` it
+    returns gives the barrier value at every mu, the barrier derivatives and
+    the convergence test.  The eigendecomposition (``gap``,
+    ``strictly_feasible``, ``stationarity``) serves only phase one, the
+    polish, the root search, the report and classification.
     """
 
     def __init__(self, p: Problem):
@@ -126,83 +188,67 @@ class _DualSurface:
             return None
         return gm
 
-    def value(self, s, mu: float):
-        """Barrier objective and the factor pair (L, x = G^-1 f) at s, or
-        (None, None) when s is outside the open certified region."""
+    def trial(self, s) -> Optional[_BarrierPoint]:
+        """The factorized point at s, or None outside the open certified region."""
         p = self.p
         slacks = dual.domain_slacks(p, s)
         if any(slack <= 0.0 for _, slack, _ in slacks):
-            return None, None
+            return None
+        G = dual.operator(p, s)
         try:
-            L = np.linalg.cholesky(dual.operator(p, s))
+            L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
-            return None, None
-        x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
-        val = -0.5 * float(p.f @ x) - dual.conjugate_total(p, s)
+            return None
+        return _BarrierPoint(p, s, slacks, G, L)
+
+    def value(self, point: _BarrierPoint, mu: float) -> float:
+        """Barrier objective Pi_d + mu log det G + mu sum log slack at a point."""
+        val = point.bare_value
         if mu > 0.0:
-            val += 2.0 * mu * float(np.sum(np.log(np.diag(L))))
-            for _, slack, _ in slacks:
+            val += 2.0 * mu * point.logdet
+            for _, slack, _ in point.slacks:
                 val += mu * math.log(slack)
-        return val, (L, x)
+        return val
 
-    def derivatives(self, s, mu: float, factor: tuple):
-        """Gradient and Hessian of the barrier objective at a feasible point.
+    def derivatives(self, point: _BarrierPoint, mu: float) -> tuple:
+        """Gradient and Hessian of the barrier objective at a point.
 
-        ``factor`` is the (L, x) pair from ``value``.  Term k enters G through
-        Q_k = D_k'D_k and sigma_i through 2 e_i e_i', so with Ginv = G^-1 and
-        R_k = L^-1 D_k' the log-det terms are closed-form: the gradient is
-        <D_k Ginv, D_k> = ||R_k||_F^2 and 2 diag(Ginv); the Hessian blocks are
-        ||D_k Ginv D_l'||_F^2 = <R_k R_k', R_l R_l'>, 2 colsum((D_k Ginv)^2)
-        and 4 (Ginv o Ginv).
+        Term k enters G through Q_k = D_k'D_k and sigma_i through 2 e_i e_i',
+        so with Ginv = G^-1 and R_k = L^-1 D_k' the log-det terms are
+        closed-form: the gradient is <D_k Ginv, D_k> = ||R_k||_F^2 and
+        2 diag(Ginv); the Hessian blocks are ||D_k Ginv D_l'||_F^2 =
+        <R_k R_k', R_l R_l'>, 2 colsum((D_k Ginv)^2) and 4 (Ginv o Ginv).
         """
-        p = self.p
-        L, x = factor
-        varsig, sigma = dual.split_dual(p, s)
-        q = len(p.dual_terms)
-        Linv = np.linalg.inv(L)
-        A = dual.coordinate_images(p, x)
-        W = Linv @ A
-        g = 0.5 * (x @ A)
-        H = -(W.T @ W)
-        for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
-            t = p.terms[idx]
-            g[k] -= model.conj_grad(t, float(varsig_s))
-            H[k, k] -= model.conj_hess(t, float(varsig_s))
-        if sigma is not None:
-            g[q:] -= 1.0
-
+        g, H = (a.copy() for a in point.bare)
         if mu > 0.0:
-            R = [Linv @ p.terms[idx].factor.T for idx in p.dual_terms]
-            S = [Rk @ Rk.T for Rk in R]
+            rsq, cross_ss, sign_sums = point.log_det_sums
+            q = len(rsq)
             for k in range(q):
-                g[k] += mu * float(np.sum(R[k] * R[k]))
+                g[k] += mu * rsq[k]
                 for l in range(k, q):
-                    corr = mu * float(np.sum(S[k] * S[l]))
+                    corr = mu * cross_ss[k][l - k]
                     H[k, l] -= corr
                     if l != k:
                         H[l, k] -= corr
-            if sigma is not None:
-                Ginv = Linv.T @ Linv
-                g[q:] += 2.0 * mu * np.diag(Ginv)
-                H[q:, q:] -= 4.0 * mu * (Ginv * Ginv)
+            if sign_sums is not None:
+                diag_ginv, ginv_sq, cols = sign_sums
+                g[q:] += 2.0 * mu * diag_ginv
+                H[q:, q:] -= 4.0 * mu * ginv_sq
                 for k in range(q):
-                    cross = 2.0 * mu * np.sum((R[k].T @ Linv) ** 2, axis=0)
+                    cross = 2.0 * mu * cols[k]
                     H[k, q:] -= cross
                     H[q:, k] -= cross
-            for k, slack, dslack in dual.domain_slacks(p, s):
+            for k, slack, dslack in point.slacks:
                 g[k] += mu * dslack / slack
                 H[k, k] -= mu * (dslack / slack) ** 2
         return g, 0.5 * (H + H.T)
 
     def barrier(self, mu: float) -> tuple:
         """``_damped_newton`` callbacks for ascent of the barrier objective:
-        the merit is the negated value, the slope g'd."""
-        def trial(s):
-            val, factor = self.value(s, mu)
-            return None if factor is None else (val, factor)
-
-        return (trial, lambda state: -state[0], lambda g, d, m: float(g @ d),
-                lambda s, state: self.derivatives(s, mu, state[1]))
+        a state is a ``_BarrierPoint``, the merit is the negated value, the
+        slope g'd."""
+        return (self.trial, lambda point: -self.value(point, mu), lambda g, d, m: float(g @ d),
+                lambda s, point: self.derivatives(point, mu))
 
     def stationarity(self, certified: bool) -> tuple:
         """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
@@ -241,7 +287,7 @@ def _gradient_norm(state) -> float:
 
 
 def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
-                   max_iter: int, step_tol: Optional[float] = None) -> tuple:
+                   max_iter: int, step_tol: Optional[float] = None, state=None) -> tuple:
     """Damped Newton iteration with a backtracking line search.
 
     ``trial(s)`` is the state at s, or None outside the domain;
@@ -252,12 +298,14 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
     m - _ARMIJO * t * slope(g, d, m), where m is the current merit.  Stops at
     |g| <= tol, when _HALVINGS halvings find no step, after ``max_iter``
     steps, or, with ``step_tol``, after a step shorter than
-    step_tol * (1 + |s|).  Returns (s, state, steps); the state is None when
-    the start is outside the domain.
+    step_tol * (1 + |s|).  ``state``, when given, is ``trial(s)`` already
+    computed by the caller.  Returns (s, state, steps); the state is None
+    when the start is outside the domain.
     """
-    state = trial(s)
     if state is None:
-        return s, None, 0
+        state = trial(s)
+        if state is None:
+            return s, None, 0
     m = merit(state)
     for it in range(max_iter):
         gh = derivatives(s, state)
@@ -297,7 +345,7 @@ def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     A = -H
     for ridge in (0.0, 1e-12 * scale, 1e-8 * scale, 1e-4 * scale):
         try:
-            d = np.linalg.solve(A + ridge * np.eye(len(g)), g)
+            d = np.linalg.solve(A if ridge == 0.0 else A + ridge * np.eye(len(g)), g)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(d)):
@@ -305,14 +353,22 @@ def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g.copy()
 
 
-def _interior_converged(surface: _DualSurface, s: np.ndarray, gtol: float) -> bool:
-    gm = surface.strictly_feasible(s, margin=_FEAS_MARGIN * surface.f_scale)
-    if gm is None:
+def _interior_converged(surface: _DualSurface, point: _BarrierPoint, gtol: float) -> bool:
+    """Whether a barrier point is a strictly interior stationary point of the
+    bare dual: every slack and the smallest eigenvalue of G above the
+    feasibility margin, G nonsingular and |grad| <= gtol.  The eigenvalue
+    bound is a Cholesky test of G - c I with c = max(margin, boundary_tol(G)),
+    the tolerance below which ``dual.grad_dual`` calls G singular; the
+    gradient is the point's own."""
+    margin = _FEAS_MARGIN * surface.f_scale
+    if any(slack <= margin for _, slack, _ in point.slacks):
         return False
+    G = point.G
     try:
-        return float(np.linalg.norm(dual.grad_dual(surface.p, s, gm=gm))) <= gtol
-    except SingularG:
+        np.linalg.cholesky(G - max(margin, dual.boundary_tol(G)) * np.eye(len(G)))
+    except np.linalg.LinAlgError:
         return False
+    return float(np.linalg.norm(point.bare[0])) <= gtol
 
 
 def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
@@ -410,14 +466,16 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
 
     iterations = 0
     mu = cfg.barrier_weight
+    point = None  # each outer step starts from the factorized point the last one ended at
     for _ in range(cfg.max_outer):
-        s, state, its = _damped_newton(s, *surface.barrier(mu), tol=max(gtol, 0.1 * mu),
-                                       max_iter=cfg.max_inner, step_tol=cfg.step_tol)
-        if state is None:
+        s, point, its = _damped_newton(s, *surface.barrier(mu), tol=max(gtol, 0.1 * mu),
+                                       max_iter=cfg.max_inner, step_tol=cfg.step_tol,
+                                       state=point)
+        if point is None:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
         mu *= cfg.barrier_shrink
-        if mu < _MU_FLOOR or (mu < 1e-4 and _interior_converged(surface, s, gtol)):
+        if mu < _MU_FLOOR or (mu < 1e-4 and _interior_converged(surface, point, gtol)):
             break
 
     # Barrier-free polish while the iterate stays strictly interior.

@@ -105,6 +105,18 @@ def test_classify_pipeline_consistency(tmp_path):
     assert label == "global_min"
 
 
+def test_classify_tol_sets_the_criticality_tolerance(tmp_path):
+    # the README's command: the rounded pair passes at 1e-3, not at the 1e-6 default
+    dw = write(tmp_path, "dw.json", DW)
+    pair = ("--x", "2.1149", "--sigma", "0.2364")
+    res = run_cli("classify", dw, *pair, "--tol", "1e-3")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["payload"]["classification"]["label"] == "global_min"
+    res = run_cli("classify", dw, *pair)
+    assert res.returncode == 1
+    assert "exceed tolerance" in res.stderr
+
+
 def test_classify_symmetric_local_max(tmp_path):
     doc = dict(DW, f=[0.0])
     res = run_cli("classify", write(tmp_path, "dw0.json", doc), "--x", "0", "--sigma", "-2")
@@ -163,6 +175,35 @@ def test_export_lp_roundtrip(tmp_path):
     # the relaxation value bounds the boxed objective minimum (-4) from below
     sol = rx.solve_lp_small(parsed)
     assert sol.value <= -4.0 + 1e-6
+
+
+def test_export_box_reaches_the_lp_of_a_continuous_problem(tmp_path):
+    doc = {"n": 2, "variables": "continuous", "f": [1.0, 0.0],
+           "terms": [{"kind": "plain_quadratic", "alpha": 1.0, "factor": [[1, 0], [0, 1]]}]}
+    path = write(tmp_path, "c.json", doc)
+    files = {}
+    for box in (None, "-1:1", "-3:5"):
+        out = tmp_path / f"c{box}.lp"
+        res = run_cli("export", path, "--format", "lp", "--out", str(out),
+                      *(() if box is None else ("--box", box)))
+        assert res.returncode == 0, res.stderr
+        files[box] = out.read_bytes()
+    assert files[None] == files["-1:1"]  # the default box
+    assert files["-3:5"] != files["-1:1"]
+    from canondual import relaxations as rx
+
+    assert rx.parse_rlt_lp(tmp_path / "c-3:5.lp").equals(rx.build_rlt(
+        np.eye(2), np.array([1.0, 0.0]), np.full(2, -3.0), np.full(2, 5.0)))
+
+
+@pytest.mark.parametrize("doc, fmt", [(QIP, "lp"), (QIP, "sdpa"), (DW, "sdpa")])
+def test_export_rejects_a_box_that_does_not_apply(tmp_path, doc, fmt):
+    out = tmp_path / "x.out"
+    res = run_cli("export", write(tmp_path, "p.json", doc), "--format", fmt,
+                  "--out", str(out), "--box", "-3:5")
+    assert res.returncode == 1
+    assert "--box" in res.stderr and res.stdout == ""
+    assert not out.exists()
 
 
 def test_sweep_reports_threshold(tmp_path):

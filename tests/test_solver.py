@@ -1,11 +1,13 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from canondual import dual, oracle, solver
 from canondual.dual import Membership
-from canondual.errors import EmptyInterior, MaxIterations
+from canondual.errors import EmptyInterior, MaxIterations, SingularG
 from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 from canondual.solver import SolverConfig
@@ -88,11 +90,11 @@ def test_monotone_ascent_of_barrier_objective():
     cfg = SolverConfig()
     s = solver._phase1(surface, cfg)
     mu = 0.3
-    values = [surface.value(s, mu)[0]]
+    values = [surface.value(surface.trial(s), mu)]
     for _ in range(6):
         s, _, _ = solver._damped_newton(s, *surface.barrier(mu), tol=1e-14, max_iter=1,
                                         step_tol=cfg.step_tol)
-        values.append(surface.value(s, mu)[0])
+        values.append(surface.value(surface.trial(s), mu))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > values[0]
 
@@ -129,10 +131,10 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     s, _, _ = solver._damped_newton(solver._phase1(surface, cfg), *surface.barrier(1.0),
                                     tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
-    g, H = surface.derivatives(s, mu, surface.value(s, mu)[1])
+    g, H = surface.derivatives(surface.trial(s), mu)
 
     def value(z):
-        return surface.value(z, mu)[0]
+        return surface.value(surface.trial(z), mu)
 
     fd_g = oracle.fd_gradient(value, s, h=1e-6)
     fd_H = oracle.fd_hessian(value, s, h=1e-4)
@@ -144,8 +146,9 @@ def test_barrier_value_rejects_points_outside_the_region():
     # indefinite operator, positive multipliers: G = [[0.2, 1], [1, 0.2]]
     qip = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([1.0, 0.0]))
     surface = solver._DualSurface(qip.to_problem())
-    assert surface.value(np.array([0.1, 0.1]), 0.3) == (None, None)
-    assert surface.value(np.array([1.0, 1.0]), 0.3)[0] is not None
+    assert surface.trial(np.array([0.1, 0.1])) is None
+    inside = surface.trial(np.array([1.0, 1.0]))
+    assert inside is not None and math.isfinite(surface.value(inside, 0.3))
 
     # positive-definite operator G = 2 + s with the quartic slack s - 1 <= 0
     p = Problem(n=1, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.array([[2.0 ** 0.5]]), 1.0),
@@ -154,9 +157,27 @@ def test_barrier_value_rejects_points_outside_the_region():
     surface = solver._DualSurface(p)
     for s in (0.5, 1.0):
         assert dual.assemble_G(p, [s]).min_eig > 0.0
-        assert surface.value(np.array([s]), 0.3) == (None, None)
-        assert surface.value(np.array([s]), 0.0) == (None, None)
-    assert surface.value(np.array([1.5]), 0.3)[0] is not None
+        assert surface.trial(np.array([s])) is None  # the point is rejected at every mu
+    inside = surface.trial(np.array([1.5]))
+    assert inside is not None
+    assert math.isfinite(surface.value(inside, 0.3)) and math.isfinite(surface.value(inside, 0.0))
+
+
+@pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
+def test_barrier_point_serves_every_mu_alike(name):
+    # an outer step reuses the point the last one ended at: its cached pieces
+    # must give the same bits as a freshly factorized point at the new mu
+    p = _barrier_problem(name)
+    surface = solver._DualSurface(p)
+    s = solver._phase1(surface, SolverConfig())
+    carried = surface.trial(s)
+    for mu in (1.0, 0.2, 0.0):
+        surface.derivatives(carried, mu)
+    fresh = surface.trial(s)
+    for mu in (0.04, 0.0):
+        assert surface.value(carried, mu) == surface.value(fresh, mu)
+        for a, b in zip(surface.derivatives(carried, mu), surface.derivatives(fresh, mu)):
+            assert np.array_equal(a, b)
 
 
 def test_interior_solutions_beat_grid_oracle(rng):
@@ -170,6 +191,136 @@ def test_interior_solutions_beat_grid_oracle(rng):
             continue
         probe = oracle.grid_multistart(p, (-4.0, 4.0), grid_points=25, seed=0)
         assert rep.primal_value <= probe.best_value + 1e-6
+
+
+def _continuous_problem(rng: np.random.Generator, n: int) -> Problem:
+    """A plain quadratic term plus two terms drawn from quartic, exponential
+    and xlogx, with square N(0, 1)/sqrt(n) factors."""
+    nonplain = (TermKind.QUARTIC, TermKind.EXPONENTIAL, TermKind.XLOGX)
+    kinds = [TermKind.PLAIN_QUADRATIC] + [nonplain[int(k)] for k in rng.integers(0, 3, 2)]
+    terms = []
+    for kind in kinds:
+        D = rng.standard_normal((n, n)) / np.sqrt(n)
+        alpha = float(rng.uniform(0.3, 2.0))
+        beta = float(rng.uniform(-1.5, 1.0)) if kind is TermKind.QUARTIC else 0.0
+        terms.append(CanonicalTerm(kind=kind, factor=D, alpha=alpha, beta=beta))
+    return Problem(n=n, terms=terms, f=0.6 * rng.standard_normal(n))
+
+
+def _report_sha(rep) -> str:
+    return hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest()
+
+
+def test_solve_reports_match_pinned():
+    # SHA-256 of json.dumps(report.to_dict()), recorded before the barrier
+    # loop kept each point's factor across outer steps; any change to the
+    # arithmetic of a solve shows here
+    rng = np.random.default_rng(2)
+    cont16, cont32 = _continuous_problem(rng, 16), _continuous_problem(rng, 32)
+    assert [t.kind for t in cont32.terms[1:]] == [TermKind.QUARTIC, TermKind.XLOGX]
+    certified = random_qip(np.random.default_rng(2), 16).to_problem()
+    symmetric = random_qip(np.random.default_rng(2), 8, f_style="zero").to_problem()
+    reports = {
+        "continuous n=16": solver.solve_dual(cont16),
+        "continuous n=32": solver.solve_dual(cont32),
+        "certified qip n=16": solver.solve_dual(certified),
+        "symmetric qip n=8": solver.perturbed_solve(symmetric),
+    }
+    assert reports["symmetric qip n=8"].perturb_rounds == 10
+    assert {name: _report_sha(rep) for name, rep in reports.items()} == {
+        "continuous n=16": "9d8d8754ef6ebb0978aa1647094355a763850e1231d4cdab4732e2a5ff4a93ac",
+        "continuous n=32": "6b0c8fe96d0e7e01f87d58388a2a58b28bdbb37f6a0f28bdb58193965acf1b98",
+        "certified qip n=16": "e3321433bb3c5588969471189bd0cb76244e70fb6a5b12f4a06bdb8f6cd49885",
+        "symmetric qip n=8": "06fd1a649e26b34ea570365b915cede86aa1dc6bb18b43d598943a3a097cd48f",
+    }
+
+
+def _barrier_outer_points(monkeypatch, problems) -> list:
+    """(problem, barrier point) after every outer barrier step of solving each problem."""
+    points = []
+    newton = solver._damped_newton
+
+    def recording(*args, **kwargs):
+        s, state, its = newton(*args, **kwargs)
+        if isinstance(state, solver._BarrierPoint):
+            points.append(state)
+        return s, state, its
+
+    monkeypatch.setattr(solver, "_damped_newton", recording)
+    statuses = []
+    for p in problems:
+        try:
+            statuses.append(solver.solve_dual(p).status)
+        except (EmptyInterior, MaxIterations):
+            statuses.append("raised")
+    monkeypatch.undo()
+    return points, statuses
+
+
+def test_interior_converged_matches_the_eigh_definition(monkeypatch):
+    rng = np.random.default_rng(3)
+    problems = [_continuous_problem(rng, n) for n in (2, 3, 4, 6, 8, 8, 12, 16)]
+    problems += [random_qip(rng, n).to_problem() for n in (4, 6, 8, 10, 12, 16)]
+    problems += [random_qip(rng, n, f_style="zero").to_problem() for n in (3, 4, 6, 8)]
+    problems += [double_well(0.0), double_well(0.5)]
+    points, statuses = _barrier_outer_points(monkeypatch, problems)
+    assert len(problems) == 20 and "boundary" in statuses and "interior" in statuses
+    # G = diag(1e4 + 2, 1e-5) is above the margin, yet singular by
+    # dual.boundary_tol; G = diag(1e4, 2) is regular, but sigma_1 = 5e-8 is
+    # inside the margin
+    stiff = QipInstance(Q=np.diag([1e4, 0.0]), f=np.zeros(2)).to_problem()
+    points += [solver._DualSurface(stiff).trial(np.array(s)) for s in ([1.0, 0.5e-5], [5e-8, 1.0])]
+    assert dual.assemble_G(stiff, points[-2].s).is_singular()
+
+    seen = set()
+    for point in points:
+        surface = solver._DualSurface(point.p)
+        gm = surface.strictly_feasible(point.s, margin=solver._FEAS_MARGIN * surface.f_scale)
+        # the solve's own tolerance, and an infinite one that tests the
+        # region and singularity part alone
+        for gtol in (SolverConfig().grad_tol * surface.f_scale, math.inf):
+            try:
+                expected = (gm is not None
+                            and np.linalg.norm(dual.grad_dual(point.p, point.s, gm=gm)) <= gtol)
+            except SingularG:
+                expected = False
+            assert solver._interior_converged(surface, point, gtol) == expected
+            seen.add(("outside" if gm is None else expected, gtol))
+    # every outcome occurs: outside the margin, inside but not stationary, converged
+    assert {outcome for outcome, _ in seen} == {"outside", False, True}
+
+
+def test_interior_converged_makes_no_eigh_call(monkeypatch):
+    from canondual import linalg
+
+    calls = {"solve": 0, "converged": 0}
+    inside = []
+    eigh, converged = linalg.eigh, solver._interior_converged
+
+    def counting_eigh(M):
+        calls["converged" if inside else "solve"] += 1
+        return eigh(M)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return converged(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solver, "_interior_converged", flagged)
+    counts = []
+    for p in (random_qip(np.random.default_rng(2), 16).to_problem(),
+              _continuous_problem(np.random.default_rng(5), 32)):
+        calls["solve"] = 0
+        rep = solver.solve_dual(p)
+        assert rep.status == "interior"
+        counts.append(calls["solve"])
+    assert calls["converged"] == 0
+    # phase one, the polish, the report and classification; the barrier
+    # loop and its convergence test factorize by Cholesky only
+    assert counts == [5, 4]  # 12 and 14 when the convergence test ran eigh
 
 
 # ---------------------------------------------------------- perturbation
