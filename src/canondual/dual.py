@@ -165,24 +165,6 @@ def grad_dual(p: Problem, s, gm: Optional[GapMatrix] = None) -> np.ndarray:
     return g
 
 
-def hess_dual(p: Problem, s, gm: Optional[GapMatrix] = None) -> np.ndarray:
-    """Analytic Hessian of the dual objective, negative semidefinite on the
-    positive-definite region:
-
-        H[pq] = -(Q_p x)' G^-1 (Q_q x) - delta_pq Phi*''_p
-    """
-    gm = gm if gm is not None else assemble_G(p, s)
-    if gm.is_singular():
-        raise SingularG("dual Hessian undefined where G is singular")
-    varsig, _ = split_dual(p, s)
-    A = coordinate_images(p, gm.apply_pinv(p.f))
-    w, v = gm.decomp
-    H = -(A.T @ (v @ ((v.T @ A) / w[:, None])))
-    for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
-        H[k, k] -= model.conj_hess(p.terms[idx], float(varsig_s))
-    return 0.5 * (H + H.T)
-
-
 def coordinate_images(p: Problem, x) -> np.ndarray:
     """Columns dG/ds_k x: Q_k x for each dual term, 2 x_i e_i for each sigma_i.
 

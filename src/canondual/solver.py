@@ -11,17 +11,19 @@ polish with barrier-free Newton when the maximizer is strictly interior.
 The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``, with
 different callbacks: the ascent backtracks on the barrier value, the other
-two on the norm of the dual gradient.  The barrier loop factorizes G(s) by
-Cholesky only, once per point: a trial point is feasible when its domain
-slacks are positive and the factor exists, and the factor gives log det G,
-G^-1 f and the closed-form barrier derivatives at every mu.  Each outer step
-starts from the factorized point the last one ended at, and the convergence
-test reads that point: a Cholesky test of G minus the feasibility margin and
-the bare gradient from the factor.  The eigendecomposition is used only by
-phase one, the polish, the report and triality classification.  Feasibility
-phase one finds a strictly positive-definite start by a doubling scan along
-the domain-feasible direction followed by projected subgradient ascent on the
-smallest eigenvalue.
+two on the norm of the dual gradient.  All three step on one point type,
+factorized once: the ascent and the polish by Cholesky, where a trial point
+is feasible when its domain slacks are positive and the factor exists (for
+the polish, also that of G shifted by the boundary tolerance); the root
+search, where G may be indefinite, by an LU solve.  The factor gives G^-1 f
+and the closed-form derivatives, and for the ascent log det G at every mu.
+Each outer step starts from the factorized point the last one ended at, and
+the convergence test reads that point: a Cholesky test of G minus the
+feasibility margin and the bare gradient from the factor.  The
+eigendecomposition is used only by phase one, the report and triality
+classification.  Feasibility phase one finds a strictly positive-definite
+start by a doubling scan along the domain-feasible direction followed by
+projected subgradient ascent on the smallest eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
 quadratic perturbation scheme: at round k the operator gains delta_k * I and
@@ -102,19 +104,42 @@ class SolverConfig:
 
 
 class _BarrierPoint:
-    """A dual point of the barrier ascent, factorized once.
+    """A dual point, factorized once.
 
-    Holds the domain slacks, G, its Cholesky factor L, x = G^-1 f, the
-    barrier-free value -0.5 f'x - conjugate total and sum log diag L.  The
-    mu-independent derivative pieces are computed on first use and serve
-    the barrier derivatives at every mu and the convergence test.
+    Holds the domain slacks, G, x = G^-1 f, the barrier-free value
+    -0.5 f'x - conjugate total and a factorization of G.  The Cholesky form
+    (L given) serves the barrier ascent and the polish, where G is positive
+    definite: x comes from two triangular solves with L, and sum log diag L
+    and L^-1 give the log-det terms.  The LU form (L None) serves the root
+    search, where G may be indefinite: x and the G^-1 A term of the Hessian
+    come from ``np.linalg.solve``.  The bare gradient and Hessian and the
+    mu-independent log-det pieces are computed on first use and serve every
+    mu.
     """
 
-    def __init__(self, p: Problem, s: np.ndarray, slacks: list, G: np.ndarray, L: np.ndarray):
+    def __init__(self, p: Problem, s: np.ndarray, slacks: list, G: np.ndarray,
+                 L: Optional[np.ndarray]):
         self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
-        self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
+        if L is None:
+            self.x = np.linalg.solve(G, p.f)
+        else:
+            self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
+            self.logdet = float(np.sum(np.log(np.diag(L))))
         self.bare_value = -0.5 * float(p.f @ self.x) - dual.conjugate_total(p, s)
-        self.logdet = float(np.sum(np.log(np.diag(L))))
+
+    def clears(self, margin: float) -> bool:
+        """Whether every slack and the smallest eigenvalue of G exceed the
+        margin and G is nonsingular: a Cholesky test of G - c I with
+        c = max(margin, boundary_tol(G)), the tolerance below which
+        ``dual.grad_dual`` calls G singular."""
+        if any(slack <= margin for _, slack, _ in self.slacks):
+            return False
+        G = self.G
+        try:
+            np.linalg.cholesky(G - max(margin, dual.boundary_tol(G)) * np.eye(len(G)))
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     @cached_property
     def Linv(self) -> np.ndarray:
@@ -128,9 +153,12 @@ class _BarrierPoint:
         p = self.p
         varsig, sigma = dual.split_dual(p, self.s)
         A = dual.coordinate_images(p, self.x)
-        W = self.Linv @ A
         g = 0.5 * (self.x @ A)
-        H = -(W.T @ W)
+        if self.L is None:
+            H = -(A.T @ np.linalg.solve(self.G, A))
+        else:
+            W = self.Linv @ A
+            H = -(W.T @ W)
         for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
             t = p.terms[idx]
             g[k] -= model.conj_grad(t, float(varsig_s))
@@ -161,13 +189,12 @@ class _BarrierPoint:
 class _DualSurface:
     """Cached per-problem data for barrier and Newton evaluations.
 
-    The barrier ascent visits points through ``trial``, which decides strict
-    feasibility from the domain slacks and whether the Cholesky factor of
-    G(s) exists, and factorizes each point once: the ``_BarrierPoint`` it
-    returns gives the barrier value at every mu, the barrier derivatives and
-    the convergence test.  The eigendecomposition (``gap``,
-    ``strictly_feasible``, ``stationarity``) serves only phase one, the
-    polish, the root search, the report and classification.
+    Every Newton loop visits points through ``trial``, which decides the
+    domain from the domain slacks and a factorization of G(s) and factorizes
+    each point once: the ``_BarrierPoint`` it returns gives the barrier value
+    at every mu, the barrier and bare derivatives and the convergence test.
+    The eigendecomposition (``gap``, ``strictly_feasible``) serves only phase
+    one, the report and classification.
     """
 
     def __init__(self, p: Problem):
@@ -188,18 +215,20 @@ class _DualSurface:
             return None
         return gm
 
-    def trial(self, s) -> Optional[_BarrierPoint]:
-        """The factorized point at s, or None outside the open certified region."""
+    def trial(self, s, cholesky: bool = True) -> Optional[_BarrierPoint]:
+        """The factorized point at s, or None outside the domain: positive
+        domain slacks and, with ``cholesky``, G positive definite (the open
+        certified region), else G nonsingular with a finite x = G^-1 f."""
         p = self.p
         slacks = dual.domain_slacks(p, s)
         if any(slack <= 0.0 for _, slack, _ in slacks):
             return None
         G = dual.operator(p, s)
         try:
-            L = np.linalg.cholesky(G)
+            point = _BarrierPoint(p, s, slacks, G, np.linalg.cholesky(G) if cholesky else None)
         except np.linalg.LinAlgError:
             return None
-        return _BarrierPoint(p, s, slacks, G, L)
+        return point if cholesky or np.all(np.isfinite(point.x)) else None
 
     def value(self, point: _BarrierPoint, mu: float) -> float:
         """Barrier objective Pi_d + mu log det G + mu sum log slack at a point."""
@@ -248,42 +277,32 @@ class _DualSurface:
         a state is a ``_BarrierPoint``, the merit is the negated value, the
         slope g'd."""
         return (self.trial, lambda point: -self.value(point, mu), lambda g, d, m: float(g @ d),
-                lambda s, point: self.derivatives(point, mu))
+                lambda point: self.derivatives(point, mu))
 
     def stationarity(self, certified: bool) -> tuple:
         """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
-        gradient norm as merit and slope.  A state is (GapMatrix, gradient).
+        gradient norm as merit and slope.  A state is a ``_BarrierPoint``.
 
         Value-based line searches stall once the remaining improvement falls
         below the rounding of the objective itself; descending on the
         gradient norm instead converges to stationarity at machine precision.
-        The domain is the strict interior of the certified region, or without
-        ``certified`` every point with positive domain slacks and nonsingular G.
+        With ``certified`` the domain is the certified region with G
+        nonsingular by ``dual.boundary_tol`` (Cholesky points that clear the
+        boundary); without it, every point with positive domain slacks and
+        nonsingular G (LU points).
         """
-        p = self.p
-
-        def trial(s):
-            if any(slack <= 0.0 for _, slack, _ in dual.domain_slacks(p, s)):
-                return None
-            try:
-                gm = self.gap(s)
-                if certified and gm.min_eig <= 0.0:
-                    return None
-                return gm, dual.grad_dual(p, s, gm=gm)
-            except CanonDualError:
-                return None
-
-        def derivatives(s, state):
-            try:
-                return state[1], dual.hess_dual(p, s, gm=state[0])
-            except CanonDualError:
-                return None
-
-        return trial, _gradient_norm, lambda g, d, m: m, derivatives
+        if certified:
+            def trial(s):
+                point = self.trial(s)
+                return point if point is not None and point.clears(0.0) else None
+        else:
+            def trial(s):
+                return self.trial(s, cholesky=False)
+        return trial, _gradient_norm, lambda g, d, m: m, lambda point: self.derivatives(point, 0.0)
 
 
-def _gradient_norm(state) -> float:
-    return float(np.linalg.norm(state[1]))
+def _gradient_norm(point: _BarrierPoint) -> float:
+    return float(np.linalg.norm(point.bare[0]))
 
 
 def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
@@ -291,16 +310,15 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
     """Damped Newton iteration with a backtracking line search.
 
     ``trial(s)`` is the state at s, or None outside the domain;
-    ``derivatives(s, state)`` is the pair (g, H), or None where it is
-    undefined.  The direction d solves (-H) d = g, replaced by the scaled
-    gradient when ``slope(g, d, m)`` is not positive.  A step of length t is
-    accepted when the finite ``merit`` of its state is at most
-    m - _ARMIJO * t * slope(g, d, m), where m is the current merit.  Stops at
-    |g| <= tol, when _HALVINGS halvings find no step, after ``max_iter``
-    steps, or, with ``step_tol``, after a step shorter than
-    step_tol * (1 + |s|).  ``state``, when given, is ``trial(s)`` already
-    computed by the caller.  Returns (s, state, steps); the state is None
-    when the start is outside the domain.
+    ``derivatives(state)`` is the pair (g, H).  The direction d solves
+    (-H) d = g, replaced by the scaled gradient when ``slope(g, d, m)`` is
+    not positive.  A step of length t is accepted when the finite ``merit``
+    of its state is at most m - _ARMIJO * t * slope(g, d, m), where m is the
+    current merit.  Stops at |g| <= tol, when _HALVINGS halvings find no
+    step, after ``max_iter`` steps, or, with ``step_tol``, after a step
+    shorter than step_tol * (1 + |s|).  ``state``, when given, is
+    ``trial(s)`` already computed by the caller.  Returns (s, state, steps);
+    the state is None when the start is outside the domain.
     """
     if state is None:
         state = trial(s)
@@ -308,10 +326,7 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
             return s, None, 0
     m = merit(state)
     for it in range(max_iter):
-        gh = derivatives(s, state)
-        if gh is None:
-            return s, state, it
-        g, H = gh
+        g, H = derivatives(state)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return s, state, it
@@ -355,20 +370,9 @@ def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _interior_converged(surface: _DualSurface, point: _BarrierPoint, gtol: float) -> bool:
     """Whether a barrier point is a strictly interior stationary point of the
-    bare dual: every slack and the smallest eigenvalue of G above the
-    feasibility margin, G nonsingular and |grad| <= gtol.  The eigenvalue
-    bound is a Cholesky test of G - c I with c = max(margin, boundary_tol(G)),
-    the tolerance below which ``dual.grad_dual`` calls G singular; the
-    gradient is the point's own."""
-    margin = _FEAS_MARGIN * surface.f_scale
-    if any(slack <= margin for _, slack, _ in point.slacks):
-        return False
-    G = point.G
-    try:
-        np.linalg.cholesky(G - max(margin, dual.boundary_tol(G)) * np.eye(len(G)))
-    except np.linalg.LinAlgError:
-        return False
-    return float(np.linalg.norm(point.bare[0])) <= gtol
+    bare dual: it clears the feasibility margin (``_BarrierPoint.clears``)
+    and its own bare gradient has norm <= gtol."""
+    return point.clears(_FEAS_MARGIN * surface.f_scale) and _gradient_norm(point) <= gtol
 
 
 def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
@@ -410,7 +414,7 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
     for it in range(250):
         s = _project_domain(p, s, margin)
         gm = surface.gap(s)
-        if gm.min_eig > margin and surface.strictly_feasible(s, 0.0) is not None:
+        if gm.min_eig > margin and all(slack > 0.0 for _, slack, _ in dual.domain_slacks(p, s)):
             return s
         best = max(best, gm.min_eig)
         vmin = gm.decomp.eigvecs[:, 0]
@@ -734,10 +738,11 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     merged = []
     for s in found:
         try:
-            val = dual.eval_dual(p, s)
+            gm = dual.assemble_G(p, s)
+            val = dual.eval_dual(p, s, gm=gm)
         except (RangeViolation, CanonDualError):
             continue
-        merged.append((s, val, dual.in_S_plus(p, s)))
+        merged.append((s, val, dual.in_S_plus(p, s, gm=gm)))
     merged.sort(key=lambda item: (-item[1], tuple(item[0])))
     out = []
     for s, val, member in merged:

@@ -185,18 +185,6 @@ def test_grad_dual_matches_finite_differences(rng):
         checked += 1
 
 
-def test_hess_dual_matches_finite_differences(rng):
-    for _ in range(20):
-        p = random_problem(rng, n_max=4)
-        s = np.abs(rng.standard_normal(p.dual_dim)) + 1.0
-        gm = dual.assemble_G(p, s)
-        if gm.min_eig <= 1e-4:
-            continue
-        H = dual.hess_dual(p, s)
-        fd = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
-        assert np.max(np.abs(H - fd)) <= 1e-3 * (1.0 + np.max(np.abs(fd)))
-
-
 # -------------------------------------------------------------- recovery
 
 

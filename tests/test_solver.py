@@ -142,6 +142,44 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     assert np.max(np.abs(H - fd_H)) <= 1e-5 * (1.0 + np.max(np.abs(fd_H)))
 
 
+def test_bare_hessian_matches_finite_differences(rng):
+    # the Hessian the polish steps on, read from the Cholesky-factored point
+    for _ in range(20):
+        p = random_problem(rng, n_max=4)
+        s = np.abs(rng.standard_normal(p.dual_dim)) + 1.0
+        gm = dual.assemble_G(p, s)
+        if gm.min_eig <= 1e-4:
+            continue
+        surface = solver._DualSurface(p)
+        _, H = surface.derivatives(surface.trial(s), 0.0)
+        fd = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
+        assert np.max(np.abs(H - fd)) <= 1e-3 * (1.0 + np.max(np.abs(fd)))
+
+
+def test_lu_point_derivatives_match_finite_differences(rng):
+    # the root search steps on LU points, where G may be indefinite; check
+    # points whose G has a negative eigenvalue and none near zero
+    checked = 0
+    for _ in range(80):
+        p = random_problem(rng, n_max=4)
+        s = 2.0 * rng.standard_normal(p.dual_dim)
+        surface = solver._DualSurface(p)
+        point = surface.trial(s, cholesky=False)
+        if point is None:
+            continue
+        w = np.linalg.eigvalsh(point.G)
+        if w[0] >= -0.05 or np.min(np.abs(w)) <= 0.05:
+            continue
+        assert surface.trial(s) is None  # outside the certified region
+        g, H = surface.derivatives(point, 0.0)
+        fd_g = oracle.fd_gradient(lambda z: dual.eval_dual(p, z), s, h=1e-6)
+        fd_H = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
+        assert np.max(np.abs(g - fd_g)) <= 1e-6 * (1.0 + np.max(np.abs(fd_g)))
+        assert np.max(np.abs(H - fd_H)) <= 1e-3 * (1.0 + np.max(np.abs(fd_H)))
+        checked += 1
+    assert checked >= 10
+
+
 def test_barrier_value_rejects_points_outside_the_region():
     # indefinite operator, positive multipliers: G = [[0.2, 1], [1, 0.2]]
     qip = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([1.0, 0.0]))
@@ -212,9 +250,8 @@ def _report_sha(rep) -> str:
 
 
 def test_solve_reports_match_pinned():
-    # SHA-256 of json.dumps(report.to_dict()), recorded before the barrier
-    # loop kept each point's factor across outer steps; any change to the
-    # arithmetic of a solve shows here
+    # SHA-256 of json.dumps(report.to_dict()); any change to the arithmetic
+    # of a solve shows here
     rng = np.random.default_rng(2)
     cont16, cont32 = _continuous_problem(rng, 16), _continuous_problem(rng, 32)
     assert [t.kind for t in cont32.terms[1:]] == [TermKind.QUARTIC, TermKind.XLOGX]
@@ -228,15 +265,16 @@ def test_solve_reports_match_pinned():
     }
     assert reports["symmetric qip n=8"].perturb_rounds == 10
     assert {name: _report_sha(rep) for name, rep in reports.items()} == {
-        "continuous n=16": "9d8d8754ef6ebb0978aa1647094355a763850e1231d4cdab4732e2a5ff4a93ac",
-        "continuous n=32": "6b0c8fe96d0e7e01f87d58388a2a58b28bdbb37f6a0f28bdb58193965acf1b98",
-        "certified qip n=16": "e3321433bb3c5588969471189bd0cb76244e70fb6a5b12f4a06bdb8f6cd49885",
-        "symmetric qip n=8": "06fd1a649e26b34ea570365b915cede86aa1dc6bb18b43d598943a3a097cd48f",
+        "continuous n=16": "c6d19e273adbc0ca9d3e37e554e3e0c3f9ea1f784b6e0cac58e15a11638667bc",
+        "continuous n=32": "de251e2fe36aeca0199a2fa242f77b53bcc5a9a6fbf5dddc4b7f69f3995ca72c",
+        "certified qip n=16": "a549ca451c3c9417c4a49241ec96c6083aea6a2cd28b47f2c462fb279ca01d22",
+        "symmetric qip n=8": "0b8ff05008aa8f27ef69f9adac7b39dd0ad2fdee581b324d812c28bcdcc8c2e5",
     }
 
 
-def _barrier_outer_points(monkeypatch, problems) -> list:
-    """(problem, barrier point) after every outer barrier step of solving each problem."""
+def _newton_end_points(monkeypatch, problems) -> list:
+    """Every point a Newton run of solving each problem ends at: each outer
+    barrier step and the polish."""
     points = []
     newton = solver._damped_newton
 
@@ -263,7 +301,7 @@ def test_interior_converged_matches_the_eigh_definition(monkeypatch):
     problems += [random_qip(rng, n).to_problem() for n in (4, 6, 8, 10, 12, 16)]
     problems += [random_qip(rng, n, f_style="zero").to_problem() for n in (3, 4, 6, 8)]
     problems += [double_well(0.0), double_well(0.5)]
-    points, statuses = _barrier_outer_points(monkeypatch, problems)
+    points, statuses = _newton_end_points(monkeypatch, problems)
     assert len(problems) == 20 and "boundary" in statuses and "interior" in statuses
     # G = diag(1e4 + 2, 1e-5) is above the margin, yet singular by
     # dual.boundary_tol; G = diag(1e4, 2) is regular, but sigma_1 = 5e-8 is
@@ -318,9 +356,57 @@ def test_interior_converged_makes_no_eigh_call(monkeypatch):
         assert rep.status == "interior"
         counts.append(calls["solve"])
     assert calls["converged"] == 0
-    # phase one, the polish, the report and classification; the barrier
-    # loop and its convergence test factorize by Cholesky only
-    assert counts == [5, 4]  # 12 and 14 when the convergence test ran eigh
+    # phase one and the report, which classification shares; every Newton
+    # loop and the convergence test factorize by Cholesky only
+    assert counts == [3, 2]
+
+
+def test_newton_loops_make_no_eigh_call(monkeypatch):
+    from canondual import linalg
+
+    calls = {"newton": 0, "outside": 0}
+    inside = []
+    eigh, newton = linalg.eigh, solver._damped_newton
+
+    def counting_eigh(M):
+        calls["newton" if inside else "outside"] += 1
+        return eigh(M)
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(solver, "_damped_newton", flagged)
+    # the barrier ascent and the polish of a solve, and the root search from
+    # every start of a multistart
+    assert solver.solve_dual(_continuous_problem(np.random.default_rng(5), 32)).status == "interior"
+    assert len(solver.dual_critical_points(double_well(0.5), n_starts=10)) == 3
+    assert calls["newton"] == 0 and calls["outside"] > 0
+
+
+def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
+    # at a boundary maximizer the barrier ends where G is singular by
+    # dual.boundary_tol, outside the polish's domain, so the polish stops at
+    # its start; a positive-definite test alone lets it take one more step
+    polish_steps = []
+    newton = solver._damped_newton
+
+    def recording(*args, **kwargs):
+        s, state, its = newton(*args, **kwargs)
+        if kwargs.get("step_tol") is None:  # the barrier steps pass one
+            polish_steps.append((state, its))
+        return s, state, its
+
+    monkeypatch.setattr(solver, "_damped_newton", recording)
+    problems = [double_well(0.0)] + [random_qip(np.random.default_rng(seed), n, f_style="zero")
+                                     .to_problem() for seed, n in ((0, 3), (1, 6), (2, 8))]
+    for p in problems:
+        assert solver.solve_dual(p).status == "boundary"
+    assert polish_steps == [(None, 0)] * len(problems)
 
 
 # ---------------------------------------------------------- perturbation
