@@ -234,13 +234,20 @@ def eval_primal_batch(p: Problem, X: np.ndarray) -> np.ndarray:
     return vals
 
 
-def grad_primal(p: Problem, x) -> np.ndarray:
-    """Analytic gradient sum_s Phi'_s(xi_s) Q_s x - f (alpha folded for plain terms)."""
-    x = _as_point(p, x)
-    g = -p.f.copy()
+def grad_primal(p: Problem, x, dtype=np.float64) -> np.ndarray:
+    """Analytic gradient sum_s Phi'_s(xi_s) Q_s x - f (alpha folded for plain terms).
+
+    With ``dtype=np.longdouble`` the products, xi and the quartic Phi' are
+    formed in extended precision; the exponential and xlogx Phi' round
+    through double.
+    """
+    x = _as_point(p, x).astype(dtype, copy=False)
+    g = -p.f.astype(dtype)
     for t in p.terms:
-        w = t.alpha if t.kind is TermKind.PLAIN_QUADRATIC else t.phi_grad(t.xi(x))
-        g = g + w * (t.factor.T @ (t.factor @ x))
+        D = t.factor.astype(dtype, copy=False)
+        v = D @ x
+        w = t.alpha if t.kind is TermKind.PLAIN_QUADRATIC else t.phi_grad(0.5 * (v @ v))
+        g = g + w * (D.T @ v)
     return g
 
 

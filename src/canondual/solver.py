@@ -8,6 +8,10 @@ interior-point ascent: maximize
 
 by damped Newton steps for a geometrically shrinking barrier weight mu, then
 polish with barrier-free Newton when the maximizer is strictly interior.
+Each barrier weight runs until its point is centred: the squared Newton
+decrement g'(-H)^-1 g of the barrier objective is at most _CENTERING * mu
+(Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, section 11.3),
+or the bare gradient is within the solve's tolerance.
 The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``, with
 different callbacks: the ascent backtracks on the barrier value, the other
@@ -21,9 +25,13 @@ Each outer step starts from the factorized point the last one ended at, and
 the convergence test reads that point: a Cholesky test of G minus the
 feasibility margin and the bare gradient from the factor.  The
 eigendecomposition is used only by phase one, the report and triality
-classification.  Feasibility phase one finds a strictly positive-definite
-start by a doubling scan along the domain-feasible direction followed by
-projected subgradient ascent on the smallest eigenvalue.
+classification.  For a continuous problem with an interior certificate the
+report refines x = G^-1 f by one Newton step on the primal gradient,
+evaluated in np.longdouble, so that x_bar does not depend on which iterate
+within an ulp or two of the root the ascent ended at.  Feasibility phase
+one finds a strictly positive-definite start by a doubling scan along the
+domain-feasible direction followed by projected subgradient ascent on the
+smallest eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
 quadratic perturbation scheme: at round k the operator gains delta_k * I and
@@ -61,6 +69,10 @@ _ARMIJO = 1e-4
 # that does not lower the gradient-norm merit would pass the Armijo test.
 _HALVINGS = 40
 _MU_FLOOR = 1e-12
+# A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
+# the barrier objective is at most _CENTERING * mu: the decrement of that
+# objective over mu is then at most 1/2.
+_CENTERING = 0.25
 _FEAS_MARGIN = 1e-7
 
 
@@ -306,7 +318,8 @@ def _gradient_norm(point: _BarrierPoint) -> float:
 
 
 def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
-                   max_iter: int, step_tol: Optional[float] = None, state=None) -> tuple:
+                   max_iter: int, step_tol: Optional[float] = None, state=None,
+                   centred: Optional[float] = None) -> tuple:
     """Damped Newton iteration with a backtracking line search.
 
     ``trial(s)`` is the state at s, or None outside the domain;
@@ -314,9 +327,11 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
     (-H) d = g, replaced by the scaled gradient when ``slope(g, d, m)`` is
     not positive.  A step of length t is accepted when the finite ``merit``
     of its state is at most m - _ARMIJO * t * slope(g, d, m), where m is the
-    current merit.  Stops at |g| <= tol, when _HALVINGS halvings find no
-    step, after ``max_iter`` steps, or, with ``step_tol``, after a step
-    shorter than step_tol * (1 + |s|).  ``state``, when given, is
+    current merit.  Stops at |g| <= tol; with ``centred``, also when the
+    squared Newton decrement g'd lies in [0, centred] (a negative g'd means
+    -H is not numerically definite, and says nothing); when _HALVINGS
+    halvings find no step; after ``max_iter`` steps; or, with ``step_tol``,
+    after a step shorter than step_tol * (1 + |s|).  ``state``, when given, is
     ``trial(s)`` already computed by the caller.  Returns (s, state, steps);
     the state is None when the start is outside the domain.
     """
@@ -331,6 +346,8 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
         if gnorm <= tol:
             return s, state, it
         d = _solve_newton(H, g)
+        if centred is not None and 0.0 <= float(g @ d) <= centred:
+            return s, state, it
         rate = slope(g, d, m)
         if rate <= 0.0:
             d = g / max(1.0, gnorm)
@@ -375,8 +392,9 @@ def _interior_converged(surface: _DualSurface, point: _BarrierPoint, gtol: float
     return point.clears(_FEAS_MARGIN * surface.f_scale) and _gradient_norm(point) <= gtol
 
 
-def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
-    """Strictly feasible start, or EmptyInterior after the search budget."""
+def _phase1(surface: _DualSurface, cfg: SolverConfig) -> tuple:
+    """Strictly feasible start s and the GapMatrix that accepted it, or
+    EmptyInterior after the search budget."""
     p = surface.p
     margin = _FEAS_MARGIN * surface.f_scale
     base = np.zeros(surface.d)
@@ -398,13 +416,15 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
         base[q:] = lift
         direction[q:] = 1.0
 
-    if surface.strictly_feasible(base, margin) is not None:
-        return base
+    gm = surface.strictly_feasible(base, margin)
+    if gm is not None:
+        return base, gm
     t = 1.0
     for _ in range(24):
         trial = base + t * direction
-        if surface.strictly_feasible(trial, margin) is not None:
-            return trial
+        gm = surface.strictly_feasible(trial, margin)
+        if gm is not None:
+            return trial, gm
         t *= 2.0
 
     # Projected subgradient ascent on the smallest eigenvalue of G.
@@ -415,7 +435,7 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> np.ndarray:
         s = _project_domain(p, s, margin)
         gm = surface.gap(s)
         if gm.min_eig > margin and all(slack > 0.0 for _, slack, _ in dual.domain_slacks(p, s)):
-            return s
+            return s, gm
         best = max(best, gm.min_eig)
         vmin = gm.decomp.eigvecs[:, 0]
         sub = vmin @ dual.coordinate_images(p, vmin)  # d lambda_min / ds
@@ -465,16 +485,16 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     """
     cfg = cfg or SolverConfig()
     surface = _DualSurface(p)
-    s = _phase1(surface, cfg)
+    s, _ = _phase1(surface, cfg)
     gtol = cfg.grad_tol * surface.f_scale
 
     iterations = 0
     mu = cfg.barrier_weight
     point = None  # each outer step starts from the factorized point the last one ended at
     for _ in range(cfg.max_outer):
-        s, point, its = _damped_newton(s, *surface.barrier(mu), tol=max(gtol, 0.1 * mu),
+        s, point, its = _damped_newton(s, *surface.barrier(mu), tol=gtol,
                                        max_iter=cfg.max_inner, step_tol=cfg.step_tol,
-                                       state=point)
+                                       state=point, centred=_CENTERING * mu)
         if point is None:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
@@ -531,6 +551,9 @@ def _build_report(p: Problem, s: np.ndarray, gm: dual.GapMatrix, status: str,
         except RangeViolation as exc:
             x = gm.apply_pinv(p.f)
             messages.append(f"input outside range of G at the reported dual point: {exc}")
+        else:
+            if status == "interior" and not p.is_sign_integer:
+                x = _refine_x(p, x)
     rec_residual = float(np.linalg.norm(gm.G @ x - p.f))
     primal = model.eval_primal(p, x)
     membership = dual.in_S_plus(p, s, gm=gm)
@@ -569,6 +592,24 @@ def _build_report(p: Problem, s: np.ndarray, gm: dual.GapMatrix, status: str,
         perturb_rounds=perturb_rounds,
         messages=tuple(messages),
     )
+
+
+def _refine_x(p: Problem, x: np.ndarray) -> np.ndarray:
+    """x after one Newton step on grad P(x) = 0: the residual in extended
+    precision, the step from ``triality.hessian_primal`` in double, added in
+    extended precision and rounded once.  This makes x the correctly rounded
+    stationary point in practice, whichever iterate the dual solve ended at.
+    The input x comes back if the step fails or does not lower the residual."""
+    try:
+        r0 = model.grad_primal(p, x, dtype=np.longdouble)
+        step = np.linalg.solve(triality.hessian_primal(p, x), r0.astype(float))
+        x1 = (x.astype(np.longdouble) - step).astype(float)
+        r1 = model.grad_primal(p, x1, dtype=np.longdouble)
+    except (CanonDualError, np.linalg.LinAlgError):
+        return x
+    if np.all(np.isfinite(x1)) and float(r1 @ r1) < float(r0 @ r0):
+        return x1
+    return x
 
 
 # Quadratic perturbation -------------------------------------------------
@@ -696,11 +737,10 @@ def existence_check(p: Problem, cfg: Optional[SolverConfig] = None) -> Existence
     cfg = cfg or SolverConfig()
     surface = _DualSurface(p)
     try:
-        s = _phase1(surface, cfg)
+        s, gm = _phase1(surface, cfg)
     except EmptyInterior as exc:
         return ExistenceResult(status="likely_empty", witness=None,
                                min_eig=getattr(exc, "best_min_eig", float("nan")))
-    gm = surface.gap(s)
     return ExistenceResult(status="interior_nonempty", witness=s, min_eig=gm.min_eig)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from canondual import dual, oracle, solver
+from canondual import dual, integer, oracle, solver
 from canondual.dual import Membership
 from canondual.errors import EmptyInterior, MaxIterations, SingularG
 from canondual.integer import QipInstance
@@ -59,6 +59,25 @@ def test_solve_dual_double_well_global_min():
     assert rep.duality_residual <= 1e-7 * (1.0 + abs(rep.primal_value))
 
 
+def test_double_well_x_bar_is_exact_under_every_barrier_setting():
+    # the report refines x once in extended precision, so the bits of x_bar
+    # are a property of the problem, not of where the barrier iterates ended
+    p = double_well(0.5)
+    landed = {float(solver.solve_dual(p, SolverConfig(barrier_weight=float(w),
+                                                      barrier_shrink=float(r))).x_bar[0])
+              for w in np.linspace(0.5, 2.0, 31) for r in np.linspace(0.1, 0.3, 5)}
+    assert landed == {WELL_X1}
+
+
+def test_refinement_keeps_x_where_the_step_fails_or_does_not_help():
+    p = double_well(0.5)
+    assert solver._refine_x(p, np.array([WELL_X1 + 1e-9]))[0] == WELL_X1
+    assert solver._refine_x(p, np.array([WELL_X1]))[0] == WELL_X1
+    # Phi' of an xlogx term is undefined at xi = 0
+    xlogx = Problem(n=1, terms=[CanonicalTerm(TermKind.XLOGX, np.eye(1), 1.0)], f=np.array([0.5]))
+    assert solver._refine_x(xlogx, np.zeros(1))[0] == 0.0
+
+
 def test_solve_dual_quasiconvex_side_unique_point():
     rep = solver.solve_dual(double_well(-2.0))
     assert rep.status == "interior"
@@ -88,7 +107,7 @@ def test_monotone_ascent_of_barrier_objective():
     p = double_well(0.5)
     surface = solver._DualSurface(p)
     cfg = SolverConfig()
-    s = solver._phase1(surface, cfg)
+    s, _ = solver._phase1(surface, cfg)
     mu = 0.3
     values = [surface.value(surface.trial(s), mu)]
     for _ in range(6):
@@ -128,7 +147,7 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     surface = solver._DualSurface(p)
     cfg = SolverConfig()
     # the mu = 1 barrier center keeps every difference step inside the region
-    s, _, _ = solver._damped_newton(solver._phase1(surface, cfg), *surface.barrier(1.0),
+    s, _, _ = solver._damped_newton(solver._phase1(surface, cfg)[0], *surface.barrier(1.0),
                                     tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
     g, H = surface.derivatives(surface.trial(s), mu)
@@ -207,7 +226,7 @@ def test_barrier_point_serves_every_mu_alike(name):
     # must give the same bits as a freshly factorized point at the new mu
     p = _barrier_problem(name)
     surface = solver._DualSurface(p)
-    s = solver._phase1(surface, SolverConfig())
+    s, _ = solver._phase1(surface, SolverConfig())
     carried = surface.trial(s)
     for mu in (1.0, 0.2, 0.0):
         surface.derivatives(carried, mu)
@@ -264,11 +283,21 @@ def test_solve_reports_match_pinned():
         "symmetric qip n=8": solver.perturbed_solve(symmetric),
     }
     assert reports["symmetric qip n=8"].perturb_rounds == 10
+    # the outcome fields, which the arithmetic must not move
+    interior = ("interior", "global_min", False)
+    assert {name: (rep.status, rep.triality_class, rep.boundary_flag,
+                   "".join("+" if v > 0 else "-" for v in rep.x_bar))
+            for name, rep in reports.items()} == {
+        "continuous n=16": interior + ("+---+--++++---+-",),
+        "continuous n=32": interior + ("-+-+--+--+-+---++---+++++-++----",),
+        "certified qip n=16": interior + ("+" * 16,),
+        "symmetric qip n=8": ("perturbation", "boundary_degenerate", True, "++----+-"),
+    }
     assert {name: _report_sha(rep) for name, rep in reports.items()} == {
-        "continuous n=16": "c6d19e273adbc0ca9d3e37e554e3e0c3f9ea1f784b6e0cac58e15a11638667bc",
-        "continuous n=32": "de251e2fe36aeca0199a2fa242f77b53bcc5a9a6fbf5dddc4b7f69f3995ca72c",
-        "certified qip n=16": "a549ca451c3c9417c4a49241ec96c6083aea6a2cd28b47f2c462fb279ca01d22",
-        "symmetric qip n=8": "0b8ff05008aa8f27ef69f9adac7b39dd0ad2fdee581b324d812c28bcdcc8c2e5",
+        "continuous n=16": "6160bb76f78dcfa7f26b2215824d1157387db939eb2db26397bfc2280b026654",
+        "continuous n=32": "87b4007057cddb33002416780bd24e5f8069cf3d70394e547fbbffb5bd3095e3",
+        "certified qip n=16": "5922fcf96cfa9b05f257c4c7819fdc363745d57e76b3995f363ca2edbf3ae23f",
+        "symmetric qip n=8": "1627921cba4ce377ab0b63f10301034f27409fe7c6cc39cbb8d5e3a09d404b64",
     }
 
 
@@ -409,6 +438,33 @@ def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
     assert polish_steps == [(None, 0)] * len(problems)
 
 
+def test_centering_test_needs_a_nonnegative_decrement(monkeypatch):
+    # on sign QPs scaled by 1e4, -H is not numerically definite near the
+    # boundary and g'd can come out negative; read as "centred", it ends each
+    # barrier run early, and these certify or end perturbation rounds
+    # interior only with the sign guard
+    rng = np.random.default_rng(0)
+    instances = [random_qip(rng, int(rng.integers(3, 11))) for _ in range(20)]
+    scaled = [QipInstance(Q=1e4 * inst.Q, f=1e4 * inst.f) for inst in instances]
+    assert integer.qip_dual_solve(scaled[19]).certificate == "dual_certified"
+
+    statuses = []
+    solve = solver.solve_dual
+
+    def recording(p, cfg=None):
+        rep = solve(p, cfg)
+        statuses.append(rep.status)
+        return rep
+
+    monkeypatch.setattr(solver, "solve_dual", recording)
+    for inst in (scaled[9], scaled[10]):
+        statuses.clear()
+        rep = integer.qip_dual_solve(inst)
+        assert rep.certificate == "perturbation_only"
+        assert rep.objective == oracle.enumerate_signs(inst).best_value
+        assert "interior" in statuses[1:]
+
+
 # ---------------------------------------------------------- perturbation
 
 
@@ -451,6 +507,22 @@ def test_existence_qip_witness():
     assert res.nonempty
     gm = dual.assemble_G(inst.to_problem(), res.witness)
     assert gm.min_eig > 0.0
+
+
+def test_existence_check_reads_the_witness_phase_one_accepted(monkeypatch):
+    from canondual import linalg
+
+    calls = []
+    eigh = linalg.eigh
+
+    def counting(M):
+        calls.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(linalg, "eigh", counting)
+    res = solver.existence_check(double_well(0.5))
+    assert res.nonempty and res.min_eig > 0.0
+    assert len(calls) == 1
 
 
 def test_existence_trivial_positive_definite():
