@@ -15,6 +15,7 @@ answers from heuristic ones:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -30,7 +31,6 @@ from .errors import (
     NotCritical,
     TooLarge,
 )
-from .runtime import resolve_threads
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -124,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--direction", required=True, help="comma-separated direction")
     p_sweep.add_argument("--grid", required=True, help="comma-separated magnitudes")
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help="worker threads for the grid solves")
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the grid solves (default 1)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_plot = sub.add_parser("plotdata", help="primal and dual curve samples as TSV")
@@ -141,15 +141,10 @@ def _load_config(args) -> solver.SolverConfig:
             cfg = solver.SolverConfig.from_json(fh.read())
     else:
         cfg = solver.SolverConfig()
-    if args.tol is not None:
-        cfg.grad_tol = args.tol
-    if args.max_iter is not None:
-        cfg.max_outer = args.max_iter
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "delta0", None) is not None:
-        cfg.perturb_delta0 = args.delta0
-    return cfg
+    flags = {"grad_tol": args.tol, "max_outer": args.max_iter, "seed": args.seed,
+             "perturb_delta0": getattr(args, "delta0", None)}
+    # replace() reruns SolverConfig's validation on the flag values
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_document(path):
@@ -311,8 +306,9 @@ def _cmd_sweep(args) -> int:
     p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
     direction = np.array([float(tok) for tok in args.direction.split(",")])
     grid = [float(tok) for tok in args.grid.split(",")]
-    threads = resolve_threads(args.threads)
-    result = solver.fc_sweep(p, direction, grid, cfg, threads=threads)
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
+    result = solver.fc_sweep(p, direction, grid, cfg, threads=args.threads)
     _emit(args, "sweep", cfg.to_dict(), {"sweep": result.to_dict()}, started)
     return EXIT_OK
 

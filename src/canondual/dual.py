@@ -20,18 +20,27 @@ and the dual objective eliminates x through the stationarity G(s)x = f:
 With the exact conjugates of :mod:`canondual.model`, no additive constant is
 needed anywhere: Xi(x, sigma(x)) reproduces the primal objective identically,
 and matched critical pairs satisfy Pi(x) = Xi(x, s) = Pi_d(s) to rounding.
+
+Every coordinate, a term's varsigma or a sign multiplier, enters G the same
+way, G(s) = plain_block + sum_c s_c w_c B_c'B_c (``Problem.coordinate_rows``),
+so one formula gives each derivative for all of them.  ``DualPoint``, built
+by ``factor_point``, is a point factorized once that carries x = G^-1 f and
+the closed-form derivatives of Pi_d and log det G.  ``grad_dual`` stays on
+the eigendecomposition, as the reference those derivatives are checked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import linalg, model
-from .errors import DimensionMismatch, RangeViolation, SingularG
+from .errors import DimensionMismatch, DomainViolation, RangeViolation, SingularG
 from .linalg import EigenDecomp
 from .model import Problem
 
@@ -166,19 +175,10 @@ def grad_dual(p: Problem, s, gm: Optional[GapMatrix] = None) -> np.ndarray:
 
 
 def coordinate_images(p: Problem, x) -> np.ndarray:
-    """Columns dG/ds_k x: Q_k x for each dual term, 2 x_i e_i for each sigma_i.
-
-    Term k enters G(s) through Q_k = D_k'D_k and sign multiplier i through
-    2 e_i e_i', so this (n, dual_dim) matrix is the Jacobian of G(s)x in s.
-    """
-    A = np.zeros((p.n, p.dual_dim))
-    for k, idx in enumerate(p.dual_terms):
-        D = p.terms[idx].factor
-        A[:, k] = D.T @ (D @ x)
-    if p.is_sign_integer:
-        q = len(p.dual_terms)
-        A[:, q:] = np.diag(2.0 * x)
-    return A
+    """Columns dG/ds_c x = w_c B_c'(B_c x), the Jacobian of G(s)x in s, as an
+    (n, dual_dim) matrix (see ``Problem.coordinate_rows``)."""
+    rows = p.coordinate_rows
+    return rows.weights * rows.block_sum(rows.Bt * (x @ rows.Bt), axis=1)
 
 
 def domain_slacks(p: Problem, s) -> list:
@@ -219,6 +219,106 @@ def in_S_plus(p: Problem, s, tol: Optional[float] = None,
     if min_eig >= -tol and sigma_min >= -tol:
         return Membership.BOUNDARY
     return Membership.OUTSIDE
+
+
+class DualPoint:
+    """A dual point, factorized once; build it with ``factor_point``.
+
+    Holds the domain slacks, G, x = G^-1 f, the barrier-free value
+    -0.5 f'x - conjugate total and a factorization of G.  The Cholesky form
+    (L given) serves the barrier ascent and the polish, where G is positive
+    definite: x comes from two triangular solves with L, and sum log diag L
+    and L^-1 give the log-det terms.  The LU form (L None) serves the root
+    search and classification, where G may be indefinite: x and the G^-1 A
+    term of the Hessian come from ``np.linalg.solve``.  The bare derivatives
+    and the log-det derivatives are computed on first use and serve every
+    barrier weight.
+    """
+
+    def __init__(self, p: Problem, s: np.ndarray, slacks: list, G: np.ndarray,
+                 L: Optional[np.ndarray]):
+        self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
+        if L is None:
+            self.x = np.linalg.solve(G, p.f)
+        else:
+            self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
+            self.logdet = float(np.sum(np.log(np.diag(L))))  # 0.5 log det G
+        self.bare_value = -0.5 * float(p.f @ self.x) - conjugate_total(p, s)
+
+    def clears(self, margin: float) -> bool:
+        """Whether every slack and the smallest eigenvalue of G exceed the
+        margin and G is nonsingular: a Cholesky test of G - c I with
+        c = max(margin, boundary_tol(G)), the tolerance below which
+        ``grad_dual`` calls G singular."""
+        if any(slack <= margin for _, slack, _ in self.slacks):
+            return False
+        G = self.G
+        try:
+            np.linalg.cholesky(G - max(margin, boundary_tol(G)) * np.eye(len(G)))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    @cached_property
+    def Linv(self) -> np.ndarray:
+        return np.linalg.inv(self.L)
+
+    @cached_property
+    def bare(self) -> tuple:
+        """Gradient and (unsymmetrized) Hessian of the bare dual objective:
+        g = 0.5 x'A - dPhi*_c and H = -(A'Ginv A) - diag(Phi*''_c) with A the
+        coordinate images of x.  A sign multiplier's conjugate part is
+        sigma_i itself, so it adds -1 to g and nothing to H."""
+        p = self.p
+        varsig, _ = split_dual(p, self.s)
+        A = coordinate_images(p, self.x)
+        g = 0.5 * (self.x @ A)
+        if self.L is None:
+            H = -(A.T @ np.linalg.solve(self.G, A))
+        else:
+            W = self.Linv @ A
+            H = -(W.T @ W)
+        for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
+            t = p.terms[idx]
+            g[k] -= model.conj_grad(t, float(varsig_s))
+            H[k, k] -= model.conj_hess(t, float(varsig_s))
+        g[len(varsig):] -= 1.0
+        return g, H
+
+    @cached_property
+    def logdet_derivs(self) -> tuple:
+        """(g, H) with g the gradient of log det G and -H its Hessian.
+
+        With R = L^-1 B' and M = R'R, coordinate c gives
+        g_c = w_c tr(B_c Ginv B_c') = w_c (sum of diag M over block c) and
+        H_cd = w_c w_d ||B_c Ginv B_d'||_F^2 = w_c w_d (sum of M o M over
+        block (c, d)); see ``Problem.coordinate_rows``.
+        """
+        rows = self.p.coordinate_rows
+        R = self.Linv @ rows.Bt
+        M = R.T @ R
+        w = rows.weights
+        g = w * rows.block_sum(M.diagonal())
+        H = w[:, None] * rows.block_sum(rows.block_sum(M * M, axis=1), axis=0) * w
+        return g, H
+
+
+def factor_point(p: Problem, s, cholesky: bool = True) -> Optional[DualPoint]:
+    """The factorized point at s, or None outside the domain.  A Cholesky
+    point needs positive domain slacks and G positive definite (the open
+    certified region, where the barrier is finite).  An LU point needs
+    nonnegative slacks with the conjugates defined (the closed dual domain,
+    where a critical pair may sit) and G nonsingular with a finite
+    x = G^-1 f."""
+    slacks = domain_slacks(p, s)
+    if any(slack < 0.0 or (cholesky and slack == 0.0) for _, slack, _ in slacks):
+        return None
+    G = operator(p, s)
+    try:
+        point = DualPoint(p, s, slacks, G, np.linalg.cholesky(G) if cholesky else None)
+    except (np.linalg.LinAlgError, DomainViolation):
+        return None
+    return point if cholesky or np.all(np.isfinite(point.x)) else None
 
 
 def zero_gap_residuals(p: Problem, x, s) -> tuple:

@@ -72,6 +72,8 @@ class CanonicalTerm:
 
     def __post_init__(self):
         self.factor = np.atleast_2d(np.asarray(self.factor, dtype=float))
+        if self.factor.shape[0] == 0:
+            raise DimensionMismatch("factor has no rows")
         if not np.all(np.isfinite(self.factor)):
             raise DimensionMismatch("factor has non-finite entries")
         if not math.isfinite(self.alpha) or self.alpha == 0.0:
@@ -206,6 +208,35 @@ class Problem:
                 A += t.alpha * t.Q
         A.setflags(write=False)
         return A
+
+    @cached_property
+    def coordinate_rows(self) -> "CoordinateRows":
+        """How each dual coordinate enters the operator (see CoordinateRows)."""
+        n_sign = self.n if self.is_sign_integer else 0
+        blocks = [self.terms[i].factor.T for i in self.dual_terms] + [np.eye(self.n)[:, :n_sign]]
+        sizes = [b.shape[1] for b in blocks[:-1]] + [1] * n_sign
+        weights = np.array([1.0] * len(self.dual_terms) + [2.0] * n_sign)
+        return CoordinateRows(np.hstack(blocks), np.cumsum([0] + sizes)[:-1], weights)
+
+
+@dataclass(frozen=True)
+class CoordinateRows:
+    """G(s) = plain_block + sum_c s_c w_c B_c'B_c, one block of rows per coordinate.
+
+    ``Bt`` is B' = [D_1' ... D_q' | I_n], the identity only for sign-integer
+    problems; ``starts`` holds the first column of each block and ``weights``
+    w is 1 per dual term and 2 per sign multiplier.
+    """
+
+    Bt: np.ndarray
+    starts: np.ndarray
+    weights: np.ndarray
+
+    def block_sum(self, a: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Sums of ``a`` over each block along ``axis``."""
+        if len(self.starts) == self.Bt.shape[1]:  # one column per block
+            return a
+        return np.add.reduceat(a, self.starts, axis=axis)
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,7 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-
-
-def resolve_threads(requested=None) -> int:
-    """Thread count from the explicit request, the environment, or the machine."""
-    if requested is not None and int(requested) > 0:
-        return int(requested)
-    env = os.environ.get("CANON_DUAL_THREADS", "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

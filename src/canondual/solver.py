@@ -15,12 +15,13 @@ or the bare gradient is within the solve's tolerance.
 The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``, with
 different callbacks: the ascent backtracks on the barrier value, the other
-two on the norm of the dual gradient.  All three step on one point type,
-factorized once: the ascent and the polish by Cholesky, where a trial point
-is feasible when its domain slacks are positive and the factor exists (for
-the polish, also that of G shifted by the boundary tolerance); the root
-search, where G may be indefinite, by an LU solve.  The factor gives G^-1 f
-and the closed-form derivatives, and for the ascent log det G at every mu.
+two on the norm of the dual gradient.  All three step on
+``dual.DualPoint``, a point factorized once by ``dual.factor_point``: the
+ascent and the polish by Cholesky, where a trial point is feasible when its
+domain slacks are positive and the factor exists (for the polish, also that
+of G shifted by the boundary tolerance); the root search, where G may be
+indefinite, by an LU solve.  The factor gives G^-1 f and the closed-form
+derivatives, and for the ascent log det G and its derivatives at every mu.
 Each outer step starts from the factorized point the last one ended at, and
 the convergence test reads that point: a Cholesky test of G minus the
 feasibility margin and the bare gradient from the factor.  The
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,98 +116,15 @@ class SolverConfig:
         return cls.from_dict(json.loads(text) if isinstance(text, (str, bytes)) else dict(text))
 
 
-class _BarrierPoint:
-    """A dual point, factorized once.
-
-    Holds the domain slacks, G, x = G^-1 f, the barrier-free value
-    -0.5 f'x - conjugate total and a factorization of G.  The Cholesky form
-    (L given) serves the barrier ascent and the polish, where G is positive
-    definite: x comes from two triangular solves with L, and sum log diag L
-    and L^-1 give the log-det terms.  The LU form (L None) serves the root
-    search, where G may be indefinite: x and the G^-1 A term of the Hessian
-    come from ``np.linalg.solve``.  The bare gradient and Hessian and the
-    mu-independent log-det pieces are computed on first use and serve every
-    mu.
-    """
-
-    def __init__(self, p: Problem, s: np.ndarray, slacks: list, G: np.ndarray,
-                 L: Optional[np.ndarray]):
-        self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
-        if L is None:
-            self.x = np.linalg.solve(G, p.f)
-        else:
-            self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
-            self.logdet = float(np.sum(np.log(np.diag(L))))
-        self.bare_value = -0.5 * float(p.f @ self.x) - dual.conjugate_total(p, s)
-
-    def clears(self, margin: float) -> bool:
-        """Whether every slack and the smallest eigenvalue of G exceed the
-        margin and G is nonsingular: a Cholesky test of G - c I with
-        c = max(margin, boundary_tol(G)), the tolerance below which
-        ``dual.grad_dual`` calls G singular."""
-        if any(slack <= margin for _, slack, _ in self.slacks):
-            return False
-        G = self.G
-        try:
-            np.linalg.cholesky(G - max(margin, dual.boundary_tol(G)) * np.eye(len(G)))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    @cached_property
-    def Linv(self) -> np.ndarray:
-        return np.linalg.inv(self.L)
-
-    @cached_property
-    def bare(self) -> tuple:
-        """Gradient and (unsymmetrized) Hessian of the bare dual objective:
-        g = 0.5 x'Q_k x - dPhi*_k and H = -(A'Ginv A) - diag(Phi*''_k) with
-        A the coordinate images of x."""
-        p = self.p
-        varsig, sigma = dual.split_dual(p, self.s)
-        A = dual.coordinate_images(p, self.x)
-        g = 0.5 * (self.x @ A)
-        if self.L is None:
-            H = -(A.T @ np.linalg.solve(self.G, A))
-        else:
-            W = self.Linv @ A
-            H = -(W.T @ W)
-        for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
-            t = p.terms[idx]
-            g[k] -= model.conj_grad(t, float(varsig_s))
-            H[k, k] -= model.conj_hess(t, float(varsig_s))
-        if sigma is not None:
-            g[len(varsig):] -= 1.0
-        return g, H
-
-    @cached_property
-    def log_det_sums(self) -> tuple:
-        """The log-det derivative sums before scaling by mu, with
-        R_k = L^-1 D_k' and S_k = R_k R_k' (see ``_DualSurface.derivatives``):
-        ||R_k||_F^2, <S_k, S_l> for l >= k, and for sign-integer problems
-        diag(Ginv), Ginv o Ginv and colsum((R_k' L^-1)^2)."""
-        p, Linv = self.p, self.Linv
-        q = len(p.dual_terms)
-        R = [Linv @ p.terms[idx].factor.T for idx in p.dual_terms]
-        S = [Rk @ Rk.T for Rk in R]
-        rsq = [float(np.sum(R[k] * R[k])) for k in range(q)]
-        cross_ss = [[float(np.sum(S[k] * S[l])) for l in range(k, q)] for k in range(q)]
-        if not p.is_sign_integer:
-            return rsq, cross_ss, None
-        Ginv = Linv.T @ Linv
-        cols = [np.sum((R[k].T @ Linv) ** 2, axis=0) for k in range(q)]
-        return rsq, cross_ss, (np.diag(Ginv), Ginv * Ginv, cols)
-
-
 class _DualSurface:
     """Cached per-problem data for barrier and Newton evaluations.
 
-    Every Newton loop visits points through ``trial``, which decides the
-    domain from the domain slacks and a factorization of G(s) and factorizes
-    each point once: the ``_BarrierPoint`` it returns gives the barrier value
-    at every mu, the barrier and bare derivatives and the convergence test.
-    The eigendecomposition (``gap``, ``strictly_feasible``) serves only phase
-    one, the report and classification.
+    Every Newton loop visits points through ``dual.factor_point``, which
+    decides the domain from the domain slacks and a factorization of G(s)
+    and factorizes each point once: the ``dual.DualPoint`` it returns gives
+    the barrier value at every mu, the barrier and bare derivatives and the
+    convergence test.  The eigendecomposition (``strictly_feasible``) serves
+    only phase one, the report and classification.
     """
 
     def __init__(self, p: Problem):
@@ -214,35 +132,17 @@ class _DualSurface:
         self.d = p.dual_dim
         self.f_scale = 1.0 + float(np.linalg.norm(p.f))
 
-    def gap(self, s) -> dual.GapMatrix:
-        return dual.assemble_G(self.p, s)
-
     def strictly_feasible(self, s, margin: float = 0.0):
         """GapMatrix if s is strictly inside the certified region, else None."""
         slacks = dual.domain_slacks(self.p, s)
         if any(slack <= margin for _, slack, _ in slacks):
             return None
-        gm = self.gap(s)
+        gm = dual.assemble_G(self.p, s)
         if gm.min_eig <= margin:
             return None
         return gm
 
-    def trial(self, s, cholesky: bool = True) -> Optional[_BarrierPoint]:
-        """The factorized point at s, or None outside the domain: positive
-        domain slacks and, with ``cholesky``, G positive definite (the open
-        certified region), else G nonsingular with a finite x = G^-1 f."""
-        p = self.p
-        slacks = dual.domain_slacks(p, s)
-        if any(slack <= 0.0 for _, slack, _ in slacks):
-            return None
-        G = dual.operator(p, s)
-        try:
-            point = _BarrierPoint(p, s, slacks, G, np.linalg.cholesky(G) if cholesky else None)
-        except np.linalg.LinAlgError:
-            return None
-        return point if cholesky or np.all(np.isfinite(point.x)) else None
-
-    def value(self, point: _BarrierPoint, mu: float) -> float:
+    def value(self, point: dual.DualPoint, mu: float) -> float:
         """Barrier objective Pi_d + mu log det G + mu sum log slack at a point."""
         val = point.bare_value
         if mu > 0.0:
@@ -251,34 +151,15 @@ class _DualSurface:
                 val += mu * math.log(slack)
         return val
 
-    def derivatives(self, point: _BarrierPoint, mu: float) -> tuple:
-        """Gradient and Hessian of the barrier objective at a point.
-
-        Term k enters G through Q_k = D_k'D_k and sigma_i through 2 e_i e_i',
-        so with Ginv = G^-1 and R_k = L^-1 D_k' the log-det terms are
-        closed-form: the gradient is <D_k Ginv, D_k> = ||R_k||_F^2 and
-        2 diag(Ginv); the Hessian blocks are ||D_k Ginv D_l'||_F^2 =
-        <R_k R_k', R_l R_l'>, 2 colsum((D_k Ginv)^2) and 4 (Ginv o Ginv).
-        """
+    def derivatives(self, point: dual.DualPoint, mu: float) -> tuple:
+        """Gradient and Hessian of the barrier objective at a point: the bare
+        derivatives plus mu times those of log det G
+        (``DualPoint.logdet_derivs``) and of the log slacks."""
         g, H = (a.copy() for a in point.bare)
         if mu > 0.0:
-            rsq, cross_ss, sign_sums = point.log_det_sums
-            q = len(rsq)
-            for k in range(q):
-                g[k] += mu * rsq[k]
-                for l in range(k, q):
-                    corr = mu * cross_ss[k][l - k]
-                    H[k, l] -= corr
-                    if l != k:
-                        H[l, k] -= corr
-            if sign_sums is not None:
-                diag_ginv, ginv_sq, cols = sign_sums
-                g[q:] += 2.0 * mu * diag_ginv
-                H[q:, q:] -= 4.0 * mu * ginv_sq
-                for k in range(q):
-                    cross = 2.0 * mu * cols[k]
-                    H[k, q:] -= cross
-                    H[q:, k] -= cross
+            g_ld, H_ld = point.logdet_derivs
+            g += mu * g_ld
+            H -= mu * H_ld
             for k, slack, dslack in point.slacks:
                 g[k] += mu * dslack / slack
                 H[k, k] -= mu * (dslack / slack) ** 2
@@ -286,14 +167,14 @@ class _DualSurface:
 
     def barrier(self, mu: float) -> tuple:
         """``_damped_newton`` callbacks for ascent of the barrier objective:
-        a state is a ``_BarrierPoint``, the merit is the negated value, the
-        slope g'd."""
-        return (self.trial, lambda point: -self.value(point, mu), lambda g, d, m: float(g @ d),
-                lambda point: self.derivatives(point, mu))
+        a state is a Cholesky ``dual.DualPoint``, the merit is the negated
+        value, the slope g'd."""
+        return (partial(dual.factor_point, self.p), lambda point: -self.value(point, mu),
+                lambda g, d, m: float(g @ d), lambda point: self.derivatives(point, mu))
 
     def stationarity(self, certified: bool) -> tuple:
         """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
-        gradient norm as merit and slope.  A state is a ``_BarrierPoint``.
+        gradient norm as merit and slope.  A state is a ``dual.DualPoint``.
 
         Value-based line searches stall once the remaining improvement falls
         below the rounding of the objective itself; descending on the
@@ -303,17 +184,17 @@ class _DualSurface:
         boundary); without it, every point with positive domain slacks and
         nonsingular G (LU points).
         """
+        p = self.p
         if certified:
             def trial(s):
-                point = self.trial(s)
+                point = dual.factor_point(p, s)
                 return point if point is not None and point.clears(0.0) else None
         else:
-            def trial(s):
-                return self.trial(s, cholesky=False)
+            trial = partial(dual.factor_point, p, cholesky=False)
         return trial, _gradient_norm, lambda g, d, m: m, lambda point: self.derivatives(point, 0.0)
 
 
-def _gradient_norm(point: _BarrierPoint) -> float:
+def _gradient_norm(point: dual.DualPoint) -> float:
     return float(np.linalg.norm(point.bare[0]))
 
 
@@ -385,9 +266,9 @@ def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g.copy()
 
 
-def _interior_converged(surface: _DualSurface, point: _BarrierPoint, gtol: float) -> bool:
+def _interior_converged(surface: _DualSurface, point: dual.DualPoint, gtol: float) -> bool:
     """Whether a barrier point is a strictly interior stationary point of the
-    bare dual: it clears the feasibility margin (``_BarrierPoint.clears``)
+    bare dual: it clears the feasibility margin (``DualPoint.clears``)
     and its own bare gradient has norm <= gtol."""
     return point.clears(_FEAS_MARGIN * surface.f_scale) and _gradient_norm(point) <= gtol
 
@@ -411,7 +292,7 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> tuple:
         direction[k] = sign
     if p.is_sign_integer:
         q = len(p.dual_terms)
-        gm0 = surface.gap(np.concatenate([base[:q], np.zeros(p.n)]) if surface.d > q else base)
+        gm0 = dual.assemble_G(p, base)  # base[q:] is still zero
         lift = 0.5 * (max(0.0, -gm0.min_eig) + 1.0)
         base[q:] = lift
         direction[q:] = 1.0
@@ -433,7 +314,7 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> tuple:
     best = -math.inf
     for it in range(250):
         s = _project_domain(p, s, margin)
-        gm = surface.gap(s)
+        gm = dual.assemble_G(p, s)
         if gm.min_eig > margin and all(slack > 0.0 for _, slack, _ in dual.domain_slacks(p, s)):
             return s, gm
         best = max(best, gm.min_eig)
@@ -507,7 +388,7 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
                                tol=min(gtol, 1e-12 * surface.f_scale), max_iter=cfg.max_inner)
     iterations += its
 
-    gm = surface.gap(s)
+    gm = dual.assemble_G(p, s)
     membership = dual.in_S_plus(p, s, gm=gm)
     slacks = dual.domain_slacks(p, s)
     slack_tol = 1e-6 * surface.f_scale

@@ -67,21 +67,6 @@ def hessian_primal(p: Problem, x) -> np.ndarray:
     return H
 
 
-def hessian_dual_fd(p: Problem, s, h: Optional[float] = None) -> np.ndarray:
-    """Central-difference Hessian of the dual objective at an interior point."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    d = len(s)
-    H = np.empty((d, d))
-    for j in range(d):
-        hj = (h if h is not None else 1e-6 * (1.0 + abs(s[j])))
-        sp = s.copy()
-        sm = s.copy()
-        sp[j] += hj
-        sm[j] -= hj
-        H[:, j] = (dual.grad_dual(p, sp) - dual.grad_dual(p, sm)) / (2.0 * hj)
-    return 0.5 * (H + H.T)
-
-
 def _dual_stationarity(p: Problem, x, s, gm: dual.GapMatrix) -> float:
     """Residual of dual-side stationarity, usable on the boundary.
 
@@ -174,8 +159,9 @@ def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL,
 
 
 def _dual_hess_eigs(p: Problem, s) -> list:
-    try:
-        Hd = hessian_dual_fd(p, s)
-    except SingularG:
+    """Eigenvalues of the dual Hessian, read from the LU-factored point."""
+    point = dual.factor_point(p, s, cholesky=False)
+    if point is None:
         return []
-    return [float(v) for v in linalg.eigh(Hd).eigvals]
+    H = point.bare[1]
+    return [float(v) for v in linalg.eigh(0.5 * (H + H.T)).eigvals]

@@ -77,8 +77,21 @@ def test_usage_error_exits_one(tmp_path):
 def test_threads_flag_only_on_sweep(tmp_path):
     dw = write(tmp_path, "dw.json", DW)
     assert run_cli("solve", dw, "--threads", "3").returncode == 1
-    res = run_cli("sweep", dw, "--direction", "1", "--grid", "0.5,2.0", "--threads", "2")
+    sweep = ("sweep", dw, "--direction", "1", "--grid", "0.5,2.0")
+    res = run_cli(*sweep, "--threads", "2")
     assert res.returncode == 0
+    assert res.stdout == run_cli(*sweep).stdout
+    rejected = run_cli(*sweep, "--threads", "0")
+    assert rejected.returncode == 1
+    assert rejected.stdout == "" and "error:" in rejected.stderr
+
+
+@pytest.mark.parametrize("flags", [("--tol", "-1"), ("--max-iter", "-3"),
+                                   ("--delta0", "-0.5", "--perturb")])
+def test_solver_flags_are_validated_like_the_config_file(tmp_path, flags):
+    res = run_cli("solve", write(tmp_path, "dw.json", DW), *flags)
+    assert res.returncode == 1
+    assert res.stdout == "" and "error:" in res.stderr
 
 
 def test_report_bytes_deterministic(tmp_path):

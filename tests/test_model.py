@@ -169,6 +169,12 @@ def test_load_problem_dimension_mismatch():
         model.load_problem(doc)
 
 
+def test_term_factor_needs_a_row():
+    # every dual coordinate owns at least one row of Problem.coordinate_rows
+    with pytest.raises(DimensionMismatch):
+        CanonicalTerm(TermKind.QUARTIC, np.zeros((0, 2)), 1.0, -1.0)
+
+
 def test_load_problem_rejects_unknown_fields():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["extra"] = 1

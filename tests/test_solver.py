@@ -109,11 +109,11 @@ def test_monotone_ascent_of_barrier_objective():
     cfg = SolverConfig()
     s, _ = solver._phase1(surface, cfg)
     mu = 0.3
-    values = [surface.value(surface.trial(s), mu)]
+    values = [surface.value(dual.factor_point(p, s), mu)]
     for _ in range(6):
         s, _, _ = solver._damped_newton(s, *surface.barrier(mu), tol=1e-14, max_iter=1,
                                         step_tol=cfg.step_tol)
-        values.append(surface.value(surface.trial(s), mu))
+        values.append(surface.value(dual.factor_point(p, s), mu))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > values[0]
 
@@ -140,6 +140,28 @@ def _barrier_problem(name: str) -> Problem:
                    variables=Variables.SIGN_INTEGER)
 
 
+@pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic", "no_dual"])
+def test_coordinate_rows_assemble_the_operator(name, rng):
+    # G(s) = plain_block + sum_c s_c w_c B_c'B_c, with one block of B' per
+    # coordinate: 2-, 1- and 3-row factors, n sign columns, or none at all
+    if name == "no_dual":
+        p = Problem(n=3, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC,
+                                              rng.standard_normal((3, 3)), 1.0)], f=np.ones(3))
+    else:
+        p = _barrier_problem(name)
+    rows = p.coordinate_rows
+    ends = list(rows.starts[1:]) + [rows.Bt.shape[1]]
+    assert len(rows.starts) == len(rows.weights) == p.dual_dim
+    for _ in range(5):
+        s = rng.standard_normal(p.dual_dim)
+        G = p.plain_block.copy()
+        for c, (a, b) in enumerate(zip(rows.starts, ends)):
+            Bc = rows.Bt[:, a:b].T
+            G += s[c] * rows.weights[c] * (Bc.T @ Bc)
+        expected = dual.operator(p, s)
+        assert np.max(np.abs(G - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
+
+
 @pytest.mark.parametrize("mu", [0.5, 0.0])
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
 def test_barrier_derivatives_match_finite_differences(name, mu):
@@ -150,10 +172,10 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     s, _, _ = solver._damped_newton(solver._phase1(surface, cfg)[0], *surface.barrier(1.0),
                                     tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
-    g, H = surface.derivatives(surface.trial(s), mu)
+    g, H = surface.derivatives(dual.factor_point(p, s), mu)
 
     def value(z):
-        return surface.value(surface.trial(z), mu)
+        return surface.value(dual.factor_point(p, z), mu)
 
     fd_g = oracle.fd_gradient(value, s, h=1e-6)
     fd_H = oracle.fd_hessian(value, s, h=1e-4)
@@ -170,7 +192,7 @@ def test_bare_hessian_matches_finite_differences(rng):
         if gm.min_eig <= 1e-4:
             continue
         surface = solver._DualSurface(p)
-        _, H = surface.derivatives(surface.trial(s), 0.0)
+        _, H = surface.derivatives(dual.factor_point(p, s), 0.0)
         fd = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
         assert np.max(np.abs(H - fd)) <= 1e-3 * (1.0 + np.max(np.abs(fd)))
 
@@ -183,13 +205,13 @@ def test_lu_point_derivatives_match_finite_differences(rng):
         p = random_problem(rng, n_max=4)
         s = 2.0 * rng.standard_normal(p.dual_dim)
         surface = solver._DualSurface(p)
-        point = surface.trial(s, cholesky=False)
+        point = dual.factor_point(p, s, cholesky=False)
         if point is None:
             continue
         w = np.linalg.eigvalsh(point.G)
         if w[0] >= -0.05 or np.min(np.abs(w)) <= 0.05:
             continue
-        assert surface.trial(s) is None  # outside the certified region
+        assert dual.factor_point(p, s) is None  # outside the certified region
         g, H = surface.derivatives(point, 0.0)
         fd_g = oracle.fd_gradient(lambda z: dual.eval_dual(p, z), s, h=1e-6)
         fd_H = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
@@ -202,9 +224,10 @@ def test_lu_point_derivatives_match_finite_differences(rng):
 def test_barrier_value_rejects_points_outside_the_region():
     # indefinite operator, positive multipliers: G = [[0.2, 1], [1, 0.2]]
     qip = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([1.0, 0.0]))
-    surface = solver._DualSurface(qip.to_problem())
-    assert surface.trial(np.array([0.1, 0.1])) is None
-    inside = surface.trial(np.array([1.0, 1.0]))
+    p = qip.to_problem()
+    surface = solver._DualSurface(p)
+    assert dual.factor_point(p, np.array([0.1, 0.1])) is None
+    inside = dual.factor_point(p, np.array([1.0, 1.0]))
     assert inside is not None and math.isfinite(surface.value(inside, 0.3))
 
     # positive-definite operator G = 2 + s with the quartic slack s - 1 <= 0
@@ -214,8 +237,8 @@ def test_barrier_value_rejects_points_outside_the_region():
     surface = solver._DualSurface(p)
     for s in (0.5, 1.0):
         assert dual.assemble_G(p, [s]).min_eig > 0.0
-        assert surface.trial(np.array([s])) is None  # the point is rejected at every mu
-    inside = surface.trial(np.array([1.5]))
+        assert dual.factor_point(p, np.array([s])) is None  # the point is rejected at every mu
+    inside = dual.factor_point(p, np.array([1.5]))
     assert inside is not None
     assert math.isfinite(surface.value(inside, 0.3)) and math.isfinite(surface.value(inside, 0.0))
 
@@ -227,10 +250,10 @@ def test_barrier_point_serves_every_mu_alike(name):
     p = _barrier_problem(name)
     surface = solver._DualSurface(p)
     s, _ = solver._phase1(surface, SolverConfig())
-    carried = surface.trial(s)
+    carried = dual.factor_point(p, s)
     for mu in (1.0, 0.2, 0.0):
         surface.derivatives(carried, mu)
-    fresh = surface.trial(s)
+    fresh = dual.factor_point(p, s)
     for mu in (0.04, 0.0):
         assert surface.value(carried, mu) == surface.value(fresh, mu)
         for a, b in zip(surface.derivatives(carried, mu), surface.derivatives(fresh, mu)):
@@ -294,8 +317,8 @@ def test_solve_reports_match_pinned():
         "symmetric qip n=8": ("perturbation", "boundary_degenerate", True, "++----+-"),
     }
     assert {name: _report_sha(rep) for name, rep in reports.items()} == {
-        "continuous n=16": "6160bb76f78dcfa7f26b2215824d1157387db939eb2db26397bfc2280b026654",
-        "continuous n=32": "87b4007057cddb33002416780bd24e5f8069cf3d70394e547fbbffb5bd3095e3",
+        "continuous n=16": "1f2406790fa223d677c246cea7b0cba7177944fa7a5f901a71f22c3028928424",
+        "continuous n=32": "e9e67d8dce05c6c206579bcb686ce00c920a65e42203bd61c483893e7e7bab1c",
         "certified qip n=16": "5922fcf96cfa9b05f257c4c7819fdc363745d57e76b3995f363ca2edbf3ae23f",
         "symmetric qip n=8": "1627921cba4ce377ab0b63f10301034f27409fe7c6cc39cbb8d5e3a09d404b64",
     }
@@ -309,7 +332,7 @@ def _newton_end_points(monkeypatch, problems) -> list:
 
     def recording(*args, **kwargs):
         s, state, its = newton(*args, **kwargs)
-        if isinstance(state, solver._BarrierPoint):
+        if isinstance(state, dual.DualPoint):
             points.append(state)
         return s, state, its
 
@@ -336,7 +359,7 @@ def test_interior_converged_matches_the_eigh_definition(monkeypatch):
     # dual.boundary_tol; G = diag(1e4, 2) is regular, but sigma_1 = 5e-8 is
     # inside the margin
     stiff = QipInstance(Q=np.diag([1e4, 0.0]), f=np.zeros(2)).to_problem()
-    points += [solver._DualSurface(stiff).trial(np.array(s)) for s in ([1.0, 0.5e-5], [5e-8, 1.0])]
+    points += [dual.factor_point(stiff, np.array(s)) for s in ([1.0, 0.5e-5], [5e-8, 1.0])]
     assert dual.assemble_G(stiff, points[-2].s).is_singular()
 
     seen = set()

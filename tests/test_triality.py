@@ -34,6 +34,8 @@ def test_classify_symmetric_case_center_is_local_max():
     p = double_well(0.0)
     result = triality.classify(p, [0.0], [-2.0])
     assert result.label is TrialityLabel.LOCAL_MAX
+    # sigma = -2 is the edge of the quartic dual domain; Pi_d'' = -1/alpha there
+    assert result.evidence["dual_hessian_eigvals"] == [-1.0]
 
 
 def test_classify_symmetric_case_boundary_pair_is_global_min():
@@ -72,6 +74,16 @@ def test_double_max_side_dual_curvature_is_concave():
     assert result.label is TrialityLabel.LOCAL_MAX
     dual_eigs = result.evidence.get("dual_hessian_eigvals")
     assert dual_eigs and max(dual_eigs) <= 1e-6
+
+
+def test_local_max_dual_curvature_is_the_closed_form():
+    # Pi_d(s) = -f^2/(2 s) - s^2/(2 alpha) - lam s, so Pi_d'' = -f^2/s^3 - 1/alpha;
+    # a finite-difference Hessian misses it by about 2e-11
+    p = double_well(0.5)
+    x3, s3 = pair_for(p, WELL_S3)
+    (eig,) = triality.classify(p, x3, s3).evidence["dual_hessian_eigvals"]
+    expected = -0.5 ** 2 / WELL_S3 ** 3 - 1.0
+    assert abs(eig - expected) <= 1e-13 * abs(expected)
 
 
 # ---------------------------------------------------------------- hessian
