@@ -21,17 +21,22 @@ With the exact conjugates of :mod:`canondual.model`, no additive constant is
 needed anywhere: Xi(x, sigma(x)) reproduces the primal objective identically,
 and matched critical pairs satisfy Pi(x) = Xi(x, s) = Pi_d(s) to rounding.
 
-Every coordinate, a term's varsigma or a sign multiplier, enters G the same
-way, G(s) = plain_block + sum_c s_c w_c B_c'B_c (``Problem.coordinate_rows``),
-so one formula gives each derivative for all of them.  ``DualPoint``, built
-by ``factor_point``, is a point factorized once that carries x = G^-1 f and
-the closed-form derivatives of Pi_d and log det G.  ``grad_dual`` stays on
-the eigendecomposition, as the reference those derivatives are checked
-against.
+Every coordinate, a term's varsigma or a sign multiplier, has one row in
+the table ``Problem.coordinate_rows``: it enters G the same way,
+G(s) = plain_block + sum_c s_c w_c B_c'B_c, so one formula gives each
+derivative for all of them, and its domain is one bound s/alpha >= beta
+(none for xlogx), whose slacks ``domain_slacks`` returns as one array.
+``DualPoint``, built by ``factor_point``, is a point factorized once that
+carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
+the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
+its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
+``grad_dual`` stays on the eigendecomposition, as the reference those
+derivatives are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -138,7 +143,7 @@ def recover_x(p: Problem, s, gm: Optional[GapMatrix] = None, range_tol: float = 
     gm = gm if gm is not None else assemble_G(p, s)
     x = gm.apply_pinv(p.f)
     residual = float(np.linalg.norm(gm.G @ x - p.f))
-    if residual > range_tol * (1.0 + float(np.linalg.norm(p.f))):
+    if residual > range_tol * p.f_scale:
         raise RangeViolation(
             f"input not in range of G (residual {residual:.3e}); dual point outside "
             "the admissible dual set",
@@ -181,24 +186,13 @@ def coordinate_images(p: Problem, x) -> np.ndarray:
     return rows.weights * rows.block_sum(rows.Bt * (x @ rows.Bt), axis=1)
 
 
-def domain_slacks(p: Problem, s) -> list:
-    """Positive-inside slack for every bounded dual-domain coordinate.
-
-    Returns (coordinate index, slack, d slack / d coordinate) triples; xlogx
-    coordinates are unbounded and contribute nothing.
-    """
-    varsig, sigma = split_dual(p, s)
-    out = []
-    for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
-        t = p.terms[idx]
-        slack = model.domain_slack(t, float(varsig_s))
-        if slack is not None:
-            out.append((k, slack, abs(t.alpha) / t.alpha))
-    if sigma is not None:
-        q = len(varsig)
-        for i, sig in enumerate(sigma):
-            out.append((q + i, float(sig), 1.0))
-    return out
+def domain_slacks(p: Problem, s) -> np.ndarray:
+    """Slack |alpha| (s/alpha - beta) of each bounded coordinate
+    (``Problem.coordinate_rows.index``), positive inside the dual domain."""
+    rows = p.coordinate_rows
+    i = rows.index
+    alpha = rows.alpha[i]
+    return np.abs(alpha) * (np.asarray(s, dtype=float)[i] / alpha - rows.beta[i])
 
 
 def in_S_plus(p: Problem, s, tol: Optional[float] = None,
@@ -224,18 +218,19 @@ def in_S_plus(p: Problem, s, tol: Optional[float] = None,
 class DualPoint:
     """A dual point, factorized once; build it with ``factor_point``.
 
-    Holds the domain slacks, G, x = G^-1 f, the barrier-free value
-    -0.5 f'x - conjugate total and a factorization of G.  The Cholesky form
-    (L given) serves the barrier ascent and the polish, where G is positive
-    definite: x comes from two triangular solves with L, and sum log diag L
-    and L^-1 give the log-det terms.  The LU form (L None) serves the root
-    search and classification, where G may be indefinite: x and the G^-1 A
-    term of the Hessian come from ``np.linalg.solve``.  The bare derivatives
-    and the log-det derivatives are computed on first use and serve every
-    barrier weight.
+    Holds the domain slacks (``domain_slacks``), G, x = G^-1 f, the
+    barrier-free value -0.5 f'x - conjugate total and a factorization of G.
+    The Cholesky form (L given) serves the barrier ascent and the polish,
+    where G is positive definite: x comes from two triangular solves with L,
+    and sum log diag L and L^-1 give the log-det terms.  The LU form (L None)
+    serves the root search and classification, where G may be indefinite:
+    x and the G^-1 A term of the Hessian come from ``np.linalg.solve``.  The
+    bare derivatives and the log-det derivatives are computed on first use,
+    and ``barrier`` and ``barrier_derivs`` combine them with the slack terms
+    at any barrier weight.
     """
 
-    def __init__(self, p: Problem, s: np.ndarray, slacks: list, G: np.ndarray,
+    def __init__(self, p: Problem, s: np.ndarray, slacks: np.ndarray, G: np.ndarray,
                  L: Optional[np.ndarray]):
         self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
         if L is None:
@@ -250,7 +245,7 @@ class DualPoint:
         margin and G is nonsingular: a Cholesky test of G - c I with
         c = max(margin, boundary_tol(G)), the tolerance below which
         ``grad_dual`` calls G singular."""
-        if any(slack <= margin for _, slack, _ in self.slacks):
+        if (self.slacks <= margin).any():
             return False
         G = self.G
         try:
@@ -258,6 +253,36 @@ class DualPoint:
         except np.linalg.LinAlgError:
             return False
         return True
+
+    def barrier(self, mu: float) -> float:
+        """Barrier objective Pi_d + mu log det G + mu sum log slack; mu > 0
+        needs the Cholesky form."""
+        val = self.bare_value
+        if mu > 0.0:
+            val += 2.0 * mu * self.logdet
+            # summed in order: np.sum pairs the terms and moves the last bits
+            for slack in self.slacks.tolist():
+                val += mu * math.log(slack)
+        return val
+
+    def barrier_derivs(self, mu: float) -> tuple:
+        """Gradient and symmetrized Hessian of ``barrier``: the bare
+        derivatives plus mu times those of log det G (``logdet_derivs``) and
+        of the log slacks."""
+        g, H = (a.copy() for a in self.bare)
+        if mu > 0.0:
+            g_ld, H_ld = self.logdet_derivs
+            g += mu * g_ld
+            H -= mu * H_ld
+            rows = self.p.coordinate_rows
+            idx = rows.index
+            d = rows.direction[idx]
+            g[idx] += mu * d / self.slacks
+            # float_power calls C pow(), which the solve's bits depend on;
+            # an array's ** 2 squares instead, and differs from pow() in the
+            # last bit on about 0.1% of inputs
+            H[idx, idx] -= mu * np.float_power(d / self.slacks, 2.0)
+        return g, 0.5 * (H + H.T)
 
     @cached_property
     def Linv(self) -> np.ndarray:
@@ -311,7 +336,7 @@ def factor_point(p: Problem, s, cholesky: bool = True) -> Optional[DualPoint]:
     where a critical pair may sit) and G nonsingular with a finite
     x = G^-1 f."""
     slacks = domain_slacks(p, s)
-    if any(slack < 0.0 or (cholesky and slack == 0.0) for _, slack, _ in slacks):
+    if (slacks <= 0.0).any() if cholesky else (slacks < 0.0).any():
         return None
     G = operator(p, s)
     try:

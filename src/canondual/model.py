@@ -210,27 +210,64 @@ class Problem:
         return A
 
     @cached_property
+    def f_scale(self) -> float:
+        """1 + |f|, the scale of the solver's and the classifier's tolerances."""
+        return 1.0 + float(np.linalg.norm(self.f))
+
+    @cached_property
     def coordinate_rows(self) -> "CoordinateRows":
-        """How each dual coordinate enters the operator (see CoordinateRows)."""
+        """How each dual coordinate enters the operator and where its domain
+        ends (see CoordinateRows)."""
         n_sign = self.n if self.is_sign_integer else 0
-        blocks = [self.terms[i].factor.T for i in self.dual_terms] + [np.eye(self.n)[:, :n_sign]]
+        terms = [self.terms[i] for i in self.dual_terms]
+        blocks = [t.factor.T for t in terms] + [np.eye(self.n)[:, :n_sign]]
         sizes = [b.shape[1] for b in blocks[:-1]] + [1] * n_sign
-        weights = np.array([1.0] * len(self.dual_terms) + [2.0] * n_sign)
-        return CoordinateRows(np.hstack(blocks), np.cumsum([0] + sizes)[:-1], weights)
+        weights = np.array([1.0] * len(terms) + [2.0] * n_sign)
+        alpha = np.array([t.alpha for t in terms] + [1.0] * n_sign)
+        beta = np.array([t.beta for t in terms] + [0.0] * n_sign)
+        bounded = np.array([t.kind is not TermKind.XLOGX for t in terms] + [True] * n_sign,
+                           dtype=bool)
+        return CoordinateRows(np.hstack(blocks), np.cumsum([0] + sizes)[:-1], weights,
+                              alpha, beta, bounded)
 
 
 @dataclass(frozen=True)
 class CoordinateRows:
-    """G(s) = plain_block + sum_c s_c w_c B_c'B_c, one block of rows per coordinate.
+    """One row of the table per dual coordinate: how it enters G and where
+    its domain ends.
 
-    ``Bt`` is B' = [D_1' ... D_q' | I_n], the identity only for sign-integer
-    problems; ``starts`` holds the first column of each block and ``weights``
-    w is 1 per dual term and 2 per sign multiplier.
+    G(s) = plain_block + sum_c s_c w_c B_c'B_c, one block of rows per
+    coordinate.  ``Bt`` is B' = [D_1' ... D_q' | I_n], the identity only for
+    sign-integer problems; ``starts`` holds the first column of each block
+    and ``weights`` w is 1 per dual term and 2 per sign multiplier.
+
+    The dual domain is one bound per coordinate, s/alpha >= beta: the
+    closure of the duality-map range for a quartic term, s/alpha > 0 for an
+    exponential term (beta = 0) and s >= 0 for a sign multiplier (alpha = 1,
+    beta = 0).  An xlogx coordinate is not ``bounded``.  On the bounded
+    coordinates (``index``) the slack |alpha| (s/alpha - beta) is positive
+    inside, grows along ``direction`` |alpha|/alpha and is zero at ``edge``
+    alpha beta.
     """
 
     Bt: np.ndarray
     starts: np.ndarray
     weights: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    bounded: np.ndarray
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        return np.flatnonzero(self.bounded)
+
+    @cached_property
+    def direction(self) -> np.ndarray:
+        return np.abs(self.alpha) / self.alpha
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        return self.alpha * self.beta
 
     def block_sum(self, a: np.ndarray, axis: int = 0) -> np.ndarray:
         """Sums of ``a`` over each block along ``axis``."""
@@ -305,25 +342,10 @@ def _as_point(p: Problem, x) -> np.ndarray:
 # Legendre conjugates ----------------------------------------------------
 
 
-def domain_slack(t: CanonicalTerm, sigma: float):
-    """Distance to the dual-domain boundary, positive inside, None if unbounded.
-
-    quartic: sigma/alpha >= beta (the closure of the duality-map range over
-    xi >= 0); exponential: sigma/alpha > 0; xlogx: all of R.
-    """
-    if t.kind is TermKind.QUARTIC:
-        return abs(t.alpha) * (sigma / t.alpha - t.beta)
-    if t.kind is TermKind.EXPONENTIAL:
-        return abs(t.alpha) * (sigma / t.alpha)
-    if t.kind is TermKind.XLOGX:
-        return None
-    raise DomainViolation("plain quadratic terms carry no dual coordinate")
-
-
 def conj_value(t: CanonicalTerm, sigma: float) -> float:
     """Legendre conjugate Phi*(sigma); raises outside the dual domain."""
     if t.kind is TermKind.QUARTIC:
-        slack = domain_slack(t, sigma)
+        slack = abs(t.alpha) * (sigma / t.alpha - t.beta)
         if slack < -EVAL_EDGE_TOL * (1.0 + abs(sigma)):
             raise DomainViolation(f"quartic dual value {sigma} below boundary")
         return sigma * sigma / (2.0 * t.alpha) - t.beta * sigma

@@ -13,26 +13,26 @@ decrement g'(-H)^-1 g of the barrier objective is at most _CENTERING * mu
 (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, section 11.3),
 or the bare gradient is within the solve's tolerance.
 The barrier ascent, the polish and the multistart root search of
-``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``, with
-different callbacks: the ascent backtracks on the barrier value, the other
-two on the norm of the dual gradient.  All three step on
-``dual.DualPoint``, a point factorized once by ``dual.factor_point``: the
-ascent and the polish by Cholesky, where a trial point is feasible when its
-domain slacks are positive and the factor exists (for the polish, also that
-of G shifted by the boundary tolerance); the root search, where G may be
-indefinite, by an LU solve.  The factor gives G^-1 f and the closed-form
-derivatives, and for the ascent log det G and its derivatives at every mu.
-Each outer step starts from the factorized point the last one ended at, and
-the convergence test reads that point: a Cholesky test of G minus the
-feasibility margin and the bare gradient from the factor.  The
-eigendecomposition is used only by phase one, the report and triality
-classification.  For a continuous problem with an interior certificate the
-report refines x = G^-1 f by one Newton step on the primal gradient,
-evaluated in np.longdouble, so that x_bar does not depend on which iterate
-within an ulp or two of the root the ascent ended at.  Feasibility phase
-one finds a strictly positive-definite start by a doubling scan along the
-domain-feasible direction followed by projected subgradient ascent on the
-smallest eigenvalue.
+``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``,
+with callbacks from ``_barrier`` and ``_stationarity``: the ascent
+backtracks on the barrier value, the other two on the norm of the dual
+gradient.  All three step on ``dual.DualPoint``, a point factorized once by
+``dual.factor_point``: the ascent and the polish by Cholesky, where a trial
+point is feasible when its domain slacks are positive and the factor exists
+(for the polish, also that of G shifted by the boundary tolerance); the root
+search, where G may be indefinite, by an LU solve.  The point owns the
+barrier: its value and derivatives at every mu come from the factor and
+the domain slacks of ``Problem.coordinate_rows``.  Each outer step starts
+from the factorized point the last one ended at, and the convergence test
+reads that point: a Cholesky test of G minus the feasibility margin and the
+bare gradient from the factor.  The eigendecomposition is used only by
+phase one, the report and triality classification.  For a continuous
+problem with an interior certificate the report refines x = G^-1 f by one
+Newton step on the primal gradient, evaluated in np.longdouble, so that
+x_bar does not depend on which iterate within an ulp or two of the root the
+ascent ended at.  Feasibility phase one finds a strictly positive-definite
+start by a doubling scan along the domain-feasible direction followed by
+projected subgradient ascent on the smallest eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
 quadratic perturbation scheme: at round k the operator gains delta_k * I and
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional, Sequence
 
@@ -91,6 +92,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the values may come from a --config file: check types before ranges
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("barrier_weight", "max_outer", "max_inner", "grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -99,6 +108,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.perturb_delta0 < 0 or self.max_perturb_rounds < 0:
             raise ValueError("perturbation parameters must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,82 +127,33 @@ class SolverConfig:
         return cls.from_dict(json.loads(text) if isinstance(text, (str, bytes)) else dict(text))
 
 
-class _DualSurface:
-    """Cached per-problem data for barrier and Newton evaluations.
+def _barrier(p: Problem, mu: float) -> tuple:
+    """``_damped_newton`` callbacks for ascent of the barrier objective: a
+    state is a Cholesky ``dual.DualPoint``, the merit is the negated
+    ``DualPoint.barrier``, the slope g'd."""
+    return (partial(dual.factor_point, p), lambda point: -point.barrier(mu),
+            lambda g, d, m: float(g @ d), lambda point: point.barrier_derivs(mu))
 
-    Every Newton loop visits points through ``dual.factor_point``, which
-    decides the domain from the domain slacks and a factorization of G(s)
-    and factorizes each point once: the ``dual.DualPoint`` it returns gives
-    the barrier value at every mu, the barrier and bare derivatives and the
-    convergence test.  The eigendecomposition (``strictly_feasible``) serves
-    only phase one, the report and classification.
+
+def _stationarity(p: Problem, certified: bool) -> tuple:
+    """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
+    gradient norm as merit and slope.  A state is a ``dual.DualPoint``.
+
+    Value-based line searches stall once the remaining improvement falls
+    below the rounding of the objective itself; descending on the gradient
+    norm instead converges to stationarity at machine precision.  With
+    ``certified`` the domain is the certified region with G nonsingular by
+    ``dual.boundary_tol`` (Cholesky points that clear the boundary); without
+    it, every point with nonnegative domain slacks and nonsingular G (LU
+    points).
     """
-
-    def __init__(self, p: Problem):
-        self.p = p
-        self.d = p.dual_dim
-        self.f_scale = 1.0 + float(np.linalg.norm(p.f))
-
-    def strictly_feasible(self, s, margin: float = 0.0):
-        """GapMatrix if s is strictly inside the certified region, else None."""
-        slacks = dual.domain_slacks(self.p, s)
-        if any(slack <= margin for _, slack, _ in slacks):
-            return None
-        gm = dual.assemble_G(self.p, s)
-        if gm.min_eig <= margin:
-            return None
-        return gm
-
-    def value(self, point: dual.DualPoint, mu: float) -> float:
-        """Barrier objective Pi_d + mu log det G + mu sum log slack at a point."""
-        val = point.bare_value
-        if mu > 0.0:
-            val += 2.0 * mu * point.logdet
-            for _, slack, _ in point.slacks:
-                val += mu * math.log(slack)
-        return val
-
-    def derivatives(self, point: dual.DualPoint, mu: float) -> tuple:
-        """Gradient and Hessian of the barrier objective at a point: the bare
-        derivatives plus mu times those of log det G
-        (``DualPoint.logdet_derivs``) and of the log slacks."""
-        g, H = (a.copy() for a in point.bare)
-        if mu > 0.0:
-            g_ld, H_ld = point.logdet_derivs
-            g += mu * g_ld
-            H -= mu * H_ld
-            for k, slack, dslack in point.slacks:
-                g[k] += mu * dslack / slack
-                H[k, k] -= mu * (dslack / slack) ** 2
-        return g, 0.5 * (H + H.T)
-
-    def barrier(self, mu: float) -> tuple:
-        """``_damped_newton`` callbacks for ascent of the barrier objective:
-        a state is a Cholesky ``dual.DualPoint``, the merit is the negated
-        value, the slope g'd."""
-        return (partial(dual.factor_point, self.p), lambda point: -self.value(point, mu),
-                lambda g, d, m: float(g @ d), lambda point: self.derivatives(point, mu))
-
-    def stationarity(self, certified: bool) -> tuple:
-        """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
-        gradient norm as merit and slope.  A state is a ``dual.DualPoint``.
-
-        Value-based line searches stall once the remaining improvement falls
-        below the rounding of the objective itself; descending on the
-        gradient norm instead converges to stationarity at machine precision.
-        With ``certified`` the domain is the certified region with G
-        nonsingular by ``dual.boundary_tol`` (Cholesky points that clear the
-        boundary); without it, every point with positive domain slacks and
-        nonsingular G (LU points).
-        """
-        p = self.p
-        if certified:
-            def trial(s):
-                point = dual.factor_point(p, s)
-                return point if point is not None and point.clears(0.0) else None
-        else:
-            trial = partial(dual.factor_point, p, cholesky=False)
-        return trial, _gradient_norm, lambda g, d, m: m, lambda point: self.derivatives(point, 0.0)
+    if certified:
+        def trial(s):
+            point = dual.factor_point(p, s)
+            return point if point is not None and point.clears(0.0) else None
+    else:
+        trial = partial(dual.factor_point, p, cholesky=False)
+    return trial, _gradient_norm, lambda g, d, m: m, lambda point: point.barrier_derivs(0.0)
 
 
 def _gradient_norm(point: dual.DualPoint) -> float:
@@ -266,44 +228,54 @@ def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g.copy()
 
 
-def _interior_converged(surface: _DualSurface, point: dual.DualPoint, gtol: float) -> bool:
+def _interior_converged(point: dual.DualPoint, gtol: float) -> bool:
     """Whether a barrier point is a strictly interior stationary point of the
     bare dual: it clears the feasibility margin (``DualPoint.clears``)
     and its own bare gradient has norm <= gtol."""
-    return point.clears(_FEAS_MARGIN * surface.f_scale) and _gradient_norm(point) <= gtol
+    return point.clears(_FEAS_MARGIN * point.p.f_scale) and _gradient_norm(point) <= gtol
 
 
-def _phase1(surface: _DualSurface, cfg: SolverConfig) -> tuple:
+def _strictly_feasible(p: Problem, s: np.ndarray, margin: float) -> Optional[dual.GapMatrix]:
+    """GapMatrix if s is strictly inside the certified region by the margin,
+    else None."""
+    if (dual.domain_slacks(p, s) <= margin).any():
+        return None
+    gm = dual.assemble_G(p, s)
+    return gm if gm.min_eig > margin else None
+
+
+def _term_starts(p: Problem, u) -> np.ndarray:
+    """Term coordinates u units inside their domain edge: edge + direction *
+    unit * u, with unit 1 + |edge| for a quartic term and |alpha| otherwise
+    (an xlogx coordinate has edge 0 and no bound)."""
+    rows = p.coordinate_rows
+    q = len(p.dual_terms)
+    edge, alpha = rows.edge[:q], rows.alpha[:q]
+    quartic = [p.terms[i].kind is TermKind.QUARTIC for i in p.dual_terms]
+    unit = np.where(quartic, 1.0 + np.abs(edge), np.abs(alpha))
+    return edge + rows.direction[:q] * unit * u
+
+
+def _phase1(p: Problem) -> tuple:
     """Strictly feasible start s and the GapMatrix that accepted it, or
     EmptyInterior after the search budget."""
-    p = surface.p
-    margin = _FEAS_MARGIN * surface.f_scale
-    base = np.zeros(surface.d)
-    direction = np.zeros(surface.d)
-    for k, idx in enumerate(p.dual_terms):
-        t = p.terms[idx]
-        sign = 1.0 if t.alpha > 0 else -1.0
-        if t.kind is TermKind.QUARTIC:
-            base[k] = t.alpha * t.beta + sign * (1.0 + abs(t.alpha * t.beta))
-        elif t.kind is TermKind.EXPONENTIAL:
-            base[k] = t.alpha * math.e
-        else:
-            base[k] = t.alpha
-        direction[k] = sign
+    margin = _FEAS_MARGIN * p.f_scale
+    q = len(p.dual_terms)
+    base = np.zeros(p.dual_dim)
+    base[:q] = _term_starts(p, [math.e if p.terms[i].kind is TermKind.EXPONENTIAL else 1.0
+                                for i in p.dual_terms])
     if p.is_sign_integer:
-        q = len(p.dual_terms)
         gm0 = dual.assemble_G(p, base)  # base[q:] is still zero
-        lift = 0.5 * (max(0.0, -gm0.min_eig) + 1.0)
-        base[q:] = lift
-        direction[q:] = 1.0
+        base[q:] = 0.5 * (max(0.0, -gm0.min_eig) + 1.0)
+    direction = p.coordinate_rows.direction
 
-    gm = surface.strictly_feasible(base, margin)
+    gm = _strictly_feasible(p, base, margin)
     if gm is not None:
         return base, gm
     t = 1.0
     for _ in range(24):
         trial = base + t * direction
-        gm = surface.strictly_feasible(trial, margin)
+        gm = _strictly_feasible(p, trial, margin)
         if gm is not None:
             return trial, gm
         t *= 2.0
@@ -315,7 +287,7 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> tuple:
     for it in range(250):
         s = _project_domain(p, s, margin)
         gm = dual.assemble_G(p, s)
-        if gm.min_eig > margin and all(slack > 0.0 for _, slack, _ in dual.domain_slacks(p, s)):
+        if gm.min_eig > margin and (dual.domain_slacks(p, s) > 0.0).all():
             return s, gm
         best = max(best, gm.min_eig)
         vmin = gm.decomp.eigvecs[:, 0]
@@ -334,22 +306,12 @@ def _phase1(surface: _DualSurface, cfg: SolverConfig) -> tuple:
 
 
 def _project_domain(p: Problem, s: np.ndarray, margin: float) -> np.ndarray:
+    """s with every coordinate whose domain slack is below the margin moved
+    to edge + direction * margin."""
+    rows = p.coordinate_rows
+    lift = rows.index[dual.domain_slacks(p, s) < margin]
     s = s.copy()
-    varsig, sigma = dual.split_dual(p, s)
-    for k, idx in enumerate(p.dual_terms):
-        t = p.terms[idx]
-        if t.kind is TermKind.QUARTIC:
-            bound = t.alpha * t.beta
-            sign = 1.0 if t.alpha > 0 else -1.0
-            if sign * (s[k] - bound) < margin:
-                s[k] = bound + sign * margin
-        elif t.kind is TermKind.EXPONENTIAL:
-            sign = 1.0 if t.alpha > 0 else -1.0
-            if sign * s[k] < margin:
-                s[k] = sign * margin
-    if sigma is not None:
-        q = len(p.dual_terms)
-        s[q:] = np.maximum(s[q:], margin)
+    s[lift] = rows.edge[lift] + rows.direction[lift] * margin
     return s
 
 
@@ -365,34 +327,31 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     tolerance.
     """
     cfg = cfg or SolverConfig()
-    surface = _DualSurface(p)
-    s, _ = _phase1(surface, cfg)
-    gtol = cfg.grad_tol * surface.f_scale
+    s, _ = _phase1(p)
+    gtol = cfg.grad_tol * p.f_scale
 
     iterations = 0
     mu = cfg.barrier_weight
     point = None  # each outer step starts from the factorized point the last one ended at
     for _ in range(cfg.max_outer):
-        s, point, its = _damped_newton(s, *surface.barrier(mu), tol=gtol,
+        s, point, its = _damped_newton(s, *_barrier(p, mu), tol=gtol,
                                        max_iter=cfg.max_inner, step_tol=cfg.step_tol,
                                        state=point, centred=_CENTERING * mu)
         if point is None:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
         mu *= cfg.barrier_shrink
-        if mu < _MU_FLOOR or (mu < 1e-4 and _interior_converged(surface, point, gtol)):
+        if mu < _MU_FLOOR or (mu < 1e-4 and _interior_converged(point, gtol)):
             break
 
     # Barrier-free polish while the iterate stays strictly interior.
-    s, _, its = _damped_newton(s, *surface.stationarity(certified=True),
-                               tol=min(gtol, 1e-12 * surface.f_scale), max_iter=cfg.max_inner)
+    s, _, its = _damped_newton(s, *_stationarity(p, certified=True),
+                               tol=min(gtol, 1e-12 * p.f_scale), max_iter=cfg.max_inner)
     iterations += its
 
     gm = dual.assemble_G(p, s)
     membership = dual.in_S_plus(p, s, gm=gm)
-    slacks = dual.domain_slacks(p, s)
-    slack_tol = 1e-6 * surface.f_scale
-    at_domain_edge = any(slack <= slack_tol for _, slack, _ in slacks)
+    at_domain_edge = bool((dual.domain_slacks(p, s) <= 1e-6 * p.f_scale).any())
     try:
         grad_norm = float(np.linalg.norm(dual.grad_dual(p, s, gm=gm)))
     except SingularG:
@@ -609,16 +568,14 @@ class ExistenceResult:
         return self.status == "interior_nonempty"
 
 
-def existence_check(p: Problem, cfg: Optional[SolverConfig] = None) -> ExistenceResult:
+def existence_check(p: Problem) -> ExistenceResult:
     """Search for a strictly positive-definite dual witness.
 
     A returned witness is verified by its smallest eigenvalue; failure is
     only the heuristic 'likely empty', never a proof of emptiness.
     """
-    cfg = cfg or SolverConfig()
-    surface = _DualSurface(p)
     try:
-        s, gm = _phase1(surface, cfg)
+        s, gm = _phase1(p)
     except EmptyInterior as exc:
         return ExistenceResult(status="likely_empty", witness=None,
                                min_eig=getattr(exc, "best_min_eig", float("nan")))
@@ -640,7 +597,6 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     """
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(cfg.seed)
-    surface = _DualSurface(p)
     found = []
     if include_certified:
         try:
@@ -649,9 +605,9 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
                 found.append(np.asarray(rep.sigma_bar))
         except (EmptyInterior, MaxIterations):
             pass
-    gtol = max(cfg.grad_tol, 1e-11) * surface.f_scale
+    gtol = max(cfg.grad_tol, 1e-11) * p.f_scale
     starts = _ladder_starts(p) + [_random_dual_start(p, rng) for _ in range(n_starts)]
-    newton = surface.stationarity(certified=False)
+    newton = _stationarity(p, certified=False)
     for s in starts:
         s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
         if state is not None and _gradient_norm(state) <= gtol:
@@ -678,41 +634,28 @@ def _ladder_starts(p: Problem) -> list:
     Guarantees basin coverage for low-dimensional duals where pure random
     starts can miss a stationary point between the boundary and zero.
     """
+    q = len(p.dual_terms)
+    xlogx = np.array([p.terms[i].kind is TermKind.XLOGX for i in p.dual_terms], dtype=bool)
     starts = []
     for u in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0):
-        s = np.empty(p.dual_dim)
-        for k, idx in enumerate(p.dual_terms):
-            t = p.terms[idx]
-            sign = 1.0 if t.alpha > 0 else -1.0
-            if t.kind is TermKind.QUARTIC:
-                bound = t.alpha * t.beta
-                s[k] = bound + sign * (1.0 + abs(bound)) * u
-            elif t.kind is TermKind.EXPONENTIAL:
-                s[k] = sign * abs(t.alpha) * u
-            else:
-                s[k] = t.alpha * (u - 1.0)
-        if p.is_sign_integer:
-            s[len(p.dual_terms):] = u
+        s = np.full(p.dual_dim, u)
+        s[:q] = _term_starts(p, np.where(xlogx, u - 1.0, u))
         starts.append(s)
     return starts
 
 
+_RANDOM_UNITS = {
+    TermKind.QUARTIC: lambda rng: rng.uniform(0.02, 3.0),
+    TermKind.EXPONENTIAL: lambda rng: rng.uniform(0.05, 4.0),
+    TermKind.XLOGX: lambda rng: rng.normal(0.0, 2.0),
+}
+
+
 def _random_dual_start(p: Problem, rng: np.random.Generator) -> np.ndarray:
     s = np.empty(p.dual_dim)
-    for k, idx in enumerate(p.dual_terms):
-        t = p.terms[idx]
-        if t.kind is TermKind.QUARTIC:
-            bound = t.alpha * t.beta
-            sign = 1.0 if t.alpha > 0 else -1.0
-            s[k] = bound + sign * (1.0 + abs(bound)) * rng.uniform(0.02, 3.0)
-        elif t.kind is TermKind.EXPONENTIAL:
-            sign = 1.0 if t.alpha > 0 else -1.0
-            s[k] = sign * abs(t.alpha) * rng.uniform(0.05, 4.0)
-        else:
-            s[k] = t.alpha * rng.normal(0.0, 2.0)
-    if p.is_sign_integer:
-        q = len(p.dual_terms)
-        s[q:] = rng.uniform(0.05, 3.0, size=p.n)
+    q = len(p.dual_terms)
+    s[:q] = _term_starts(p, [_RANDOM_UNITS[p.terms[i].kind](rng) for i in p.dual_terms])
+    s[q:] = rng.uniform(0.05, 3.0, size=p.dual_dim - q)
     return s
 
 

@@ -98,7 +98,7 @@ def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL,
     """
     x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
     sigma_bar = np.asarray(sigma_bar, dtype=float).reshape(-1)
-    ctol = tol * (1.0 + float(np.linalg.norm(p.f)))
+    ctol = tol * p.f_scale
 
     if p.is_sign_integer:
         primal_res = 0.0 if np.all(np.abs(np.abs(x_bar) - 1.0) <= ctol) else np.inf
@@ -106,7 +106,7 @@ def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL,
         primal_res = float(np.linalg.norm(model.grad_primal(p, x_bar)))
     gm = gm if gm is not None else dual.assemble_G(p, sigma_bar)
     dual_res = _dual_stationarity(p, x_bar, sigma_bar, gm)
-    if primal_res > ctol or dual_res > ctol:
+    if not (primal_res <= ctol and dual_res <= ctol):  # a NaN residual is not critical
         raise NotCritical(
             f"stationarity residuals (primal {primal_res:.3e}, dual {dual_res:.3e}) "
             f"exceed tolerance {ctol:.3e}"

@@ -86,9 +86,17 @@ def test_threads_flag_only_on_sweep(tmp_path):
     assert rejected.stdout == "" and "error:" in rejected.stderr
 
 
-@pytest.mark.parametrize("flags", [("--tol", "-1"), ("--max-iter", "-3"),
-                                   ("--delta0", "-0.5", "--perturb")])
+@pytest.mark.parametrize("flags", [
+    ("--tol", "-1"), ("--max-iter", "-3"), ("--delta0", "-0.5", "--perturb"),
+    ("--tol", "nan"), ("--delta0", "inf", "--perturb"), ("--seed", "-1"), ("--max-iter", "2.5"),
+    # a dict is written to a --config file
+    {"grad_tol": -1.0}, {"grad_tol": float("nan")}, {"grad_tol": "1e-9"},
+    {"max_outer": 2.5}, {"max_outer": True}, {"max_inner": 1e9}, {"seed": -1},
+    {"barrier_weight": float("nan")}, {"perturb_delta0": float("inf")},
+])
 def test_solver_flags_are_validated_like_the_config_file(tmp_path, flags):
+    if isinstance(flags, dict):
+        flags = ("--config", write(tmp_path, "config.json", flags))
     res = run_cli("solve", write(tmp_path, "dw.json", DW), *flags)
     assert res.returncode == 1
     assert res.stdout == "" and "error:" in res.stderr
@@ -138,8 +146,13 @@ def test_classify_symmetric_local_max(tmp_path):
 
 
 def test_classify_noncritical_pair_fails(tmp_path):
-    res = run_cli("classify", write(tmp_path, "dw.json", DW), "--x", "1", "--sigma", "1")
+    dw = write(tmp_path, "dw.json", DW)
+    res = run_cli("classify", dw, "--x", "1", "--sigma", "1")
     assert res.returncode == 1
+    # the well's dual root paired with a NaN point
+    res = run_cli("classify", dw, "--x", "nan", "--sigma", "0.23641695449762776")
+    assert res.returncode == 1
+    assert res.stdout == "" and "error:" in res.stderr
 
 
 def test_oracle_enumeration(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,15 +106,14 @@ def test_solve_dual_zero_dual_dimension_convex_quadratic(rng):
 
 def test_monotone_ascent_of_barrier_objective():
     p = double_well(0.5)
-    surface = solver._DualSurface(p)
     cfg = SolverConfig()
-    s, _ = solver._phase1(surface, cfg)
+    s, _ = solver._phase1(p)
     mu = 0.3
-    values = [surface.value(dual.factor_point(p, s), mu)]
+    values = [dual.factor_point(p, s).barrier(mu)]
     for _ in range(6):
-        s, _, _ = solver._damped_newton(s, *surface.barrier(mu), tol=1e-14, max_iter=1,
+        s, _, _ = solver._damped_newton(s, *solver._barrier(p, mu), tol=1e-14, max_iter=1,
                                         step_tol=cfg.step_tol)
-        values.append(surface.value(dual.factor_point(p, s), mu))
+        values.append(dual.factor_point(p, s).barrier(mu))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > values[0]
 
@@ -162,20 +162,74 @@ def test_coordinate_rows_assemble_the_operator(name, rng):
         assert np.max(np.abs(G - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
 
 
+def _kind_slack(kind: str, alpha: float, beta: float, s: float) -> float:
+    """The dual domain of one coordinate, kind by kind."""
+    if kind == "quartic":  # s/alpha >= beta
+        return abs(alpha) * (s / alpha - beta)
+    if kind == "exponential":  # s/alpha > 0
+        return abs(alpha) * (s / alpha)
+    return s  # a sign multiplier, s >= 0
+
+
+def _kind_lift(kind: str, alpha: float, beta: float, margin: float) -> float:
+    """The point at the margin inside the domain edge, kind by kind."""
+    sign = 1.0 if alpha > 0 else -1.0
+    if kind == "quartic":
+        return alpha * beta + sign * margin
+    if kind == "exponential":
+        return sign * margin
+    return margin
+
+
+@pytest.mark.parametrize("coords, signs", [
+    ([("quartic", 1.3, -2.0)], False), ([("quartic", -0.7, 0.5)], False),
+    ([("quartic", 2.0, 0.0)], False), ([("quartic", -1.5, -1.0)], False),
+    ([("exponential", 0.8, 0.0)], False), ([("exponential", -1.2, 0.0)], False),
+    ([("xlogx", 1.1, 0.0)], False), ([], True),
+    ([("quartic", 0.9, 1.0), ("xlogx", -0.6, 0.0), ("exponential", 1.7, 0.0)], True),
+])
+def test_domain_table_matches_the_per_kind_bounds(coords, signs, rng):
+    n = 3
+    terms = [CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.eye(n), 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an exponential term with alpha < 0 warns
+        terms += [CanonicalTerm(TermKind(kind), rng.standard_normal((2, n)), alpha, beta)
+                  for kind, alpha, beta in coords]
+    p = Problem(n=n, terms=terms, f=np.ones(n),
+                variables=Variables.SIGN_INTEGER if signs else Variables.CONTINUOUS)
+    coords = coords + [("sign", 1.0, 0.0)] * (n if signs else 0)
+    bounded = [c for c, (kind, _, _) in enumerate(coords) if kind != "xlogx"]
+    assert p.coordinate_rows.index.tolist() == bounded
+    margin, lifted_any, kept_any = 0.3, False, False
+    for _ in range(10):
+        # around each edge, so that some coordinates fall below the margin
+        s = np.array([alpha * beta for _, alpha, beta in coords]) + rng.uniform(-1.0, 1.0, len(coords))
+        slacks = dual.domain_slacks(p, s)
+        assert slacks.tolist() == [_kind_slack(*coords[c], s[c]) for c in bounded]
+        projected = solver._project_domain(p, s, margin)
+        for c, coord in enumerate(coords):
+            if c in bounded and _kind_slack(*coord, s[c]) < margin:
+                assert projected[c] == _kind_lift(*coord, margin)
+                lifted_any = True
+            else:
+                assert projected[c].tobytes() == s[c].tobytes()
+                kept_any = True
+    assert kept_any and lifted_any == bool(bounded)
+
+
 @pytest.mark.parametrize("mu", [0.5, 0.0])
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
 def test_barrier_derivatives_match_finite_differences(name, mu):
     p = _barrier_problem(name)
-    surface = solver._DualSurface(p)
     cfg = SolverConfig()
     # the mu = 1 barrier center keeps every difference step inside the region
-    s, _, _ = solver._damped_newton(solver._phase1(surface, cfg)[0], *surface.barrier(1.0),
+    s, _, _ = solver._damped_newton(solver._phase1(p)[0], *solver._barrier(p, 1.0),
                                     tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
-    g, H = surface.derivatives(dual.factor_point(p, s), mu)
+    g, H = dual.factor_point(p, s).barrier_derivs(mu)
 
     def value(z):
-        return surface.value(dual.factor_point(p, z), mu)
+        return dual.factor_point(p, z).barrier(mu)
 
     fd_g = oracle.fd_gradient(value, s, h=1e-6)
     fd_H = oracle.fd_hessian(value, s, h=1e-4)
@@ -191,8 +245,7 @@ def test_bare_hessian_matches_finite_differences(rng):
         gm = dual.assemble_G(p, s)
         if gm.min_eig <= 1e-4:
             continue
-        surface = solver._DualSurface(p)
-        _, H = surface.derivatives(dual.factor_point(p, s), 0.0)
+        _, H = dual.factor_point(p, s).barrier_derivs(0.0)
         fd = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
         assert np.max(np.abs(H - fd)) <= 1e-3 * (1.0 + np.max(np.abs(fd)))
 
@@ -204,7 +257,6 @@ def test_lu_point_derivatives_match_finite_differences(rng):
     for _ in range(80):
         p = random_problem(rng, n_max=4)
         s = 2.0 * rng.standard_normal(p.dual_dim)
-        surface = solver._DualSurface(p)
         point = dual.factor_point(p, s, cholesky=False)
         if point is None:
             continue
@@ -212,7 +264,7 @@ def test_lu_point_derivatives_match_finite_differences(rng):
         if w[0] >= -0.05 or np.min(np.abs(w)) <= 0.05:
             continue
         assert dual.factor_point(p, s) is None  # outside the certified region
-        g, H = surface.derivatives(point, 0.0)
+        g, H = point.barrier_derivs(0.0)
         fd_g = oracle.fd_gradient(lambda z: dual.eval_dual(p, z), s, h=1e-6)
         fd_H = oracle.fd_hessian(lambda z: dual.eval_dual(p, z), s, h=1e-4)
         assert np.max(np.abs(g - fd_g)) <= 1e-6 * (1.0 + np.max(np.abs(fd_g)))
@@ -225,22 +277,20 @@ def test_barrier_value_rejects_points_outside_the_region():
     # indefinite operator, positive multipliers: G = [[0.2, 1], [1, 0.2]]
     qip = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([1.0, 0.0]))
     p = qip.to_problem()
-    surface = solver._DualSurface(p)
     assert dual.factor_point(p, np.array([0.1, 0.1])) is None
     inside = dual.factor_point(p, np.array([1.0, 1.0]))
-    assert inside is not None and math.isfinite(surface.value(inside, 0.3))
+    assert inside is not None and math.isfinite(inside.barrier(0.3))
 
     # positive-definite operator G = 2 + s with the quartic slack s - 1 <= 0
     p = Problem(n=1, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.array([[2.0 ** 0.5]]), 1.0),
                             CanonicalTerm(TermKind.QUARTIC, np.array([[1.0]]), 1.0, 1.0)],
                 f=np.array([0.5]))
-    surface = solver._DualSurface(p)
     for s in (0.5, 1.0):
         assert dual.assemble_G(p, [s]).min_eig > 0.0
         assert dual.factor_point(p, np.array([s])) is None  # the point is rejected at every mu
     inside = dual.factor_point(p, np.array([1.5]))
     assert inside is not None
-    assert math.isfinite(surface.value(inside, 0.3)) and math.isfinite(surface.value(inside, 0.0))
+    assert math.isfinite(inside.barrier(0.3)) and math.isfinite(inside.barrier(0.0))
 
 
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
@@ -248,15 +298,14 @@ def test_barrier_point_serves_every_mu_alike(name):
     # an outer step reuses the point the last one ended at: its cached pieces
     # must give the same bits as a freshly factorized point at the new mu
     p = _barrier_problem(name)
-    surface = solver._DualSurface(p)
-    s, _ = solver._phase1(surface, SolverConfig())
+    s, _ = solver._phase1(p)
     carried = dual.factor_point(p, s)
     for mu in (1.0, 0.2, 0.0):
-        surface.derivatives(carried, mu)
+        carried.barrier_derivs(mu)
     fresh = dual.factor_point(p, s)
     for mu in (0.04, 0.0):
-        assert surface.value(carried, mu) == surface.value(fresh, mu)
-        for a, b in zip(surface.derivatives(carried, mu), surface.derivatives(fresh, mu)):
+        assert carried.barrier(mu) == fresh.barrier(mu)
+        for a, b in zip(carried.barrier_derivs(mu), fresh.barrier_derivs(mu)):
             assert np.array_equal(a, b)
 
 
@@ -364,17 +413,17 @@ def test_interior_converged_matches_the_eigh_definition(monkeypatch):
 
     seen = set()
     for point in points:
-        surface = solver._DualSurface(point.p)
-        gm = surface.strictly_feasible(point.s, margin=solver._FEAS_MARGIN * surface.f_scale)
+        p = point.p
+        gm = solver._strictly_feasible(p, point.s, solver._FEAS_MARGIN * p.f_scale)
         # the solve's own tolerance, and an infinite one that tests the
         # region and singularity part alone
-        for gtol in (SolverConfig().grad_tol * surface.f_scale, math.inf):
+        for gtol in (SolverConfig().grad_tol * p.f_scale, math.inf):
             try:
                 expected = (gm is not None
-                            and np.linalg.norm(dual.grad_dual(point.p, point.s, gm=gm)) <= gtol)
+                            and np.linalg.norm(dual.grad_dual(p, point.s, gm=gm)) <= gtol)
             except SingularG:
                 expected = False
-            assert solver._interior_converged(surface, point, gtol) == expected
+            assert solver._interior_converged(point, gtol) == expected
             seen.add(("outside" if gm is None else expected, gtol))
     # every outcome occurs: outside the margin, inside but not stationary, converged
     assert {outcome for outcome, _ in seen} == {"outside", False, True}

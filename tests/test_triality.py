@@ -48,6 +48,9 @@ def test_classify_rejects_noncritical_pair():
     p = double_well(0.5)
     with pytest.raises(NotCritical):
         triality.classify(p, [1.0], [1.0])
+    # a NaN residual compares false against the tolerance, and is not critical
+    with pytest.raises(NotCritical):
+        triality.classify(p, [np.nan], [WELL_S1])
 
 
 def test_local_min_weakens_to_unclassified_when_dims_differ():
