@@ -24,13 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, dual, integer, model, oracle, relaxations, solver, triality
-from .errors import (
-    CanonDualError,
-    EmptyInterior,
-    MaxIterations,
-    NotCritical,
-    TooLarge,
-)
+from .errors import CanonDualError, EmptyInterior, MaxIterations, TooLarge
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -235,11 +229,7 @@ def _cmd_classify(args) -> int:
     x = np.array([float(tok) for tok in args.x.split(",")])
     s = np.array([float(tok) for tok in args.sigma.split(",")])
     tol = triality.DEFAULT_CRIT_TOL if args.tol is None else args.tol
-    try:
-        result = triality.classify(p, x, s, tol=tol)
-    except NotCritical as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = triality.classify(p, x, s, tol=tol)  # NotCritical exits 1 in main
     _emit(args, "classify", cfg.to_dict(), {"classification": result.to_dict()}, started)
     return EXIT_OK
 

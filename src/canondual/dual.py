@@ -30,8 +30,11 @@ derivative for all of them, and its domain is one bound s/alpha >= beta
 carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
 the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
-``grad_dual`` stays on the eigendecomposition, as the reference those
-derivatives are checked against.
+``GapMatrix``, built by ``assemble_G``, is its eigen-side twin: G(s) and
+its eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
+reference gradient and the membership of the certified region.  A dual
+point from outside is checked once, by ``assemble_G``; the Newton loops
+pass ``factor_point`` and ``operator`` their own float arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, model
-from .errors import DimensionMismatch, DomainViolation, RangeViolation, SingularG
+from .errors import DimensionMismatch, DomainViolation, InvalidMatrix, RangeViolation, SingularG
 from .linalg import EigenDecomp
 from .model import Problem
 
@@ -63,12 +66,18 @@ class Membership(Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(eq=False)
 class GapMatrix:
-    """Assembled G(s) with cached spectral data."""
+    """G(s) at a checked dual point; build it with ``assemble_G``.  The
+    eigendecomposition, [G(s)]^+ f (``pinv_f``), the range-checked ``x``,
+    the dual ``value``, ``grad`` and ``membership`` are computed on first use.
+    """
 
-    G: np.ndarray
-    decomp: EigenDecomp
+    def __init__(self, p: Problem, s: np.ndarray, G: np.ndarray):
+        self.p, self.s, self.G = p, s, G
+
+    @cached_property
+    def decomp(self) -> EigenDecomp:
+        return linalg.eigh(self.G)
 
     @property
     def min_eig(self) -> float:
@@ -88,95 +97,116 @@ class GapMatrix:
         inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
         return v @ (coeff * inv)
 
+    @cached_property
+    def pinv_f(self) -> np.ndarray:
+        return self.apply_pinv(self.p.f)
 
-def split_dual(p: Problem, s) -> tuple:
-    """Split a stacked dual vector into (term coordinates, sigma block)."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if s.shape != (p.dual_dim,):
-        raise DimensionMismatch(f"dual point has length {len(s)}, expected {p.dual_dim}")
+    @cached_property
+    def x(self) -> np.ndarray:
+        """[G(s)]^+ f; raises RangeViolation when f is not in the range of G."""
+        residual = float(np.linalg.norm(self.G @ self.pinv_f - self.p.f))
+        if residual > RANGE_TOL * self.p.f_scale:
+            raise RangeViolation(f"input not in range of G (residual {residual:.3e}); dual "
+                                 "point outside the admissible dual set", residual=residual)
+        return self.pinv_f
+
+    @cached_property
+    def value(self) -> float:
+        """Pi_d(s) = -0.5 f'x - conjugate total."""
+        return -0.5 * float(self.p.f @ self.x) - conjugate_total(self.p, self.s)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """Gradient of Pi_d, raising SingularG where G is singular: 0.5 x'Q_s x
+        - dPhi*_s(varsigma_s) for term s and x_i^2 - 1 for sigma_i, x = G^-1 f."""
+        if self.is_singular():
+            raise SingularG("dual gradient undefined where G is singular")
+        p, x = self.p, self.pinv_f
+        g = np.empty(p.dual_dim)
+        for k, idx in enumerate(p.dual_terms):
+            t = p.terms[idx]
+            v = t.factor @ x
+            g[k] = 0.5 * float(v @ v) - model.conj_grad(t, float(self.s[k]))
+        if p.is_sign_integer:
+            g[len(p.dual_terms):] = x * x - 1.0
+        return g
+
+    @cached_property
+    def membership(self) -> Membership:
+        """interior: G(s) positive definite and every sigma positive; boundary:
+        G(s) semidefinite and singular, or a sigma at zero; else outside."""
+        tol = self.tol
+        sigma = self.s[len(self.p.dual_terms):]
+        sigma_min = float(np.min(sigma)) if sigma.size else np.inf
+        if self.min_eig > tol and sigma_min > tol:
+            return Membership.INTERIOR
+        if self.min_eig >= -tol and sigma_min >= -tol:
+            return Membership.BOUNDARY
+        return Membership.OUTSIDE
+
+
+def operator(p: Problem, s: np.ndarray) -> np.ndarray:
+    """G(s) as a dense array; s is a float array of length ``p.dual_dim``."""
     q = len(p.dual_terms)
-    return s[:q], (s[q:] if p.is_sign_integer else None)
-
-
-def operator(p: Problem, s) -> np.ndarray:
-    """The bare operator G(s) as a dense array, without spectral data."""
-    varsig, sigma = split_dual(p, s)
     G = p.plain_block.copy()
-    for varsig_s, idx in zip(varsig, p.dual_terms):
+    for varsig_s, idx in zip(s[:q], p.dual_terms):
         G += varsig_s * p.terms[idx].Q
-    if sigma is not None:
-        G[np.diag_indices(p.n)] += 2.0 * sigma
+    if p.is_sign_integer:
+        G[np.diag_indices(p.n)] += 2.0 * s[q:]
     return G
 
 
 def assemble_G(p: Problem, s) -> GapMatrix:
-    G = operator(p, s)
-    return GapMatrix(G=G, decomp=linalg.eigh(G))
+    """G(s), where s is checked: it must have ``dual_dim`` entries, and G(s)
+    must be finite (a NaN, an infinite or an overflowing s fails)."""
+    s = np.array(s, dtype=float).reshape(-1)  # a copy: the caller may reuse its array
+    if s.shape != (p.dual_dim,):
+        raise DimensionMismatch(f"dual point has length {len(s)}, expected {p.dual_dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = operator(p, s)
+    if not np.isfinite(G).all():
+        raise InvalidMatrix("G(s) has non-finite entries")
+    return GapMatrix(p, s, G)
 
 
-def conjugate_total(p: Problem, s) -> float:
+def conjugate_total(p: Problem, s: np.ndarray) -> float:
     """sum_s Phi*_s(varsigma_s) + e'sigma, the conjugate part of Xi."""
-    varsig, sigma = split_dual(p, s)
+    q = len(p.dual_terms)
     total = 0.0
-    for varsig_s, idx in zip(varsig, p.dual_terms):
+    for varsig_s, idx in zip(s[:q], p.dual_terms):
         total += model.conj_value(p.terms[idx], float(varsig_s))
-    if sigma is not None:
-        total += float(np.sum(sigma))
+    if p.is_sign_integer:
+        total += float(np.sum(s[q:]))
     return total
 
 
 def eval_Xi(p: Problem, x, s) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     gm = assemble_G(p, s)
-    return 0.5 * float(x @ (gm.G @ x)) - conjugate_total(p, s) - float(x @ p.f)
+    return 0.5 * float(x @ (gm.G @ x)) - conjugate_total(p, gm.s) - float(x @ p.f)
 
 
 def gap_value(p: Problem, x, s) -> float:
     """Quadratic gap 0.5 x'G(s)x; nonnegative for every x exactly when G(s) is PSD."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    gm = assemble_G(p, s)
-    return 0.5 * float(x @ (gm.G @ x))
+    return 0.5 * float(x @ (assemble_G(p, s).G @ x))
 
 
-def recover_x(p: Problem, s, gm: Optional[GapMatrix] = None, range_tol: float = RANGE_TOL) -> np.ndarray:
-    """Primal recovery x = [G(s)]^+ f with a range-compatibility check."""
-    gm = gm if gm is not None else assemble_G(p, s)
-    x = gm.apply_pinv(p.f)
-    residual = float(np.linalg.norm(gm.G @ x - p.f))
-    if residual > range_tol * p.f_scale:
-        raise RangeViolation(
-            f"input not in range of G (residual {residual:.3e}); dual point outside "
-            "the admissible dual set",
-            residual=residual,
-        )
-    return x
+# The GapMatrix at s, one quantity each, for callers that hold only s.
+def recover_x(p: Problem, s) -> np.ndarray:
+    return assemble_G(p, s).x
 
 
-def eval_dual(p: Problem, s, gm: Optional[GapMatrix] = None, range_tol: float = RANGE_TOL) -> float:
-    gm = gm if gm is not None else assemble_G(p, s)
-    x = recover_x(p, s, gm=gm, range_tol=range_tol)
-    return -0.5 * float(p.f @ x) - conjugate_total(p, s)
+def eval_dual(p: Problem, s) -> float:
+    return assemble_G(p, s).value
 
 
-def grad_dual(p: Problem, s, gm: Optional[GapMatrix] = None) -> np.ndarray:
-    """Gradient of the dual objective at a nonsingular interior point.
+def grad_dual(p: Problem, s) -> np.ndarray:
+    return assemble_G(p, s).grad
 
-    Component for term s: 0.5 x'Q_s x - dPhi*_s(varsigma_s) with x = G^-1 f;
-    component for sigma_i: x_i^2 - 1.
-    """
-    gm = gm if gm is not None else assemble_G(p, s)
-    if gm.is_singular():
-        raise SingularG("dual gradient undefined where G is singular")
-    varsig, sigma = split_dual(p, s)
-    x = gm.apply_pinv(p.f)
-    g = np.empty(p.dual_dim)
-    for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
-        t = p.terms[idx]
-        v = t.factor @ x
-        g[k] = 0.5 * float(v @ v) - model.conj_grad(t, float(varsig_s))
-    if sigma is not None:
-        g[len(varsig):] = x * x - 1.0
-    return g
+
+def in_S_plus(p: Problem, s) -> Membership:
+    return assemble_G(p, s).membership
 
 
 def coordinate_images(p: Problem, x) -> np.ndarray:
@@ -193,26 +223,6 @@ def domain_slacks(p: Problem, s) -> np.ndarray:
     i = rows.index
     alpha = rows.alpha[i]
     return np.abs(alpha) * (np.asarray(s, dtype=float)[i] / alpha - rows.beta[i])
-
-
-def in_S_plus(p: Problem, s, tol: Optional[float] = None,
-              gm: Optional[GapMatrix] = None) -> Membership:
-    """Membership of the certified dual region.
-
-    interior: G(s) strictly positive definite (and sigma strictly positive for
-    sign-integer problems); boundary: positive semidefinite with a zero
-    eigenvalue, or a sigma pinned at zero; outside otherwise.
-    """
-    gm = gm if gm is not None else assemble_G(p, s)
-    tol = tol if tol is not None else gm.tol
-    _, sigma = split_dual(p, s)
-    min_eig = gm.min_eig
-    sigma_min = float(np.min(sigma)) if sigma is not None and sigma.size else np.inf
-    if min_eig > tol and sigma_min > tol:
-        return Membership.INTERIOR
-    if min_eig >= -tol and sigma_min >= -tol:
-        return Membership.BOUNDARY
-    return Membership.OUTSIDE
 
 
 class DualPoint:
@@ -278,10 +288,7 @@ class DualPoint:
             idx = rows.index
             d = rows.direction[idx]
             g[idx] += mu * d / self.slacks
-            # float_power calls C pow(), which the solve's bits depend on;
-            # an array's ** 2 squares instead, and differs from pow() in the
-            # last bit on about 0.1% of inputs
-            H[idx, idx] -= mu * np.float_power(d / self.slacks, 2.0)
+            H[idx, idx] -= mu * (d / self.slacks) ** 2
         return g, 0.5 * (H + H.T)
 
     @cached_property
@@ -295,7 +302,7 @@ class DualPoint:
         coordinate images of x.  A sign multiplier's conjugate part is
         sigma_i itself, so it adds -1 to g and nothing to H."""
         p = self.p
-        varsig, _ = split_dual(p, self.s)
+        q = len(p.dual_terms)
         A = coordinate_images(p, self.x)
         g = 0.5 * (self.x @ A)
         if self.L is None:
@@ -303,11 +310,11 @@ class DualPoint:
         else:
             W = self.Linv @ A
             H = -(W.T @ W)
-        for k, (varsig_s, idx) in enumerate(zip(varsig, p.dual_terms)):
+        for k, idx in enumerate(p.dual_terms):
             t = p.terms[idx]
-            g[k] -= model.conj_grad(t, float(varsig_s))
-            H[k, k] -= model.conj_hess(t, float(varsig_s))
-        g[len(varsig):] -= 1.0
+            g[k] -= model.conj_grad(t, float(self.s[k]))
+            H[k, k] -= model.conj_hess(t, float(self.s[k]))
+        g[q:] -= 1.0
         return g, H
 
     @cached_property

@@ -1,10 +1,14 @@
 """Dense symmetric linear algebra at desk scale.
 
-Everything here operates on plain float64 ndarrays.  Matrices are validated
-once on entry (finite, symmetric to 1e-12 relative) and symmetrized so the
-eigensolver sees an exactly symmetric array.  The eigensolver is LAPACK's
-``eigh`` through numpy.  All downstream spectral operations (pseudoinverse,
-definiteness classification, range-restricted solves) are built on it.
+Everything here operates on plain float64 ndarrays.  The eigensolver is
+LAPACK's ``eigh`` through numpy, and the pseudoinverse, definiteness
+classification and range-restricted solves are built on it.  ``eigh``
+trusts its input: the package's own matrices (G(s), the primal and dual
+Hessians) are exactly symmetric by construction, and ``dual.assemble_G``
+checks that G(s) is finite.  A matrix from outside is checked where it
+enters, by ``check_symmetric`` (finite, symmetric to 1e-12 relative, then
+symmetrized): in the public functions below, ``QipInstance``,
+``build_rlt`` and ``schur_psd_check``.
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ def check_symmetric(M, name: str = "matrix") -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def eigh(M) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    A = check_symmetric(M)
-    w, v = np.linalg.eigh(A)
+def eigh(M: np.ndarray) -> EigenDecomp:
+    """Eigendecomposition of a finite, exactly symmetric matrix, eigenvalues
+    ascending; LAPACK reads only its lower triangle."""
+    w, v = np.linalg.eigh(M)
     return EigenDecomp(w, v)
 
 
@@ -75,7 +79,7 @@ def pinv(M, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Eigenvalues with magnitude at most ``rank_tol`` times the largest
     magnitude are treated as exact zeros; the zero matrix maps to itself.
     """
-    return pinv_from_decomp(eigh(M), rank_tol)
+    return pinv_from_decomp(eigh(check_symmetric(M)), rank_tol)
 
 
 def psd_classify(M, tol: float = 1e-9) -> PsdClass:
@@ -83,7 +87,7 @@ def psd_classify(M, tol: float = 1e-9) -> PsdClass:
 
     The zero matrix reports positive semidefinite singular by convention.
     """
-    w = eigh(M).eigvals
+    w = eigh(check_symmetric(M)).eigvals
     return classify_eigvals(w, tol)
 
 
@@ -109,7 +113,7 @@ def solve_in_range(M, f, tol: float = 1e-8, rank_tol: float = DEFAULT_RANK_TOL) 
     """
     A = check_symmetric(M)
     b = np.asarray(f, dtype=float)
-    x = pinv(A, rank_tol) @ b
+    x = pinv_from_decomp(eigh(A), rank_tol) @ b
     residual = float(np.linalg.norm(A @ x - b))
     if residual > tol * (1.0 + float(np.linalg.norm(b))):
         raise RangeViolation(

@@ -54,14 +54,7 @@ import numpy as np
 
 from . import dual, model, triality
 from .dual import Membership, SolveReport
-from .errors import (
-    CanonDualError,
-    EmptyInterior,
-    MaxIterations,
-    NotCritical,
-    RangeViolation,
-    SingularG,
-)
+from .errors import CanonDualError, EmptyInterior, MaxIterations, RangeViolation, SingularG
 from .model import CanonicalTerm, Problem, TermKind
 from .runtime import parallel_map
 
@@ -350,68 +343,58 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     iterations += its
 
     gm = dual.assemble_G(p, s)
-    membership = dual.in_S_plus(p, s, gm=gm)
     at_domain_edge = bool((dual.domain_slacks(p, s) <= 1e-6 * p.f_scale).any())
     try:
-        grad_norm = float(np.linalg.norm(dual.grad_dual(p, s, gm=gm)))
+        grad_norm = float(np.linalg.norm(gm.grad))
     except SingularG:
         grad_norm = float("nan")
 
-    interior_ok = (
-        membership is Membership.INTERIOR
-        and not at_domain_edge
-        and math.isfinite(grad_norm)
-        and grad_norm <= gtol
-    )
-    if not interior_ok and membership is Membership.INTERIOR and not at_domain_edge:
+    interior = gm.membership is Membership.INTERIOR and not at_domain_edge
+    interior_ok = interior and math.isfinite(grad_norm) and grad_norm <= gtol
+    if interior and not interior_ok:
         raise MaxIterations(
             f"interior ascent stalled with gradient norm {grad_norm:.3e} > {gtol:.3e}"
         )
 
-    return _build_report(
-        p,
-        s,
-        gm,
-        status="interior" if interior_ok else "boundary",
-        iterations=iterations,
-        grad_norm=grad_norm,
-    )
+    return _build_report(gm, status="interior" if interior_ok else "boundary",
+                         iterations=iterations, grad_norm=grad_norm)
 
 
-def _build_report(p: Problem, s: np.ndarray, gm: dual.GapMatrix, status: str,
-                  iterations: int, grad_norm: float, perturb_rounds: int = 0,
-                  x_override: Optional[np.ndarray] = None,
+def _build_report(gm: dual.GapMatrix, status: str, iterations: int, grad_norm: float,
+                  perturb_rounds: int = 0, x_override: Optional[np.ndarray] = None,
                   messages: Sequence[str] = ()) -> SolveReport:
+    """The report of the dual point ``gm``, paired with x = [G(s)]^+ f or
+    with ``x_override``."""
+    p = gm.p
     messages = list(messages)
     if x_override is not None:
         x = np.asarray(x_override, dtype=float)
     else:
         try:
-            x = dual.recover_x(p, s, gm=gm)
+            x = gm.x
         except RangeViolation as exc:
-            x = gm.apply_pinv(p.f)
+            x = gm.pinv_f
             messages.append(f"input outside range of G at the reported dual point: {exc}")
         else:
             if status == "interior" and not p.is_sign_integer:
                 x = _refine_x(p, x)
     rec_residual = float(np.linalg.norm(gm.G @ x - p.f))
     primal = model.eval_primal(p, x)
-    membership = dual.in_S_plus(p, s, gm=gm)
-    if membership is Membership.OUTSIDE:
+    if gm.membership is Membership.OUTSIDE:
         # The evaluation formula is only a certified lower bound on the
         # positive semidefinite side; report no bound elsewhere.
         dual_value = float("nan")
         messages.append("dual point outside the certified region; no dual bound reported")
     else:
         try:
-            dual_value = dual.eval_dual(p, s, gm=gm)
-        except (RangeViolation, CanonDualError):
+            dual_value = gm.value
+        except CanonDualError:
             dual_value = float("nan")
     residual = abs(primal - dual_value) if math.isfinite(dual_value) else float("nan")
 
     try:
-        label = triality.classify(p, x, s, gm=gm).label.value
-    except (NotCritical, CanonDualError):
+        label = triality.classify_pair(gm, x).label.value
+    except CanonDualError:
         label = (
             triality.TrialityLabel.BOUNDARY_DEGENERATE.value
             if status != "interior"
@@ -419,7 +402,7 @@ def _build_report(p: Problem, s: np.ndarray, gm: dual.GapMatrix, status: str,
         )
     return SolveReport(
         x_bar=x,
-        sigma_bar=np.asarray(s, dtype=float),
+        sigma_bar=gm.s,
         primal_value=primal,
         dual_value=dual_value,
         duality_residual=residual,
@@ -540,18 +523,9 @@ def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None,
 
 
 def _perturbation_report(p: Problem, x: np.ndarray, rep: SolveReport, rounds: int) -> SolveReport:
-    gm = dual.assemble_G(p, rep.sigma_bar)
-    report = _build_report(
-        p,
-        rep.sigma_bar,
-        gm,
-        status="perturbation",
-        iterations=rep.iterations,
-        grad_norm=rep.grad_norm,
-        perturb_rounds=rounds,
-        x_override=x,
-    )
-    return report
+    return _build_report(dual.assemble_G(p, rep.sigma_bar), status="perturbation",
+                         iterations=rep.iterations, grad_norm=rep.grad_norm,
+                         perturb_rounds=rounds, x_override=x)
 
 
 # Existence and sweep harnesses ------------------------------------------
@@ -616,10 +590,10 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     for s in found:
         try:
             gm = dual.assemble_G(p, s)
-            val = dual.eval_dual(p, s, gm=gm)
-        except (RangeViolation, CanonDualError):
+            val = gm.value
+        except CanonDualError:
             continue
-        merged.append((s, val, dual.in_S_plus(p, s, gm=gm)))
+        merged.append((s, val, gm.membership))
     merged.sort(key=lambda item: (-item[1], tuple(item[0])))
     out = []
     for s, val, member in merged:

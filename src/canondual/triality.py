@@ -1,5 +1,9 @@
 """Classification of matched critical pairs.
 
+A pair (x, s) is critical when x is stationary for the primal (a sign
+vector, for sign problems), s for the dual, and G(s) x = f pairs them;
+other pairs raise NotCritical.
+
 The sign of G at the dual point decides the branch: a positive semidefinite
 G certifies a global minimizer, a negative definite G splits into the
 double-max case (primal Hessian negative definite, the point is a local
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -67,49 +70,50 @@ def hessian_primal(p: Problem, x) -> np.ndarray:
     return H
 
 
-def _dual_stationarity(p: Problem, x, s, gm: dual.GapMatrix) -> float:
-    """Residual of dual-side stationarity, usable on the boundary.
+def _dual_stationarity(gm: dual.GapMatrix, x: np.ndarray) -> float:
+    """Residual of dual-side stationarity at gm.s, usable on the boundary.
 
-    Interior: norm of the dual gradient.  Singular G: fall back to the
-    canonical balance equations, measure recovery G x = f plus the per-term
-    matching xi_s(x) = dPhi*(varsigma_s) and the per-variable x_i^2 = 1.
-    ``gm`` is G assembled at s.
+    Nonsingular G: norm of the dual gradient.  Singular G: the canonical
+    balance equations, the per-term matching xi_s(x) = dPhi*(varsigma_s)
+    and the per-variable x_i^2 = 1 (``classify_pair`` checks G x = f).
     """
     try:
-        return float(np.linalg.norm(dual.grad_dual(p, s, gm=gm)))
+        return float(np.linalg.norm(gm.grad))
     except SingularG:
         pass
-    varsig, sigma = dual.split_dual(p, s)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    res = float(np.linalg.norm(gm.G @ x - p.f))
-    for varsig_s, idx in zip(varsig, p.dual_terms):
+    p, s = gm.p, gm.s
+    res = 0.0
+    for k, idx in enumerate(p.dual_terms):
         t = p.terms[idx]
-        res = max(res, abs(t.xi(x) - model.conj_grad(t, float(varsig_s))))
-    if sigma is not None:
+        res = max(res, abs(t.xi(x) - model.conj_grad(t, float(s[k]))))
+    if p.is_sign_integer:
         res = max(res, float(np.max(np.abs(x * x - 1.0))))
     return res
 
 
-def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL,
-             gm: Optional[dual.GapMatrix] = None) -> TrialityClass:
-    """Label a critical pair; raises NotCritical on stationarity failure.
+def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL) -> TrialityClass:
+    return classify_pair(dual.assemble_G(p, sigma_bar), x_bar, tol)
 
-    ``gm`` is G already assembled at sigma_bar, if the caller holds it.
-    """
-    x_bar = np.asarray(x_bar, dtype=float).reshape(-1)
-    sigma_bar = np.asarray(sigma_bar, dtype=float).reshape(-1)
+
+def classify_pair(gm: dual.GapMatrix, x_bar, tol: float = DEFAULT_CRIT_TOL) -> TrialityClass:
+    """Label the pair (x_bar, gm.s), critical to tol (1 + |f|), or raise
+    NotCritical."""
+    p = gm.p
+    x_bar = model._as_point(p, x_bar)
     ctol = tol * p.f_scale
 
-    if p.is_sign_integer:
-        primal_res = 0.0 if np.all(np.abs(np.abs(x_bar) - 1.0) <= ctol) else np.inf
-    else:
-        primal_res = float(np.linalg.norm(model.grad_primal(p, x_bar)))
-    gm = gm if gm is not None else dual.assemble_G(p, sigma_bar)
-    dual_res = _dual_stationarity(p, x_bar, sigma_bar, gm)
-    if not (primal_res <= ctol and dual_res <= ctol):  # a NaN residual is not critical
+    # a residual that overflows is inf, and a NaN one is not critical either
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.is_sign_integer:
+            primal_res = 0.0 if np.all(np.abs(np.abs(x_bar) - 1.0) <= ctol) else np.inf
+        else:
+            primal_res = float(np.linalg.norm(model.grad_primal(p, x_bar)))
+        pairing_res = float(np.linalg.norm(gm.G @ x_bar - p.f))
+        dual_res = _dual_stationarity(gm, x_bar)
+    if not (primal_res <= ctol and dual_res <= ctol and pairing_res <= ctol):
         raise NotCritical(
-            f"stationarity residuals (primal {primal_res:.3e}, dual {dual_res:.3e}) "
-            f"exceed tolerance {ctol:.3e}"
+            f"stationarity residuals (primal {primal_res:.3e}, dual {dual_res:.3e}, "
+            f"pairing {pairing_res:.3e}) exceed tolerance {ctol:.3e}"
         )
 
     gtol = gm.tol
@@ -135,7 +139,7 @@ def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL,
         htol = 1e-8 * (1.0 + float(np.linalg.norm(Hp, "fro")))
         evidence["primal_hessian_eigvals"] = [float(v) for v in hw]
         if hw[-1] < -htol:
-            evidence["dual_hessian_eigvals"] = _dual_hess_eigs(p, sigma_bar)
+            evidence["dual_hessian_eigvals"] = _dual_hess_eigs(p, gm.s)
             return TrialityClass(TrialityLabel.LOCAL_MAX, dims_equal, evidence)
         if hw[0] > htol:
             if dims_equal:

@@ -155,6 +155,33 @@ def test_classify_noncritical_pair_fails(tmp_path):
     assert res.stdout == "" and "error:" in res.stderr
 
 
+# Each pair is stationary on both sides but does not pair, G(sigma) x != f,
+# or has the wrong length: the well's local minimum x with the global
+# minimum's sigma and the local maximum's sigma with the global x, and the
+# qip's non-optimal sign vector (objective -2) against the optimum's sigma.
+@pytest.mark.parametrize("doc, x, sigma", [
+    ("dw", "-1.8608058531117035", "0.23641695449762776"),
+    ("dw", "2.114907541476756", "-1.9677161659850149"),
+    ("qip", "1,1", "2,0.5"),
+    ("qip", "1", "2,0.5"),
+    ("qip", "-1,-1,1", "2,0.5"),
+])
+def test_classify_refuses_a_pair_that_does_not_pair(tmp_path, doc, x, sigma):
+    path = write(tmp_path, f"{doc}.json", DW if doc == "dw" else QIP)
+    res = run_cli("classify", path, "--x", x, "--sigma", sigma)
+    assert res.returncode == 1
+    assert res.stdout == "" and "error:" in res.stderr
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0.2,0.3", "1e308"])
+def test_classify_refuses_a_bad_dual_point(tmp_path, sigma):
+    res = run_cli("classify", write(tmp_path, "dw.json", DW), "--x", "2", "--sigma", sigma)
+    assert res.returncode == 1
+    assert res.stdout == "" and res.stderr.startswith("error:")
+    # an overflowing residual is not critical, and warns of nothing
+    assert "Warning" not in res.stderr
+
+
 def test_oracle_enumeration(tmp_path):
     res = run_cli("oracle", write(tmp_path, "q.json", QIP))
     assert res.returncode == 0

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from canondual import dual, model, oracle
+from canondual import dual, model, oracle, solver, triality
 from canondual.dual import Membership
-from canondual.errors import RangeViolation, SingularG
+from canondual.errors import CanonDualError, DimensionMismatch, InvalidMatrix, RangeViolation, SingularG
 from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 
-from conftest import WELL_S1, WELL_X1, double_well, random_problem
+from conftest import WELL_S1, WELL_X1, double_well, random_problem, random_qip
 
 QIP2 = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([3.0, 0.0]))
 
@@ -19,6 +21,59 @@ def test_assemble_G_qip_substitution():
     p = QIP2.to_problem()
     gm = dual.assemble_G(p, [2.0, 0.5])
     assert np.allclose(gm.G, [[4.0, 1.0], [1.0, 1.0]], atol=1e-12)
+
+
+def test_assemble_G_checks_the_point_and_refuses_a_nonfinite_G():
+    two_wells = Problem(n=1, terms=[CanonicalTerm(TermKind.QUARTIC, np.eye(1), 1.0, -2.0)] * 2,
+                        f=np.array([0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is refused, not warned about
+        # each coordinate is finite, their sum in G overflows
+        with pytest.raises(InvalidMatrix):
+            dual.assemble_G(two_wells, [1e308, 1e308])
+        with pytest.raises(InvalidMatrix):
+            dual.assemble_G(QIP2.to_problem(), [np.inf, 1.0])
+    with pytest.raises(DimensionMismatch):
+        dual.assemble_G(two_wells, [1.0])
+    assert np.isfinite(dual.assemble_G(two_wells, [1e307, 1e307]).G).all()
+
+
+def _symmetry_problems(rng):
+    problems = [random_problem(rng) for _ in range(12)]
+    problems += [random_qip(rng, n).to_problem() for n in (3, 6, 9)]
+    factor = rng.standard_normal((2, 3))
+    problems.append(Problem(n=3, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.eye(3), 1.0),
+                                        CanonicalTerm(TermKind.QUARTIC, factor, 0.7, -0.5)],
+                            f=rng.standard_normal(3), variables=Variables.SIGN_INTEGER))
+    problems.append(solver._perturbed_problem(problems[0], 0.1, rng.standard_normal(problems[0].n)))
+    return problems
+
+
+def test_package_matrices_are_exactly_symmetric(rng):
+    # linalg.eigh takes them as they are: no check and no symmetrization
+    for p in _symmetry_problems(rng):
+        for _ in range(5):
+            G = dual.operator(p, rng.standard_normal(p.dual_dim))
+            assert np.array_equal(G, G.T)
+    base = rng.standard_normal((7, 5))
+    for factor in (base, np.asfortranarray(base), base[::2, ::-1], base.T[1::2].T):
+        Q = CanonicalTerm(TermKind.QUARTIC, factor, 1.0).Q
+        assert np.array_equal(Q, Q.T)
+
+
+def test_primal_hessian_is_exactly_symmetric_at_report_points(rng):
+    checked = 0
+    for p in _symmetry_problems(rng):
+        if p.is_sign_integer:
+            continue
+        try:
+            rep = solver.solve_dual(p)
+        except CanonDualError:
+            continue
+        H = triality.hessian_primal(p, rep.x_bar)
+        assert np.array_equal(H, H.T)
+        checked += 1
+    assert checked >= 8
 
 
 def test_assemble_G_double_well_scalar():

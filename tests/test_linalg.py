@@ -29,11 +29,14 @@ def test_eigh_offdiagonal_closed_form():
     assert np.allclose(d.eigvals, [-1.0, 1.0], atol=1e-12)
 
 
-def test_eigh_rejects_nonfinite():
+def test_check_symmetric_rejects_nonfinite():
+    # eigh trusts the package's own matrices; outside ones are checked on entry
     with pytest.raises(InvalidMatrix):
-        linalg.eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        linalg.check_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InvalidMatrix):
-        linalg.eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        linalg.check_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(InvalidMatrix):
+        linalg.psd_classify(np.array([[4.0, 1.0], [1.0, np.nan]]))
 
 
 def test_eigh_invariants_random_corpus():

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from canondual import dual, model, oracle, solver, triality
-from canondual.errors import NotCritical
+from canondual.errors import DimensionMismatch, InvalidMatrix, NotCritical
+from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind
 from canondual.triality import TrialityLabel
 
-from conftest import WELL_S1, WELL_S2, WELL_S3, double_well, random_problem
+from conftest import WELL_S1, WELL_S2, WELL_S3, WELL_X1, double_well, random_problem
 
 
 def pair_for(p, s):
@@ -51,6 +54,35 @@ def test_classify_rejects_noncritical_pair():
     # a NaN residual compares false against the tolerance, and is not critical
     with pytest.raises(NotCritical):
         triality.classify(p, [np.nan], [WELL_S1])
+
+
+def test_classify_rejects_a_pair_that_does_not_pair():
+    # each side is stationary, but G(sigma) x != f: the well's local minimum
+    # with the global dual root, the global minimum with the local maximum's
+    well = double_well(0.5)
+    x2 = dual.recover_x(well, [WELL_S2])
+    for x, s in ((x2, [WELL_S1]), ([WELL_X1], [WELL_S3])):
+        with pytest.raises(NotCritical, match="pairing"):
+            triality.classify(well, x, s)
+    # the README qip: x = (1, 1) is a sign vector with objective -2, the
+    # optimum is (1, -1) at -4, and sigma = (2, 0.5) pairs only with it
+    qip = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([3.0, 0.0])).to_problem()
+    assert triality.classify(qip, [1.0, -1.0], [2.0, 0.5]).label is TrialityLabel.GLOBAL_MIN
+    with pytest.raises(NotCritical, match="pairing"):
+        triality.classify(qip, [1.0, 1.0], [2.0, 0.5])
+    for x in ([1.0], [-1.0, -1.0, 1.0]):
+        with pytest.raises(DimensionMismatch):
+            triality.classify(qip, x, [2.0, 0.5])
+
+
+def test_classify_checks_the_dual_point_where_it_enters():
+    well = double_well(0.5)
+    for s, error in (([np.nan], InvalidMatrix), ([np.inf], InvalidMatrix),
+                     ([0.2, 0.3], DimensionMismatch), ([1e308], NotCritical)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing residual is inf, silently
+            with pytest.raises(error):
+                triality.classify(well, [2.0], s)
 
 
 def test_local_min_weakens_to_unclassified_when_dims_differ():
