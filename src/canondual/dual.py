@@ -90,16 +90,9 @@ class GapMatrix:
     def is_singular(self) -> bool:
         return bool(np.min(np.abs(self.decomp.eigvals)) <= self.tol)
 
-    def apply_pinv(self, b: np.ndarray) -> np.ndarray:
-        w, v = self.decomp
-        cutoff = linalg.DEFAULT_RANK_TOL * np.max(np.abs(w)) if w.size else 0.0
-        coeff = v.T @ b
-        inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-        return v @ (coeff * inv)
-
     @cached_property
     def pinv_f(self) -> np.ndarray:
-        return self.apply_pinv(self.p.f)
+        return linalg.apply_pinv(self.decomp, self.p.f)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -351,14 +344,6 @@ def factor_point(p: Problem, s, cholesky: bool = True) -> Optional[DualPoint]:
     except (np.linalg.LinAlgError, DomainViolation):
         return None
     return point if cholesky or np.all(np.isfinite(point.x)) else None
-
-
-def zero_gap_residuals(p: Problem, x, s) -> tuple:
-    """(|Pi - Pi_d| , |Xi - Pi|) at a candidate pair, both unnormalized."""
-    pi = model.eval_primal(p, x)
-    pid = eval_dual(p, s)
-    xi_val = eval_Xi(p, x, s)
-    return abs(pi - pid), abs(xi_val - pi)
 
 
 @dataclass

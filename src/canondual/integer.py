@@ -88,14 +88,6 @@ class QipReport:
         }
 
 
-def sign_round(x) -> tuple:
-    """Componentwise signs with zeros broken toward +1; flags whether any
-    component was an exact zero."""
-    x = np.asarray(x, dtype=float)
-    signs = np.where(x >= 0.0, 1.0, -1.0)
-    return signs, bool(np.any(x == 0.0))
-
-
 def qip_dual_solve(inst: QipInstance, cfg: Optional[solver.SolverConfig] = None) -> QipReport:
     """Barrier maximization of the relaxed dual with perturbation fallback.
 
@@ -123,7 +115,7 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
     if report is not None and report.status == "interior":
         x = report.x_bar
         if float(np.max(np.abs(np.abs(x) - 1.0))) <= SNAP_TOL:
-            x_star, _ = sign_round(x)
+            x_star = solver.sign_round(x)
             value = objective(x_star)
             if abs(value - report.dual_value) <= CERT_TOL * (1.0 + abs(value)):
                 return QipReport(
@@ -140,7 +132,7 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
     except (EmptyInterior, MaxIterations):
         rep = None
     if rep is not None:
-        x_star, _ = sign_round(rep.x_bar)
+        x_star = solver.sign_round(rep.x_bar)
         dual_value = rep.dual_value
         return QipReport(
             x_star=x_star,
@@ -153,7 +145,7 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
 
     x_star = np.ones(p.n)
     if report is not None:
-        x_star, _ = sign_round(report.x_bar)
+        x_star = solver.sign_round(report.x_bar)
     return QipReport(
         x_star=x_star,
         sigma_star=np.asarray(report.sigma_bar) if report is not None else np.zeros(p.dual_dim),

@@ -276,14 +276,6 @@ class CoordinateRows:
         return np.add.reduceat(a, self.starts, axis=axis)
 
 
-@dataclass(frozen=True)
-class CanonicalValue:
-    """Per-term measure values xi and mapped dual values sigma at a point."""
-
-    xi: np.ndarray
-    sigma: np.ndarray
-
-
 def eval_primal(p: Problem, x) -> float:
     x = _as_point(p, x)
     total = -float(x @ p.f)
@@ -317,13 +309,6 @@ def grad_primal(p: Problem, x, dtype=np.float64) -> np.ndarray:
         w = t.alpha if t.kind is TermKind.PLAIN_QUADRATIC else t.phi_grad(0.5 * (v @ v))
         g = g + w * (D.T @ v)
     return g
-
-
-def canonical_values(p: Problem, x) -> CanonicalValue:
-    x = _as_point(p, x)
-    xi = np.array([t.xi(x) for t in p.terms])
-    sigma = np.array([t.phi_grad(xi_s) for t, xi_s in zip(p.terms, xi)])
-    return CanonicalValue(xi=xi, sigma=sigma)
 
 
 def dual_map(p: Problem, x) -> np.ndarray:
@@ -449,23 +434,6 @@ def load_problem(text) -> Problem:
         except DomainViolation as exc:
             raise SchemaError(path, str(exc)) from None
     return Problem(n=n, terms=terms, f=np.array(f), variables=variables)
-
-
-def problem_to_dict(p: Problem) -> dict:
-    return {
-        "n": p.n,
-        "variables": p.variables.value,
-        "f": [float(v) for v in p.f],
-        "terms": [
-            {
-                "kind": t.kind.value,
-                "alpha": float(t.alpha),
-                "beta": float(t.beta),
-                "factor": [[float(v) for v in row] for row in t.factor],
-            }
-            for t in p.terms
-        ],
-    }
 
 
 def _decode(text):

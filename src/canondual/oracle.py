@@ -24,6 +24,9 @@ from .model import CanonicalTerm, Problem, TermKind
 ENUM_MAX_N = 24
 ENUM_BLOCK = 1 << 20  # objective values held at once by enumerate_signs
 GRID_MAX_N = 6
+GRID_MAX_SAMPLES = 1 << 20  # grid points grid_multistart evaluates at most
+MULTISTART_SAMPLES = 256  # random starts of grid_multistart above GRID_MAX_N
+LEGENDRE_SPAN = 6.0  # legendre_check scans xi +- LEGENDRE_SPAN (1 + |xi|)
 
 
 @dataclass
@@ -100,23 +103,30 @@ def _sign_objective(X: np.ndarray, Q: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def grid_multistart(p: Problem, box, grid_points: int = 21, local_refine: bool = True,
-                    seed: int = 0, n_multistart: int = 256) -> OracleResult:
+                    seed: int = 0) -> OracleResult:
     """Best primal value over a full grid (n <= 6) or random multistart.
 
     The box is either a single (lo, hi) pair applied to every coordinate or a
     sequence of per-coordinate pairs.  With local_refine the best candidates
     are polished by backtracking gradient descent, so the reported value is
     an upper bound on the true minimum that tightens with the sample budget.
+    A grid of more than GRID_MAX_SAMPLES points raises TooLarge before
+    anything is allocated.
     """
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     lo, hi = _box_arrays(p.n, box)
     if p.n <= GRID_MAX_N:
+        if int(grid_points) ** p.n > GRID_MAX_SAMPLES:
+            raise TooLarge(f"a grid of {grid_points}^{p.n} points exceeds the "
+                           f"{GRID_MAX_SAMPLES}-point budget")
         axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(p.n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
         method = "grid"
     else:
         rng = np.random.default_rng(seed)
-        X = lo + (hi - lo) * rng.random((n_multistart, p.n))
+        X = lo + (hi - lo) * rng.random((MULTISTART_SAMPLES, p.n))
         method = "multistart"
     vals = model.eval_primal_batch(p, X)
     finite = np.isfinite(vals)
@@ -226,7 +236,7 @@ class LegendreReport:
 
 
 def legendre_check(t: CanonicalTerm, xi_samples: Sequence[float],
-                   grid_points: int = 20001, span_factor: float = 6.0) -> LegendreReport:
+                   grid_points: int = 20001) -> LegendreReport:
     """Re-derive the conjugate of one term from first principles.
 
     For each sample xi the duality map gives sigma = Phi'(xi) and the pairing
@@ -243,7 +253,7 @@ def legendre_check(t: CanonicalTerm, xi_samples: Sequence[float],
         res = abs(t.phi(xi) + model.conj_value(t, sigma) - xi * sigma)
         max_res = max(max_res, res)
 
-        span = span_factor * (1.0 + abs(xi))
+        span = LEGENDRE_SPAN * (1.0 + abs(xi))
         lo = max(1e-12, xi - span) if t.kind is TermKind.XLOGX else xi - span
         grid = np.linspace(lo, xi + span, grid_points)
         vals = grid * sigma - t.phi_batch(grid)

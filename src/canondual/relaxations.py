@@ -97,7 +97,7 @@ def schur_psd_check(G, f, g: float, tol: float = 1e-8) -> bool:
     decomp = linalg.eigh(G)
     if decomp.eigvals[0] < -tol * scale:
         return False
-    x = linalg.pinv_from_decomp(decomp) @ f
+    x = linalg.apply_pinv(decomp, f)
     if float(np.linalg.norm(G @ x - f)) > tol * scale:
         return False
     return 2.0 * g >= float(f @ x) - tol * scale

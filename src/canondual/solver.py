@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional, Sequence
@@ -69,6 +70,8 @@ _MU_FLOOR = 1e-12
 # objective over mu is then at most 1/2.
 _CENTERING = 0.25
 _FEAS_MARGIN = 1e-7
+# fc_sweep counts two stationary points as one cluster within this distance
+CLUSTER_RADIUS = 1e-5
 
 
 @dataclass
@@ -109,6 +112,8 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"solver config must be a JSON object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
@@ -444,8 +449,9 @@ def _perturbed_problem(p: Problem, delta: float, anchor: np.ndarray) -> Problem:
                    variables=p.variables)
 
 
-def _snap_signs(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0, -1.0)
+def sign_round(x) -> np.ndarray:
+    """Componentwise signs, with zeros broken toward +1."""
+    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 def _draw_anchor(p: Problem, rng: np.random.Generator) -> np.ndarray:
@@ -498,7 +504,7 @@ def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None,
             anchor = _draw_anchor(p, rng)
             delta = max(delta * cfg.perturb_shrink, 1e-14)
             continue
-        x_new = _snap_signs(rep.x_bar) if p.is_sign_integer else rep.x_bar
+        x_new = sign_round(rep.x_bar) if p.is_sign_integer else rep.x_bar
         value = model.eval_primal(p, x_new)
         improved = best is None or value < best[0] - 1e-12
         if improved:
@@ -667,7 +673,7 @@ class FcSweepResult:
 
 def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
              cfg: Optional[SolverConfig] = None, n_starts: int = 12,
-             cluster_radius: float = 1e-5, threads: int = 1) -> FcSweepResult:
+             threads: int = 1) -> FcSweepResult:
     """Uniqueness-versus-input-magnitude sweep.
 
     For each magnitude the input is magnitude * direction and the dual
@@ -700,7 +706,7 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
         boundary = outcome != "interior"
         clusters = []
         for s, _, _ in points:
-            if all(np.linalg.norm(s - c) > cluster_radius for c in clusters):
+            if all(np.linalg.norm(s - c) > CLUSTER_RADIUS for c in clusters):
                 clusters.append(s)
         unique = (len(clusters) == 1) and not boundary
         return FcRow(magnitude=m, clusters=[list(map(float, c)) for c in clusters],

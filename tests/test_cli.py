@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -113,6 +114,41 @@ def test_report_bytes_deterministic(tmp_path):
     assert run_cli(*sweep_args).stdout == run_cli(*sweep_args).stdout
 
 
+# the two problem files of the README, as written there
+README_WELL = {
+    "n": 1,
+    "variables": "continuous",
+    "f": [0.5],
+    "terms": [{"kind": "quartic", "alpha": 1.0, "beta": -2.0, "factor": [[1.0]]}],
+}
+README_QIP = {"qip": {"Q": [[0, 1], [1, 0]], "f": [3, 0]}}
+
+
+@pytest.mark.parametrize("doc, args, digest", [
+    (README_WELL, ("solve",),
+     "fd9591fc0683ef1deb96bebf468993bfd55ee9642ec6f2b5f0dc0c170d30bbd2"),
+    (README_QIP, ("solve",),
+     "dd0c51d09377f1d7fa0cbac0b0f2c9505efebd7683139d7d553e0c85c14ffb7d"),
+    (README_WELL, ("classify", "--x", "2.1149", "--sigma", "0.2364", "--tol", "1e-3"),
+     "9fca366801ce2e111dcc1fe45c565d0a89c5b69bbe79ac4e0c3759f5bfc7fb6d"),
+], ids=["solve-well", "solve-qip", "classify-well"])
+def test_readme_command_bytes_are_pinned(tmp_path, doc, args, digest):
+    # a report must stay byte-identical across changes, not only between runs
+    res = run_cli(args[0], write(tmp_path, "doc.json", doc), *args[1:])
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, res.stdout
+
+
+@pytest.mark.parametrize("config", ["null", "5", '[["seed", 1]]'],
+                         ids=["null", "number", "pairs"])
+def test_config_file_that_is_not_an_object_exits_one(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    res = run_cli("solve", write(tmp_path, "dw.json", DW), "--config", str(path))
+    assert res.returncode == 1
+    assert res.stdout == "" and res.stderr.startswith("error:")
+
+
 def test_classify_pipeline_consistency(tmp_path):
     dw = write(tmp_path, "dw.json", DW)
     solved = json.loads(run_cli("solve", dw).stdout)["payload"]["report"]
@@ -188,6 +224,12 @@ def test_oracle_enumeration(tmp_path):
     payload = json.loads(res.stdout)["payload"]["oracle"]
     assert payload["best_value"] == -4.0
     assert payload["best_x"] == [1.0, -1.0]
+
+
+def test_oracle_grid_needs_a_point(tmp_path):
+    res = run_cli("oracle", write(tmp_path, "dw.json", DW), "--points", "0")
+    assert res.returncode == 1
+    assert res.stdout == "" and res.stderr.startswith("error:")
 
 
 def test_plotdata_shape_and_primal_column(tmp_path):

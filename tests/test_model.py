@@ -54,6 +54,7 @@ def test_positivity_when_well_bottom_is_zero():
     t = CanonicalTerm(TermKind.QUARTIC, rng.standard_normal((3, 3)), 0.7, -1.0)
     p = Problem(n=3, terms=[t], f=np.zeros(3))
     X = rng.standard_normal((500, 3)) * 2.0
+    assert np.min(t.xi_batch(X)) >= 0.0  # the measure domain
     assert np.min(model.eval_primal_batch(p, X)) >= -1e-12
 
 
@@ -64,6 +65,8 @@ def test_conj_value_quartic_consistent_with_pairing():
     # Phi(xi) = 0.5(xi - 2)^2; at xi = 3 the map gives sigma = 1 and the
     # pairing forces Phi*(1) = xi*sigma - Phi(xi) = 3 - 0.5 = 2.5.
     t = term(TermKind.QUARTIC, alpha=1.0, beta=-2.0)
+    assert t.phi_grad(3.0) == 1.0
+    assert term(TermKind.PLAIN_QUADRATIC, alpha=-1.1).phi_grad(0.7) == 1.0  # unit slope
     assert model.conj_value(t, 1.0) == pytest.approx(2.5, abs=1e-12)
     assert model.conj_grad(t, 1.0) == pytest.approx(3.0, abs=1e-12)
 
@@ -192,23 +195,3 @@ def test_load_problem_beta_only_for_quartic():
     doc["terms"][0]["kind"] = "exponential"
     with pytest.raises(SchemaError):
         model.load_problem(doc)
-
-
-def test_problem_roundtrip_dict():
-    p = model.load_problem(MINIMAL_DOC)
-    again = model.load_problem(model.problem_to_dict(p))
-    assert model.eval_primal(again, [1.3]) == model.eval_primal(p, [1.3])
-
-
-def test_canonical_values_nonnegative_measures(rng):
-    terms = [
-        CanonicalTerm(TermKind.PLAIN_QUADRATIC, rng.standard_normal((2, 3)), -1.1),
-        CanonicalTerm(TermKind.QUARTIC, rng.standard_normal((3, 3)), 0.9, -0.4),
-        CanonicalTerm(TermKind.EXPONENTIAL, rng.standard_normal((3, 3)), 1.4),
-    ]
-    p = Problem(n=3, terms=terms, f=np.zeros(3))
-    for _ in range(10):
-        cv = model.canonical_values(p, rng.standard_normal(3))
-        assert cv.xi[1] >= 0.0 and cv.xi[2] >= 0.0
-        assert cv.sigma[0] == 1.0  # plain kind has constant unit slope
-        assert cv.sigma[1] == pytest.approx(0.9 * (cv.xi[1] - 0.4))

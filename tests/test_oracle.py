@@ -128,6 +128,18 @@ def test_grid_convex_instance_matches_closed_form(rng):
     assert np.allclose(res.best_x, expected, atol=1e-6)
 
 
+def test_grid_sample_budget(monkeypatch):
+    p = double_well(0.5)
+    p2 = Problem(n=2, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.eye(2), 1.0)],
+                 f=np.zeros(2))
+    monkeypatch.setattr(oracle, "GRID_MAX_SAMPLES", 9)
+    assert oracle.grid_multistart(p2, (-1.0, 1.0), grid_points=3).samples == 9
+    with pytest.raises(TooLarge):
+        oracle.grid_multistart(p2, (-1.0, 1.0), grid_points=4)
+    with pytest.raises(ValueError):
+        oracle.grid_multistart(p, (-1.0, 1.0), grid_points=0)
+
+
 def test_multistart_used_above_grid_cap(rng):
     p = Problem(n=7, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC,
                                           np.eye(7), 1.0)], f=np.zeros(7))

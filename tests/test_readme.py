@@ -1,11 +1,14 @@
-"""The README's library snippet runs as written and does what its comments say."""
+"""The README's library snippet runs as written and does what its comments
+say, and every name the README or the package exports resolves."""
 
 import ast
 import re
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
+import canondual
 from canondual.triality import TrialityLabel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +37,15 @@ def test_readme_library_snippet():
     exact = values["enumerate_signs"]
     assert np.array_equal(exact.best_x, qip.x_star)
     assert exact.best_value == qip.objective == -4.0
+
+
+def test_documented_names_resolve():
+    missing = [name for name in canondual.__all__ if not hasattr(canondual, name)]
+    # `module.name` in the README's prose, for the package's own modules
+    cited = {(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)", README.read_text())
+             if isinstance(getattr(canondual, mod, None), ModuleType)}
+    assert {("solver", "fc_sweep"), ("solver", "existence_check"),
+            ("relaxations", "sdpa_data"), ("relaxations", "build_rlt")} <= cited
+    missing += [f"{mod}.{name}" for mod, name in sorted(cited)
+                if not hasattr(getattr(canondual, mod), name)]
+    assert missing == []
