@@ -1,7 +1,19 @@
 """Command line interface.
 
-Subcommands: solve, classify, oracle, export, sweep, plotdata.  Reports are
-single JSON documents on stdout (sorted keys, compact separators) so the
+Subcommands: solve, classify, oracle, export, sweep, plotdata.  ``main``
+loads the solver config and the problem document once, runs the
+subcommand's handler on them, and emits its report; a handler returns the
+payload and the exit code, and plotdata writes its TSV itself.  Each
+subcommand declares only the flags it reads:
+
+    solve, sweep  --tol --max-iter --seed --config --pretty (and their own)
+    classify      --tol --pretty
+    oracle        --seed --pretty
+    export        --pretty
+    plotdata      none
+
+Reports are single JSON documents on stdout (sorted keys, compact
+separators), the payload's dataclasses serialized field by field, so the
 same seed and flags reproduce the bytes exactly; human-readable rendering,
 including wall time, sits behind --pretty.  Exit codes separate certified
 answers from heuristic ones:
@@ -19,12 +31,13 @@ import dataclasses
 import json
 import sys
 import time
+from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from . import __version__, dual, integer, model, oracle, relaxations, solver, triality
-from .errors import CanonDualError, EmptyInterior, MaxIterations, TooLarge
+from .errors import CanonDualError, EmptyInterior, MaxIterations
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,11 +73,31 @@ def main(argv: Optional[list] = None) -> int:
         # argparse exits 0 after --help and 2 on a usage error, which it has
         # already printed to stderr; 2 here means a heuristic answer
         return EXIT_OK if not exc.code else EXIT_INPUT
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        cfg = _load_config(args)
+        p, qip = _load_document(args.problem)
+        payload, code = args.handler(args, cfg, p, qip)
+        if payload is not None:
+            _emit(args, cfg, payload, started)
+        return code
     except (CanonDualError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+# The flags that more than one subcommand reads.  Any flag whose dest names
+# a SolverConfig field (these and solve's --delta0) overrides that field of
+# the config; classify's --tol too, as the report's config block records it.
+_SHARED_FLAGS = {
+    "--tol": dict(dest="grad_tol", type=float,
+                  help="gradient tolerance (classify: stationarity tolerance of the pair)"),
+    "--max-iter": dict(dest="max_outer", type=int, help="outer iteration cap"),
+    "--seed": dict(type=int, help="random seed"),
+    "--config": dict(help="solver config JSON file"),
+    "--pretty": dict(action="store_true", help="human-readable rendering with timing"),
+}
+_SOLVER_FLAGS = ("--tol", "--max-iter", "--seed", "--config", "--pretty")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,60 +105,44 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="dual solvers and oracles for canonical problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help, flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("problem", help="path to a JSON problem file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="gradient tolerance (classify: stationarity tolerance of the pair)")
-        p.add_argument("--max-iter", type=int, default=None, help="outer iteration cap")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--config", default=None, help="solver config JSON file")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="pretty", action="store_false", default=False,
-                         help="machine-readable JSON report (default)")
-        fmt.add_argument("--pretty", dest="pretty", action="store_true",
-                         help="human-readable rendering with timing")
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_solve = sub.add_parser("solve", help="run the dual solver")
-    common(p_solve)
+    p_solve = command("solve", _cmd_solve, "run the dual solver", _SOLVER_FLAGS)
     p_solve.add_argument("--perturb", action="store_true",
                          help="allow the perturbation rounds on degeneracy")
-    p_solve.add_argument("--delta0", type=float, default=None,
+    p_solve.add_argument("--delta0", dest="perturb_delta0", type=float,
                          help="initial perturbation weight")
-    p_solve.set_defaults(handler=_cmd_solve)
 
-    p_cls = sub.add_parser("classify", help="classify a critical pair")
-    common(p_cls)
+    p_cls = command("classify", _cmd_classify, "classify a critical pair", ("--tol", "--pretty"))
     p_cls.add_argument("--x", required=True, help="comma-separated primal point")
     p_cls.add_argument("--sigma", required=True, help="comma-separated dual point")
-    p_cls.set_defaults(handler=_cmd_classify)
 
-    p_or = sub.add_parser("oracle", help="ground-truth search")
-    common(p_or)
+    p_or = command("oracle", _cmd_oracle, "ground-truth search", ("--seed", "--pretty"))
     p_or.add_argument("--box", default="-4:4", help="search box lo:hi for continuous problems")
-    p_or.add_argument("--points", type=int, default=21, help="grid points per axis")
+    p_or.add_argument("--points", type=int,
+                      help="grid points per axis (default 21, fewer where the grid budget needs)")
     p_or.add_argument("--no-refine", action="store_true", help="skip local polishing")
-    p_or.set_defaults(handler=_cmd_oracle)
 
-    p_exp = sub.add_parser("export", help="write a relaxation file")
-    common(p_exp)
+    p_exp = command("export", _cmd_export, "write a relaxation file", ("--pretty",))
     p_exp.add_argument("--format", required=True, choices=["sdpa", "lp"])
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--box", default=None,
                        help="box lo:hi for the lp relaxation of a non-qip problem (default -1:1)")
-    p_exp.set_defaults(handler=_cmd_export)
 
-    p_sweep = sub.add_parser("sweep", help="input-magnitude uniqueness sweep")
-    common(p_sweep)
+    p_sweep = command("sweep", _cmd_sweep, "input-magnitude uniqueness sweep", _SOLVER_FLAGS)
     p_sweep.add_argument("--direction", required=True, help="comma-separated direction")
     p_sweep.add_argument("--grid", required=True, help="comma-separated magnitudes")
     p_sweep.add_argument("--threads", type=int, default=1,
                          help="worker threads for the grid solves (default 1)")
-    p_sweep.set_defaults(handler=_cmd_sweep)
 
-    p_plot = sub.add_parser("plotdata", help="primal and dual curve samples as TSV")
-    common(p_plot)
+    p_plot = command("plotdata", _cmd_plotdata, "primal and dual curve samples as TSV", ())
     p_plot.add_argument("--range", dest="range_spec", required=True, help="a:b:steps")
-    p_plot.set_defaults(handler=_cmd_plotdata)
     return parser
 
 
@@ -135,23 +152,30 @@ def _load_config(args) -> solver.SolverConfig:
             cfg = solver.SolverConfig.from_json(fh.read())
     else:
         cfg = solver.SolverConfig()
-    flags = {"grad_tol": args.tol, "max_outer": args.max_iter, "seed": args.seed,
-             "perturb_delta0": getattr(args, "delta0", None)}
+    flags = {f.name: v for f in dataclasses.fields(cfg)
+             if (v := getattr(args, f.name, None)) is not None}
     # replace() reruns SolverConfig's validation on the flag values
-    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    return dataclasses.replace(cfg, **flags)
 
 
-def _load_document(path):
+def _load_document(path) -> tuple:
+    """(problem, qip): a qip document gives its QipInstance and the problem
+    it converts to, any other document its problem and None."""
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "qip" in doc:
-        return integer.load_qip(doc)
-    return model.load_problem(doc)
+        qip = integer.load_qip(doc)
+        return qip.to_problem(), qip
+    return model.load_problem(doc), None
 
 
 def _to_jsonable(obj):
     # json.dumps renders non-finite floats as NaN/Infinity literals, which is
     # deterministic and accepted back by json.loads
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -167,13 +191,9 @@ def _to_jsonable(obj):
     return obj
 
 
-def _emit(args, command: str, config: dict, payload: dict, started: float) -> None:
-    report = {
-        "command": command,
-        "config": _to_jsonable(config),
-        "payload": _to_jsonable(payload),
-        "version": __version__,
-    }
+def _emit(args, cfg: solver.SolverConfig, payload: dict, started: float) -> None:
+    report = _to_jsonable({"command": args.command, "config": cfg, "payload": payload,
+                           "version": __version__})
     if args.pretty:
         elapsed_ms = (time.perf_counter() - started) * 1e3
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -182,78 +202,44 @@ def _emit(args, command: str, config: dict, payload: dict, started: float) -> No
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _cmd_solve(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args)
-    loaded = _load_document(args.problem)
-    if isinstance(loaded, integer.QipInstance) or loaded.is_sign_integer:
-        if isinstance(loaded, integer.QipInstance):
-            report = integer.qip_dual_solve(loaded, cfg)
-        else:
-            report = integer.sign_problem_solve(loaded, cfg)
-        payload = {"kind": "qip", "report": report.to_dict()}
-        _emit(args, "solve", cfg.to_dict(), payload, started)
-        if report.certificate == "dual_certified":
-            return EXIT_OK
-        return EXIT_HEURISTIC if report.certificate == "perturbation_only" else EXIT_FAILED
+def _floats(spec: str) -> np.ndarray:
+    return np.array([float(tok) for tok in spec.split(",")])
 
-    p = loaded
+
+def _cmd_solve(args, cfg, p, qip) -> tuple:
+    if qip is not None or p.is_sign_integer:
+        report = (integer.qip_dual_solve(qip, cfg) if qip is not None
+                  else integer.sign_problem_solve(p, cfg))
+        code = {"dual_certified": EXIT_OK, "perturbation_only": EXIT_HEURISTIC}
+        return {"kind": "qip", "report": report}, code.get(report.certificate, EXIT_FAILED)
+
     try:
-        if args.perturb:
+        try:
+            rep = solver.perturbed_solve(p, cfg) if args.perturb else solver.solve_dual(p, cfg)
+        except EmptyInterior:
+            if args.perturb:
+                raise
             rep = solver.perturbed_solve(p, cfg)
-        else:
-            rep = solver.solve_dual(p, cfg)
     except (EmptyInterior, MaxIterations) as exc:
-        if not args.perturb and isinstance(exc, EmptyInterior):
-            try:
-                rep = solver.perturbed_solve(p, cfg)
-            except (EmptyInterior, MaxIterations) as exc2:
-                _emit(args, "solve", cfg.to_dict(), {"kind": "continuous", "error": str(exc2)},
-                      started)
-                return EXIT_FAILED
-        else:
-            _emit(args, "solve", cfg.to_dict(), {"kind": "continuous", "error": str(exc)}, started)
-            return EXIT_FAILED
-    payload = {"kind": "continuous", "report": rep.to_dict()}
-    _emit(args, "solve", cfg.to_dict(), payload, started)
-    if rep.status == "interior" and rep.triality_class == triality.TrialityLabel.GLOBAL_MIN.value:
-        return EXIT_OK
-    return EXIT_HEURISTIC
+        return {"kind": "continuous", "error": str(exc)}, EXIT_FAILED
+    certified = (rep.status == "interior"
+                 and rep.triality_class == triality.TrialityLabel.GLOBAL_MIN.value)
+    return {"kind": "continuous", "report": rep}, EXIT_OK if certified else EXIT_HEURISTIC
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args)
-    loaded = _load_document(args.problem)
-    p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
-    x = np.array([float(tok) for tok in args.x.split(",")])
-    s = np.array([float(tok) for tok in args.sigma.split(",")])
-    tol = triality.DEFAULT_CRIT_TOL if args.tol is None else args.tol
-    result = triality.classify(p, x, s, tol=tol)  # NotCritical exits 1 in main
-    _emit(args, "classify", cfg.to_dict(), {"classification": result.to_dict()}, started)
-    return EXIT_OK
+def _cmd_classify(args, cfg, p, qip) -> tuple:
+    tol = triality.DEFAULT_CRIT_TOL if args.grad_tol is None else args.grad_tol
+    result = triality.classify(p, _floats(args.x), _floats(args.sigma), tol=tol)
+    return {"classification": result}, EXIT_OK  # NotCritical exits 1 in main
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args)
-    loaded = _load_document(args.problem)
-    try:
-        if isinstance(loaded, integer.QipInstance):
-            result = oracle.enumerate_signs(loaded)
-        elif loaded.is_sign_integer:
-            result = oracle.enumerate_signs(_problem_to_qip(loaded))
-        else:
-            lo, hi = _parse_range2(args.box)
-            result = oracle.grid_multistart(
-                loaded, (lo, hi), grid_points=args.points,
-                local_refine=not args.no_refine, seed=cfg.seed,
-            )
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _emit(args, "oracle", cfg.to_dict(), {"oracle": result.to_dict()}, started)
-    return EXIT_OK
+def _cmd_oracle(args, cfg, p, qip) -> tuple:
+    if qip is not None or p.is_sign_integer:
+        result = oracle.enumerate_signs(qip or _problem_to_qip(p))
+    else:
+        result = oracle.grid_multistart(p, _parse_range2(args.box), grid_points=args.points,
+                                        local_refine=not args.no_refine, seed=cfg.seed)
+    return {"oracle": result}, EXIT_OK
 
 
 def _problem_to_qip(p: model.Problem) -> integer.QipInstance:
@@ -265,52 +251,35 @@ def _problem_to_qip(p: model.Problem) -> integer.QipInstance:
     return integer.QipInstance(Q=Q, f=p.f)
 
 
-def _cmd_export(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args)
-    loaded = _load_document(args.problem)
-    if args.box is not None and (args.format == "sdpa" or isinstance(loaded, integer.QipInstance)):
+def _cmd_export(args, cfg, p, qip) -> tuple:
+    if args.box is not None and (args.format == "sdpa" or qip is not None):
         raise ValueError("--box applies only to the lp export of a non-qip problem "
                          "(a qip document's box is [-1, 1])")
     if args.format == "sdpa":
-        p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
         data = relaxations.export_sdp(p, args.out)
-        payload = {"format": "sdpa", "out": args.out, "variables": data.m,
-                   "blocks": data.block_sizes}
-    else:
-        lo, hi = _parse_range2(args.box or "-1:1")
-        qp = loaded if isinstance(loaded, integer.QipInstance) else _problem_to_qip(loaded)
-        Q, f, n = qp.Q, qp.f, qp.n
-        lp = relaxations.build_rlt(Q, f, np.full(n, lo), np.full(n, hi))
-        relaxations.export_rlt_lp(lp, args.out)
-        payload = {"format": "lp", "out": args.out, "rows": len(lp.rhs),
-                   "variables": lp.n_vars}
-    _emit(args, "export", cfg.to_dict(), payload, started)
-    return EXIT_OK
+        return {"format": "sdpa", "out": args.out, "variables": data.m,
+                "blocks": data.block_sizes}, EXIT_OK
+    lo, hi = _parse_range2(args.box or "-1:1")
+    qp = qip or _problem_to_qip(p)
+    lp = relaxations.build_rlt(qp.Q, qp.f, np.full(qp.n, lo), np.full(qp.n, hi))
+    relaxations.export_rlt_lp(lp, args.out)
+    return {"format": "lp", "out": args.out, "rows": len(lp.rhs),
+            "variables": lp.n_vars}, EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args)
-    loaded = _load_document(args.problem)
-    p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
-    direction = np.array([float(tok) for tok in args.direction.split(",")])
+def _cmd_sweep(args, cfg, p, qip) -> tuple:
+    direction = _floats(args.direction)
     grid = [float(tok) for tok in args.grid.split(",")]
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
     result = solver.fc_sweep(p, direction, grid, cfg, threads=args.threads)
-    _emit(args, "sweep", cfg.to_dict(), {"sweep": result.to_dict()}, started)
-    return EXIT_OK
+    return {"sweep": result}, EXIT_OK
 
 
-def _cmd_plotdata(args) -> int:
-    cfg = _load_config(args)
-    loaded = _load_document(args.problem)
-    p = loaded.to_problem() if isinstance(loaded, integer.QipInstance) else loaded
+def _cmd_plotdata(args, cfg, p, qip) -> tuple:
+    """Writes its TSV itself; there is no JSON report."""
     if p.n != 1 or p.dual_dim != 1:
-        print("error: curve sampling needs a one-dimensional problem with one dual coordinate",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("curve sampling needs a one-dimensional problem with one dual coordinate")
     a, b, steps = _parse_range3(args.range_spec)
     grid = np.linspace(a, b, steps)
     lines = ["x\tpi\tsigma\tpi_dual"]
@@ -320,11 +289,9 @@ def _cmd_plotdata(args) -> int:
             pid = dual.eval_dual(p, np.array([t]))
         except CanonDualError:
             pid = float("nan")
-        lines.append(
-            "\t".join(format(v, ".17g") for v in (t, pi, t, pid))
-        )
+        lines.append("\t".join(format(v, ".17g") for v in (t, pi, t, pid)))
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 def _parse_range2(spec: str) -> tuple:

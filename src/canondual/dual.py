@@ -110,19 +110,11 @@ class GapMatrix:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        """Gradient of Pi_d, raising SingularG where G is singular: 0.5 x'Q_s x
-        - dPhi*_s(varsigma_s) for term s and x_i^2 - 1 for sigma_i, x = G^-1 f."""
+        """Gradient of Pi_d, the balance residuals at x = G^-1 f; raises
+        SingularG where G is singular."""
         if self.is_singular():
             raise SingularG("dual gradient undefined where G is singular")
-        p, x = self.p, self.pinv_f
-        g = np.empty(p.dual_dim)
-        for k, idx in enumerate(p.dual_terms):
-            t = p.terms[idx]
-            v = t.factor @ x
-            g[k] = 0.5 * float(v @ v) - model.conj_grad(t, float(self.s[k]))
-        if p.is_sign_integer:
-            g[len(p.dual_terms):] = x * x - 1.0
-        return g
+        return balance_residuals(self.p, self.s, self.pinv_f)
 
     @cached_property
     def membership(self) -> Membership:
@@ -171,6 +163,18 @@ def conjugate_total(p: Problem, s: np.ndarray) -> float:
     if p.is_sign_integer:
         total += float(np.sum(s[q:]))
     return total
+
+
+def balance_residuals(p: Problem, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The canonical balance equations at (x, s), one per dual coordinate:
+    xi_s(x) - dPhi*_s(varsigma_s) for term s and x_i^2 - 1 for sigma_i."""
+    g = np.empty(p.dual_dim)
+    for k, idx in enumerate(p.dual_terms):
+        t = p.terms[idx]
+        g[k] = t.xi(x) - model.conj_grad(t, float(s[k]))
+    if p.is_sign_integer:
+        g[len(p.dual_terms):] = x * x - 1.0
+    return g
 
 
 def eval_Xi(p: Problem, x, s) -> float:
@@ -363,20 +367,3 @@ class SolveReport:
     recovery_residual: float = float("nan")
     perturb_rounds: int = 0
     messages: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "x_bar": [float(v) for v in np.atleast_1d(self.x_bar)],
-            "sigma_bar": [float(v) for v in np.atleast_1d(self.sigma_bar)],
-            "primal_value": float(self.primal_value),
-            "dual_value": float(self.dual_value),
-            "duality_residual": float(self.duality_residual),
-            "triality_class": self.triality_class,
-            "iterations": int(self.iterations),
-            "boundary_flag": bool(self.boundary_flag),
-            "status": self.status,
-            "grad_norm": float(self.grad_norm),
-            "recovery_residual": float(self.recovery_residual),
-            "perturb_rounds": int(self.perturb_rounds),
-            "messages": list(self.messages),
-        }

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dual, linalg, model, solver
+from . import linalg, model, solver
 from .errors import DimensionMismatch, EmptyInterior, MaxIterations, SchemaError
 from .model import CanonicalTerm, Problem, TermKind, Variables
 
@@ -76,16 +76,6 @@ class QipReport:
     objective: float
     certificate: str  # dual_certified | perturbation_only | failed
     dual_value: float
-    solve_report: Optional[dual.SolveReport] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "x_star": [float(v) for v in self.x_star],
-            "sigma_star": [float(v) for v in self.sigma_star],
-            "objective": float(self.objective),
-            "certificate": self.certificate,
-            "dual_value": float(self.dual_value),
-        }
 
 
 def qip_dual_solve(inst: QipInstance, cfg: Optional[solver.SolverConfig] = None) -> QipReport:
@@ -124,7 +114,6 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
                     objective=value,
                     certificate="dual_certified",
                     dual_value=report.dual_value,
-                    solve_report=report,
                 )
 
     try:
@@ -140,7 +129,6 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
             objective=objective(x_star),
             certificate="perturbation_only",
             dual_value=dual_value if math.isfinite(dual_value) else float("nan"),
-            solve_report=rep,
         )
 
     x_star = np.ones(p.n)
@@ -152,7 +140,6 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
         objective=objective(x_star),
         certificate="failed",
         dual_value=report.dual_value if report is not None else float("nan"),
-        solve_report=report,
     )
 
 
@@ -161,13 +148,6 @@ class ComplementarityReport:
     ok: bool
     max_violation: float
     violations: list
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": bool(self.ok),
-            "max_violation": float(self.max_violation),
-            "violations": list(self.violations),
-        }
 
 
 def complementarity_check(inst: QipInstance, x, sigma, tol: float = 1e-6) -> ComplementarityReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,14 +35,6 @@ class OracleResult:
     best_value: float
     samples: int
     method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "best_x": [float(v) for v in self.best_x],
-            "best_value": float(self.best_value),
-            "samples": int(self.samples),
-            "method": self.method,
-        }
 
 
 def enumerate_signs(inst: QipInstance) -> OracleResult:
@@ -102,17 +94,23 @@ def _sign_objective(X: np.ndarray, Q: np.ndarray, f: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,ij->i", X, X @ Q) - X @ f
 
 
-def grid_multistart(p: Problem, box, grid_points: int = 21, local_refine: bool = True,
-                    seed: int = 0) -> OracleResult:
+def grid_multistart(p: Problem, box, grid_points: Optional[int] = None,
+                    local_refine: bool = True, seed: int = 0) -> OracleResult:
     """Best primal value over a full grid (n <= 6) or random multistart.
 
     The box is either a single (lo, hi) pair applied to every coordinate or a
     sequence of per-coordinate pairs.  With local_refine the best candidates
     are polished by backtracking gradient descent, so the reported value is
     an upper bound on the true minimum that tightens with the sample budget.
-    A grid of more than GRID_MAX_SAMPLES points raises TooLarge before
-    anything is allocated.
+    The default grid has 21 points per axis, or as many fewer as it takes to
+    fit GRID_MAX_SAMPLES (16 for n = 5, 10 for n = 6); a grid_points grid of
+    more than GRID_MAX_SAMPLES points raises TooLarge before anything is
+    allocated.
     """
+    if grid_points is None:
+        grid_points = 21
+        while grid_points ** p.n > GRID_MAX_SAMPLES:
+            grid_points -= 1
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     lo, hi = _box_arrays(p.n, box)

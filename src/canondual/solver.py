@@ -46,8 +46,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional, Sequence
 
@@ -107,22 +106,15 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        if not isinstance(d, Mapping):
+    def from_json(cls, text) -> "SolverConfig":
+        d = json.loads(text)
+        if not isinstance(d, dict):
             raise ValueError(f"solver config must be a JSON object, got {type(d).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config fields {sorted(unknown)}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, text) -> "SolverConfig":
-        return cls.from_dict(json.loads(text) if isinstance(text, (str, bytes)) else dict(text))
 
 
 def _barrier(p: Problem, mu: float) -> tuple:
@@ -648,27 +640,11 @@ class FcRow:
     unique: bool
     outcome: str = ""  # status of the certified-region solve at this magnitude
 
-    def to_dict(self) -> dict:
-        return {
-            "magnitude": float(self.magnitude),
-            "clusters": [[float(v) for v in c] for c in self.clusters],
-            "n_clusters": int(self.n_clusters),
-            "boundary": bool(self.boundary),
-            "unique": bool(self.unique),
-            "outcome": self.outcome,
-        }
-
 
 @dataclass
 class FcSweepResult:
     rows: list
     threshold: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "threshold": None if self.threshold is None else float(self.threshold),
-        }
 
 
 def fc_sweep(p_template: Problem, direction, grid: Sequence[float],

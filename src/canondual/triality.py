@@ -43,13 +43,6 @@ class TrialityClass:
     dims_equal: bool
     evidence: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label.value,
-            "dims_equal": self.dims_equal,
-            "evidence": {k: v for k, v in self.evidence.items()},
-        }
-
 
 def hessian_primal(p: Problem, x) -> np.ndarray:
     """Analytic Hessian of the primal objective.
@@ -73,22 +66,15 @@ def hessian_primal(p: Problem, x) -> np.ndarray:
 def _dual_stationarity(gm: dual.GapMatrix, x: np.ndarray) -> float:
     """Residual of dual-side stationarity at gm.s, usable on the boundary.
 
-    Nonsingular G: norm of the dual gradient.  Singular G: the canonical
-    balance equations, the per-term matching xi_s(x) = dPhi*(varsigma_s)
-    and the per-variable x_i^2 = 1 (``classify_pair`` checks G x = f).
+    Nonsingular G: norm of the dual gradient.  Singular G: the largest
+    balance residual at x, from the per-term matching xi_s(x) =
+    dPhi*(varsigma_s) and the per-variable x_i^2 = 1; any NaN residual
+    makes it NaN (``classify_pair`` checks G x = f).
     """
     try:
         return float(np.linalg.norm(gm.grad))
     except SingularG:
-        pass
-    p, s = gm.p, gm.s
-    res = 0.0
-    for k, idx in enumerate(p.dual_terms):
-        t = p.terms[idx]
-        res = max(res, abs(t.xi(x) - model.conj_grad(t, float(s[k]))))
-    if p.is_sign_integer:
-        res = max(res, float(np.max(np.abs(x * x - 1.0))))
-    return res
+        return float(np.max(np.abs(dual.balance_residuals(gm.p, gm.s, x)), initial=0.0))
 
 
 def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL) -> TrialityClass:

@@ -122,6 +122,16 @@ README_WELL = {
     "terms": [{"kind": "quartic", "alpha": 1.0, "beta": -2.0, "factor": [[1.0]]}],
 }
 README_QIP = {"qip": {"Q": [[0, 1], [1, 0]], "f": [3, 0]}}
+# the two rank-one terms assemble to the off-diagonal coupling matrix of QIP
+SIGN_DOC = {
+    "n": 2,
+    "variables": "sign_integer",
+    "f": [3.0, 0.0],
+    "terms": [{"kind": "plain_quadratic", "alpha": 1.0,
+               "factor": [[0.70710678118654746, 0.70710678118654746]]},
+              {"kind": "plain_quadratic", "alpha": -1.0,
+               "factor": [[0.70710678118654746, -0.70710678118654746]]}],
+}
 
 
 @pytest.mark.parametrize("doc, args, digest", [
@@ -131,12 +141,46 @@ README_QIP = {"qip": {"Q": [[0, 1], [1, 0]], "f": [3, 0]}}
      "dd0c51d09377f1d7fa0cbac0b0f2c9505efebd7683139d7d553e0c85c14ffb7d"),
     (README_WELL, ("classify", "--x", "2.1149", "--sigma", "0.2364", "--tol", "1e-3"),
      "9fca366801ce2e111dcc1fe45c565d0a89c5b69bbe79ac4e0c3759f5bfc7fb6d"),
-], ids=["solve-well", "solve-qip", "classify-well"])
+    # the oracle and sweep reports, and the sign-integer route of solve, which
+    # prints the bytes of the README qip
+    (README_QIP, ("oracle",),
+     "cd39c5abd3de6bf23d9d7cae1c2df6138bff328f4cf318312f127cd3a3b3743c"),
+    (README_WELL, ("sweep", "--direction", "1", "--grid", "0.5,2.0"),
+     "e0e3940c04fa49130bc88da59586213b2df368f8db7dc543485c8c567386e087"),
+    (SIGN_DOC, ("solve",),
+     "dd0c51d09377f1d7fa0cbac0b0f2c9505efebd7683139d7d553e0c85c14ffb7d"),
+], ids=["solve-well", "solve-qip", "classify-well", "oracle-qip", "sweep-well", "solve-sign"])
 def test_readme_command_bytes_are_pinned(tmp_path, doc, args, digest):
     # a report must stay byte-identical across changes, not only between runs
     res = run_cli(args[0], write(tmp_path, "doc.json", doc), *args[1:])
     assert res.returncode == 0, res.stderr
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, res.stdout
+
+
+# each subcommand takes only the flags it reads; any other one is a usage error
+@pytest.mark.parametrize("command, flags, accepted", [
+    ("export", ("--seed", "1"), False),
+    ("plotdata", ("--pretty",), False),
+    ("solve", ("--json",), False),
+    ("classify", ("--max-iter", "5"), False),
+    ("oracle", ("--seed", "3"), True),
+    ("classify", ("--tol", "1e-3", "--pretty"), True),
+    ("export", ("--pretty",), True),
+], ids=["export-seed", "plotdata-pretty", "solve-json", "classify-max-iter",
+        "oracle-seed", "classify-tol-pretty", "export-pretty"])
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, command, flags, accepted):
+    required = {
+        "classify": ("--x", "2.1149", "--sigma", "0.2364"),
+        "export": ("--format", "lp", "--out", str(tmp_path / "q.lp")),
+        "plotdata": ("--range", "-3:3:11"),
+    }.get(command, ())
+    doc = QIP if command in ("export", "oracle") else DW
+    res = run_cli(command, write(tmp_path, "doc.json", doc), *required, *flags)
+    if accepted:
+        assert res.returncode == 0, res.stderr
+    else:
+        assert res.returncode == 1
+        assert res.stdout == "" and "usage:" in res.stderr
 
 
 @pytest.mark.parametrize("config", ["null", "5", '[["seed", 1]]'],
@@ -232,6 +276,19 @@ def test_oracle_grid_needs_a_point(tmp_path):
     assert res.stdout == "" and res.stderr.startswith("error:")
 
 
+def test_oracle_grid_default_fits_the_budget(tmp_path):
+    well5 = {"n": 5, "variables": "continuous", "f": [0.5] * 5,
+             "terms": [{"kind": "quartic", "alpha": 1, "beta": -2,
+                        "factor": np.eye(5).tolist()}]}
+    path = write(tmp_path, "well5.json", well5)
+    res = run_cli("oracle", path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["payload"]["oracle"]["samples"] == 16 ** 5
+    res = run_cli("oracle", path, "--points", "21")
+    assert res.returncode == 1
+    assert res.stdout == "" and "budget" in res.stderr
+
+
 def test_plotdata_shape_and_primal_column(tmp_path):
     res = run_cli("plotdata", write(tmp_path, "dw.json", DW), "--range", "-3:3:601")
     assert res.returncode == 0
@@ -323,17 +380,7 @@ def test_config_file_overridden_by_flags(tmp_path):
 
 
 def test_sign_integer_document_routes_to_sign_pipeline(tmp_path):
-    doc = {
-        "n": 2,
-        "variables": "sign_integer",
-        "f": [3.0, 0.0],
-        "terms": [{"kind": "plain_quadratic", "alpha": 1.0,
-                   "factor": [[0.70710678118654746, 0.70710678118654746]]},
-                  {"kind": "plain_quadratic", "alpha": -1.0,
-                   "factor": [[0.70710678118654746, -0.70710678118654746]]}],
-    }
-    # the two rank-one terms assemble to the off-diagonal coupling matrix
-    res = run_cli("solve", write(tmp_path, "s.json", doc))
+    res = run_cli("solve", write(tmp_path, "s.json", SIGN_DOC))
     assert res.returncode == 0
     report = json.loads(res.stdout)["payload"]["report"]
     assert report["certificate"] == "dual_certified"

@@ -140,6 +140,18 @@ def test_grid_sample_budget(monkeypatch):
         oracle.grid_multistart(p, (-1.0, 1.0), grid_points=0)
 
 
+def test_grid_default_follows_the_budget():
+    # 21 points per axis up to n = 4, then the most that fit 2^20 points:
+    # 16^5 = 2^20 exactly, and 10^6 < 2^20 < 11^6
+    def well(n):
+        return Problem(n=n, terms=[CanonicalTerm(TermKind.QUARTIC, np.eye(n), 1.0, -2.0)],
+                       f=np.full(n, 0.5))
+
+    assert oracle.grid_multistart(well(2), (-4.0, 4.0)).samples == 21 ** 2
+    res = oracle.grid_multistart(well(6), (-4.0, 4.0), local_refine=False)
+    assert (res.method, res.samples) == ("grid", 10 ** 6)
+
+
 def test_multistart_used_above_grid_cap(rng):
     p = Problem(n=7, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC,
                                           np.eye(7), 1.0)], f=np.zeros(7))

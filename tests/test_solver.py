@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -337,11 +338,12 @@ def _continuous_problem(rng: np.random.Generator, n: int) -> Problem:
 
 
 def _report_sha(rep) -> str:
-    return hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest()
+    text = json.dumps(dataclasses.asdict(rep), default=lambda a: a.tolist())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_solve_reports_match_pinned():
-    # SHA-256 of json.dumps(report.to_dict()); any change to the arithmetic
+    # SHA-256 of the report's JSON fields in declaration order; any change to the arithmetic
     # of a solve shows here
     rng = np.random.default_rng(2)
     cont16, cont32 = _continuous_problem(rng, 16), _continuous_problem(rng, 32)
@@ -536,6 +538,61 @@ def test_centering_test_needs_a_nonnegative_decrement(monkeypatch):
         assert "interior" in statuses[1:]
 
 
+# ------------------------------------------------------------- phase one
+
+
+def _count_phase1_fallbacks(monkeypatch) -> dict:
+    """Counts of phase one's feasibility tests (the base point and the
+    doubling scan) and of its subgradient steps."""
+    calls = {"scan": 0, "subgradient": 0}
+    for name, key in (("_strictly_feasible", "scan"), ("_project_domain", "subgradient")):
+        def counting(*args, _inner=getattr(solver, name), _key=key):
+            calls[_key] += 1
+            return _inner(*args)
+        monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def test_phase1_doubling_scan_returns_its_first_feasible_point(monkeypatch):
+    # the base point is infeasible: the plain term -5 I outweighs the quartic
+    # term's start, and the scan along the domain direction finds G = 4 I
+    p = Problem(n=2, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.eye(2), -5.0),
+                            CanonicalTerm(TermKind.QUARTIC, np.eye(2), 1.0, -2.0)],
+                f=np.array([0.5, 0.0]))
+    calls = _count_phase1_fallbacks(monkeypatch)
+    _, gm = solver._phase1(p)
+    assert calls == {"scan": 5, "subgradient": 0}
+    assert gm.min_eig == pytest.approx(4.0)
+    monkeypatch.undo()
+    rep = solver.solve_dual(p)
+    assert (rep.status, rep.triality_class) == ("interior", "global_min")
+
+
+def test_phase1_subgradient_ascent_returns_a_feasible_point(monkeypatch):
+    # G = -D'D + a u u' + b v v' with a < 0 < b: the base point and the
+    # doubling scan both miss the region on many draws
+    rng = np.random.default_rng(0)
+    calls = _count_phase1_fallbacks(monkeypatch)
+    returned = 0
+    for _ in range(100):
+        p = Problem(n=2, f=rng.standard_normal(2), terms=[
+            CanonicalTerm(TermKind.PLAIN_QUADRATIC, rng.standard_normal((2, 2)), -1.0),
+            CanonicalTerm(TermKind.QUARTIC, rng.standard_normal((1, 2)),
+                          -rng.uniform(0.3, 2.0), rng.uniform(-2.0, 1.0)),
+            CanonicalTerm(TermKind.QUARTIC, rng.standard_normal((1, 2)),
+                          rng.uniform(0.3, 2.0), rng.uniform(-2.0, 1.0))])
+        calls["subgradient"] = 0
+        try:
+            s, gm = solver._phase1(p)
+        except EmptyInterior:
+            continue
+        if calls["subgradient"]:
+            returned += 1
+            margin = solver._FEAS_MARGIN * p.f_scale
+            assert gm.min_eig > margin and (dual.domain_slacks(p, s) > 0.0).all()
+    assert returned >= 10
+
+
 # ---------------------------------------------------------- perturbation
 
 
@@ -657,7 +714,7 @@ def test_fc_sweep_zero_magnitude_flagged():
 
 def test_solver_config_json_roundtrip(tmp_path):
     cfg = SolverConfig(grad_tol=1e-8, seed=4, perturb_delta0=0.2)
-    text = json.dumps(cfg.to_dict())
+    text = json.dumps(dataclasses.asdict(cfg))
     again = SolverConfig.from_json(text)
     assert again == cfg
     with pytest.raises(ValueError):
