@@ -124,7 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--sigma", required=True, help="comma-separated dual point")
 
     p_or = command("oracle", _cmd_oracle, "ground-truth search", ("--seed", "--pretty"))
-    p_or.add_argument("--box", default="-4:4", help="search box lo:hi for continuous problems")
+    # the grid search flags; a sign problem is enumerated and refuses them
+    p_or.add_argument("--box", help="search box lo:hi for continuous problems (default -4:4)")
     p_or.add_argument("--points", type=int,
                       help="grid points per axis (default 21, fewer where the grid budget needs)")
     p_or.add_argument("--no-refine", action="store_true", help="skip local polishing")
@@ -207,9 +208,9 @@ def _floats(spec: str) -> np.ndarray:
 
 
 def _cmd_solve(args, cfg, p, qip) -> tuple:
-    if qip is not None or p.is_sign_integer:
-        report = (integer.qip_dual_solve(qip, cfg) if qip is not None
-                  else integer.sign_problem_solve(p, cfg))
+    if p.is_sign_integer:
+        report = integer.sign_problem_solve(
+            p, cfg, objective=qip.objective if qip is not None else None)
         code = {"dual_certified": EXIT_OK, "perturbation_only": EXIT_HEURISTIC}
         return {"kind": "qip", "report": report}, code.get(report.certificate, EXIT_FAILED)
 
@@ -234,10 +235,14 @@ def _cmd_classify(args, cfg, p, qip) -> tuple:
 
 
 def _cmd_oracle(args, cfg, p, qip) -> tuple:
-    if qip is not None or p.is_sign_integer:
+    if p.is_sign_integer:
+        if args.box is not None or args.points is not None or args.no_refine:
+            raise ValueError("--box, --points and --no-refine apply only to the grid search "
+                             "of a continuous problem (a sign problem is enumerated)")
         result = oracle.enumerate_signs(qip or _problem_to_qip(p))
     else:
-        result = oracle.grid_multistart(p, _parse_range2(args.box), grid_points=args.points,
+        result = oracle.grid_multistart(p, _parse_range2(args.box or "-4:4"),
+                                        grid_points=args.points,
                                         local_refine=not args.no_refine, seed=cfg.seed)
     return {"oracle": result}, EXIT_OK
 

@@ -215,11 +215,20 @@ def coordinate_images(p: Problem, x) -> np.ndarray:
 
 def domain_slacks(p: Problem, s) -> np.ndarray:
     """Slack |alpha| (s/alpha - beta) of each bounded coordinate
-    (``Problem.coordinate_rows.index``), positive inside the dual domain."""
+    (``Problem.coordinate_rows.index``), positive inside the dual domain.
+    A stack of points (one per row of s) gives one row of slacks each."""
     rows = p.coordinate_rows
-    i = rows.index
-    alpha = rows.alpha[i]
-    return np.abs(alpha) * (np.asarray(s, dtype=float)[i] / alpha - rows.beta[i])
+    scale, alpha, beta = rows.bounds
+    return scale * (np.asarray(s, dtype=float).take(rows.index, -1) / alpha - beta)
+
+
+def screen(p: Problem, s, cholesky: bool = True) -> tuple:
+    """(outside, slacks) at s, a point or a stack of points (one per row):
+    the ``domain_slacks`` and whether each point fails the domain test of
+    ``factor_point``, a slack that is not positive for a Cholesky point or
+    negative for an LU point."""
+    slacks = domain_slacks(p, s)
+    return ((slacks <= 0.0) if cholesky else (slacks < 0.0)).any(axis=-1), slacks
 
 
 class DualPoint:
@@ -232,9 +241,12 @@ class DualPoint:
     and sum log diag L and L^-1 give the log-det terms.  The LU form (L None)
     serves the root search and classification, where G may be indefinite:
     x and the G^-1 A term of the Hessian come from ``np.linalg.solve``.  The
-    bare derivatives and the log-det derivatives are computed on first use,
-    and ``barrier`` and ``barrier_derivs`` combine them with the slack terms
-    at any barrier weight.
+    value is computed at construction, so a point whose conjugates are
+    undefined is never built.  Everything else is computed on first use:
+    the bare gradient (``bare_grad``, all that the gradient-norm merit of a
+    line-search trial reads), the bare Hessian (``bare_hess``, with L^-1)
+    and the log-det derivatives.  ``barrier`` and ``barrier_derivs`` combine
+    them with the slack terms at any barrier weight.
     """
 
     def __init__(self, p: Problem, s: np.ndarray, slacks: np.ndarray, G: np.ndarray,
@@ -276,7 +288,7 @@ class DualPoint:
         """Gradient and symmetrized Hessian of ``barrier``: the bare
         derivatives plus mu times those of log det G (``logdet_derivs``) and
         of the log slacks."""
-        g, H = (a.copy() for a in self.bare)
+        g, H = self.bare_grad.copy(), self.bare_hess.copy()
         if mu > 0.0:
             g_ld, H_ld = self.logdet_derivs
             g += mu * g_ld
@@ -293,26 +305,35 @@ class DualPoint:
         return np.linalg.inv(self.L)
 
     @cached_property
-    def bare(self) -> tuple:
-        """Gradient and (unsymmetrized) Hessian of the bare dual objective:
-        g = 0.5 x'A - dPhi*_c and H = -(A'Ginv A) - diag(Phi*''_c) with A the
-        coordinate images of x.  A sign multiplier's conjugate part is
-        sigma_i itself, so it adds -1 to g and nothing to H."""
+    def images(self) -> np.ndarray:
+        """A, the coordinate images of x (``coordinate_images``)."""
+        return coordinate_images(self.p, self.x)
+
+    @cached_property
+    def bare_grad(self) -> np.ndarray:
+        """Gradient of the bare dual objective, g = 0.5 x'A - dPhi*_c.  A sign
+        multiplier's conjugate part is sigma_i itself, so it adds -1."""
         p = self.p
-        q = len(p.dual_terms)
-        A = coordinate_images(p, self.x)
-        g = 0.5 * (self.x @ A)
+        g = 0.5 * (self.x @ self.images)
+        for k, idx in enumerate(p.dual_terms):
+            g[k] -= model.conj_grad(p.terms[idx], float(self.s[k]))
+        g[len(p.dual_terms):] -= 1.0
+        return g
+
+    @cached_property
+    def bare_hess(self) -> np.ndarray:
+        """(Unsymmetrized) Hessian of the bare dual objective,
+        H = -(A'Ginv A) - diag(Phi*''_c); a sign multiplier adds nothing."""
+        p = self.p
+        A = self.images
         if self.L is None:
             H = -(A.T @ np.linalg.solve(self.G, A))
         else:
             W = self.Linv @ A
             H = -(W.T @ W)
         for k, idx in enumerate(p.dual_terms):
-            t = p.terms[idx]
-            g[k] -= model.conj_grad(t, float(self.s[k]))
-            H[k, k] -= model.conj_hess(t, float(self.s[k]))
-        g[q:] -= 1.0
-        return g, H
+            H[k, k] -= model.conj_hess(p.terms[idx], float(self.s[k]))
+        return H
 
     @cached_property
     def logdet_derivs(self) -> tuple:
@@ -332,16 +353,19 @@ class DualPoint:
         return g, H
 
 
-def factor_point(p: Problem, s, cholesky: bool = True) -> Optional[DualPoint]:
+def factor_point(p: Problem, s, cholesky: bool = True,
+                 slacks: Optional[np.ndarray] = None) -> Optional[DualPoint]:
     """The factorized point at s, or None outside the domain.  A Cholesky
     point needs positive domain slacks and G positive definite (the open
     certified region, where the barrier is finite).  An LU point needs
     nonnegative slacks with the conjugates defined (the closed dual domain,
     where a critical pair may sit) and G nonsingular with a finite
-    x = G^-1 f."""
-    slacks = domain_slacks(p, s)
-    if (slacks <= 0.0).any() if cholesky else (slacks < 0.0).any():
-        return None
+    x = G^-1 f.  ``slacks``, when given, is ``domain_slacks(p, s)`` that
+    has already passed ``screen``."""
+    if slacks is None:
+        outside, slacks = screen(p, s, cholesky)
+        if outside:
+            return None
     G = operator(p, s)
     try:
         point = DualPoint(p, s, slacks, G, np.linalg.cholesky(G) if cholesky else None)

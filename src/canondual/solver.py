@@ -22,7 +22,13 @@ point is feasible when its domain slacks are positive and the factor exists
 (for the polish, also that of G shifted by the boundary tolerance); the root
 search, where G may be indefinite, by an LU solve.  The point owns the
 barrier: its value and derivatives at every mu come from the factor and
-the domain slacks of ``Problem.coordinate_rows``.  Each outer step starts
+the domain slacks of ``Problem.coordinate_rows``.  The line search tries
+the full step first; when that is refused, the other halvings are stacked
+and screened for the domain in one ``dual.screen`` call, and only the
+points that pass are factorized, so its trials and the accepted step are
+those of halving one step at a time.  A trial builds only what its merit
+reads, the barrier value or the bare gradient: the Hessian and L^-1 are
+formed only at the points the loop accepts.  Each outer step starts
 from the factorized point the last one ended at, and the convergence test
 reads that point: a Cholesky test of G minus the feasibility margin and the
 bare gradient from the factor.  The eigendecomposition is used only by
@@ -63,6 +69,9 @@ _ARMIJO = 1e-4
 # on, _ARMIJO * t < 2^-54, so m - _ARMIJO * t * m rounds back to m and a trial
 # that does not lower the gradient-norm merit would pass the Armijo test.
 _HALVINGS = 40
+# The halved steps t = 2^-1 .. 2^-39, exact, and the same as a column.
+_HALVED = [math.ldexp(1.0, -k) for k in range(1, _HALVINGS)]
+_HALVED_COLUMN = np.array(_HALVED)[:, None]
 _MU_FLOOR = 1e-12
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
@@ -121,8 +130,9 @@ def _barrier(p: Problem, mu: float) -> tuple:
     """``_damped_newton`` callbacks for ascent of the barrier objective: a
     state is a Cholesky ``dual.DualPoint``, the merit is the negated
     ``DualPoint.barrier``, the slope g'd."""
-    return (partial(dual.factor_point, p), lambda point: -point.barrier(mu),
-            lambda g, d, m: float(g @ d), lambda point: point.barrier_derivs(mu))
+    return (partial(dual.factor_point, p), partial(dual.screen, p),
+            lambda point: -point.barrier(mu), lambda g, d, m: float(g @ d),
+            lambda point: point.barrier_derivs(mu))
 
 
 def _stationarity(p: Problem, certified: bool) -> tuple:
@@ -138,35 +148,40 @@ def _stationarity(p: Problem, certified: bool) -> tuple:
     points).
     """
     if certified:
-        def trial(s):
-            point = dual.factor_point(p, s)
+        def trial(s, slacks=None):
+            point = dual.factor_point(p, s, slacks=slacks)
             return point if point is not None and point.clears(0.0) else None
     else:
         trial = partial(dual.factor_point, p, cholesky=False)
-    return trial, _gradient_norm, lambda g, d, m: m, lambda point: point.barrier_derivs(0.0)
+    return (trial, partial(dual.screen, p, cholesky=certified), _gradient_norm,
+            lambda g, d, m: m, lambda point: point.barrier_derivs(0.0))
 
 
 def _gradient_norm(point: dual.DualPoint) -> float:
-    return float(np.linalg.norm(point.bare[0]))
+    return float(np.linalg.norm(point.bare_grad))
 
 
-def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
+def _damped_newton(s: np.ndarray, trial, screen, merit, slope, derivatives, tol: float,
                    max_iter: int, step_tol: Optional[float] = None, state=None,
                    centred: Optional[float] = None) -> tuple:
     """Damped Newton iteration with a backtracking line search.
 
-    ``trial(s)`` is the state at s, or None outside the domain;
-    ``derivatives(state)`` is the pair (g, H).  The direction d solves
-    (-H) d = g, replaced by the scaled gradient when ``slope(g, d, m)`` is
-    not positive.  A step of length t is accepted when the finite ``merit``
-    of its state is at most m - _ARMIJO * t * slope(g, d, m), where m is the
-    current merit.  Stops at |g| <= tol; with ``centred``, also when the
-    squared Newton decrement g'd lies in [0, centred] (a negative g'd means
-    -H is not numerically definite, and says nothing); when _HALVINGS
-    halvings find no step; after ``max_iter`` steps; or, with ``step_tol``,
-    after a step shorter than step_tol * (1 + |s|).  ``state``, when given, is
-    ``trial(s)`` already computed by the caller.  Returns (s, state, steps);
-    the state is None when the start is outside the domain.
+    ``trial(s, slacks=None)`` is the state at s, or None outside the domain;
+    ``screen(z)`` is ``dual.screen`` for the same domain, at a point or a
+    stack of points; ``derivatives(state)`` is the pair (g, H).  The direction d
+    solves (-H) d = g, replaced by the scaled gradient when
+    ``slope(g, d, m)`` is not positive.  A step of length t = 2^-k,
+    k = 0 .. _HALVINGS - 1, is accepted when the finite ``merit`` of its state
+    is at most m - _ARMIJO * t * slope(g, d, m), where m is the current merit;
+    the first such t, the longest, is taken (``_line_search``).  Stops at
+    |g| <= tol; with ``centred``, also when the squared Newton decrement g'd
+    lies in [0, centred] (a negative g'd means -H is not numerically
+    definite, and says nothing); when no step is accepted; after
+    ``max_iter`` steps; or, with ``step_tol``, after a step shorter than
+    step_tol * (1 + |s|).  ``state``, when given, is ``trial(s)`` already
+    computed by the caller.  Returns (s, state, steps); the state is None
+    when the start is outside the domain.  Only accepted states reach
+    ``derivatives``, so a refused trial builds no more than its merit reads.
     """
     if state is None:
         state = trial(s)
@@ -185,15 +200,11 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
         if rate <= 0.0:
             d = g / max(1.0, gnorm)
             rate = slope(g, d, m)
-        t = 1.0
-        for _ in range(_HALVINGS):
-            z = s + t * d
-            zstate = trial(z)
+        for t, z, zstate in _line_search(s, d, trial, screen):
             if zstate is not None:
                 zm = merit(zstate)
                 if math.isfinite(zm) and zm <= m - _ARMIJO * t * rate:
                     break
-            t *= 0.5
         else:
             return s, state, it + 1
         s, state, m = z, zstate, zm
@@ -201,6 +212,26 @@ def _damped_newton(s: np.ndarray, trial, merit, slope, derivatives, tol: float,
                                      <= step_tol * (1.0 + float(np.linalg.norm(s)))):
             return s, state, it + 1
     return s, state, max_iter
+
+
+def _line_search(s: np.ndarray, d: np.ndarray, trial, screen):
+    """The trials of one line search from s along d, in order of t, as
+    (t, z, state) with z = s + t d.  The full step t = 1 is screened for the
+    domain alone, since most steps take it; the halvings t = 2^-1 ..
+    2^-(_HALVINGS-1) are formed as one stack and screened at once.  Only the
+    points that pass are factorized, each handed its row of slacks.  A point
+    the screen refuses would have been a None state, and the stack holds
+    the same numbers as halving t one step at a time, so the accepted step
+    is the same to the bit."""
+    z = s + d
+    outside, slacks = screen(z)
+    if not outside:
+        yield 1.0, z, trial(z, slacks=slacks)
+    Z = s + _HALVED_COLUMN * d
+    outside, slacks = screen(Z)
+    for t, z, row, out in zip(_HALVED, Z, slacks, outside.tolist()):
+        if not out:
+            yield t, z, trial(z, slacks=row)
 
 
 def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -580,10 +611,13 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     gtol = max(cfg.grad_tol, 1e-11) * p.f_scale
     starts = _ladder_starts(p) + [_random_dual_start(p, rng) for _ in range(n_starts)]
     newton = _stationarity(p, certified=False)
-    for s in starts:
-        s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
-        if state is not None and _gradient_norm(state) <= gtol:
-            found.append(s)
+    # far out in the domain a trial's gradient norm can overflow; its merit
+    # is then inf, which the line search refuses
+    with np.errstate(over="ignore"):
+        for s in starts:
+            s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
+            if state is not None and _gradient_norm(state) <= gtol:
+                found.append(s)
     merged = []
     for s in found:
         try:

@@ -153,5 +153,5 @@ def _dual_hess_eigs(p: Problem, s) -> list:
     point = dual.factor_point(p, s, cholesky=False)
     if point is None:
         return []
-    H = point.bare[1]
+    H = point.bare_hess
     return [float(v) for v in linalg.eigh(0.5 * (H + H.T)).eigvals]

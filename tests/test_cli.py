@@ -270,6 +270,23 @@ def test_oracle_enumeration(tmp_path):
     assert payload["best_x"] == [1.0, -1.0]
 
 
+@pytest.mark.parametrize("flags", [("--box", "-3:5"), ("--points", "2"), ("--no-refine",)],
+                         ids=["box", "points", "no-refine"])
+def test_oracle_refuses_grid_flags_on_a_sign_document(tmp_path, flags):
+    res = run_cli("oracle", write(tmp_path, "q.json", QIP), *flags)
+    assert res.returncode == 1
+    assert flags[0] in res.stderr and res.stdout == ""
+
+
+def test_oracle_grid_flags_reach_the_grid_search(tmp_path):
+    path = write(tmp_path, "dw.json", DW)
+    res = run_cli("oracle", path, "--box", "-3:5", "--points", "2", "--no-refine")
+    assert res.returncode == 0, res.stderr
+    oracle = json.loads(res.stdout)["payload"]["oracle"]
+    assert oracle["samples"] == 2
+    assert res.stdout != run_cli("oracle", path).stdout
+
+
 def test_oracle_grid_needs_a_point(tmp_path):
     res = run_cli("oracle", write(tmp_path, "dw.json", DW), "--points", "0")
     assert res.returncode == 1

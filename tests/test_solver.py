@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -292,6 +293,80 @@ def test_barrier_value_rejects_points_outside_the_region():
     inside = dual.factor_point(p, np.array([1.5]))
     assert inside is not None
     assert math.isfinite(inside.barrier(0.3)) and math.isfinite(inside.barrier(0.0))
+
+
+# ------------------------------------------------------------ line search
+
+
+@pytest.mark.parametrize("cholesky", [True, False], ids=["cholesky", "lu"])
+@pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
+def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng):
+    # the stacked halvings, their slack rows and the trials the screen passes
+    # are those of halving t one step at a time, bit for bit
+    p = _barrier_problem(name)
+    s, _ = solver._phase1(p)
+    screen = partial(dual.screen, p, cholesky=cholesky)
+    refused_any, edge_any = False, False
+    # t = 1/2 along -2 s puts each sign multiplier and exponential coordinate
+    # exactly on its edge, slack 0
+    for d in [-2.0 * s] + [10.0 * (1.0 + np.abs(s)) * rng.standard_normal(p.dual_dim)
+                           for _ in range(5)]:
+        handed = []
+
+        def trial(z, slacks=None):
+            handed.append((z, slacks))
+            return None
+
+        steps = [t for t, _, _ in solver._line_search(s, d, trial, screen)]
+        expected, t = [], 1.0
+        for _ in range(solver._HALVINGS):
+            z = s + t * d
+            slacks = dual.domain_slacks(p, z)
+            edge_any |= bool((slacks == 0.0).any())
+            if not ((slacks <= 0.0).any() if cholesky else (slacks < 0.0).any()):
+                expected.append((t, z, slacks))
+            t *= 0.5
+        refused_any |= len(expected) < solver._HALVINGS
+        assert steps == [t for t, _, _ in expected]
+        for (z, slacks), (_, z_expected, slacks_expected) in zip(handed, expected):
+            assert z.tobytes() == z_expected.tobytes()
+            assert slacks.tobytes() == slacks_expected.tobytes()
+    assert refused_any and edge_any
+
+
+@pytest.mark.parametrize("search", ["root", "barrier"])
+def test_refused_trials_build_only_what_the_merit_reads(search):
+    # a trial the line search refuses carries its merit's inputs only: the
+    # root search's gradient, the barrier's value; no L^-1 and no Hessian
+    if search == "root":
+        p = double_well(1.75)  # one real root: most root searches never converge
+        callbacks, starts = solver._stationarity(p, certified=False), solver._ladder_starts(p)
+    else:
+        p = _barrier_problem("continuous")
+        callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
+    trial, screen, merit, slope, derivatives = callbacks
+    made, derived = [], []
+
+    def recording_trial(*args, **kwargs):
+        point = trial(*args, **kwargs)
+        made.append(point)
+        return point
+
+    def recording_derivatives(point):
+        derived.append(point)
+        return derivatives(point)
+
+    ends = []
+    for s in starts:
+        ends.append(solver._damped_newton(s, recording_trial, screen, merit, slope,
+                                          recording_derivatives, tol=1e-12, max_iter=60)[1])
+    kept = {id(point) for point in derived + ends}
+    refused = [point for point in made if point is not None and id(point) not in kept]
+    assert refused
+    for point in refused:
+        assert not {"Linv", "bare_hess", "logdet_derivs"} & set(vars(point))
+        assert ("bare_grad" in vars(point)) == (search == "root")
+    assert all("bare_hess" in vars(point) for point in derived)
 
 
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
@@ -685,6 +760,30 @@ def test_critical_points_symmetric_case_isolated_maximizer():
     assert points[0][0][0] == pytest.approx(-2.0, abs=1e-9)
 
 
+def test_root_search_refuses_an_overflowing_trial_without_a_warning(monkeypatch):
+    # the 12th draw has xlogx, plain and exponential terms at n = 3; far out,
+    # a trial's gradient norm overflows: its merit is inf, and it is refused
+    rng = np.random.default_rng(11)
+    p = [random_problem(rng, n_max=4, max_terms=3) for _ in range(12)][-1]
+    assert p.n == 3
+    merits = []
+    norm = solver._gradient_norm
+
+    def recording(point):
+        merits.append(norm(point))
+        return merits[-1]
+
+    monkeypatch.setattr(solver, "_gradient_norm", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = solver.dual_critical_points(p)
+    assert math.inf in merits
+    assert [(s.tolist(), value, member) for s, value, member in points] == [
+        ([-43147.91994804625, 1.0816526953247216], 1.0816828050283387, Membership.OUTSIDE),
+        ([-0.8309117303996775, 1.3601177881311717], 0.44060549157086415, Membership.INTERIOR),
+    ]
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -697,6 +796,29 @@ def test_fc_sweep_threshold_matches_discriminant_oracle():
     assert res.threshold is not None
     assert abs(res.threshold - oracle_threshold) <= 0.1 + 1e-12
     assert abs(res.threshold - WELL_FC) <= 0.1 + 1e-12
+
+
+def test_readme_well_sweep_rows_are_pinned_and_every_trial_is_screened(monkeypatch):
+    # the 12-magnitude sweep of the benchmark: no factor_point call is
+    # refused for its domain slacks, which the line search screens first
+    calls = {"all": 0, "slack_refused": 0}
+    factor = dual.factor_point
+
+    def counting(p, s, cholesky=True, slacks=None):
+        calls["all"] += 1
+        point = factor(p, s, cholesky, slacks)
+        if point is None and dual.screen(p, s, cholesky)[0]:
+            calls["slack_refused"] += 1
+        return point
+
+    monkeypatch.setattr(dual, "factor_point", counting)
+    res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
+    assert calls["slack_refused"] == 0
+    assert calls["all"] <= 12_500
+    assert res.threshold == 1.75
+    rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "757eafc1eecde4305e5fe676f3a384c7d1f36b04709d163cb511db1cc949b3b6")
 
 
 def test_fc_sweep_all_unique_above_threshold():
