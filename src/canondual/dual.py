@@ -218,8 +218,9 @@ def domain_slacks(p: Problem, s) -> np.ndarray:
     (``Problem.coordinate_rows.index``), positive inside the dual domain.
     A stack of points (one per row of s) gives one row of slacks each."""
     rows = p.coordinate_rows
-    scale, alpha, beta = rows.bounds
-    return scale * (np.asarray(s, dtype=float).take(rows.index, -1) / alpha - beta)
+    i = rows.index
+    alpha = rows.alpha[i]
+    return np.abs(alpha) * (np.asarray(s, dtype=float).take(i, -1) / alpha - rows.beta[i])
 
 
 def screen(p: Problem, s, cholesky: bool = True) -> tuple:

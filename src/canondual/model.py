@@ -269,12 +269,6 @@ class CoordinateRows:
     def edge(self) -> np.ndarray:
         return self.alpha * self.beta
 
-    @cached_property
-    def bounds(self) -> tuple:
-        """(|alpha|, alpha, beta) of the bounded coordinates (``index``)."""
-        alpha = self.alpha[self.index]
-        return np.abs(alpha), alpha, self.beta[self.index]
-
     def block_sum(self, a: np.ndarray, axis: int = 0) -> np.ndarray:
         """Sums of ``a`` over each block along ``axis``."""
         if len(self.starts) == self.Bt.shape[1]:  # one column per block

@@ -16,29 +16,30 @@ The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``,
 with callbacks from ``_barrier`` and ``_stationarity``: the ascent
 backtracks on the barrier value, the other two on the norm of the dual
-gradient.  All three step on ``dual.DualPoint``, a point factorized once by
-``dual.factor_point``: the ascent and the polish by Cholesky, where a trial
-point is feasible when its domain slacks are positive and the factor exists
-(for the polish, also that of G shifted by the boundary tolerance); the root
-search, where G may be indefinite, by an LU solve.  The point owns the
-barrier: its value and derivatives at every mu come from the factor and
-the domain slacks of ``Problem.coordinate_rows``.  The line search tries
-the full step first; when that is refused, the other halvings are stacked
-and screened for the domain in one ``dual.screen`` call, and only the
-points that pass are factorized, so its trials and the accepted step are
-those of halving one step at a time.  A trial builds only what its merit
-reads, the barrier value or the bare gradient: the Hessian and L^-1 are
-formed only at the points the loop accepts.  Each outer step starts
-from the factorized point the last one ended at, and the convergence test
-reads that point: a Cholesky test of G minus the feasibility margin and the
-bare gradient from the factor.  The eigendecomposition is used only by
-phase one, the report and triality classification.  For a continuous
-problem with an interior certificate the report refines x = G^-1 f by one
-Newton step on the primal gradient, evaluated in np.longdouble, so that
-x_bar does not depend on which iterate within an ulp or two of the root the
-ascent ended at.  Feasibility phase one finds a strictly positive-definite
-start by a doubling scan along the domain-feasible direction followed by
-projected subgradient ascent on the smallest eigenvalue.
+gradient.  All three step on ``dual.DualPoint``, a point factorized once
+by ``dual.factor_point``: the ascent and the polish by Cholesky, where a
+trial point is feasible when its domain slacks are positive and the factor
+exists (for the polish, also that of G shifted by the boundary tolerance);
+the root search, where G may be indefinite, by an LU solve.  The point
+owns the barrier: its value and derivatives at every mu come from the
+factor and the domain slacks of ``Problem.coordinate_rows``.  The line
+search makes its first trials one at a time; when none of them is
+accepted, it screens the domain of all the shorter steps at once
+(``dual.screen``) and factorizes only the points inside, with the trials
+and the accepted step of halving one step at a time.  A trial builds only
+what its merit reads, the barrier value or the bare gradient: the Hessian
+and L^-1 are formed only at the points the loop accepts.  Each outer step
+starts from the factorized point the last one ended at, and the
+convergence test reads that point: a Cholesky test of G minus the
+feasibility margin and the bare gradient from the factor.  The
+eigendecomposition is used only by phase one, the report and triality
+classification.  For a continuous problem with an interior certificate the
+report refines x = G^-1 f by one Newton step on the primal gradient,
+evaluated in np.longdouble, so that x_bar does not depend on which iterate
+within an ulp or two of the root the ascent ended at.  Feasibility phase
+one finds a strictly positive-definite start by a doubling scan along the
+domain-feasible direction followed by projected subgradient ascent on the
+smallest eigenvalue.
 
 Degenerate instances (symmetric inputs, boundary maximizers) go through the
 quadratic perturbation scheme: at round k the operator gains delta_k * I and
@@ -69,9 +70,11 @@ _ARMIJO = 1e-4
 # on, _ARMIJO * t < 2^-54, so m - _ARMIJO * t * m rounds back to m and a trial
 # that does not lower the gradient-norm merit would pass the Armijo test.
 _HALVINGS = 40
-# The halved steps t = 2^-1 .. 2^-39, exact, and the same as a column.
-_HALVED = [math.ldexp(1.0, -k) for k in range(1, _HALVINGS)]
-_HALVED_COLUMN = np.array(_HALVED)[:, None]
+# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are factorized
+# one at a time: most searches stop among them.  The others, t = 2^-4 ..
+# 2^-39 (exact), are formed and screened for the domain as one stack.
+_SINGLE_STEPS = 4
+_STACKED_STEPS = np.ldexp(1.0, -np.arange(_SINGLE_STEPS, _HALVINGS))[:, None]
 _MU_FLOOR = 1e-12
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
@@ -158,7 +161,12 @@ def _stationarity(p: Problem, certified: bool) -> tuple:
 
 
 def _gradient_norm(point: dual.DualPoint) -> float:
-    return float(np.linalg.norm(point.bare_grad))
+    """The norm of the bare gradient, the merit of the root search and the
+    polish.  Far out in the domain it can overflow: the merit is then inf,
+    which the line search refuses, so the overflow is not warned about."""
+    g = point.bare_grad
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(g))
 
 
 def _damped_newton(s: np.ndarray, trial, screen, merit, slope, derivatives, tol: float,
@@ -167,21 +175,28 @@ def _damped_newton(s: np.ndarray, trial, screen, merit, slope, derivatives, tol:
     """Damped Newton iteration with a backtracking line search.
 
     ``trial(s, slacks=None)`` is the state at s, or None outside the domain;
-    ``screen(z)`` is ``dual.screen`` for the same domain, at a point or a
-    stack of points; ``derivatives(state)`` is the pair (g, H).  The direction d
-    solves (-H) d = g, replaced by the scaled gradient when
-    ``slope(g, d, m)`` is not positive.  A step of length t = 2^-k,
-    k = 0 .. _HALVINGS - 1, is accepted when the finite ``merit`` of its state
-    is at most m - _ARMIJO * t * slope(g, d, m), where m is the current merit;
-    the first such t, the longest, is taken (``_line_search``).  Stops at
-    |g| <= tol; with ``centred``, also when the squared Newton decrement g'd
-    lies in [0, centred] (a negative g'd means -H is not numerically
-    definite, and says nothing); when no step is accepted; after
-    ``max_iter`` steps; or, with ``step_tol``, after a step shorter than
-    step_tol * (1 + |s|).  ``state``, when given, is ``trial(s)`` already
-    computed by the caller.  Returns (s, state, steps); the state is None
-    when the start is outside the domain.  Only accepted states reach
-    ``derivatives``, so a refused trial builds no more than its merit reads.
+    ``slacks``, when given, are the domain slacks at s that passed
+    ``screen``, which is ``dual.screen`` for the same domain;
+    ``derivatives(state)`` is the pair (g, H).  The direction d solves
+    (-H) d = g, replaced by the scaled gradient when ``slope(g, d, m)`` is
+    not positive.  A step of length t = 2^-k, k = 0 .. _HALVINGS - 1, is
+    accepted when the finite ``merit`` of its state is at most
+    m - _ARMIJO * t * slope(g, d, m), where m is the current merit; the
+    first such t, the longest, is taken.  The first _SINGLE_STEPS trials are
+    made one at a time.  When none of them is accepted, the other points
+    s + t d are formed as one stack and screened in one call, and only those
+    that pass are handed to ``trial`` with their slacks: a point the screen
+    refuses would have been a None state, and the stack holds the same
+    numbers, so the accepted step is that of halving t one step at a time,
+    to the bit.  Stops at |g| <= tol; with ``centred``, also when the
+    squared Newton decrement g'd lies in [0, centred] (a negative g'd means
+    -H is not numerically definite, and says nothing); when no step is
+    accepted; after ``max_iter`` steps; or, with ``step_tol``, after a step
+    shorter than step_tol * (1 + |s|).  ``state``, when given, is
+    ``trial(s)`` already computed by the caller.  Returns (s, state, steps);
+    the state is None when the start is outside the domain.  Only accepted
+    states reach ``derivatives``, so a refused trial builds no more than its
+    merit reads.
     """
     if state is None:
         state = trial(s)
@@ -200,11 +215,23 @@ def _damped_newton(s: np.ndarray, trial, screen, merit, slope, derivatives, tol:
         if rate <= 0.0:
             d = g / max(1.0, gnorm)
             rate = slope(g, d, m)
-        for t, z, zstate in _line_search(s, d, trial, screen):
+        t = 1.0
+        for k in range(_HALVINGS):
+            if k < _SINGLE_STEPS:
+                z = s + t * d
+                zstate = trial(z)
+            else:
+                j = k - _SINGLE_STEPS
+                if j == 0:
+                    Z = s + _STACKED_STEPS * d
+                    outside, slacks = screen(Z)
+                z = Z[j]
+                zstate = None if outside[j] else trial(z, slacks=slacks[j])
             if zstate is not None:
                 zm = merit(zstate)
                 if math.isfinite(zm) and zm <= m - _ARMIJO * t * rate:
                     break
+            t *= 0.5
         else:
             return s, state, it + 1
         s, state, m = z, zstate, zm
@@ -212,26 +239,6 @@ def _damped_newton(s: np.ndarray, trial, screen, merit, slope, derivatives, tol:
                                      <= step_tol * (1.0 + float(np.linalg.norm(s)))):
             return s, state, it + 1
     return s, state, max_iter
-
-
-def _line_search(s: np.ndarray, d: np.ndarray, trial, screen):
-    """The trials of one line search from s along d, in order of t, as
-    (t, z, state) with z = s + t d.  The full step t = 1 is screened for the
-    domain alone, since most steps take it; the halvings t = 2^-1 ..
-    2^-(_HALVINGS-1) are formed as one stack and screened at once.  Only the
-    points that pass are factorized, each handed its row of slacks.  A point
-    the screen refuses would have been a None state, and the stack holds
-    the same numbers as halving t one step at a time, so the accepted step
-    is the same to the bit."""
-    z = s + d
-    outside, slacks = screen(z)
-    if not outside:
-        yield 1.0, z, trial(z, slacks=slacks)
-    Z = s + _HALVED_COLUMN * d
-    outside, slacks = screen(Z)
-    for t, z, row, out in zip(_HALVED, Z, slacks, outside.tolist()):
-        if not out:
-            yield t, z, trial(z, slacks=row)
 
 
 def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -611,13 +618,10 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     gtol = max(cfg.grad_tol, 1e-11) * p.f_scale
     starts = _ladder_starts(p) + [_random_dual_start(p, rng) for _ in range(n_starts)]
     newton = _stationarity(p, certified=False)
-    # far out in the domain a trial's gradient norm can overflow; its merit
-    # is then inf, which the line search refuses
-    with np.errstate(over="ignore"):
-        for s in starts:
-            s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
-            if state is not None and _gradient_norm(state) <= gtol:
-                found.append(s)
+    for s in starts:
+        s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
+        if state is not None and _gradient_norm(state) <= gtol:
+            found.append(s)
     merged = []
     for s in found:
         try:

@@ -301,37 +301,52 @@ def test_barrier_value_rejects_points_outside_the_region():
 @pytest.mark.parametrize("cholesky", [True, False], ids=["cholesky", "lu"])
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
 def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng):
-    # the stacked halvings, their slack rows and the trials the screen passes
-    # are those of halving t one step at a time, bit for bit
+    # the trials of a line search, the first ones made one at a time and the
+    # rest screened as one stack, are those of halving t one step at a time,
+    # bit for bit, and each screened point gets its own slacks
     p = _barrier_problem(name)
     s, _ = solver._phase1(p)
     screen = partial(dual.screen, p, cholesky=cholesky)
-    refused_any, edge_any = False, False
-    # t = 1/2 along -2 s puts each sign multiplier and exponential coordinate
-    # exactly on its edge, slack 0
-    for d in [-2.0 * s] + [10.0 * (1.0 + np.abs(s)) * rng.standard_normal(p.dual_dim)
-                           for _ in range(5)]:
+    refused_any, edge_steps = False, set()
+    # t = 2^-k along -2^k s puts each sign multiplier and exponential
+    # coordinate exactly on its edge, slack 0: at t = 1/2 among the single
+    # trials, at t = 2^-_SINGLE_STEPS in the stack
+    edges = [-2.0 * s, -math.ldexp(1.0, solver._SINGLE_STEPS) * s]
+    for d in edges + [scale * (1.0 + np.abs(s)) * rng.standard_normal(p.dual_dim)
+                      for scale in (10.0, 10.0, 1e3, 1e3, 1e3)]:
         handed = []
 
         def trial(z, slacks=None):
             handed.append((z, slacks))
             return None
 
-        steps = [t for t, _, _ in solver._line_search(s, d, trial, screen)]
+        # g = d with H = -I makes d the Newton direction; every trial is
+        # refused, so the line search runs through all its steps
+        solver._damped_newton(s, trial, screen, lambda state: 0.0, lambda g, d, m: 1.0,
+                              lambda state: (d, -np.eye(p.dual_dim)), tol=0.0, max_iter=1,
+                              state="start")
         expected, t = [], 1.0
-        for _ in range(solver._HALVINGS):
+        for k in range(solver._HALVINGS):
             z = s + t * d
             slacks = dual.domain_slacks(p, z)
-            edge_any |= bool((slacks == 0.0).any())
-            if not ((slacks <= 0.0).any() if cholesky else (slacks < 0.0).any()):
-                expected.append((t, z, slacks))
+            if (slacks == 0.0).any():
+                edge_steps.add(t)
+            if k < solver._SINGLE_STEPS:
+                expected.append((z, None))
+            elif not ((slacks <= 0.0).any() if cholesky else (slacks < 0.0).any()):
+                expected.append((z, slacks))
+            else:
+                refused_any = True
             t *= 0.5
-        refused_any |= len(expected) < solver._HALVINGS
-        assert steps == [t for t, _, _ in expected]
-        for (z, slacks), (_, z_expected, slacks_expected) in zip(handed, expected):
+        assert len(handed) == len(expected)
+        for (z, slacks), (z_expected, slacks_expected) in zip(handed, expected):
             assert z.tobytes() == z_expected.tobytes()
-            assert slacks.tobytes() == slacks_expected.tobytes()
-    assert refused_any and edge_any
+            if slacks_expected is None:
+                assert slacks is None
+            else:
+                assert slacks.tobytes() == slacks_expected.tobytes()
+    assert refused_any
+    assert {0.5, math.ldexp(1.0, -solver._SINGLE_STEPS)} <= edge_steps
 
 
 @pytest.mark.parametrize("search", ["root", "barrier"])
@@ -798,9 +813,11 @@ def test_fc_sweep_threshold_matches_discriminant_oracle():
     assert abs(res.threshold - WELL_FC) <= 0.1 + 1e-12
 
 
-def test_readme_well_sweep_rows_are_pinned_and_every_trial_is_screened(monkeypatch):
-    # the 12-magnitude sweep of the benchmark: no factor_point call is
-    # refused for its domain slacks, which the line search screens first
+def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypatch):
+    # the 12-magnitude sweep of the benchmark.  Factorizing every trial one at
+    # a time makes 23,051 factor_point calls, 10,576 of them refused for
+    # their domain slacks; the stacked screen leaves those of the first
+    # _SINGLE_STEPS trials of each line search
     calls = {"all": 0, "slack_refused": 0}
     factor = dual.factor_point
 
@@ -813,8 +830,7 @@ def test_readme_well_sweep_rows_are_pinned_and_every_trial_is_screened(monkeypat
 
     monkeypatch.setattr(dual, "factor_point", counting)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
-    assert calls["slack_refused"] == 0
-    assert calls["all"] <= 12_500
+    assert calls == {"all": 14_977, "slack_refused": 2_502}
     assert res.threshold == 1.75
     rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
     assert hashlib.sha256(rows.encode()).hexdigest() == (
