@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, dual, integer, model, oracle, relaxations, solver, triality
+from . import __version__, dual, integer, model, solver, triality
 from .errors import CanonDualError, EmptyInterior, MaxIterations
 
 EXIT_OK = 0
@@ -235,6 +235,7 @@ def _cmd_classify(args, cfg, p, qip) -> tuple:
 
 
 def _cmd_oracle(args, cfg, p, qip) -> tuple:
+    from . import oracle  # loaded here: a solve never runs it
     if p.is_sign_integer:
         if args.box is not None or args.points is not None or args.no_refine:
             raise ValueError("--box, --points and --no-refine apply only to the grid search "
@@ -257,6 +258,7 @@ def _problem_to_qip(p: model.Problem) -> integer.QipInstance:
 
 
 def _cmd_export(args, cfg, p, qip) -> tuple:
+    from . import relaxations  # loaded here: a solve never runs it
     if args.box is not None and (args.format == "sdpa" or qip is not None):
         raise ValueError("--box applies only to the lp export of a non-qip problem "
                          "(a qip document's box is [-1, 1])")

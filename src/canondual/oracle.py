@@ -105,8 +105,13 @@ def grid_multistart(p: Problem, box, grid_points: Optional[int] = None,
     The default grid has 21 points per axis, or as many fewer as it takes to
     fit GRID_MAX_SAMPLES (16 for n = 5, 10 for n = 6); a grid_points grid of
     more than GRID_MAX_SAMPLES points raises TooLarge before anything is
-    allocated.
+    allocated.  Above GRID_MAX_N variables the search draws
+    MULTISTART_SAMPLES random starts and has no grid, so an explicit
+    grid_points raises ValueError there.
     """
+    if grid_points is not None and p.n > GRID_MAX_N:
+        raise ValueError(f"grid_points applies to the grid of at most {GRID_MAX_N} variables; "
+                         f"{p.n} variables are searched by {MULTISTART_SAMPLES} random starts")
     if grid_points is None:
         grid_points = 21
         while grid_points ** p.n > GRID_MAX_SAMPLES:

@@ -63,7 +63,6 @@ from . import dual, model, triality
 from .dual import Membership, SolveReport
 from .errors import CanonDualError, EmptyInterior, MaxIterations, RangeViolation, SingularG
 from .model import CanonicalTerm, Problem, TermKind
-from .runtime import parallel_map
 
 _ARMIJO = 1e-4
 # Line-search trials per Newton step; the last is t = 2^-39.  From t = 2^-41
@@ -694,7 +693,8 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     stationary points are collected by multistart; a magnitude is flagged
     unique when exactly one cluster survives and no boundary degeneracy was
     hit.  The reported threshold is the smallest grid magnitude from which
-    every larger grid entry is unique.
+    every larger grid entry is unique.  With threads > 1 the magnitudes are
+    solved on a thread pool; the rows keep the grid's order.
     """
     cfg = cfg or SolverConfig()
     direction = np.asarray(direction, dtype=float).reshape(-1)
@@ -727,7 +727,13 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
                      n_clusters=len(clusters), boundary=boundary, unique=unique,
                      outcome=outcome)
 
-    rows = parallel_map(run_one, grid, threads)
+    if threads > 1 and len(grid) > 1:
+        # loaded here: concurrent.futures brings logging, which a solve never runs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
+            rows = list(pool.map(run_one, grid))
+    else:
+        rows = [run_one(m) for m in grid]
     threshold = None
     for row in reversed(rows):
         if row.unique:

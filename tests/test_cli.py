@@ -157,6 +157,24 @@ def test_readme_command_bytes_are_pinned(tmp_path, doc, args, digest):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest, res.stdout
 
 
+def test_solve_loads_neither_the_oracles_the_relaxations_nor_a_thread_pool(tmp_path):
+    # they load on first use; the last field shows that first use loads oracle
+    paths = [write(tmp_path, "well.json", README_WELL), write(tmp_path, "qip.json", README_QIP)]
+    code = (
+        "import sys\n"
+        "from canondual import cli\n"
+        f"codes = [cli.main(['solve', path]) for path in {paths!r}]\n"
+        "import canondual\n"
+        "names = ('canondual.oracle', 'canondual.relaxations', 'concurrent.futures')\n"
+        "loaded = [name for name in names if name in sys.modules]\n"
+        "canondual.enumerate_signs\n"
+        "print(codes, loaded, 'canondual.oracle' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0] [] True"
+
+
 # each subcommand takes only the flags it reads; any other one is a usage error
 @pytest.mark.parametrize("command, flags, accepted", [
     ("export", ("--seed", "1"), False),
@@ -304,6 +322,18 @@ def test_oracle_grid_default_fits_the_budget(tmp_path):
     res = run_cli("oracle", path, "--points", "21")
     assert res.returncode == 1
     assert res.stdout == "" and "budget" in res.stderr
+
+
+def test_oracle_refuses_points_above_the_grid_cap(tmp_path):
+    # seven variables are searched by random starts, which have no grid
+    well7 = {"n": 7, "variables": "continuous", "f": [0.5] * 7,
+             "terms": [{"kind": "quartic", "alpha": 1, "beta": -2,
+                        "factor": np.eye(7).tolist()}]}
+    path = write(tmp_path, "well7.json", well7)
+    assert run_cli("oracle", path, "--no-refine").returncode == 0
+    res = run_cli("oracle", path, "--points", "3", "--no-refine")
+    assert res.returncode == 1
+    assert res.stdout == "" and "grid_points" in res.stderr
 
 
 def test_plotdata_shape_and_primal_column(tmp_path):

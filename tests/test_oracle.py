@@ -157,6 +157,8 @@ def test_multistart_used_above_grid_cap(rng):
                                           np.eye(7), 1.0)], f=np.zeros(7))
     res = oracle.grid_multistart(p, (-1.0, 1.0), seed=1)
     assert res.method == "multistart"
+    with pytest.raises(ValueError, match="grid_points"):
+        oracle.grid_multistart(p, (-1.0, 1.0), grid_points=3, seed=1)
 
 
 def test_fd_gradient_quadratic():

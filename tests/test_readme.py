@@ -2,11 +2,13 @@
 say, and every name the README or the package exports resolves."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 from types import ModuleType
 
 import numpy as np
+import pytest
 
 import canondual
 from canondual.triality import TrialityLabel
@@ -49,3 +51,16 @@ def test_documented_names_resolve():
     missing += [f"{mod}.{name}" for mod, name in sorted(cited)
                 if not hasattr(getattr(canondual, mod), name)]
     assert missing == []
+
+
+def test_oracle_and_relaxations_resolve_through_the_package():
+    # both load on first use (tests/test_cli.py checks that a solve loads neither)
+    from canondual import OracleResult, enumerate_signs, grid_multistart, oracle
+
+    assert (OracleResult, enumerate_signs, grid_multistart) == (
+        oracle.OracleResult, oracle.enumerate_signs, oracle.grid_multistart)
+    assert canondual.relaxations is importlib.import_module("canondual.relaxations")
+    lazy = {"oracle", "relaxations", "OracleResult", "enumerate_signs", "grid_multistart"}
+    assert lazy <= set(dir(canondual))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        canondual.no_such_name

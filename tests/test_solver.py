@@ -843,6 +843,11 @@ def test_fc_sweep_all_unique_above_threshold():
     assert res.threshold == 2.0
 
 
+def test_fc_sweep_threads_keep_the_rows():
+    args = (double_well(0.0), [1.0], [0.5, 2.0, 3.0], SolverConfig(), 6)
+    assert solver.fc_sweep(*args, threads=2) == solver.fc_sweep(*args, threads=1)
+
+
 def test_fc_sweep_zero_magnitude_flagged():
     res = solver.fc_sweep(double_well(0.0), [1.0], [0.0, 2.0], SolverConfig(), n_starts=6)
     assert res.rows[0].boundary and not res.rows[0].unique
