@@ -30,11 +30,15 @@ derivative for all of them, and its domain is one bound s/alpha >= beta
 carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
 the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
-``GapMatrix``, built by ``assemble_G``, is its eigen-side twin: G(s) and
-its eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
+``factor_stack`` makes the LU points of a whole stack in one pass, the
+arithmetic of each row that of ``factor_point`` alone, and ``PointStack``
+builds a row's ``DualPoint`` only when asked.  ``GapMatrix``, built by
+``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
+eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
 reference gradient and the membership of the certified region.  A dual
 point from outside is checked once, by ``assemble_G``; the Newton loops
-pass ``factor_point`` and ``operator`` their own float arrays.
+pass ``factor_point``, ``factor_stack`` and ``operator`` their own float
+arrays.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, model
-from .errors import DimensionMismatch, DomainViolation, InvalidMatrix, RangeViolation, SingularG
+from .errors import DimensionMismatch, InvalidMatrix, RangeViolation, SingularG
 from .linalg import EigenDecomp
 from .model import Problem
 
@@ -131,13 +135,16 @@ class GapMatrix:
 
 
 def operator(p: Problem, s: np.ndarray) -> np.ndarray:
-    """G(s) as a dense array; s is a float array of length ``p.dual_dim``."""
+    """G(s) as a dense array; s is a float array of length ``p.dual_dim``,
+    or a stack of them (one G per row)."""
     q = len(p.dual_terms)
-    G = p.plain_block.copy()
-    for varsig_s, idx in zip(s[:q], p.dual_terms):
-        G += varsig_s * p.terms[idx].Q
-    if p.is_sign_integer:
-        G[np.diag_indices(p.n)] += 2.0 * s[q:]
+    lead = s.shape[:-1]
+    G = np.empty(lead + p.plain_block.shape)
+    G[...] = p.plain_block
+    for k, idx in enumerate(p.dual_terms):
+        G += s[..., k, None, None] * p.terms[idx].Q
+    if p.is_sign_integer:  # 2 sigma on the diagonal, a strided view of G
+        G.reshape(lead + (p.n * p.n,))[..., ::p.n + 1] += 2.0 * s[..., q:]
     return G
 
 
@@ -208,9 +215,28 @@ def in_S_plus(p: Problem, s) -> Membership:
 
 def coordinate_images(p: Problem, x) -> np.ndarray:
     """Columns dG/ds_c x = w_c B_c'(B_c x), the Jacobian of G(s)x in s, as an
-    (n, dual_dim) matrix (see ``Problem.coordinate_rows``)."""
+    (n, dual_dim) matrix (see ``Problem.coordinate_rows``); a stack of
+    points x (one per row) gives one matrix each."""
     rows = p.coordinate_rows
-    return rows.weights * rows.block_sum(rows.Bt * (x @ rows.Bt), axis=1)
+    return rows.weights * rows.block_sum(rows.Bt * np.matmul(x[..., None, :], rows.Bt), axis=-1)
+
+
+def bare_grads(p: Problem, s: np.ndarray, x: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """``DualPoint.bare_grad`` at a stack of dual points s (one per row),
+    with x = G^-1 f and A their ``coordinate_images``, and the arithmetic of
+    each row alone: the products are stacked vector products, a quartic
+    conjugate gradient s/alpha - beta is the same two operations on a
+    column, and the exponential and xlogx ones are the scalar
+    ``model.conj_grad``."""
+    g = 0.5 * np.matmul(x[:, None, :], images)[:, 0, :]
+    for k, idx in enumerate(p.dual_terms):
+        t = p.terms[idx]
+        if t.kind is model.TermKind.QUARTIC:
+            g[:, k] -= s[:, k] / t.alpha - t.beta
+        else:
+            g[:, k] -= [model.conj_grad(t, v) for v in s[:, k].tolist()]
+    g[:, len(p.dual_terms):] -= 1.0
+    return g
 
 
 def domain_slacks(p: Problem, s) -> np.ndarray:
@@ -218,47 +244,55 @@ def domain_slacks(p: Problem, s) -> np.ndarray:
     (``Problem.coordinate_rows.index``), positive inside the dual domain.
     A stack of points (one per row of s) gives one row of slacks each."""
     rows = p.coordinate_rows
-    i = rows.index
-    alpha = rows.alpha[i]
-    return np.abs(alpha) * (np.asarray(s, dtype=float).take(i, -1) / alpha - rows.beta[i])
+    cols = rows.slack_columns
+    return cols.scale * (np.asarray(s, dtype=float).take(rows.index, -1) / cols.alpha - cols.beta)
 
 
 def screen(p: Problem, s, cholesky: bool = True) -> tuple:
     """(outside, slacks) at s, a point or a stack of points (one per row):
     the ``domain_slacks`` and whether each point fails the domain test of
-    ``factor_point``, a slack that is not positive for a Cholesky point or
-    negative for an LU point."""
+    ``factor_point``.  A Cholesky point fails on a slack that is not
+    positive.  An LU point fails on a negative slack, or on a zero slack of
+    a ``strict`` (exponential) coordinate, where the conjugate is undefined."""
     slacks = domain_slacks(p, s)
-    return ((slacks <= 0.0) if cholesky else (slacks < 0.0)).any(axis=-1), slacks
+    if cholesky:
+        return (slacks <= 0.0).any(axis=-1), slacks
+    strict = p.coordinate_rows.slack_columns.strict
+    return ((slacks < 0.0) | ((slacks == 0.0) & strict)).any(axis=-1), slacks
 
 
 class DualPoint:
     """A dual point, factorized once; build it with ``factor_point``.
 
-    Holds the domain slacks (``domain_slacks``), G, x = G^-1 f, the
-    barrier-free value -0.5 f'x - conjugate total and a factorization of G.
-    The Cholesky form (L given) serves the barrier ascent and the polish,
-    where G is positive definite: x comes from two triangular solves with L,
-    and sum log diag L and L^-1 give the log-det terms.  The LU form (L None)
-    serves the root search and classification, where G may be indefinite:
-    x and the G^-1 A term of the Hessian come from ``np.linalg.solve``.  The
-    value is computed at construction, so a point whose conjugates are
-    undefined is never built.  Everything else is computed on first use:
-    the bare gradient (``bare_grad``, all that the gradient-norm merit of a
-    line-search trial reads), the bare Hessian (``bare_hess``, with L^-1)
-    and the log-det derivatives.  ``barrier`` and ``barrier_derivs`` combine
-    them with the slack terms at any barrier weight.
+    Holds the domain slacks (``domain_slacks``), G, x = G^-1 f and a
+    factorization of G.  The Cholesky form (L given) serves the barrier
+    ascent and the polish, where G is positive definite: x comes from two
+    triangular solves with L, and sum log diag L and L^-1 give the log-det
+    terms.  The LU form (L None) serves the root search and classification,
+    where G may be indefinite: x (unless given, as ``factor_stack`` does)
+    and the G^-1 A term of the Hessian come from ``np.linalg.solve``.  The
+    domain test of ``factor_point`` keeps every conjugate defined, so
+    everything else is computed on first use: the barrier-free value
+    -0.5 f'x - conjugate total (``bare_value``, all that the barrier merit
+    of a line-search trial reads), the bare gradient (``bare_grad``, all
+    that the gradient-norm merit reads), the bare Hessian (``bare_hess``,
+    with L^-1) and the log-det derivatives.  ``barrier`` and
+    ``barrier_derivs`` combine them with the slack terms at any barrier
+    weight.
     """
 
     def __init__(self, p: Problem, s: np.ndarray, slacks: np.ndarray, G: np.ndarray,
-                 L: Optional[np.ndarray]):
+                 L: Optional[np.ndarray], x: Optional[np.ndarray] = None):
         self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
         if L is None:
-            self.x = np.linalg.solve(G, p.f)
+            self.x = np.linalg.solve(G, p.f) if x is None else x
         else:
             self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
             self.logdet = float(np.sum(np.log(np.diag(L))))  # 0.5 log det G
-        self.bare_value = -0.5 * float(p.f @ self.x) - conjugate_total(p, s)
+
+    @cached_property
+    def bare_value(self) -> float:
+        return -0.5 * float(self.p.f @ self.x) - conjugate_total(self.p, self.s)
 
     def clears(self, margin: float) -> bool:
         """Whether every slack and the smallest eigenvalue of G exceed the
@@ -296,9 +330,10 @@ class DualPoint:
             H -= mu * H_ld
             rows = self.p.coordinate_rows
             idx = rows.index
-            d = rows.direction[idx]
+            d = rows.slack_columns.direction
             g[idx] += mu * d / self.slacks
-            H[idx, idx] -= mu * (d / self.slacks) ** 2
+            # the diagonal of H as a strided view: a 1-d index is cheaper than H[idx, idx]
+            H.reshape(-1)[::len(g) + 1][idx] -= mu * (d / self.slacks) ** 2
         return g, 0.5 * (H + H.T)
 
     @cached_property
@@ -370,9 +405,66 @@ def factor_point(p: Problem, s, cholesky: bool = True,
     G = operator(p, s)
     try:
         point = DualPoint(p, s, slacks, G, np.linalg.cholesky(G) if cholesky else None)
-    except (np.linalg.LinAlgError, DomainViolation):
+    except np.linalg.LinAlgError:
         return None
     return point if cholesky or np.all(np.isfinite(point.x)) else None
+
+
+class PointStack:
+    """LU points at a stack of dual points, evaluated in one pass; build it
+    with ``factor_stack``.  Row j is refused where
+    ``factor_point(p, z_j, cholesky=False)`` would be None.  ``kept`` lists
+    the other rows in order and ``bare_grads`` their bare gradients.
+    ``stack[j]`` is the ``DualPoint`` of row j, or None where refused,
+    built on demand: a caller builds only the points it keeps."""
+
+    def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, kept: np.ndarray,
+                 G: np.ndarray, X: np.ndarray, images: np.ndarray):
+        self.p, self.Z, self.slacks, self.kept = p, Z, slacks, kept
+        self.G, self.X, self.images = G, X, images
+        self.bare_grads = bare_grads(p, Z[kept], X, images)
+        self._row = dict(zip(kept.tolist(), range(len(kept))))
+
+    def __len__(self) -> int:
+        return len(self.Z)
+
+    def __getitem__(self, j: int) -> Optional[DualPoint]:
+        if not 0 <= j < len(self.Z):
+            raise IndexError(j)
+        r = self._row.get(j)
+        if r is None:
+            return None
+        point = DualPoint(self.p, self.Z[j], self.slacks[j], self.G[r], None, x=self.X[r])
+        point.images, point.bare_grad = self.images[r], self.bare_grads[r]
+        return point
+
+
+def factor_stack(p: Problem, Z, slacks=None) -> PointStack:
+    """``factor_point(p, z, cholesky=False)`` at every row z of Z, in one
+    pass: the stacked operator, one ``np.linalg.solve`` over the stack
+    (singular rows, which make it fail, are then refused one by one) and
+    the bare gradients.  ``slacks``, when given, holds ``domain_slacks`` of
+    each row that has already passed ``screen``."""
+    Z = np.array(Z, dtype=float)
+    if slacks is None:
+        outside, slacks = screen(p, Z, cholesky=False)
+        kept = np.flatnonzero(~outside)
+    else:
+        slacks, kept = np.array(slacks), np.arange(len(Z))
+    G = operator(p, Z[kept])
+    try:
+        X = np.linalg.solve(G, p.f[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        X = np.full((len(kept), p.n), np.nan)  # a singular row stays NaN: refused
+        for r, Gr in enumerate(G):
+            try:
+                X[r] = np.linalg.solve(Gr, p.f)
+            except np.linalg.LinAlgError:
+                pass
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        kept, G, X = kept[finite], G[finite], X[finite]
+    return PointStack(p, Z, slacks, kept, G, X, coordinate_images(p, X))
 
 
 @dataclass

@@ -33,6 +33,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, NonFinite, SchemaError
@@ -227,8 +229,20 @@ class Problem:
         beta = np.array([t.beta for t in terms] + [0.0] * n_sign)
         bounded = np.array([t.kind is not TermKind.XLOGX for t in terms] + [True] * n_sign,
                            dtype=bool)
+        strict = np.array([t.kind is TermKind.EXPONENTIAL for t in terms] + [False] * n_sign,
+                          dtype=bool)
         return CoordinateRows(np.hstack(blocks), np.cumsum([0] + sizes)[:-1], weights,
-                              alpha, beta, bounded)
+                              alpha, beta, bounded, strict)
+
+
+class SlackColumns(NamedTuple):
+    """|alpha|, alpha, beta, direction and strict on the bounded coordinates."""
+
+    scale: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    direction: np.ndarray
+    strict: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -244,10 +258,11 @@ class CoordinateRows:
     The dual domain is one bound per coordinate, s/alpha >= beta: the
     closure of the duality-map range for a quartic term, s/alpha > 0 for an
     exponential term (beta = 0) and s >= 0 for a sign multiplier (alpha = 1,
-    beta = 0).  An xlogx coordinate is not ``bounded``.  On the bounded
-    coordinates (``index``) the slack |alpha| (s/alpha - beta) is positive
-    inside, grows along ``direction`` |alpha|/alpha and is zero at ``edge``
-    alpha beta.
+    beta = 0).  An xlogx coordinate is not ``bounded``; an exponential one
+    is ``strict``: its bound excludes the edge, where the conjugate is
+    undefined.  On the bounded coordinates (``index``) the slack
+    |alpha| (s/alpha - beta) is positive inside, grows along ``direction``
+    |alpha|/alpha and is zero at ``edge`` alpha beta.
     """
 
     Bt: np.ndarray
@@ -256,10 +271,19 @@ class CoordinateRows:
     alpha: np.ndarray
     beta: np.ndarray
     bounded: np.ndarray
+    strict: np.ndarray
 
     @cached_property
     def index(self) -> np.ndarray:
         return np.flatnonzero(self.bounded)
+
+    @cached_property
+    def slack_columns(self) -> "SlackColumns":
+        """The columns of the bounded coordinates (``index``) that every
+        slack and domain test reads."""
+        i = self.index
+        return SlackColumns(np.abs(self.alpha[i]), self.alpha[i], self.beta[i],
+                            self.direction[i], self.strict[i])
 
     @cached_property
     def direction(self) -> np.ndarray:

@@ -16,19 +16,27 @@ The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``,
 with callbacks from ``_barrier`` and ``_stationarity``: the ascent
 backtracks on the barrier value, the other two on the norm of the dual
-gradient.  All three step on ``dual.DualPoint``, a point factorized once
-by ``dual.factor_point``: the ascent and the polish by Cholesky, where a
-trial point is feasible when its domain slacks are positive and the factor
-exists (for the polish, also that of G shifted by the boundary tolerance);
-the root search, where G may be indefinite, by an LU solve.  The point
-owns the barrier: its value and derivatives at every mu come from the
-factor and the domain slacks of ``Problem.coordinate_rows``.  The line
-search makes its first trials one at a time; when none of them is
-accepted, it screens the domain of all the shorter steps at once
-(``dual.screen``) and factorizes only the points inside, with the trials
-and the accepted step of halving one step at a time.  A trial builds only
-what its merit reads, the barrier value or the bare gradient: the Hessian
-and L^-1 are formed only at the points the loop accepts.  Each outer step
+gradient.  The loop runs a stack of starts in lockstep.  The ascent and
+the polish pass one start; the root search passes all of its starts, the
+ladder and the random ones, as one stack, and each start ends where it
+would alone, to the bit.  All three step on ``dual.DualPoint``, a point
+factorized once: the ascent and the polish by Cholesky
+(``dual.factor_point``, one trial at a time), where a trial point is
+feasible when its domain slacks are positive and the factor exists (for
+the polish, also that of G shifted by the boundary tolerance); the root
+search, where G may be indefinite, by LU, a whole stack of trials in one
+pass (``dual.factor_stack``: one stacked operator, one stacked solve and
+the stacked bare gradients).  The point owns the barrier: its value and
+derivatives at every mu come from the factor and the domain slacks of
+``Problem.coordinate_rows``.  The line search runs in rounds, one per
+step length, each over the starts still searching: the first rounds take
+every such start's trial; then the domain of all the shorter steps of
+every start left is screened at once (``dual.screen``), and each later
+round takes only the points inside, so every start's trials and accepted
+step are those of halving one step at a time.  A trial builds only what
+its merit reads, the barrier value or the bare gradient: the Hessian and
+L^-1 are formed only at the points the loop accepts, and a stacked LU
+trial builds a point only where it is accepted.  Each outer step
 starts from the factorized point the last one ended at, and the
 convergence test reads that point: a Cholesky test of G minus the
 feasibility margin and the bare gradient from the factor.  The
@@ -69,11 +77,12 @@ _ARMIJO = 1e-4
 # on, _ARMIJO * t < 2^-54, so m - _ARMIJO * t * m rounds back to m and a trial
 # that does not lower the gradient-norm merit would pass the Armijo test.
 _HALVINGS = 40
-# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are factorized
-# one at a time: most searches stop among them.  The others, t = 2^-4 ..
-# 2^-39 (exact), are formed and screened for the domain as one stack.
+_STEP_LENGTHS = [math.ldexp(1.0, -k) for k in range(_HALVINGS)]  # exact
+# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are made
+# without a screen: most searches stop among them.  The others, t = 2^-4 ..
+# 2^-39, are formed and screened for the domain as one stack.
 _SINGLE_STEPS = 4
-_STACKED_STEPS = np.ldexp(1.0, -np.arange(_SINGLE_STEPS, _HALVINGS))[:, None]
+_STACKED_STEPS = np.array(_STEP_LENGTHS[_SINGLE_STEPS:])[:, None]
 _MU_FLOOR = 1e-12
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
@@ -130,11 +139,13 @@ class SolverConfig:
 
 def _barrier(p: Problem, mu: float) -> tuple:
     """``_damped_newton`` callbacks for ascent of the barrier objective: a
-    state is a Cholesky ``dual.DualPoint``, the merit is the negated
-    ``DualPoint.barrier``, the slope g'd."""
-    return (partial(dual.factor_point, p), partial(dual.screen, p),
-            lambda point: -point.barrier(mu), lambda g, d, m: float(g @ d),
-            lambda point: point.barrier_derivs(mu))
+    state is a Cholesky ``dual.DualPoint``, factorized one trial at a time,
+    the merit is the negated ``DualPoint.barrier``, the slope g'd."""
+    def merit(point):
+        return -point.barrier(mu)
+
+    return (_one_at_a_time(partial(dual.factor_point, p), merit), partial(dual.screen, p),
+            merit, lambda g, d, m: float(g @ d), lambda point: point.barrier_derivs(mu))
 
 
 def _stationarity(p: Problem, certified: bool) -> tuple:
@@ -145,109 +156,175 @@ def _stationarity(p: Problem, certified: bool) -> tuple:
     below the rounding of the objective itself; descending on the gradient
     norm instead converges to stationarity at machine precision.  With
     ``certified`` the domain is the certified region with G nonsingular by
-    ``dual.boundary_tol`` (Cholesky points that clear the boundary); without
-    it, every point with nonnegative domain slacks and nonsingular G (LU
-    points).
+    ``dual.boundary_tol`` (Cholesky points that clear the boundary, made one
+    trial at a time); without it, every point with nonnegative domain
+    slacks and nonsingular G (LU points, each stack of trials made in one
+    pass by ``_lu_trials``).
     """
     if certified:
-        def trial(s, slacks=None):
+        def make(s, slacks=None):
             point = dual.factor_point(p, s, slacks=slacks)
             return point if point is not None and point.clears(0.0) else None
+        trial = _one_at_a_time(make, _gradient_norm)
     else:
-        trial = partial(dual.factor_point, p, cholesky=False)
+        trial = partial(_lu_trials, p)
     return (trial, partial(dual.screen, p, cholesky=certified), _gradient_norm,
             lambda g, d, m: m, lambda point: point.barrier_derivs(0.0))
 
 
+def _one_at_a_time(make, merit):
+    """A stack trial of ``_damped_newton`` that makes each point alone:
+    ``make(z, slacks=None)`` is the state at z, or None outside the domain,
+    and ``merit(state)`` its merit (inf where refused)."""
+    def trial(Z, slacks=None):
+        states = (list(map(make, Z)) if slacks is None
+                  else [make(z, slacks=sl) for z, sl in zip(Z, slacks)])
+        return states, [math.inf if state is None else merit(state) for state in states]
+    return trial
+
+
+def _lu_trials(p: Problem, Z, slacks=None) -> tuple:
+    """The root search's stack trial: the LU points of ``dual.factor_stack``
+    and their gradient-norm merits (``_gradient_norms``, inf where refused)."""
+    stack = dual.factor_stack(p, Z, slacks)
+    merits = np.full(len(stack), math.inf)
+    merits[stack.kept] = _gradient_norms(stack.bare_grads)
+    return stack, merits.tolist()
+
+
 def _gradient_norm(point: dual.DualPoint) -> float:
-    """The norm of the bare gradient, the merit of the root search and the
-    polish.  Far out in the domain it can overflow: the merit is then inf,
-    which the line search refuses, so the overflow is not warned about."""
+    """The norm of the bare gradient, the merit of the polish and, a stack
+    at a time (``_gradient_norms``), of the root search.  Far out in the
+    domain it can overflow: the merit is then inf, which the line search
+    refuses, so the overflow is not warned about."""
     g = point.bare_grad
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(g))
 
 
-def _damped_newton(s: np.ndarray, trial, screen, merit, slope, derivatives, tol: float,
-                   max_iter: int, step_tol: Optional[float] = None, state=None,
-                   centred: Optional[float] = None) -> tuple:
-    """Damped Newton iteration with a backtracking line search.
+def _gradient_norms(grads: np.ndarray) -> np.ndarray:
+    """``_gradient_norm`` of a stack of bare gradients (one per row), with
+    the arithmetic of each row alone: np.linalg.norm squares a vector by one
+    vector product, and so does the stacked product here."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0])
 
-    ``trial(s, slacks=None)`` is the state at s, or None outside the domain;
-    ``slacks``, when given, are the domain slacks at s that passed
-    ``screen``, which is ``dual.screen`` for the same domain;
-    ``derivatives(state)`` is the pair (g, H).  The direction d solves
-    (-H) d = g, replaced by the scaled gradient when ``slope(g, d, m)`` is
-    not positive.  A step of length t = 2^-k, k = 0 .. _HALVINGS - 1, is
-    accepted when the finite ``merit`` of its state is at most
+
+def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivatives,
+                   tol: float, max_iter: int, step_tol: Optional[float] = None,
+                   states: Optional[list] = None, centred: Optional[float] = None) -> list:
+    """Damped Newton iteration with a backtracking line search, for a stack
+    of starts S run in lockstep.
+
+    ``trial(Z, slacks=None)`` evaluates a stack of points Z (a list of
+    arrays) as the pair (states, merits), one of each per point: the state
+    is None outside the domain, where the merit is inf.  ``slacks``, when
+    given, are the domain slacks of each point, which passed ``screen``,
+    ``dual.screen`` for the same domain; ``merit(state)`` is the merit of a
+    state passed in ``states``; ``derivatives(state)`` is the pair (g, H).
+    Each iteration takes the derivatives and the direction of every start
+    still running: d solves (-H) d = g, replaced by the scaled gradient when
+    ``slope(g, d, m)`` is not positive.  A step of length t = 2^-k,
+    k = 0 .. _HALVINGS - 1, is accepted when its finite merit is at most
     m - _ARMIJO * t * slope(g, d, m), where m is the current merit; the
-    first such t, the longest, is taken.  The first _SINGLE_STEPS trials are
-    made one at a time.  When none of them is accepted, the other points
-    s + t d are formed as one stack and screened in one call, and only those
-    that pass are handed to ``trial`` with their slacks: a point the screen
+    first such t, the longest, is taken.  The line search runs in rounds,
+    one per t, and each round hands ``trial`` the points of every start
+    still searching as one stack.  The first _SINGLE_STEPS rounds take every
+    such start's point.  Then the other points s + t d of every start left
+    are formed as one stack and screened in one call, and each round takes
+    only the points that pass, with their slacks: a point the screen
     refuses would have been a None state, and the stack holds the same
-    numbers, so the accepted step is that of halving t one step at a time,
-    to the bit.  Stops at |g| <= tol; with ``centred``, also when the
-    squared Newton decrement g'd lies in [0, centred] (a negative g'd means
-    -H is not numerically definite, and says nothing); when no step is
-    accepted; after ``max_iter`` steps; or, with ``step_tol``, after a step
-    shorter than step_tol * (1 + |s|).  ``state``, when given, is
-    ``trial(s)`` already computed by the caller.  Returns (s, state, steps);
-    the state is None when the start is outside the domain.  Only accepted
-    states reach ``derivatives``, so a refused trial builds no more than its
-    merit reads.
+    numbers.  So each start's accepted step is that of halving t one step
+    at a time on the start alone, to the bit, and each start ends where it
+    would alone.  A start stops at |g| <= tol; with ``centred``, also when
+    the squared Newton decrement g'd lies in [0, centred] (a negative g'd
+    means -H is not numerically definite, and says nothing); when no step
+    is accepted; after ``max_iter`` steps; or, with ``step_tol``, after a
+    step shorter than step_tol * (1 + |s|).  ``states``, when given, is the
+    state at each start already computed by the caller.  Returns one
+    (s, state, steps) per start; the state is None when the start is
+    outside the domain.  Only accepted states reach ``derivatives``, and
+    ``trial`` builds only what the merit reads.
     """
-    if state is None:
-        state = trial(s)
-        if state is None:
-            return s, None, 0
-    m = merit(state)
+    S = list(S)
+    if states is None:
+        made, merits = trial(S)
+        states = [made[i] for i in range(len(S))]
+        live = [i for i, state in enumerate(states) if state is not None]
+    else:
+        states = list(states)
+        merits = list(map(merit, states))
+        live = list(range(len(S)))
+    steps = [0] * len(S)
     for it in range(max_iter):
-        g, H = derivatives(state)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return s, state, it
-        d = _solve_newton(H, g)
-        if centred is not None and 0.0 <= float(g @ d) <= centred:
-            return s, state, it
-        rate = slope(g, d, m)
-        if rate <= 0.0:
-            d = g / max(1.0, gnorm)
-            rate = slope(g, d, m)
-        t = 1.0
-        for k in range(_HALVINGS):
+        if not live:
+            break
+        searching = {}  # start: (direction, rate)
+        for i in live:
+            g, H = derivatives(states[i])
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= tol:
+                steps[i] = it
+                continue
+            d = _solve_newton(H, g)
+            if centred is not None and 0.0 <= float(g @ d) <= centred:
+                steps[i] = it
+                continue
+            rate = slope(g, d, merits[i])
+            if rate <= 0.0:
+                d = g / max(1.0, gnorm)
+                rate = slope(g, d, merits[i])
+            searching[i] = (d, rate)
+            steps[i] = it + 1
+        live = []
+        for k, t in enumerate(_STEP_LENGTHS):
+            if not searching:
+                break
             if k < _SINGLE_STEPS:
-                z = s + t * d
-                zstate = trial(z)
+                tried = list(searching)
+                Z = [S[i] + t * searching[i][0] for i in tried]
+                slacks = None
             else:
                 j = k - _SINGLE_STEPS
                 if j == 0:
-                    Z = s + _STACKED_STEPS * d
-                    outside, slacks = screen(Z)
-                z = Z[j]
-                zstate = None if outside[j] else trial(z, slacks=slacks[j])
-            if zstate is not None:
-                zm = merit(zstate)
-                if math.isfinite(zm) and zm <= m - _ARMIJO * t * rate:
-                    break
-            t *= 0.5
-        else:
-            return s, state, it + 1
-        s, state, m = z, zstate, zm
-        if step_tol is not None and (t * float(np.linalg.norm(d))
-                                     <= step_tol * (1.0 + float(np.linalg.norm(s)))):
-            return s, state, it + 1
-    return s, state, max_iter
+                    row = {i: a for a, i in enumerate(searching)}
+                    deep = (np.array([S[i] for i in searching])[:, None, :] + _STACKED_STEPS
+                            * np.array([d for d, _ in searching.values()])[:, None, :])
+                    outside, deep_slacks = screen(deep)
+                    inside = (~outside).tolist()
+                tried = [i for i in searching if inside[row[i]][j]]
+                if not tried:
+                    continue
+                Z = [deep[row[i], j] for i in tried]
+                slacks = [deep_slacks[row[i], j] for i in tried]
+            made, zms = trial(Z, slacks)
+            armijo = _ARMIJO * t
+            for a, i in enumerate(tried):
+                d, rate = searching[i]
+                zm = zms[a]
+                if math.isfinite(zm) and zm <= merits[i] - armijo * rate:
+                    S[i], states[i], merits[i] = Z[a], made[a], zm
+                    del searching[i]
+                    if step_tol is None or (t * float(np.linalg.norm(d))
+                                            > step_tol * (1.0 + float(np.linalg.norm(S[i])))):
+                        live.append(i)
+    return list(zip(S, states, steps))
 
 
 def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Newton direction from (-H) d = g with a ridge fallback: the ascent step
     of a concave objective, and the root step H d = -g for g = 0."""
-    scale = float(np.max(np.abs(H))) + 1.0
     A = -H
-    for ridge in (0.0, 1e-12 * scale, 1e-8 * scale, 1e-4 * scale):
+    try:
+        d = np.linalg.solve(A, g)
+        if np.all(np.isfinite(d)):
+            return d
+    except np.linalg.LinAlgError:
+        pass
+    scale = float(np.max(np.abs(H))) + 1.0
+    for ridge in (1e-12 * scale, 1e-8 * scale, 1e-4 * scale):
         try:
-            d = np.linalg.solve(A if ridge == 0.0 else A + ridge * np.eye(len(g)), g)
+            d = np.linalg.solve(A + ridge * np.eye(len(g)), g)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(d)):
@@ -361,9 +438,10 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     mu = cfg.barrier_weight
     point = None  # each outer step starts from the factorized point the last one ended at
     for _ in range(cfg.max_outer):
-        s, point, its = _damped_newton(s, *_barrier(p, mu), tol=gtol,
-                                       max_iter=cfg.max_inner, step_tol=cfg.step_tol,
-                                       state=point, centred=_CENTERING * mu)
+        [(s, point, its)] = _damped_newton([s], *_barrier(p, mu), tol=gtol,
+                                           max_iter=cfg.max_inner, step_tol=cfg.step_tol,
+                                           states=None if point is None else [point],
+                                           centred=_CENTERING * mu)
         if point is None:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
@@ -372,8 +450,8 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
             break
 
     # Barrier-free polish while the iterate stays strictly interior.
-    s, _, its = _damped_newton(s, *_stationarity(p, certified=True),
-                               tol=min(gtol, 1e-12 * p.f_scale), max_iter=cfg.max_inner)
+    [(s, _, its)] = _damped_newton([s], *_stationarity(p, certified=True),
+                                   tol=min(gtol, 1e-12 * p.f_scale), max_iter=cfg.max_inner)
     iterations += its
 
     gm = dual.assemble_G(p, s)
@@ -616,9 +694,9 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
             pass
     gtol = max(cfg.grad_tol, 1e-11) * p.f_scale
     starts = _ladder_starts(p) + [_random_dual_start(p, rng) for _ in range(n_starts)]
-    newton = _stationarity(p, certified=False)
-    for s in starts:
-        s, state, _ = _damped_newton(s, *newton, tol=gtol, max_iter=60)
+    # every start in one lockstep stack; each ends where it would alone
+    for s, state, _ in _damped_newton(starts, *_stationarity(p, certified=False),
+                                      tol=gtol, max_iter=60):
         if state is not None and _gradient_norm(state) <= gtol:
             found.append(s)
     merged = []

@@ -113,8 +113,8 @@ def test_monotone_ascent_of_barrier_objective():
     mu = 0.3
     values = [dual.factor_point(p, s).barrier(mu)]
     for _ in range(6):
-        s, _, _ = solver._damped_newton(s, *solver._barrier(p, mu), tol=1e-14, max_iter=1,
-                                        step_tol=cfg.step_tol)
+        [(s, _, _)] = solver._damped_newton([s], *solver._barrier(p, mu), tol=1e-14,
+                                            max_iter=1, step_tol=cfg.step_tol)
         values.append(dual.factor_point(p, s).barrier(mu))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > values[0]
@@ -225,8 +225,8 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     p = _barrier_problem(name)
     cfg = SolverConfig()
     # the mu = 1 barrier center keeps every difference step inside the region
-    s, _, _ = solver._damped_newton(solver._phase1(p)[0], *solver._barrier(p, 1.0),
-                                    tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
+    [(s, _, _)] = solver._damped_newton([solver._phase1(p)[0]], *solver._barrier(p, 1.0),
+                                        tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
     g, H = dual.factor_point(p, s).barrier_derivs(mu)
 
@@ -307,6 +307,8 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
     p = _barrier_problem(name)
     s, _ = solver._phase1(p)
     screen = partial(dual.screen, p, cholesky=cholesky)
+    # an LU point may sit on its edge, except an exponential coordinate's
+    strict = p.coordinate_rows.strict[p.coordinate_rows.index]
     refused_any, edge_steps = False, set()
     # t = 2^-k along -2^k s puts each sign multiplier and exponential
     # coordinate exactly on its edge, slack 0: at t = 1/2 among the single
@@ -316,15 +318,15 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
                       for scale in (10.0, 10.0, 1e3, 1e3, 1e3)]:
         handed = []
 
-        def trial(z, slacks=None):
-            handed.append((z, slacks))
-            return None
+        def trial(Z, slacks=None):
+            handed.extend(zip(Z, slacks or [None] * len(Z)))
+            return [None] * len(Z), [math.inf] * len(Z)
 
         # g = d with H = -I makes d the Newton direction; every trial is
         # refused, so the line search runs through all its steps
-        solver._damped_newton(s, trial, screen, lambda state: 0.0, lambda g, d, m: 1.0,
+        solver._damped_newton([s], trial, screen, lambda state: 0.0, lambda g, d, m: 1.0,
                               lambda state: (d, -np.eye(p.dual_dim)), tol=0.0, max_iter=1,
-                              state="start")
+                              states=["start"])
         expected, t = [], 1.0
         for k in range(solver._HALVINGS):
             z = s + t * d
@@ -333,7 +335,8 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
                 edge_steps.add(t)
             if k < solver._SINGLE_STEPS:
                 expected.append((z, None))
-            elif not ((slacks <= 0.0).any() if cholesky else (slacks < 0.0).any()):
+            elif not ((slacks <= 0.0).any() if cholesky
+                      else ((slacks < 0.0) | (slacks == 0.0) & strict).any()):
                 expected.append((z, slacks))
             else:
                 refused_any = True
@@ -350,9 +353,10 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
 
 
 @pytest.mark.parametrize("search", ["root", "barrier"])
-def test_refused_trials_build_only_what_the_merit_reads(search):
+def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     # a trial the line search refuses carries its merit's inputs only: the
-    # root search's gradient, the barrier's value; no L^-1 and no Hessian
+    # barrier's value, with no L^-1, no Hessian and no gradient; the root
+    # search's stacked trials build no point at all for a refused row
     if search == "root":
         p = double_well(1.75)  # one real root: most root searches never converge
         callbacks, starts = solver._stationarity(p, certified=False), solver._ladder_starts(p)
@@ -360,28 +364,105 @@ def test_refused_trials_build_only_what_the_merit_reads(search):
         p = _barrier_problem("continuous")
         callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
     trial, screen, merit, slope, derivatives = callbacks
-    made, derived = [], []
+    built, derived, tried = [], [], []
+    init = dual.DualPoint.__init__
 
-    def recording_trial(*args, **kwargs):
-        point = trial(*args, **kwargs)
-        made.append(point)
-        return point
+    def recording_init(point, *args, **kwargs):
+        init(point, *args, **kwargs)
+        built.append(point)
+
+    def recording_trial(Z, slacks=None):
+        tried.extend(Z)
+        return trial(Z, slacks)
 
     def recording_derivatives(point):
         derived.append(point)
         return derivatives(point)
 
-    ends = []
-    for s in starts:
-        ends.append(solver._damped_newton(s, recording_trial, screen, merit, slope,
-                                          recording_derivatives, tol=1e-12, max_iter=60)[1])
-    kept = {id(point) for point in derived + ends}
-    refused = [point for point in made if point is not None and id(point) not in kept]
+    monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
+    ends = solver._damped_newton(starts, recording_trial, screen, merit, slope,
+                                 recording_derivatives, tol=1e-12, max_iter=60)
+    kept = {id(point) for point in derived + [state for _, state, _ in ends]}
+    refused = [point for point in built if id(point) not in kept]
+    assert all("bare_hess" in vars(point) for point in derived)
+    if search == "root":
+        assert refused == [] and len(built) < len(tried)
+        assert all("bare_grad" in vars(point) for point in built)
+        return
     assert refused
     for point in refused:
-        assert not {"Linv", "bare_hess", "logdet_derivs"} & set(vars(point))
-        assert ("bare_grad" in vars(point)) == (search == "root")
-    assert all("bare_hess" in vars(point) for point in derived)
+        assert not {"Linv", "bare_hess", "logdet_derivs", "bare_grad"} & set(vars(point))
+        assert "bare_value" in vars(point)
+
+
+@pytest.mark.parametrize("alpha", [0.8, -1.2])
+def test_lu_points_refuse_an_exponential_coordinate_on_its_edge(alpha):
+    # the LU domain is closed, except where a conjugate is undefined: an
+    # exponential coordinate needs a positive slack, while a quartic
+    # coordinate and a sign multiplier may sit on their edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an exponential term with alpha < 0 warns
+        terms = [CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.sqrt(3.0) * np.eye(2), 1.0),
+                 CanonicalTerm(TermKind.EXPONENTIAL, np.array([[1.0, 0.5]]), alpha),
+                 CanonicalTerm(TermKind.QUARTIC, np.array([[0.5, 1.0]]), 2.0, -0.5)]
+    p = Problem(n=2, terms=terms, f=np.array([0.3, -0.2]), variables=Variables.SIGN_INTEGER)
+    on_edges = np.array([0.0, -1.0, 0.0, 0.0])
+    exponential_inside = on_edges + [math.copysign(0.5, alpha), 0.0, 0.0, 0.0]
+    for s, refused in ((on_edges, True), (exponential_inside, False)):
+        outside, slacks = dual.screen(p, s, cholesky=False)
+        assert slacks.tolist().count(0.0) == (4 if refused else 3)
+        assert outside == refused
+        assert dual.screen(p, s)[0]  # a Cholesky point needs every slack positive
+        assert (dual.factor_point(p, s, cholesky=False) is None) == refused
+    stack = dual.factor_stack(p, [on_edges, exponential_inside])
+    assert len(stack) == 2 and stack.kept.tolist() == [1] and stack[0] is None
+    with pytest.raises(IndexError):  # so that iterating over a stack ends
+        stack[2]
+    alone = dual.factor_point(p, exponential_inside, cholesky=False)
+    assert stack[1].x.tobytes() == alone.x.tobytes()
+
+
+def _root_search_problems() -> list:
+    """The README well at the 12 magnitudes of the benchmark's sweep, random
+    continuous problems with every term kind at n = 1 .. 6, and sign
+    problems with and without a linear term."""
+    well = double_well(1.0)
+    problems = [Problem(n=1, terms=well.terms, f=np.array([m]))
+                for m in np.linspace(0.25, 3.0, 12)]
+    rng = np.random.default_rng(1)
+    problems += [random_problem(rng, n_max=6, max_terms=4) for _ in range(10)]
+    problems += [random_qip(np.random.default_rng(seed), n, f_style=style).to_problem()
+                 for seed, n in ((0, 2), (1, 3), (2, 5)) for style in ("uniform", "zero")]
+    return problems
+
+
+def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
+    # every start of a multistart, run in one lockstep stack with stacked LU
+    # trials, ends at the same s, with the same None-ness and the same step
+    # count, as the start run alone with its trials factorized one at a time
+    problems = _root_search_problems()
+    kinds = {t.kind for p in problems for t in p.terms}
+    assert kinds == set(TermKind) and {p.n for p in problems} >= set(range(1, 7))
+    outcomes = set()
+    for p in problems:
+        rng = np.random.default_rng(0)
+        starts = solver._ladder_starts(p) + [solver._random_dual_start(p, rng) for _ in range(12)]
+        tol = 1e-11 * p.f_scale
+        callbacks = solver._stationarity(p, certified=False)
+        alone = (solver._one_at_a_time(partial(dual.factor_point, p, cholesky=False),
+                                       solver._gradient_norm),) + callbacks[1:]
+        together = solver._damped_newton(starts, *callbacks, tol=tol, max_iter=60)
+        for start, (s, state, steps) in zip(starts, together):
+            [(s_alone, state_alone, steps_alone)] = solver._damped_newton(
+                [start], *alone, tol=tol, max_iter=60)
+            assert s.tobytes() == s_alone.tobytes()
+            assert (state is None, steps) == (state_alone is None, steps_alone)
+            if state is not None:
+                assert state.x.tobytes() == state_alone.x.tobytes()
+                assert state.bare_grad.tobytes() == state_alone.bare_grad.tobytes()
+            outcomes.add("none" if state is None else "60" if steps == 60 else
+                         "root" if solver._gradient_norm(state) <= tol else "stopped")
+    assert outcomes == {"none", "60", "root", "stopped"}
 
 
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
@@ -472,10 +553,9 @@ def _newton_end_points(monkeypatch, problems) -> list:
     newton = solver._damped_newton
 
     def recording(*args, **kwargs):
-        s, state, its = newton(*args, **kwargs)
-        if isinstance(state, dual.DualPoint):
-            points.append(state)
-        return s, state, its
+        ends = newton(*args, **kwargs)
+        points.extend(state for _, state, _ in ends if isinstance(state, dual.DualPoint))
+        return ends
 
     monkeypatch.setattr(solver, "_damped_newton", recording)
     statuses = []
@@ -588,10 +668,10 @@ def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
     newton = solver._damped_newton
 
     def recording(*args, **kwargs):
-        s, state, its = newton(*args, **kwargs)
+        ends = newton(*args, **kwargs)
         if kwargs.get("step_tol") is None:  # the barrier steps pass one
-            polish_steps.append((state, its))
-        return s, state, its
+            polish_steps.extend((state, its) for _, state, its in ends)
+        return ends
 
     monkeypatch.setattr(solver, "_damped_newton", recording)
     problems = [double_well(0.0)] + [random_qip(np.random.default_rng(seed), n, f_style="zero")
@@ -777,18 +857,19 @@ def test_critical_points_symmetric_case_isolated_maximizer():
 
 def test_root_search_refuses_an_overflowing_trial_without_a_warning(monkeypatch):
     # the 12th draw has xlogx, plain and exponential terms at n = 3; far out,
-    # a trial's gradient norm overflows: its merit is inf, and it is refused
+    # a trial's gradient norm overflows: its stacked merit is inf, and the
+    # trial is refused
     rng = np.random.default_rng(11)
     p = [random_problem(rng, n_max=4, max_terms=3) for _ in range(12)][-1]
     assert p.n == 3
     merits = []
-    norm = solver._gradient_norm
+    norms = solver._gradient_norms
 
-    def recording(point):
-        merits.append(norm(point))
-        return merits[-1]
+    def recording(grads):
+        merits.extend(norms(grads).tolist())
+        return norms(grads)
 
-    monkeypatch.setattr(solver, "_gradient_norm", recording)
+    monkeypatch.setattr(solver, "_gradient_norms", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points = solver.dual_critical_points(p)
@@ -817,20 +898,28 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # the 12-magnitude sweep of the benchmark.  Factorizing every trial one at
     # a time makes 23,051 factor_point calls, 10,576 of them refused for
     # their domain slacks; the stacked screen leaves those of the first
-    # _SINGLE_STEPS trials of each line search
-    calls = {"all": 0, "slack_refused": 0}
-    factor = dual.factor_point
+    # _SINGLE_STEPS trials of each line search (2,502).  The solves' barrier
+    # and polish make 91 trials one at a time; the root searches, with the
+    # 18 starts of a magnitude in lockstep, evaluate their 14,886 trials in
+    # 3,124 stacks
+    calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0}
+    factor, stack = dual.factor_point, dual.factor_stack
 
     def counting(p, s, cholesky=True, slacks=None):
-        calls["all"] += 1
-        point = factor(p, s, cholesky, slacks)
-        if point is None and dual.screen(p, s, cholesky)[0]:
-            calls["slack_refused"] += 1
-        return point
+        calls["points"] += 1
+        return factor(p, s, cholesky, slacks)
+
+    def counting_stack(p, Z, slacks=None):
+        calls["stacks"] += 1
+        calls["rows"] += len(Z)
+        if slacks is None:
+            calls["slack_refused"] += int(dual.screen(p, np.array(Z), False)[0].sum())
+        return stack(p, Z, slacks)
 
     monkeypatch.setattr(dual, "factor_point", counting)
+    monkeypatch.setattr(dual, "factor_stack", counting_stack)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
-    assert calls == {"all": 14_977, "slack_refused": 2_502}
+    assert calls == {"points": 91, "stacks": 3_124, "rows": 14_886, "slack_refused": 2_502}
     assert res.threshold == 1.75
     rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
     assert hashlib.sha256(rows.encode()).hexdigest() == (
