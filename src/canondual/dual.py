@@ -429,8 +429,6 @@ class PointStack:
         return len(self.Z)
 
     def __getitem__(self, j: int) -> Optional[DualPoint]:
-        if not 0 <= j < len(self.Z):
-            raise IndexError(j)
         r = self._row.get(j)
         if r is None:
             return None
@@ -453,7 +451,9 @@ def factor_stack(p: Problem, Z, slacks=None) -> PointStack:
         slacks, kept = np.array(slacks), np.arange(len(Z))
     G = operator(p, Z[kept])
     try:
-        X = np.linalg.solve(G, p.f[:, None])[..., 0]
+        # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a
+        # stack of vectors, numpy 2 as one column
+        X = np.linalg.solve(G, np.broadcast_to(p.f[:, None], G.shape[:-1] + (1,)))[..., 0]
     except np.linalg.LinAlgError:
         X = np.full((len(kept), p.n), np.nan)  # a singular row stays NaN: refused
         for r, Gr in enumerate(G):

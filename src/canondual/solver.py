@@ -194,18 +194,16 @@ def _lu_trials(p: Problem, Z, slacks=None) -> tuple:
 
 def _gradient_norm(point: dual.DualPoint) -> float:
     """The norm of the bare gradient, the merit of the polish and, a stack
-    at a time (``_gradient_norms``), of the root search.  Far out in the
-    domain it can overflow: the merit is then inf, which the line search
-    refuses, so the overflow is not warned about."""
-    g = point.bare_grad
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(g))
+    at a time (``_gradient_norms``), of the root search."""
+    return float(_gradient_norms(point.bare_grad[None])[0])
 
 
 def _gradient_norms(grads: np.ndarray) -> np.ndarray:
-    """``_gradient_norm`` of a stack of bare gradients (one per row), with
-    the arithmetic of each row alone: np.linalg.norm squares a vector by one
-    vector product, and so does the stacked product here."""
+    """The norm of each row of a stack of bare gradients, with the
+    arithmetic of np.linalg.norm on the row alone: it squares a vector by
+    one vector product, and so does the stacked product here.  Far out in
+    the domain a norm can overflow: it is then inf, which the line search
+    refuses, so the overflow is not warned about."""
     with np.errstate(over="ignore"):
         return np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0])
 

@@ -416,8 +416,6 @@ def test_lu_points_refuse_an_exponential_coordinate_on_its_edge(alpha):
         assert (dual.factor_point(p, s, cholesky=False) is None) == refused
     stack = dual.factor_stack(p, [on_edges, exponential_inside])
     assert len(stack) == 2 and stack.kept.tolist() == [1] and stack[0] is None
-    with pytest.raises(IndexError):  # so that iterating over a stack ends
-        stack[2]
     alone = dual.factor_point(p, exponential_inside, cholesky=False)
     assert stack[1].x.tobytes() == alone.x.tobytes()
 
