@@ -32,7 +32,11 @@ the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
 ``factor_stack`` makes the LU points of a whole stack in one pass, the
 arithmetic of each row that of ``factor_point`` alone, and ``PointStack``
-builds a row's ``DualPoint`` only when asked.  ``GapMatrix``, built by
+builds a row's ``DualPoint`` only when asked.  G(s) does not depend on f, so
+the rows of one stack may carry their own f, each with its own ``Problem``
+on the same terms: the root search of a whole sweep is one stack.
+``bare_hessians`` gives the LU Hessians of a stack of points in one
+stacked solve.  ``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
 eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
 reference gradient and the membership of the certified region.  A dual
@@ -239,6 +243,18 @@ def bare_grads(p: Problem, s: np.ndarray, x: np.ndarray, images: np.ndarray) -> 
     return g
 
 
+def bare_hessians(p: Problem, s: np.ndarray, G: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The LU ``DualPoint.bare_hess`` at a stack of dual points s (one per
+    row), with G their operators and A their ``coordinate_images``, and the
+    arithmetic of each row alone: one stacked solve G^-1 A, stacked matrix
+    products A'(G^-1 A), and each conjugate's second derivative the scalar
+    ``model.conj_hess``."""
+    H = -np.matmul(images.swapaxes(-1, -2), np.linalg.solve(G, images))
+    for k, idx in enumerate(p.dual_terms):
+        H[:, k, k] -= [model.conj_hess(p.terms[idx], v) for v in s[:, k].tolist()]
+    return H
+
+
 def domain_slacks(p: Problem, s) -> np.ndarray:
     """Slack |alpha| (s/alpha - beta) of each bounded coordinate
     (``Problem.coordinate_rows.index``), positive inside the dual domain.
@@ -323,17 +339,17 @@ class DualPoint:
         """Gradient and symmetrized Hessian of ``barrier``: the bare
         derivatives plus mu times those of log det G (``logdet_derivs``) and
         of the log slacks."""
-        g, H = self.bare_grad.copy(), self.bare_hess.copy()
         if mu > 0.0:
             g_ld, H_ld = self.logdet_derivs
-            g += mu * g_ld
-            H -= mu * H_ld
+            g, H = self.bare_grad + mu * g_ld, self.bare_hess - mu * H_ld
             rows = self.p.coordinate_rows
             idx = rows.index
             d = rows.slack_columns.direction
             g[idx] += mu * d / self.slacks
             # the diagonal of H as a strided view: a 1-d index is cheaper than H[idx, idx]
             H.reshape(-1)[::len(g) + 1][idx] -= mu * (d / self.slacks) ** 2
+        else:
+            g, H = self.bare_grad.copy(), self.bare_hess
         return g, 0.5 * (H + H.T)
 
     @cached_property
@@ -359,14 +375,14 @@ class DualPoint:
     @cached_property
     def bare_hess(self) -> np.ndarray:
         """(Unsymmetrized) Hessian of the bare dual objective,
-        H = -(A'Ginv A) - diag(Phi*''_c); a sign multiplier adds nothing."""
+        H = -(A'Ginv A) - diag(Phi*''_c); a sign multiplier adds nothing.
+        The LU form is ``bare_hessians`` on a stack of one."""
         p = self.p
         A = self.images
         if self.L is None:
-            H = -(A.T @ np.linalg.solve(self.G, A))
-        else:
-            W = self.Linv @ A
-            H = -(W.T @ W)
+            return bare_hessians(p, self.s[None], self.G[None], A[None])[0]
+        W = self.Linv @ A
+        H = -(W.T @ W)
         for k, idx in enumerate(p.dual_terms):
             H[k, k] -= model.conj_hess(p.terms[idx], float(self.s[k]))
         return H
@@ -413,58 +429,66 @@ def factor_point(p: Problem, s, cholesky: bool = True,
 class PointStack:
     """LU points at a stack of dual points, evaluated in one pass; build it
     with ``factor_stack``.  Row j is refused where
-    ``factor_point(p, z_j, cholesky=False)`` would be None.  ``kept`` lists
-    the other rows in order and ``bare_grads`` their bare gradients.
-    ``stack[j]`` is the ``DualPoint`` of row j, or None where refused,
-    built on demand: a caller builds only the points it keeps."""
+    ``factor_point(q, z_j, cholesky=False)`` would be None, for q its
+    problem (``problems[j]``, or p).
+    ``kept`` lists the other rows in order and ``bare_grads`` their bare
+    gradients.  ``stack[j]`` is the ``DualPoint`` of row j, on its own
+    problem, or None where refused, built on demand: a caller builds only
+    the points it keeps."""
 
     def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, kept: np.ndarray,
-                 G: np.ndarray, X: np.ndarray, images: np.ndarray):
+                 G: np.ndarray, X: np.ndarray, images: np.ndarray, problems=None):
         self.p, self.Z, self.slacks, self.kept = p, Z, slacks, kept
-        self.G, self.X, self.images = G, X, images
+        self.G, self.X, self.images, self.problems = G, X, images, problems
         self.bare_grads = bare_grads(p, Z[kept], X, images)
-        self._row = dict(zip(kept.tolist(), range(len(kept))))
+        self._row = np.full(len(Z), -1)  # row j's place in kept, -1 where refused
+        self._row[kept] = np.arange(len(kept))
 
     def __len__(self) -> int:
         return len(self.Z)
 
     def __getitem__(self, j: int) -> Optional[DualPoint]:
-        r = self._row.get(j)
-        if r is None:
+        r = int(self._row[j])
+        if r < 0:
             return None
-        point = DualPoint(self.p, self.Z[j], self.slacks[j], self.G[r], None, x=self.X[r])
+        p = self.p if self.problems is None else self.problems[j]
+        point = DualPoint(p, self.Z[j], self.slacks[j], self.G[r], None, x=self.X[r])
         point.images, point.bare_grad = self.images[r], self.bare_grads[r]
         return point
 
 
-def factor_stack(p: Problem, Z, slacks=None) -> PointStack:
+def factor_stack(p: Problem, Z, slacks=None, f=None, problems=None) -> PointStack:
     """``factor_point(p, z, cholesky=False)`` at every row z of Z, in one
     pass: the stacked operator, one ``np.linalg.solve`` over the stack
     (singular rows, which make it fail, are then refused one by one) and
     the bare gradients.  ``slacks``, when given, holds ``domain_slacks`` of
-    each row that has already passed ``screen``."""
-    Z = np.array(Z, dtype=float)
+    each row that has already passed ``screen``.  ``f`` and ``problems``,
+    when given, hold each row's own input and ``Problem``, on p's terms: row
+    j solves G x = f[j], and its point is built on problems[j]."""
+    Z = np.asarray(Z, dtype=float)
     if slacks is None:
         outside, slacks = screen(p, Z, cholesky=False)
         kept = np.flatnonzero(~outside)
     else:
-        slacks, kept = np.array(slacks), np.arange(len(Z))
+        slacks, kept = np.asarray(slacks), np.arange(len(Z))
     G = operator(p, Z[kept])
+    # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a stack
+    # of vectors, numpy 2 as one column
+    F = (np.broadcast_to(p.f[:, None], G.shape[:-1] + (1,)) if f is None
+         else np.asarray(f)[kept][..., None])
     try:
-        # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a
-        # stack of vectors, numpy 2 as one column
-        X = np.linalg.solve(G, np.broadcast_to(p.f[:, None], G.shape[:-1] + (1,)))[..., 0]
+        X = np.linalg.solve(G, F)[..., 0]
     except np.linalg.LinAlgError:
         X = np.full((len(kept), p.n), np.nan)  # a singular row stays NaN: refused
         for r, Gr in enumerate(G):
             try:
-                X[r] = np.linalg.solve(Gr, p.f)
+                X[r] = np.linalg.solve(Gr, F[r])[:, 0]
             except np.linalg.LinAlgError:
                 pass
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         kept, G, X = kept[finite], G[finite], X[finite]
-    return PointStack(p, Z, slacks, kept, G, X, coordinate_images(p, X))
+    return PointStack(p, Z, slacks, kept, G, X, coordinate_images(p, X), problems)
 
 
 @dataclass

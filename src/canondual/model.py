@@ -325,14 +325,25 @@ def grad_primal(p: Problem, x, dtype=np.float64) -> np.ndarray:
     formed in extended precision; the exponential and xlogx Phi' round
     through double.
     """
-    x = _as_point(p, x).astype(dtype, copy=False)
-    g = -p.f.astype(dtype)
-    for t in p.terms:
-        D = t.factor.astype(dtype, copy=False)
-        v = D @ x
-        w = t.alpha if t.kind is TermKind.PLAIN_QUADRATIC else t.phi_grad(0.5 * (v @ v))
-        g = g + w * (D.T @ v)
-    return g
+    return primal_gradient(p, dtype)(x)
+
+
+def primal_gradient(p: Problem, dtype=np.float64):
+    """``grad_primal(p, x, dtype)`` as a function of x, with f and every
+    factor converted to dtype once, for a caller that evaluates it at
+    several points."""
+    minus_f = -p.f.astype(dtype)
+    factors = [t.factor.astype(dtype, copy=False) for t in p.terms]
+
+    def grad(x) -> np.ndarray:
+        x = _as_point(p, x).astype(dtype, copy=False)
+        g = minus_f
+        for t, D in zip(p.terms, factors):
+            v = D @ x
+            w = t.alpha if t.kind is TermKind.PLAIN_QUADRATIC else t.phi_grad(0.5 * (v @ v))
+            g = g + w * (D.T @ v)
+        return g
+    return grad
 
 
 def dual_map(p: Problem, x) -> np.ndarray:

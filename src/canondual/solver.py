@@ -16,11 +16,13 @@ The barrier ascent, the polish and the multistart root search of
 ``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``,
 with callbacks from ``_barrier`` and ``_stationarity``: the ascent
 backtracks on the barrier value, the other two on the norm of the dual
-gradient.  The loop runs a stack of starts in lockstep.  The ascent and
-the polish pass one start; the root search passes all of its starts, the
-ladder and the random ones, as one stack, and each start ends where it
-would alone, to the bit.  All three step on ``dual.DualPoint``, a point
-factorized once: the ascent and the polish by Cholesky
+gradient.  The loop runs a stack of starts in lockstep, and each start ends
+where it would alone, to the bit.  The ascent and the polish pass one start.
+The root search passes all of its starts, the ladder and the random ones,
+as one stack; ``fc_sweep`` passes the starts of every magnitude of its grid
+as one stack, each row with its own input f, tolerance and ``Problem``,
+since G(s) does not depend on f.  All three step on ``dual.DualPoint``, a
+point factorized once: the ascent and the polish by Cholesky
 (``dual.factor_point``, one trial at a time), where a trial point is
 feasible when its domain slacks are positive and the factor exists (for
 the polish, also that of G shifted by the boundary tolerance); the root
@@ -28,18 +30,23 @@ search, where G may be indefinite, by LU, a whole stack of trials in one
 pass (``dual.factor_stack``: one stacked operator, one stacked solve and
 the stacked bare gradients).  The point owns the barrier: its value and
 derivatives at every mu come from the factor and the domain slacks of
-``Problem.coordinate_rows``.  The line search runs in rounds, one per
-step length, each over the starts still searching: the first rounds take
-every such start's trial; then the domain of all the shorter steps of
-every start left is screened at once (``dual.screen``), and each later
-round takes only the points inside, so every start's trials and accepted
-step are those of halving one step at a time.  A trial builds only what
-its merit reads, the barrier value or the bare gradient: the Hessian and
-L^-1 are formed only at the points the loop accepts, and a stacked LU
-trial builds a point only where it is accepted.  Each outer step
-starts from the factorized point the last one ended at, and the
-convergence test reads that point: a Cholesky test of G minus the
-feasibility margin and the bare gradient from the factor.  The
+``Problem.coordinate_rows``.  Each iteration takes the derivatives of every
+running start in one call (for the root search, the Hessians
+A'G^-1 A of all of them in one stacked solve, ``dual.bare_hessians``) and
+their Newton directions in one stacked solve, with the ridge fallback only
+for the rows that need it.  The line search runs in rounds over the starts
+still searching: one round for each of the first step lengths, then one
+for all the shorter steps, whose domain is screened at once
+(``dual.screen``).  A stacked LU trial evaluates every screened point of
+that last round in one pass; a Cholesky trial makes them one at a time, up
+to the first accepted.  Each start takes its first accepted step, the
+longest, so its trials and accepted step are those of halving one step at
+a time.  A trial builds only what its merit reads, the barrier value or
+the bare gradient: the Hessian and L^-1 are formed only at the points the
+loop accepts, and a stacked LU trial builds a point only where it is
+accepted.  Each outer step starts from the factorized point the last one
+ended at, and the convergence test reads that point: a Cholesky test of G
+minus the feasibility margin and the bare gradient from the factor.  The
 eigendecomposition is used only by phase one, the report and triality
 classification.  For a continuous problem with an interior certificate the
 report refines x = G^-1 f by one Newton step on the primal gradient,
@@ -83,6 +90,10 @@ _STEP_LENGTHS = [math.ldexp(1.0, -k) for k in range(_HALVINGS)]  # exact
 # 2^-39, are formed and screened for the domain as one stack.
 _SINGLE_STEPS = 4
 _STACKED_STEPS = np.array(_STEP_LENGTHS[_SINGLE_STEPS:])[:, None]
+_STACKED_ARMIJO = _ARMIJO * _STACKED_STEPS[:, 0]
+# the rounds of a line search: one per single step length, then one for all
+# the stacked ones
+_ROUNDS = _STEP_LENGTHS[:_SINGLE_STEPS] + [None]
 _MU_FLOOR = 1e-12
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
@@ -145,10 +156,10 @@ def _barrier(p: Problem, mu: float) -> tuple:
         return -point.barrier(mu)
 
     return (_one_at_a_time(partial(dual.factor_point, p), merit), partial(dual.screen, p),
-            merit, lambda g, d, m: float(g @ d), lambda point: point.barrier_derivs(mu))
+            merit, lambda g, d, m: float(g @ d), _each(lambda point: point.barrier_derivs(mu)))
 
 
-def _stationarity(p: Problem, certified: bool) -> tuple:
+def _stationarity(p: Problem, certified: bool, problems: Optional[Sequence[Problem]] = None) -> tuple:
     """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
     gradient norm as merit and slope.  A state is a ``dual.DualPoint``.
 
@@ -159,37 +170,85 @@ def _stationarity(p: Problem, certified: bool) -> tuple:
     ``dual.boundary_tol`` (Cholesky points that clear the boundary, made one
     trial at a time); without it, every point with nonnegative domain
     slacks and nonsingular G (LU points, each stack of trials made in one
-    pass by ``_lu_trials``).
+    pass by ``_lu_trials``, and the Hessians of all the starts in one pass
+    by ``dual.bare_hessians``).  ``problems``, for the LU points, is the
+    problem of each start, on p's terms with its own f.
     """
     if certified:
         def make(s, slacks=None):
             point = dual.factor_point(p, s, slacks=slacks)
             return point if point is not None and point.clears(0.0) else None
-        trial = _one_at_a_time(make, _gradient_norm)
-    else:
-        trial = partial(_lu_trials, p)
-    return (trial, partial(dual.screen, p, cholesky=certified), _gradient_norm,
-            lambda g, d, m: m, lambda point: point.barrier_derivs(0.0))
+        return (_one_at_a_time(make, _gradient_norm), partial(dual.screen, p), _gradient_norm,
+                lambda g, d, m: m, _each(lambda point: point.barrier_derivs(0.0)))
+    rows = None
+    if problems is not None:
+        objects = np.empty(len(problems), dtype=object)
+        objects[:] = problems
+        rows = (np.array([q.f for q in problems]), objects)
+    return (partial(_lu_trials, p, rows), partial(dual.screen, p, cholesky=False),
+            _gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p))
 
 
 def _one_at_a_time(make, merit):
     """A stack trial of ``_damped_newton`` that makes each point alone:
     ``make(z, slacks=None)`` is the state at z, or None outside the domain,
-    and ``merit(state)`` its merit (inf where refused)."""
-    def trial(Z, slacks=None):
-        states = (list(map(make, Z)) if slacks is None
-                  else [make(z, slacks=sl) for z, sl in zip(Z, slacks)])
-        return states, [math.inf if state is None else merit(state) for state in states]
+    and ``merit(state)`` its merit (inf where refused).  Past the first row
+    of a start that reaches its bound, the start's rows are not made: each
+    costs a factorization, and the loop takes only that one."""
+    def trial(Z, slacks=None, owners=None, bounds=None):
+        states, merits = [None] * len(Z), [math.inf] * len(Z)
+        done = set()
+        for a, z in enumerate(Z):
+            if bounds is not None and owners[a] in done:
+                continue
+            state = states[a] = make(z) if slacks is None else make(z, slacks=slacks[a])
+            if state is not None:
+                m = merits[a] = merit(state)
+                if bounds is not None and math.isfinite(m) and m <= bounds[a]:
+                    done.add(owners[a])
+        return states, merits
     return trial
 
 
-def _lu_trials(p: Problem, Z, slacks=None) -> tuple:
+def _lu_trials(p: Problem, rows, Z, slacks=None, owners=None, bounds=None) -> tuple:
     """The root search's stack trial: the LU points of ``dual.factor_stack``
-    and their gradient-norm merits (``_gradient_norms``, inf where refused)."""
-    stack = dual.factor_stack(p, Z, slacks)
+    and their gradient-norm merits (``_gradient_norms``, inf where refused),
+    every row in one pass whatever the bounds.  ``rows``, when given, is the
+    pair (f, problems) of each start, read for each row by its owner."""
+    if rows is None:
+        stack = dual.factor_stack(p, Z, slacks)
+    else:
+        f, problems = rows
+        stack = dual.factor_stack(p, Z, slacks, f=f[owners], problems=problems[owners])
     merits = np.full(len(stack), math.inf)
     merits[stack.kept] = _gradient_norms(stack.bare_grads)
-    return stack, merits.tolist()
+    return stack, merits
+
+
+def _lu_derivatives(p: Problem, points: list) -> tuple:
+    """``DualPoint.barrier_derivs(0.0)`` of LU points, a stack at a time:
+    their bare gradients, and their Hessians in one ``dual.bare_hessians``."""
+    H = dual.bare_hessians(p, np.array([point.s for point in points]),
+                           np.array([point.G for point in points]),
+                           np.array([point.images for point in points]))
+    return np.array([point.bare_grad for point in points]), 0.5 * (H + H.swapaxes(1, 2))
+
+
+def _each(derivatives):
+    """Stacked derivatives from ``derivatives(state)``, a state at a time."""
+    def stacked(states):
+        if len(states) == 1:  # the barrier and the polish: a view, no copy
+            g, H = derivatives(states[0])
+            return g[None], H[None]
+        g, H = zip(*map(derivatives, states))
+        return np.array(g), np.array(H)
+    return stacked
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector, to the bit: the square root of one dot
+    product, without the argument handling of np.linalg.norm."""
+    return math.sqrt(v.dot(v))
 
 
 def _gradient_norm(point: dual.DualPoint) -> float:
@@ -199,114 +258,156 @@ def _gradient_norm(point: dual.DualPoint) -> float:
 
 
 def _gradient_norms(grads: np.ndarray) -> np.ndarray:
-    """The norm of each row of a stack of bare gradients, with the
-    arithmetic of np.linalg.norm on the row alone: it squares a vector by
-    one vector product, and so does the stacked product here.  Far out in
-    the domain a norm can overflow: it is then inf, which the line search
-    refuses, so the overflow is not warned about."""
+    """The norm of each row of a stack of gradients, with the arithmetic of
+    np.linalg.norm on the row alone: it squares a vector by one vector
+    product, and so does the stacked product here.  Far out in the domain a
+    norm can overflow: it is then inf, which the line search refuses, so the
+    overflow is not warned about."""
     with np.errstate(over="ignore"):
         return np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0])
 
 
 def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivatives,
-                   tol: float, max_iter: int, step_tol: Optional[float] = None,
+                   tol, max_iter: int, step_tol: Optional[float] = None,
                    states: Optional[list] = None, centred: Optional[float] = None) -> list:
     """Damped Newton iteration with a backtracking line search, for a stack
     of starts S run in lockstep.
 
-    ``trial(Z, slacks=None)`` evaluates a stack of points Z (a list of
-    arrays) as the pair (states, merits), one of each per point: the state
-    is None outside the domain, where the merit is inf.  ``slacks``, when
-    given, are the domain slacks of each point, which passed ``screen``,
-    ``dual.screen`` for the same domain; ``merit(state)`` is the merit of a
-    state passed in ``states``; ``derivatives(state)`` is the pair (g, H).
-    Each iteration takes the derivatives and the direction of every start
-    still running: d solves (-H) d = g, replaced by the scaled gradient when
-    ``slope(g, d, m)`` is not positive.  A step of length t = 2^-k,
-    k = 0 .. _HALVINGS - 1, is accepted when its finite merit is at most
-    m - _ARMIJO * t * slope(g, d, m), where m is the current merit; the
-    first such t, the longest, is taken.  The line search runs in rounds,
-    one per t, and each round hands ``trial`` the points of every start
-    still searching as one stack.  The first _SINGLE_STEPS rounds take every
-    such start's point.  Then the other points s + t d of every start left
-    are formed as one stack and screened in one call, and each round takes
-    only the points that pass, with their slacks: a point the screen
-    refuses would have been a None state, and the stack holds the same
-    numbers.  So each start's accepted step is that of halving t one step
-    at a time on the start alone, to the bit, and each start ends where it
-    would alone.  A start stops at |g| <= tol; with ``centred``, also when
-    the squared Newton decrement g'd lies in [0, centred] (a negative g'd
-    means -H is not numerically definite, and says nothing); when no step
-    is accepted; after ``max_iter`` steps; or, with ``step_tol``, after a
-    step shorter than step_tol * (1 + |s|).  ``states``, when given, is the
-    state at each start already computed by the caller.  Returns one
-    (s, state, steps) per start; the state is None when the start is
-    outside the domain.  Only accepted states reach ``derivatives``, and
-    ``trial`` builds only what the merit reads.
+    ``trial(Z, slacks, owners, bounds)`` evaluates the rows of Z, points of
+    the starts ``owners`` (a start's rows in order of decreasing t), as the
+    pair (states, merits), one of each per row: the state is None outside
+    the domain, where the merit is inf.  ``slacks``, when given, are the
+    domain slacks of each row, which passed ``screen``, ``dual.screen`` for
+    the same domain; ``bounds``, when given, is the merit at which each row
+    is accepted, and a trial may leave a start's rows past its first
+    accepted one unmade (None, inf).  ``merit(state)`` is the merit of a
+    state passed in ``states``; ``derivatives(states)`` is the pair (g, H)
+    of a list of states, stacked.  Each iteration takes the derivatives and
+    the Newton directions of every start still running in one call each:
+    d solves (-H) d = g (``_newton_directions``), replaced by the scaled
+    gradient when ``slope(g, d, m)`` is not positive.  A step of length
+    t = 2^-k, k = 0 .. _HALVINGS - 1, is accepted when its finite merit is
+    at most m - _ARMIJO * t * slope(g, d, m), where m is the current merit;
+    the first such t, the longest, is taken.  The line search runs in
+    rounds, each over every start still searching.  The first _SINGLE_STEPS
+    rounds take each such start's point at one t.  The last round forms the
+    other points s + t d of every start left as one stack, screens them in
+    one call, and hands ``trial`` the points that pass, with their slacks:
+    a point the screen refuses would have been a None state.  Each start
+    then takes its first accepted point.  A row's numbers do not depend on
+    the stack it is in, so each start's accepted step is that of halving t
+    one step at a time on the start alone, to the bit, and each start ends
+    where it would alone.  A start stops at |g| <= tol (a number, or one
+    per start); with ``centred``, also when the squared Newton decrement
+    g'd lies in [0, centred] (a negative g'd means -H is not numerically
+    definite, and says nothing); when no step is accepted; after
+    ``max_iter`` steps; or, with ``step_tol``, after a step shorter than
+    step_tol * (1 + |s|).  ``states``, when given, is the state at each
+    start already computed by the caller.  Returns one (s, state, steps)
+    per start; the state is None when the start is outside the domain.
+    Only accepted states reach ``derivatives``.
     """
     S = list(S)
     if states is None:
-        made, merits = trial(S)
+        made, merits = trial(S, None, list(range(len(S))), None)
         states = [made[i] for i in range(len(S))]
         live = [i for i, state in enumerate(states) if state is not None]
     else:
         states = list(states)
         merits = list(map(merit, states))
         live = list(range(len(S)))
+    tols = [tol] * len(S) if isinstance(tol, (int, float)) else list(tol)
     steps = [0] * len(S)
     for it in range(max_iter):
         if not live:
             break
+        g, H = derivatives([states[i] for i in live])
+        going = []
+        for a, i in enumerate(live):
+            gnorm = _norm(g[a])
+            if gnorm > tols[i]:
+                going.append((a, i, gnorm))
+            else:
+                steps[i] = it
+        if len(going) < len(live):
+            rows = [a for a, _, _ in going]
+            g, H = g[rows], H[rows]
+        D = _newton_directions(H, g) if going else None
         searching = {}  # start: (direction, rate)
-        for i in live:
-            g, H = derivatives(states[i])
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= tol:
-                steps[i] = it
+        for b, (_, i, gnorm) in enumerate(going):
+            ga, d = g[b], D[b]
+            steps[i] = it
+            if centred is not None and 0.0 <= float(ga @ d) <= centred:
                 continue
-            d = _solve_newton(H, g)
-            if centred is not None and 0.0 <= float(g @ d) <= centred:
-                steps[i] = it
-                continue
-            rate = slope(g, d, merits[i])
+            rate = slope(ga, d, merits[i])
             if rate <= 0.0:
-                d = g / max(1.0, gnorm)
-                rate = slope(g, d, merits[i])
+                d = ga / max(1.0, gnorm)
+                rate = slope(ga, d, merits[i])
             searching[i] = (d, rate)
             steps[i] = it + 1
         live = []
-        for k, t in enumerate(_STEP_LENGTHS):
+        for t in _ROUNDS:
             if not searching:
                 break
-            if k < _SINGLE_STEPS:
+            if t is None:
+                Z, made, zms, accepted = _deep_round(S, merits, searching, trial, screen)
+            else:
                 tried = list(searching)
                 Z = [S[i] + t * searching[i][0] for i in tried]
-                slacks = None
-            else:
-                j = k - _SINGLE_STEPS
-                if j == 0:
-                    row = {i: a for a, i in enumerate(searching)}
-                    deep = (np.array([S[i] for i in searching])[:, None, :] + _STACKED_STEPS
-                            * np.array([d for d, _ in searching.values()])[:, None, :])
-                    outside, deep_slacks = screen(deep)
-                    inside = (~outside).tolist()
-                tried = [i for i in searching if inside[row[i]][j]]
-                if not tried:
-                    continue
-                Z = [deep[row[i], j] for i in tried]
-                slacks = [deep_slacks[row[i], j] for i in tried]
-            made, zms = trial(Z, slacks)
-            armijo = _ARMIJO * t
-            for a, i in enumerate(tried):
-                d, rate = searching[i]
-                zm = zms[a]
-                if math.isfinite(zm) and zm <= merits[i] - armijo * rate:
-                    S[i], states[i], merits[i] = Z[a], made[a], zm
-                    del searching[i]
-                    if step_tol is None or (t * float(np.linalg.norm(d))
-                                            > step_tol * (1.0 + float(np.linalg.norm(S[i])))):
-                        live.append(i)
+                made, zms = trial(Z, None, tried, None)
+                armijo = _ARMIJO * t
+                accepted = []
+                for a, i in enumerate(tried):
+                    if math.isfinite(zms[a]) and zms[a] <= merits[i] - armijo * searching[i][1]:
+                        accepted.append((a, i, t))
+            for a, i, t in accepted:
+                d = searching.pop(i)[0]
+                S[i], states[i], merits[i] = Z[a], made[a], zms[a]
+                if step_tol is None or t * _norm(d) > step_tol * (1.0 + _norm(S[i])):
+                    live.append(i)
     return list(zip(S, states, steps))
+
+
+def _deep_round(S, merits, searching, trial, screen) -> tuple:
+    """The last round of a line search of ``_damped_newton``: the points
+    s + t d, t = 2^-_SINGLE_STEPS .. 2^-(_HALVINGS - 1), of every start still
+    searching (start: (direction, rate)), formed as one stack, screened in
+    one call and handed to ``trial`` in one call with their Armijo bounds.
+    Returns (Z, states, merits, accepted): the rows handed over, what
+    ``trial`` made of them, and (row, start, t) for each start's first
+    accepted row."""
+    tried = list(searching)
+    deep = (np.array([S[i] for i in tried])[:, None, :] + _STACKED_STEPS
+            * np.array([d for d, _ in searching.values()])[:, None, :])
+    outside, slacks = screen(deep)
+    rows, j = np.nonzero(~outside)  # each start's points in order of t
+    if not rows.size:
+        return (), (), (), ()
+    owners = np.take(tried, rows)
+    rates = np.array([rate for _, rate in searching.values()])
+    bounds = np.take(merits, owners) - _STACKED_ARMIJO[j] * rates[rows]
+    Z = deep[rows, j]
+    made, zms = trial(Z, slacks[rows, j], owners, bounds)
+    passed = np.flatnonzero(np.isfinite(zms) & (np.asarray(zms) <= bounds))
+    first = np.concatenate(([True], rows[passed[1:]] != rows[passed[:-1]]))[:len(passed)]
+    accepted = [(a, tried[rows[a]], _STEP_LENGTHS[_SINGLE_STEPS + j[a]])
+                for a in passed[first].tolist()]
+    return Z, made, zms, accepted
+
+
+def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_solve_newton`` on each row of a stack: one stacked solve, and the
+    ridge fallback only for the rows that need it (a singular row fails the
+    stacked solve, and then every row is solved alone)."""
+    try:
+        # b as a stack of columns like H, which numpy 1.x and 2 read alike
+        D = np.linalg.solve(-H, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        D = np.full(g.shape, np.nan)
+    if not np.isfinite(D).all():
+        for r in np.flatnonzero(~np.isfinite(D).all(axis=1)).tolist():
+            D[r] = _solve_newton(H[r], g[r])
+    return D
 
 
 def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -534,10 +635,11 @@ def _refine_x(p: Problem, x: np.ndarray) -> np.ndarray:
     stationary point in practice, whichever iterate the dual solve ended at.
     The input x comes back if the step fails or does not lower the residual."""
     try:
-        r0 = model.grad_primal(p, x, dtype=np.longdouble)
+        residual = model.primal_gradient(p, np.longdouble)  # the factors converted once
+        r0 = residual(x)
         step = np.linalg.solve(triality.hessian_primal(p, x), r0.astype(float))
         x1 = (x.astype(np.longdouble) - step).astype(float)
-        r1 = model.grad_primal(p, x1, dtype=np.longdouble)
+        r1 = residual(x1)
     except (CanonDualError, np.linalg.LinAlgError):
         return x
     if np.all(np.isfinite(x1)) and float(r1 @ r1) < float(r0 @ r0):
@@ -681,22 +783,51 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     and saves solving for it again.
     """
     cfg = cfg or SolverConfig()
-    rng = np.random.default_rng(cfg.seed)
-    found = []
+    certified = []
     if include_certified:
         try:
-            rep = base if base is not None else solve_dual(p, cfg)
-            if rep.status == "interior":
-                found.append(np.asarray(rep.sigma_bar))
+            certified = _certified_point(base if base is not None else solve_dual(p, cfg))
         except (EmptyInterior, MaxIterations):
             pass
-    gtol = max(cfg.grad_tol, 1e-11) * p.f_scale
-    starts = _ladder_starts(p) + [_random_dual_start(p, rng) for _ in range(n_starts)]
-    # every start in one lockstep stack; each ends where it would alone
-    for s, state, _ in _damped_newton(starts, *_stationarity(p, certified=False),
-                                      tol=gtol, max_iter=60):
-        if state is not None and _gradient_norm(state) <= gtol:
-            found.append(s)
+    [roots] = _root_search([p], cfg, n_starts)
+    return _merge_points(p, certified + roots)
+
+
+def _certified_point(rep: Optional[SolveReport]) -> list:
+    """The certified-region maximizer of a solve, as a list of at most one
+    dual point: none unless the solve ended interior."""
+    return [np.asarray(rep.sigma_bar)] if rep is not None and rep.status == "interior" else []
+
+
+def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
+    """The multistart root search of ``dual_critical_points`` for each of
+    ``problems``, which share their terms: the stationary points each
+    problem's starts end at, one list per problem.
+
+    G(s) does not depend on f, so the starts of every problem run as one
+    lockstep stack, each row with its own f, its own tolerance and its own
+    ``Problem``.  Each start ends where it would alone, to the bit.
+    """
+    starts, owners, tols = [], [], []
+    for k, q in enumerate(problems):
+        rng = np.random.default_rng(cfg.seed)
+        drawn = _ladder_starts(q) + [_random_dual_start(q, rng) for _ in range(n_starts)]
+        starts += drawn
+        owners += [k] * len(drawn)
+        tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
+    roots = [[] for _ in problems]
+    if starts:
+        callbacks = _stationarity(problems[0], False, problems=[problems[k] for k in owners])
+        for (s, state, _), k, gtol in zip(_damped_newton(starts, *callbacks, tol=tols, max_iter=60),
+                                          owners, tols):
+            if state is not None and _gradient_norm(state) <= gtol:
+                roots[k].append(s)
+    return roots
+
+
+def _merge_points(p: Problem, found: list) -> list:
+    """The dual points ``found`` as (sigma, dual value, membership), sorted by
+    descending value then lexicographic sigma, without near-duplicates."""
     merged = []
     for s in found:
         try:
@@ -769,8 +900,12 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     stationary points are collected by multistart; a magnitude is flagged
     unique when exactly one cluster survives and no boundary degeneracy was
     hit.  The reported threshold is the smallest grid magnitude from which
-    every larger grid entry is unique.  With threads > 1 the magnitudes are
-    solved on a thread pool; the rows keep the grid's order.
+    every larger grid entry is unique.  Each magnitude's points are those of
+    ``dual_critical_points`` with its certified solve as ``base``, to the
+    bit, but the root searches of all the magnitudes run as one lockstep
+    stack (``_root_search``): G(s) does not depend on the input.  With
+    threads > 1 the certified solves, one per magnitude, run on a thread
+    pool; the rows keep the grid's order.
     """
     cfg = cfg or SolverConfig()
     direction = np.asarray(direction, dtype=float).reshape(-1)
@@ -779,37 +914,38 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
         raise ValueError("direction must be nonzero")
     direction = direction / norm
     grid = [float(m) for m in grid]
+    problems = [Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
+                        variables=p_template.variables) for m in grid]
 
-    def run_one(m: float) -> FcRow:
-        pm = Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
-                     variables=p_template.variables)
-        rep = None
+    def certify(pm: Problem) -> tuple:
         try:
             rep = solve_dual(pm, cfg)
-            outcome = rep.status
         except EmptyInterior:
-            outcome = "empty_interior"
+            return None, "empty_interior"
         except MaxIterations:
-            outcome = "stalled"
-        points = dual_critical_points(pm, cfg, n_starts=n_starts,
-                                      include_certified=rep is not None, base=rep)
+            return None, "stalled"
+        return rep, rep.status
+
+    if threads > 1 and len(grid) > 1:
+        # loaded here: concurrent.futures brings logging, which a solve never runs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
+            solved = list(pool.map(certify, problems))
+    else:
+        solved = [certify(pm) for pm in problems]
+    rows = []
+    for m, pm, (rep, outcome), roots in zip(grid, problems, solved,
+                                            _root_search(problems, cfg, n_starts)):
+        points = _merge_points(pm, _certified_point(rep) + roots)
         boundary = outcome != "interior"
         clusters = []
         for s, _, _ in points:
             if all(np.linalg.norm(s - c) > CLUSTER_RADIUS for c in clusters):
                 clusters.append(s)
         unique = (len(clusters) == 1) and not boundary
-        return FcRow(magnitude=m, clusters=[list(map(float, c)) for c in clusters],
-                     n_clusters=len(clusters), boundary=boundary, unique=unique,
-                     outcome=outcome)
-
-    if threads > 1 and len(grid) > 1:
-        # loaded here: concurrent.futures brings logging, which a solve never runs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-            rows = list(pool.map(run_one, grid))
-    else:
-        rows = [run_one(m) for m in grid]
+        rows.append(FcRow(magnitude=m, clusters=[list(map(float, c)) for c in clusters],
+                          n_clusters=len(clusters), boundary=boundary, unique=unique,
+                          outcome=outcome))
     threshold = None
     for row in reversed(rows):
         if row.unique:

@@ -318,15 +318,15 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
                       for scale in (10.0, 10.0, 1e3, 1e3, 1e3)]:
         handed = []
 
-        def trial(Z, slacks=None):
-            handed.extend(zip(Z, slacks or [None] * len(Z)))
+        def trial(Z, slacks=None, owners=None, bounds=None):
+            handed.extend(zip(Z, [None] * len(Z) if slacks is None else slacks))
             return [None] * len(Z), [math.inf] * len(Z)
 
         # g = d with H = -I makes d the Newton direction; every trial is
         # refused, so the line search runs through all its steps
         solver._damped_newton([s], trial, screen, lambda state: 0.0, lambda g, d, m: 1.0,
-                              lambda state: (d, -np.eye(p.dual_dim)), tol=0.0, max_iter=1,
-                              states=["start"])
+                              lambda states: (d[None], -np.eye(p.dual_dim)[None]), tol=0.0,
+                              max_iter=1, states=["start"])
         expected, t = [], 1.0
         for k in range(solver._HALVINGS):
             z = s + t * d
@@ -371,24 +371,26 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
         init(point, *args, **kwargs)
         built.append(point)
 
-    def recording_trial(Z, slacks=None):
+    def recording_trial(Z, *args):
         tried.extend(Z)
-        return trial(Z, slacks)
+        return trial(Z, *args)
 
-    def recording_derivatives(point):
-        derived.append(point)
-        return derivatives(point)
+    def recording_derivatives(points):
+        derived.extend(points)
+        return derivatives(points)
 
     monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
     ends = solver._damped_newton(starts, recording_trial, screen, merit, slope,
                                  recording_derivatives, tol=1e-12, max_iter=60)
     kept = {id(point) for point in derived + [state for _, state, _ in ends]}
     refused = [point for point in built if id(point) not in kept]
-    assert all("bare_hess" in vars(point) for point in derived)
     if search == "root":
+        # the Hessians of the accepted points are formed as one stack
+        # (dual.bare_hessians), not cached on each point
         assert refused == [] and len(built) < len(tried)
         assert all("bare_grad" in vars(point) for point in built)
         return
+    assert all("bare_hess" in vars(point) for point in derived)
     assert refused
     for point in refused:
         assert not {"Linv", "bare_hess", "logdet_derivs", "bare_grad"} & set(vars(point))
@@ -434,28 +436,64 @@ def _root_search_problems() -> list:
     return problems
 
 
+def _two_variable_well(magnitude: float) -> Problem:
+    """The two-variable well of the CI's numpy-floor sweep, with input
+    magnitude * (1, 0): a 2x2 G."""
+    terms = (CanonicalTerm(TermKind.QUARTIC, np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0, -2.0),
+             CanonicalTerm(TermKind.QUARTIC, np.array([[0.0, 1.0]]), 0.5, -1.0))
+    return Problem(n=2, terms=terms, f=np.array([magnitude, 0.0]))
+
+
+def _same_terms_families() -> list:
+    """Lists of problems that share their terms and differ in f: the README
+    well at the 12 magnitudes of the benchmark's sweep, the two-variable
+    well at four, and each ``_root_search_problems`` draw at two magnitudes
+    of its own input's direction (all ones where that input is zero)."""
+    draws = _root_search_problems()
+    families = [draws[:12], [_two_variable_well(m) for m in (0.0, 0.5, 2.0, 3.0)]]
+    for p in draws[12:]:
+        direction = p.f if np.any(p.f) else np.ones(p.n)
+        direction = direction / np.linalg.norm(direction)
+        families.append([Problem(n=p.n, terms=p.terms, f=m * direction, variables=p.variables)
+                         for m in (0.5, 2.0)])
+    return families
+
+
 def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
     # every start of a multistart, run in one lockstep stack with stacked LU
     # trials, ends at the same s, with the same None-ness and the same step
-    # count, as the start run alone with its trials factorized one at a time
+    # count, as the start run alone on its problem with its trials
+    # factorized one at a time.  One stack holds the starts of one
+    # _root_search_problems draw (12 random starts each), or of a family of
+    # problems on the same terms (6 each), each row with its own f,
+    # tolerance and problem
     problems = _root_search_problems()
     kinds = {t.kind for p in problems for t in p.terms}
     assert kinds == set(TermKind) and {p.n for p in problems} >= set(range(1, 7))
     outcomes = set()
-    for p in problems:
-        rng = np.random.default_rng(0)
-        starts = solver._ladder_starts(p) + [solver._random_dual_start(p, rng) for _ in range(12)]
-        tol = 1e-11 * p.f_scale
-        callbacks = solver._stationarity(p, certified=False)
-        alone = (solver._one_at_a_time(partial(dual.factor_point, p, cholesky=False),
-                                       solver._gradient_norm),) + callbacks[1:]
-        together = solver._damped_newton(starts, *callbacks, tol=tol, max_iter=60)
-        for start, (s, state, steps) in zip(starts, together):
+    for family, n_random in ([([p], 12) for p in problems]
+                             + [(family, 6) for family in _same_terms_families()]):
+        starts, owners, tols = [], [], []
+        for q in family:
+            rng = np.random.default_rng(0)
+            drawn = (solver._ladder_starts(q)
+                     + [solver._random_dual_start(q, rng) for _ in range(n_random)])
+            starts += drawn
+            owners += [q] * len(drawn)
+            tols += [1e-11 * q.f_scale] * len(drawn)
+        together = solver._damped_newton(
+            starts, *solver._stationarity(family[0], False, problems=owners), tol=tols,
+            max_iter=60)
+        for start, q, tol, (s, state, steps) in zip(starts, owners, tols, together):
+            alone = ((solver._one_at_a_time(partial(dual.factor_point, q, cholesky=False),
+                                            solver._gradient_norm),)
+                     + solver._stationarity(q, certified=False)[1:])
             [(s_alone, state_alone, steps_alone)] = solver._damped_newton(
                 [start], *alone, tol=tol, max_iter=60)
             assert s.tobytes() == s_alone.tobytes()
             assert (state is None, steps) == (state_alone is None, steps_alone)
             if state is not None:
+                assert state.p is q
                 assert state.x.tobytes() == state_alone.x.tobytes()
                 assert state.bare_grad.tobytes() == state_alone.bare_grad.tobytes()
             outcomes.add("none" if state is None else "60" if steps == 60 else
@@ -897,31 +935,109 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # a time makes 23,051 factor_point calls, 10,576 of them refused for
     # their domain slacks; the stacked screen leaves those of the first
     # _SINGLE_STEPS trials of each line search (2,502).  The solves' barrier
-    # and polish make 91 trials one at a time; the root searches, with the
-    # 18 starts of a magnitude in lockstep, evaluate their 14,886 trials in
-    # 3,124 stacks
-    calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0}
+    # and polish make 91 trials one at a time.  The root searches, the 216
+    # starts of all 12 magnitudes in one lockstep stack, make one stack of
+    # the start points, then at most five an iteration: the four single
+    # steps, and every screened deeper step of every start still searching
+    # in one.  So
+    # they evaluate 31,510 trials, the deep steps past each start's accepted
+    # one among them, in 125 stacks.  Each of their 25 iterations forms the
+    # Hessians of its running starts as one stack (1,865 in all), and the
+    # Newton directions too: no start is solved alone
+    calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0,
+             "hessian_stacks": 0, "hessians": 0, "alone_directions": 0}
     factor, stack = dual.factor_point, dual.factor_stack
+    hessians, alone_direction = dual.bare_hessians, solver._solve_newton
+
+    def counting_hessians(p, s, G, images):
+        calls["hessian_stacks"] += 1
+        calls["hessians"] += len(s)
+        return hessians(p, s, G, images)
+
+    def counting_alone(H, g):
+        calls["alone_directions"] += 1
+        return alone_direction(H, g)
 
     def counting(p, s, cholesky=True, slacks=None):
         calls["points"] += 1
         return factor(p, s, cholesky, slacks)
 
-    def counting_stack(p, Z, slacks=None):
+    def counting_stack(p, Z, slacks=None, **rows):
         calls["stacks"] += 1
         calls["rows"] += len(Z)
         if slacks is None:
             calls["slack_refused"] += int(dual.screen(p, np.array(Z), False)[0].sum())
-        return stack(p, Z, slacks)
+        return stack(p, Z, slacks, **rows)
 
     monkeypatch.setattr(dual, "factor_point", counting)
     monkeypatch.setattr(dual, "factor_stack", counting_stack)
+    monkeypatch.setattr(dual, "bare_hessians", counting_hessians)
+    monkeypatch.setattr(solver, "_solve_newton", counting_alone)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
-    assert calls == {"points": 91, "stacks": 3_124, "rows": 14_886, "slack_refused": 2_502}
+    assert calls == {"points": 91, "stacks": 125, "rows": 31_510, "slack_refused": 2_502,
+                     "hessian_stacks": 25, "hessians": 1_865, "alone_directions": 0}
     assert res.threshold == 1.75
     rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
     assert hashlib.sha256(rows.encode()).hexdigest() == (
         "757eafc1eecde4305e5fe676f3a384c7d1f36b04709d163cb511db1cc949b3b6")
+
+
+def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig, n_starts: int) -> solver.FcRow:
+    """The sweep row of magnitude m, with input pm, built from the certified
+    solve and ``dual_critical_points`` of that magnitude alone."""
+    rep = None
+    try:
+        rep = solver.solve_dual(pm, cfg)
+        outcome = rep.status
+    except EmptyInterior:
+        outcome = "empty_interior"
+    except MaxIterations:
+        outcome = "stalled"
+    points = solver.dual_critical_points(pm, cfg, n_starts=n_starts,
+                                         include_certified=rep is not None, base=rep)
+    boundary = outcome != "interior"
+    clusters = []
+    for s, _, _ in points:
+        if all(np.linalg.norm(s - c) > solver.CLUSTER_RADIUS for c in clusters):
+            clusters.append(s)
+    return solver.FcRow(magnitude=m, clusters=[list(map(float, c)) for c in clusters],
+                        n_clusters=len(clusters), boundary=boundary,
+                        unique=len(clusters) == 1 and not boundary, outcome=outcome)
+
+
+@pytest.mark.parametrize("case", ["well", "two_variable", "empty_interior", "random"])
+@pytest.mark.parametrize("n_starts", [12, 6])
+def test_fc_sweep_rows_equal_the_search_of_each_magnitude_alone(case, n_starts):
+    # the sweep runs the root searches of all its magnitudes as one stack;
+    # every row equals, byte for byte, the row of its magnitude searched
+    # alone.  The grids hold magnitude 0, a boundary outcome, and magnitudes
+    # whose certified solve raises (phase one finds no interior), whose rows
+    # join the stack without a certified point
+    cfg = SolverConfig(seed=3)
+    if case == "well":
+        template, direction = double_well(1.0), [1.0]
+    elif case == "two_variable":
+        template, direction = _two_variable_well(1.0), [1.0, 0.0]
+    elif case == "empty_interior":
+        template = Problem(n=1, terms=[CanonicalTerm(TermKind.QUARTIC, np.array([[1.0]]),
+                                                     -1.0, 2.0)], f=np.array([0.0]))
+        direction = [1.0]
+    else:
+        template = random_problem(np.random.default_rng(4), n_max=4, max_terms=3)
+        direction = np.ones(template.n)
+    grid = [0.0, 0.5, 1.5, 2.0, 3.0]
+    res = solver.fc_sweep(template, direction, grid, cfg, n_starts=n_starts)
+    unit = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    alone = [_sweep_row_alone(m, Problem(n=template.n, terms=template.terms, f=m * unit,
+                                        variables=template.variables), cfg, n_starts)
+             for m in grid]
+    outcomes = {row.outcome for row in alone}
+    if case == "empty_interior":
+        assert outcomes == {"empty_interior"}
+    else:
+        assert "boundary" in outcomes
+    assert json.dumps([dataclasses.asdict(row) for row in res.rows]) == json.dumps(
+        [dataclasses.asdict(row) for row in alone])
 
 
 def test_fc_sweep_all_unique_above_threshold():
