@@ -30,11 +30,11 @@ derivative for all of them, and its domain is one bound s/alpha >= beta
 carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
 the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
-``factor_stack`` makes the LU points of a whole stack in one pass, the
+``factor_stack`` makes the LU points of a stack in one pass, the
 arithmetic of each row that of ``factor_point`` alone, and ``PointStack``
 builds a row's ``DualPoint`` only when asked.  G(s) does not depend on f, so
-the rows of one stack may carry their own f, each with its own ``Problem``
-on the same terms: the root search of a whole sweep is one stack.
+each row of a stack carries its own f and its own ``Problem`` on the same
+terms: one stack may hold the points of several inputs.
 ``bare_hessians`` gives the LU Hessians of a stack of points in one
 stacked solve.  ``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
@@ -429,15 +429,16 @@ def factor_point(p: Problem, s, cholesky: bool = True,
 class PointStack:
     """LU points at a stack of dual points, evaluated in one pass; build it
     with ``factor_stack``.  Row j is refused where
-    ``factor_point(q, z_j, cholesky=False)`` would be None, for q its
-    problem (``problems[j]``, or p).
+    ``factor_point(problems[j], z_j, cholesky=False)`` would be None.
     ``kept`` lists the other rows in order and ``bare_grads`` their bare
     gradients.  ``stack[j]`` is the ``DualPoint`` of row j, on its own
     problem, or None where refused, built on demand: a caller builds only
-    the points it keeps."""
+    the points it keeps.  A point holds copies of its rows of the stack's
+    matrices, G and the coordinate images, so that it does not keep them
+    alive; its x and gradient are views."""
 
     def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, kept: np.ndarray,
-                 G: np.ndarray, X: np.ndarray, images: np.ndarray, problems=None):
+                 G: np.ndarray, X: np.ndarray, images: np.ndarray, problems):
         self.p, self.Z, self.slacks, self.kept = p, Z, slacks, kept
         self.G, self.X, self.images, self.problems = G, X, images, problems
         self.bare_grads = bare_grads(p, Z[kept], X, images)
@@ -451,20 +452,21 @@ class PointStack:
         r = int(self._row[j])
         if r < 0:
             return None
-        p = self.p if self.problems is None else self.problems[j]
-        point = DualPoint(p, self.Z[j], self.slacks[j], self.G[r], None, x=self.X[r])
-        point.images, point.bare_grad = self.images[r], self.bare_grads[r]
+        point = DualPoint(self.problems[j], self.Z[j], self.slacks[j], self.G[r].copy(), None,
+                          x=self.X[r])
+        point.images, point.bare_grad = self.images[r].copy(), self.bare_grads[r]
         return point
 
 
-def factor_stack(p: Problem, Z, slacks=None, f=None, problems=None) -> PointStack:
-    """``factor_point(p, z, cholesky=False)`` at every row z of Z, in one
-    pass: the stacked operator, one ``np.linalg.solve`` over the stack
-    (singular rows, which make it fail, are then refused one by one) and
-    the bare gradients.  ``slacks``, when given, holds ``domain_slacks`` of
-    each row that has already passed ``screen``.  ``f`` and ``problems``,
-    when given, hold each row's own input and ``Problem``, on p's terms: row
-    j solves G x = f[j], and its point is built on problems[j]."""
+def factor_stack(p: Problem, Z, f, problems, slacks=None) -> PointStack:
+    """``factor_point(problems[j], z_j, cholesky=False)`` at every row z_j
+    of Z, in one pass: the stacked operator, one ``np.linalg.solve`` over
+    the stack (singular rows, which make it fail, are then refused one by
+    one) and the bare gradients.  Every problem is on p's terms, and row j
+    solves G x = f[j], its problem's input: G(s) does not depend on f, so
+    one stack may hold the points of several inputs.  ``slacks``, when
+    given, holds ``domain_slacks`` of each row that has already passed
+    ``screen``."""
     Z = np.asarray(Z, dtype=float)
     if slacks is None:
         outside, slacks = screen(p, Z, cholesky=False)
@@ -474,8 +476,7 @@ def factor_stack(p: Problem, Z, slacks=None, f=None, problems=None) -> PointStac
     G = operator(p, Z[kept])
     # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a stack
     # of vectors, numpy 2 as one column
-    F = (np.broadcast_to(p.f[:, None], G.shape[:-1] + (1,)) if f is None
-         else np.asarray(f)[kept][..., None])
+    F = np.asarray(f, dtype=float)[kept][..., None]
     try:
         X = np.linalg.solve(G, F)[..., 0]
     except np.linalg.LinAlgError:

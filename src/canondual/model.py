@@ -318,20 +318,13 @@ def eval_primal_batch(p: Problem, X: np.ndarray) -> np.ndarray:
     return vals
 
 
-def grad_primal(p: Problem, x, dtype=np.float64) -> np.ndarray:
-    """Analytic gradient sum_s Phi'_s(xi_s) Q_s x - f (alpha folded for plain terms).
-
-    With ``dtype=np.longdouble`` the products, xi and the quartic Phi' are
-    formed in extended precision; the exponential and xlogx Phi' round
-    through double.
-    """
-    return primal_gradient(p, dtype)(x)
-
-
 def primal_gradient(p: Problem, dtype=np.float64):
-    """``grad_primal(p, x, dtype)`` as a function of x, with f and every
-    factor converted to dtype once, for a caller that evaluates it at
-    several points."""
+    """The analytic gradient sum_s Phi'_s(xi_s) Q_s x - f (alpha folded for
+    plain terms) as a function of x, with f and every factor converted to
+    dtype once.  With ``dtype=np.longdouble`` the products, xi and the
+    quartic Phi' are formed in extended precision; the exponential and
+    xlogx Phi' round through double.
+    """
     minus_f = -p.f.astype(dtype)
     factors = [t.factor.astype(dtype, copy=False) for t in p.terms]
 

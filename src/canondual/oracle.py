@@ -172,9 +172,10 @@ def _descent_polish(p: Problem, x0, lo, hi, max_iter: int = 200) -> tuple:
         val = model.eval_primal(p, x)
     except Exception:
         return x, math.inf
+    gradient = model.primal_gradient(p)
     for _ in range(max_iter):
         try:
-            g = model.grad_primal(p, x)
+            g = gradient(x)
         except Exception:
             break
         gnorm = float(np.linalg.norm(g))

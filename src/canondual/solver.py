@@ -19,32 +19,35 @@ backtracks on the barrier value, the other two on the norm of the dual
 gradient.  The loop runs a stack of starts in lockstep, and each start ends
 where it would alone, to the bit.  The ascent and the polish pass one start.
 The root search passes all of its starts, the ladder and the random ones,
-as one stack; ``fc_sweep`` passes the starts of every magnitude of its grid
+as one stack; ``fc_sweep`` passes the starts of the magnitudes of its grid
 as one stack, each row with its own input f, tolerance and ``Problem``,
-since G(s) does not depend on f.  All three step on ``dual.DualPoint``, a
-point factorized once: the ascent and the polish by Cholesky
-(``dual.factor_point``, one trial at a time), where a trial point is
-feasible when its domain slacks are positive and the factor exists (for
+since G(s) does not depend on f (as many magnitudes as keep the stack's
+points within a fixed count of numbers).  All three step on
+``dual.DualPoint``, a point factorized once: the ascent and the polish by
+Cholesky (``dual.factor_point``, one trial at a time), where a trial point
+is feasible when its domain slacks are positive and the factor exists (for
 the polish, also that of G shifted by the boundary tolerance); the root
-search, where G may be indefinite, by LU, a whole stack of trials in one
-pass (``dual.factor_stack``: one stacked operator, one stacked solve and
-the stacked bare gradients).  The point owns the barrier: its value and
-derivatives at every mu come from the factor and the domain slacks of
-``Problem.coordinate_rows``.  Each iteration takes the derivatives of every
-running start in one call (for the root search, the Hessians
-A'G^-1 A of all of them in one stacked solve, ``dual.bare_hessians``) and
-their Newton directions in one stacked solve, with the ridge fallback only
-for the rows that need it.  The line search runs in rounds over the starts
-still searching: one round for each of the first step lengths, then one
-for all the shorter steps, whose domain is screened at once
-(``dual.screen``).  A stacked LU trial evaluates every screened point of
-that last round in one pass; a Cholesky trial makes them one at a time, up
-to the first accepted.  Each start takes its first accepted step, the
-longest, so its trials and accepted step are those of halving one step at
-a time.  A trial builds only what its merit reads, the barrier value or
-the bare gradient: the Hessian and L^-1 are formed only at the points the
-loop accepts, and a stacked LU trial builds a point only where it is
-accepted.  Each outer step starts from the factorized point the last one
+search, where G may be indefinite, by LU, a stack of trials at a time
+(``dual.factor_stack``: one stacked operator, one stacked solve and the
+stacked bare gradients), each call within a fixed count of numbers.  The
+point owns the barrier: its value and derivatives at every mu come from
+the factor and the domain slacks of ``Problem.coordinate_rows``.  Each
+iteration takes the derivatives of every running start in one call (for
+the root search, the Hessians A'G^-1 A of all of them in stacked solves,
+``dual.bare_hessians``) and their Newton directions in one stacked solve,
+with the ridge fallback only for the rows that need it.  The line search
+runs in rounds over the starts still searching: one round for each of the
+first step lengths, then one for all the shorter steps, whose domain is
+screened at once (``dual.screen``).  A stacked LU trial makes the screened
+points of that last round in passes of a few step lengths, each start
+only until one of its points is accepted: a small G takes them all in one
+call, a large one makes few points past a start's accepted one.  A
+Cholesky trial makes them one at a time, up to the first accepted.  Each
+start takes its first accepted step, the longest, so its trials and
+accepted step are those of halving one step at a time.  A trial builds
+only what its merit reads, the barrier value or the bare gradient: the
+Hessian and L^-1 are formed only at the points the loop accepts, and a
+stacked LU trial builds a point only where it is accepted.  Each outer step starts from the factorized point the last one
 ended at, and the convergence test reads that point: a Cholesky test of G
 minus the feasibility margin and the bare gradient from the factor.  The
 eigendecomposition is used only by phase one, the report and triality
@@ -94,6 +97,12 @@ _STACKED_ARMIJO = _ARMIJO * _STACKED_STEPS[:, 0]
 # the rounds of a line search: one per single step length, then one for all
 # the stacked ones
 _ROUNDS = _STEP_LENGTHS[:_SINGLE_STEPS] + [None]
+# A stacked call of the root search holds at most this many numbers in each
+# of its stacked arrays (see _row_size): 0.5 MB of doubles, which a whole
+# deep round of the 1x1 and 2x2 wells fits in.  One lockstep stack of it
+# holds the points of at most _SEARCH_ELEMENTS numbers' worth of starts.
+_STACK_ELEMENTS = 2**16
+_SEARCH_ELEMENTS = 2**22
 _MU_FLOOR = 1e-12
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
@@ -159,34 +168,33 @@ def _barrier(p: Problem, mu: float) -> tuple:
             merit, lambda g, d, m: float(g @ d), _each(lambda point: point.barrier_derivs(mu)))
 
 
-def _stationarity(p: Problem, certified: bool, problems: Optional[Sequence[Problem]] = None) -> tuple:
+def _stationarity(p: Problem, problems: Optional[Sequence[Problem]] = None) -> tuple:
     """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
     gradient norm as merit and slope.  A state is a ``dual.DualPoint``.
 
     Value-based line searches stall once the remaining improvement falls
     below the rounding of the objective itself; descending on the gradient
-    norm instead converges to stationarity at machine precision.  With
-    ``certified`` the domain is the certified region with G nonsingular by
-    ``dual.boundary_tol`` (Cholesky points that clear the boundary, made one
-    trial at a time); without it, every point with nonnegative domain
-    slacks and nonsingular G (LU points, each stack of trials made in one
-    pass by ``_lu_trials``, and the Hessians of all the starts in one pass
-    by ``dual.bare_hessians``).  ``problems``, for the LU points, is the
-    problem of each start, on p's terms with its own f.
+    norm instead converges to stationarity at machine precision.  Without
+    ``problems`` (the polish of p) the domain is the certified region with G
+    nonsingular by ``dual.boundary_tol``: Cholesky points that clear the
+    boundary, made one trial at a time.  With ``problems``, the problem of
+    each start (on p's terms, each with its own f), it is every point with
+    nonnegative domain slacks and nonsingular G: LU points, made a stack of
+    trials at a time by ``_lu_trials``, and the Hessians of all the starts
+    in one pass by ``dual.bare_hessians``.
     """
-    if certified:
+    if problems is None:
         def make(s, slacks=None):
             point = dual.factor_point(p, s, slacks=slacks)
             return point if point is not None and point.clears(0.0) else None
         return (_one_at_a_time(make, _gradient_norm), partial(dual.screen, p), _gradient_norm,
                 lambda g, d, m: m, _each(lambda point: point.barrier_derivs(0.0)))
-    rows = None
-    if problems is not None:
-        objects = np.empty(len(problems), dtype=object)
-        objects[:] = problems
-        rows = (np.array([q.f for q in problems]), objects)
-    return (partial(_lu_trials, p, rows), partial(dual.screen, p, cholesky=False),
-            _gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p))
+    objects = np.empty(len(problems), dtype=object)
+    objects[:] = problems
+    cap = _stack_rows(p)
+    return (partial(_lu_trials, p, np.array([q.f for q in problems]), objects, cap),
+            partial(dual.screen, p, cholesky=False), _gradient_norm, lambda g, d, m: m,
+            partial(_lu_derivatives, p, cap))
 
 
 def _one_at_a_time(make, merit):
@@ -210,27 +218,89 @@ def _one_at_a_time(make, merit):
     return trial
 
 
-def _lu_trials(p: Problem, rows, Z, slacks=None, owners=None, bounds=None) -> tuple:
-    """The root search's stack trial: the LU points of ``dual.factor_stack``
-    and their gradient-norm merits (``_gradient_norms``, inf where refused),
-    every row in one pass whatever the bounds.  ``rows``, when given, is the
-    pair (f, problems) of each start, read for each row by its owner."""
-    if rows is None:
-        stack = dual.factor_stack(p, Z, slacks)
-    else:
-        f, problems = rows
-        stack = dual.factor_stack(p, Z, slacks, f=f[owners], problems=problems[owners])
-    merits = np.full(len(stack), math.inf)
-    merits[stack.kept] = _gradient_norms(stack.bare_grads)
-    return stack, merits
+def _row_size(p: Problem) -> int:
+    """The numbers n * max(n, R) one point of the root search on p's terms
+    takes in a stacked array: its G, and its coordinate images while they
+    are formed, for R the rows of ``Problem.coordinate_rows.Bt``."""
+    return p.n * max(p.n, p.coordinate_rows.Bt.shape[1])
 
 
-def _lu_derivatives(p: Problem, points: list) -> tuple:
+def _stack_rows(p: Problem) -> int:
+    """The most rows of one stacked call of the root search on p's terms
+    (``dual.factor_stack``, ``dual.bare_hessians``)."""
+    return max(1, _STACK_ELEMENTS // _row_size(p))
+
+
+def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, slacks=None,
+               owners=None, bounds=None) -> tuple:
+    """The root search's stack trial: the LU points of ``dual.factor_stack``,
+    each row with the input ``f`` and the ``Problem`` of its owner, and their
+    gradient-norm merits (``_gradient_norms``, inf where refused or not
+    made).  Rows that fit one call, at most ``cap`` (``_stack_rows``), are
+    made in one, and its ``dual.PointStack`` is returned as the states: the
+    caller builds the points it takes.  More rows are made in calls of at
+    most cap rows, and the points the caller may take are built at once, so
+    that no stack outlives its call: every point without ``bounds``, each
+    start's first point that reaches its bound with them.  With bounds a
+    start's rows are then made in passes, a few step lengths at a time, and
+    only while none of them has reached its bound: each pass gives every
+    start still open max(1, cap // starts open) more rows, so few rows are
+    made past a start's accepted one."""
+    Z, owners = np.asarray(Z, dtype=float), np.asarray(owners)
+    merits = np.full(len(Z), math.inf)
+
+    def factor(take):
+        who = owners[take]
+        stack = dual.factor_stack(p, Z[take], f[who], problems[who],
+                                  None if slacks is None else slacks[take])
+        merits[take[stack.kept]] = _gradient_norms(stack.bare_grads)
+        return stack
+
+    if len(Z) <= cap:
+        return factor(np.arange(len(Z))), merits
+    states = [None] * len(Z)
+    if bounds is None:
+        for first in range(0, len(Z), cap):
+            stack = factor(np.arange(first, min(first + cap, len(Z))))
+            for j in stack.kept.tolist():
+                states[first + j] = stack[j]
+        return states, merits
+    bounds = np.asarray(bounds)
+    # a start's rows are consecutive, in order of decreasing t
+    heads = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
+    counts = np.diff(np.append(heads, len(Z)))
+    start = np.repeat(np.arange(len(heads)), counts)
+    rank = np.arange(len(Z)) - heads[start]
+    open_ = np.ones(len(heads), dtype=bool)
+    made = 0
+    while True:
+        waiting = open_ & (counts > made)
+        if not waiting.any():
+            return states, merits
+        width = max(1, cap // int(np.count_nonzero(waiting)))
+        rows = np.flatnonzero(waiting[start] & (rank >= made) & (rank < made + width))
+        for first in range(0, len(rows), cap):
+            take = rows[first:first + cap]
+            stack = factor(take)
+            m = merits[take]
+            passed = np.flatnonzero(np.isfinite(m) & (m <= bounds[take]))
+            who = start[take[passed]]
+            # each open start's first row to pass
+            firsts = passed[np.concatenate(([True], who[1:] != who[:-1])) & open_[who]]
+            open_[start[take[firsts]]] = False
+            for j in firsts.tolist():
+                states[take[j]] = stack[j]
+        made += width
+
+
+def _lu_derivatives(p: Problem, cap: int, points: list) -> tuple:
     """``DualPoint.barrier_derivs(0.0)`` of LU points, a stack at a time:
-    their bare gradients, and their Hessians in one ``dual.bare_hessians``."""
-    H = dual.bare_hessians(p, np.array([point.s for point in points]),
-                           np.array([point.G for point in points]),
-                           np.array([point.images for point in points]))
+    their bare gradients, and their Hessians by ``dual.bare_hessians``, at
+    most ``cap`` points (``_stack_rows``) to a call."""
+    H = np.concatenate([dual.bare_hessians(p, np.array([point.s for point in chunk]),
+                                           np.array([point.G for point in chunk]),
+                                           np.array([point.images for point in chunk]))
+                        for chunk in (points[i:i + cap] for i in range(0, len(points), cap))])
     return np.array([point.bare_grad for point in points]), 0.5 * (H + H.swapaxes(1, 2))
 
 
@@ -278,9 +348,10 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     pair (states, merits), one of each per row: the state is None outside
     the domain, where the merit is inf.  ``slacks``, when given, are the
     domain slacks of each row, which passed ``screen``, ``dual.screen`` for
-    the same domain; ``bounds``, when given, is the merit at which each row
-    is accepted, and a trial may leave a start's rows past its first
-    accepted one unmade (None, inf).  ``merit(state)`` is the merit of a
+    the same domain.  ``bounds``, when given, is the merit at which each row
+    is accepted: a trial may then leave a start's rows past its first
+    accepted one unmade (None, inf), and the state of a row that misses its
+    bound None.  Every round passes them.  ``merit(state)`` is the merit of a
     state passed in ``states``; ``derivatives(states)`` is the pair (g, H)
     of a list of states, stacked.  Each iteration takes the derivatives and
     the Newton directions of every start still running in one call each:
@@ -354,12 +425,11 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
             else:
                 tried = list(searching)
                 Z = [S[i] + t * searching[i][0] for i in tried]
-                made, zms = trial(Z, None, tried, None)
                 armijo = _ARMIJO * t
-                accepted = []
-                for a, i in enumerate(tried):
-                    if math.isfinite(zms[a]) and zms[a] <= merits[i] - armijo * searching[i][1]:
-                        accepted.append((a, i, t))
+                bounds = [merits[i] - armijo * searching[i][1] for i in tried]
+                made, zms = trial(Z, None, tried, bounds)
+                accepted = [(a, i, t) for a, i in enumerate(tried)
+                            if math.isfinite(zms[a]) and zms[a] <= bounds[a]]
             for a, i, t in accepted:
                 d = searching.pop(i)[0]
                 S[i], states[i], merits[i] = Z[a], made[a], zms[a]
@@ -549,7 +619,7 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
             break
 
     # Barrier-free polish while the iterate stays strictly interior.
-    [(s, _, its)] = _damped_newton([s], *_stationarity(p, certified=True),
+    [(s, _, its)] = _damped_newton([s], *_stationarity(p),
                                    tol=min(gtol, 1e-12 * p.f_scale), max_iter=cfg.max_inner)
     iterations += its
 
@@ -804,10 +874,23 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) 
     ``problems``, which share their terms: the stationary points each
     problem's starts end at, one list per problem.
 
-    G(s) does not depend on f, so the starts of every problem run as one
-    lockstep stack, each row with its own f, its own tolerance and its own
-    ``Problem``.  Each start ends where it would alone, to the bit.
+    G(s) does not depend on f, so the starts of several problems run as one
+    lockstep stack (``_lockstep_roots``): as many problems, in order, as
+    keep the points of its starts within _SEARCH_ELEMENTS numbers
+    (``_row_size`` a start), and at least one.  Each start ends where it
+    would alone, to the bit.
     """
+    if not problems:
+        return []
+    size = _row_size(problems[0]) * (len(_LADDER_UNITS) + n_starts)
+    group = max(1, _SEARCH_ELEMENTS // size)
+    return [roots for first in range(0, len(problems), group)
+            for roots in _lockstep_roots(problems[first:first + group], cfg, n_starts)]
+
+
+def _lockstep_roots(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
+    """``_root_search`` of problems on the same terms as one lockstep stack,
+    each row with its own f, its own tolerance and its own ``Problem``."""
     starts, owners, tols = [], [], []
     for k, q in enumerate(problems):
         rng = np.random.default_rng(cfg.seed)
@@ -816,12 +899,11 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) 
         owners += [k] * len(drawn)
         tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
     roots = [[] for _ in problems]
-    if starts:
-        callbacks = _stationarity(problems[0], False, problems=[problems[k] for k in owners])
-        for (s, state, _), k, gtol in zip(_damped_newton(starts, *callbacks, tol=tols, max_iter=60),
-                                          owners, tols):
-            if state is not None and _gradient_norm(state) <= gtol:
-                roots[k].append(s)
+    callbacks = _stationarity(problems[0], [problems[k] for k in owners])
+    for (s, state, _), k, gtol in zip(_damped_newton(starts, *callbacks, tol=tols, max_iter=60),
+                                      owners, tols):
+        if state is not None and _gradient_norm(state) <= gtol:
+            roots[k].append(s)
     return roots
 
 
@@ -844,6 +926,9 @@ def _merge_points(p: Problem, found: list) -> list:
     return out
 
 
+_LADDER_UNITS = (0.05, 0.2, 0.5, 1.0, 2.0, 4.0)
+
+
 def _ladder_starts(p: Problem) -> list:
     """Deterministic start points marching away from each domain boundary.
 
@@ -853,7 +938,7 @@ def _ladder_starts(p: Problem) -> list:
     q = len(p.dual_terms)
     xlogx = np.array([p.terms[i].kind is TermKind.XLOGX for i in p.dual_terms], dtype=bool)
     starts = []
-    for u in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0):
+    for u in _LADDER_UNITS:
         s = np.full(p.dual_dim, u)
         s[:q] = _term_starts(p, np.where(xlogx, u - 1.0, u))
         starts.append(s)
@@ -902,8 +987,9 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     hit.  The reported threshold is the smallest grid magnitude from which
     every larger grid entry is unique.  Each magnitude's points are those of
     ``dual_critical_points`` with its certified solve as ``base``, to the
-    bit, but the root searches of all the magnitudes run as one lockstep
-    stack (``_root_search``): G(s) does not depend on the input.  With
+    bit, but the root searches of the magnitudes run as one lockstep stack
+    (``_root_search``, which caps its size): G(s) does not depend on the
+    input.  With
     threads > 1 the certified solves, one per magnitude, run on a thread
     pool; the rows keep the grid's order.
     """

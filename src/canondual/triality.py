@@ -93,7 +93,7 @@ def classify_pair(gm: dual.GapMatrix, x_bar, tol: float = DEFAULT_CRIT_TOL) -> T
         if p.is_sign_integer:
             primal_res = 0.0 if np.all(np.abs(np.abs(x_bar) - 1.0) <= ctol) else np.inf
         else:
-            primal_res = float(np.linalg.norm(model.grad_primal(p, x_bar)))
+            primal_res = float(np.linalg.norm(model.primal_gradient(p)(x_bar)))
         pairing_res = float(np.linalg.norm(gm.G @ x_bar - p.f))
         dual_res = _dual_stationarity(gm, x_bar)
     if not (primal_res <= ctol and dual_res <= ctol and pairing_res <= ctol):

@@ -359,7 +359,8 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     # search's stacked trials build no point at all for a refused row
     if search == "root":
         p = double_well(1.75)  # one real root: most root searches never converge
-        callbacks, starts = solver._stationarity(p, certified=False), solver._ladder_starts(p)
+        starts = solver._ladder_starts(p)
+        callbacks = solver._stationarity(p, [p] * len(starts))
     else:
         p = _barrier_problem("continuous")
         callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
@@ -416,7 +417,7 @@ def test_lu_points_refuse_an_exponential_coordinate_on_its_edge(alpha):
         assert outside == refused
         assert dual.screen(p, s)[0]  # a Cholesky point needs every slack positive
         assert (dual.factor_point(p, s, cholesky=False) is None) == refused
-    stack = dual.factor_stack(p, [on_edges, exponential_inside])
+    stack = dual.factor_stack(p, [on_edges, exponential_inside], [p.f] * 2, [p] * 2)
     assert len(stack) == 2 and stack.kept.tolist() == [1] and stack[0] is None
     alone = dual.factor_point(p, exponential_inside, cholesky=False)
     assert stack[1].x.tobytes() == alone.x.tobytes()
@@ -482,12 +483,12 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
             owners += [q] * len(drawn)
             tols += [1e-11 * q.f_scale] * len(drawn)
         together = solver._damped_newton(
-            starts, *solver._stationarity(family[0], False, problems=owners), tol=tols,
+            starts, *solver._stationarity(family[0], owners), tol=tols,
             max_iter=60)
         for start, q, tol, (s, state, steps) in zip(starts, owners, tols, together):
             alone = ((solver._one_at_a_time(partial(dual.factor_point, q, cholesky=False),
                                             solver._gradient_norm),)
-                     + solver._stationarity(q, certified=False)[1:])
+                     + solver._stationarity(q, [q])[1:])
             [(s_alone, state_alone, steps_alone)] = solver._damped_newton(
                 [start], *alone, tol=tol, max_iter=60)
             assert s.tobytes() == s_alone.tobytes()
@@ -939,9 +940,9 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # starts of all 12 magnitudes in one lockstep stack, make one stack of
     # the start points, then at most five an iteration: the four single
     # steps, and every screened deeper step of every start still searching
-    # in one.  So
-    # they evaluate 31,510 trials, the deep steps past each start's accepted
-    # one among them, in 125 stacks.  Each of their 25 iterations forms the
+    # in one (a 1x1 G fits a whole deep round in one pass of _lu_trials).
+    # So they evaluate 31,510 trials, the deep steps past each start's
+    # accepted one among them, in 125 stacks.  Each of their 25 iterations forms the
     # Hessians of its running starts as one stack (1,865 in all), and the
     # Newton directions too: no start is solved alone
     calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0,
@@ -962,12 +963,12 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
         calls["points"] += 1
         return factor(p, s, cholesky, slacks)
 
-    def counting_stack(p, Z, slacks=None, **rows):
+    def counting_stack(p, Z, f, problems, slacks=None):
         calls["stacks"] += 1
         calls["rows"] += len(Z)
         if slacks is None:
             calls["slack_refused"] += int(dual.screen(p, np.array(Z), False)[0].sum())
-        return stack(p, Z, slacks, **rows)
+        return stack(p, Z, f, problems, slacks)
 
     monkeypatch.setattr(dual, "factor_point", counting)
     monkeypatch.setattr(dual, "factor_stack", counting_stack)
@@ -1038,6 +1039,104 @@ def test_fc_sweep_rows_equal_the_search_of_each_magnitude_alone(case, n_starts):
         assert "boundary" in outcomes
     assert json.dumps([dataclasses.asdict(row) for row in res.rows]) == json.dumps(
         [dataclasses.asdict(row) for row in alone])
+
+
+def _continuous_template(n: int) -> Problem:
+    """A plain, a quartic and an exponential term with square random
+    factors, on n variables: an n x n G with R = 2n rows of B'."""
+    rng = np.random.default_rng(5)
+    terms = [CanonicalTerm(kind, rng.standard_normal((n, n)) / math.sqrt(n),
+                           float(rng.uniform(0.3, 2.0)), beta)
+             for kind, beta in ((TermKind.PLAIN_QUADRATIC, 0.0), (TermKind.QUARTIC, -1.0),
+                                (TermKind.EXPONENTIAL, 0.0))]
+    return Problem(n=n, terms=terms, f=rng.standard_normal(n))
+
+
+def test_root_search_stacks_stay_within_their_bound(monkeypatch):
+    # a sweep of a 16-variable template: every stacked call of its root
+    # search (a trial's factor_stack, the Hessians' bare_hessians) holds at
+    # most _STACK_ELEMENTS numbers in each stacked array, and the deep rounds
+    # made in passes make fewer rows than one call for all of them would.
+    # The rows are the same, byte for byte, whatever the bounds: with one
+    # call a round, with three rows a call and one magnitude a stack, and
+    # with each magnitude searched alone
+    template = _continuous_template(16)
+    grid, cfg, n_starts = [0.5, 1.5, 3.0], SolverConfig(), 4
+    size = solver._row_size(template)
+    assert size == 16 * 32 and solver._stack_rows(template) == 128
+    factor, hessians = dual.factor_stack, dual.bare_hessians
+
+    def sweep(stack_elements, search_elements):
+        calls = []
+
+        def counting_stack(p, Z, f, problems, slacks=None):
+            calls.append(("trial", len(Z)))
+            return factor(p, Z, f, problems, slacks)
+
+        def counting_hessians(p, s, G, images):
+            calls.append(("hessians", len(s)))
+            return hessians(p, s, G, images)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_STACK_ELEMENTS", stack_elements)
+            patch.setattr(solver, "_SEARCH_ELEMENTS", search_elements)
+            patch.setattr(dual, "factor_stack", counting_stack)
+            patch.setattr(dual, "bare_hessians", counting_hessians)
+            res = solver.fc_sweep(template, template.f, grid, cfg, n_starts=n_starts)
+        return json.dumps([dataclasses.asdict(row) for row in res.rows]), calls
+
+    rows, calls = sweep(solver._STACK_ELEMENTS, solver._SEARCH_ELEMENTS)
+    assert max(k for _, k in calls) * size <= solver._STACK_ELEMENTS
+    one_call_rows, one_call = sweep(2**40, solver._SEARCH_ELEMENTS)
+    made = sum(k for kind, k in calls if kind == "trial")
+    assert made < sum(k for kind, k in one_call if kind == "trial")
+    assert one_call_rows == rows
+    small_rows, small = sweep(3 * size, size * (6 + n_starts))
+    assert max(k for _, k in small) == 3 and small_rows == rows
+    unit = template.f / np.linalg.norm(template.f)
+    alone = [_sweep_row_alone(m, Problem(n=16, terms=template.terms, f=m * unit), cfg, n_starts)
+             for m in grid]
+    assert json.dumps([dataclasses.asdict(row) for row in alone]) == rows
+
+
+def test_lu_trial_builds_only_each_starts_first_accepted_point(monkeypatch):
+    # a stack trial with bounds, three rows a call: a start's rows past its
+    # first that reaches its bound are not made, only that first row's point
+    # is built, and every merit made is that of one call for all the rows
+    p = double_well(1.75)
+    rng = np.random.default_rng(2)
+    owners = np.repeat([0, 1, 2], [5, 1, 4])
+    Z = np.abs(rng.standard_normal((10, 1))) + 0.5
+    f, problems = np.array([p.f] * 3), np.array([p, p, p], dtype=object)
+    _, every = solver._lu_trials(p, f, problems, 10**6, Z, None, owners)
+    # the first row of each start to pass, by rank: three starts, one row a
+    # start in the first pass; start 0 alone, three in the second
+    accept = {0: 3, 1: None, 2: 0}
+    bounds = every - 1.0
+    for start, rank in accept.items():
+        if rank is not None:
+            first = np.flatnonzero(owners == start)[rank]
+            bounds[first:][owners[first:] == start] = every[first:][owners[first:] == start]
+    sizes = []
+    factor = dual.factor_stack
+
+    def counting_stack(p, Z, f, problems, slacks=None):
+        sizes.append(len(Z))
+        return factor(p, Z, f, problems, slacks)
+
+    monkeypatch.setattr(dual, "factor_stack", counting_stack)
+    states, merits = solver._lu_trials(p, f, problems, 3, Z, None, owners, bounds)
+    assert max(sizes) <= 3 and sum(sizes) < len(Z)
+    built = [a for a, state in enumerate(states) if state is not None]
+    assert built == [3, 6]
+    for a in range(len(Z)):
+        start = owners[a]
+        rank = a - np.flatnonzero(owners == start)[0]
+        if accept[start] is not None and rank > accept[start]:
+            assert merits[a] == math.inf  # past the accepted row: not made
+        elif math.isfinite(merits[a]):
+            assert merits[a] == every[a]
+    assert np.isfinite(merits[[0, 1, 2, 3, 5, 6]]).all() and sizes == [3, 3]
 
 
 def test_fc_sweep_all_unique_above_threshold():
