@@ -47,9 +47,10 @@ start takes its first accepted step, the longest, so its trials and
 accepted step are those of halving one step at a time.  A trial builds
 only what its merit reads, the barrier value or the bare gradient: the
 Hessian and L^-1 are formed only at the points the loop accepts, and a
-stacked LU trial builds a point only where it is accepted.  Each outer step starts from the factorized point the last one
-ended at, and the convergence test reads that point: a Cholesky test of G
-minus the feasibility margin and the bare gradient from the factor.  The
+stacked LU trial builds a point only where it is accepted.  Each outer
+step starts from the factorized point the last one ended at, and the
+convergence test reads that point: a Cholesky test of G minus the
+feasibility margin and the bare gradient from the factor.  The
 eigendecomposition is used only by phase one, the report and triality
 classification.  For a continuous problem with an interior certificate the
 report refines x = G^-1 f by one Newton step on the primal gradient,
@@ -989,9 +990,8 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     ``dual_critical_points`` with its certified solve as ``base``, to the
     bit, but the root searches of the magnitudes run as one lockstep stack
     (``_root_search``, which caps its size): G(s) does not depend on the
-    input.  With
-    threads > 1 the certified solves, one per magnitude, run on a thread
-    pool; the rows keep the grid's order.
+    input.  With threads > 1 the certified solves, one per magnitude, run
+    on a thread pool; the rows keep the grid's order.
     """
     cfg = cfg or SolverConfig()
     direction = np.asarray(direction, dtype=float).reshape(-1)
