@@ -31,10 +31,12 @@ carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
 the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
 ``factor_stack`` makes the LU points of a stack in one pass, the
-arithmetic of each row that of ``factor_point`` alone, and ``PointStack``
-builds a row's ``DualPoint`` only when asked.  G(s) does not depend on f, so
-each row of a stack carries its own f and its own ``Problem`` on the same
-terms: one stack may hold the points of several inputs.
+arithmetic of each row that of ``factor_point`` alone (``bare_grads``
+gives the bare gradient of a point and of a stack alike), and
+``PointStack`` builds a row's ``DualPoint`` only when asked.  G(s) does
+not depend on f, so each row of a stack carries its own f and its own
+``Problem`` on the same terms: one stack may hold the points of several
+inputs.
 ``bare_hessians`` gives the LU Hessians of a stack of points in one
 stacked solve.  ``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
@@ -226,20 +228,26 @@ def coordinate_images(p: Problem, x) -> np.ndarray:
 
 
 def bare_grads(p: Problem, s: np.ndarray, x: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """``DualPoint.bare_grad`` at a stack of dual points s (one per row),
-    with x = G^-1 f and A their ``coordinate_images``, and the arithmetic of
-    each row alone: the products are stacked vector products, a quartic
-    conjugate gradient s/alpha - beta is the same two operations on a
-    column, and the exponential and xlogx ones are the scalar
+    """Gradient g = 0.5 x'A - dPhi*_c of the bare dual objective at a dual
+    point s, or at each of a stack of them (one per row), with x = G^-1 f
+    and A their ``coordinate_images``: a sign multiplier's conjugate part is
+    sigma_i itself, so it adds -1.  The arithmetic of each row is that of
+    the point alone, so that ``DualPoint.bare_grad``, this at one point,
+    does not depend on the stack: the products are vector products, a
+    quartic conjugate gradient s/alpha - beta is the same two operations on
+    a column, and the exponential and xlogx ones are the scalar
     ``model.conj_grad``."""
-    g = 0.5 * np.matmul(x[:, None, :], images)[:, 0, :]
+    g = 0.5 * (x[..., None, :] @ images)[..., 0, :]
+    gt, st = g.T, s.T  # gt[k]: coordinate k of the point, or its column of the stack
     for k, idx in enumerate(p.dual_terms):
         t = p.terms[idx]
         if t.kind is model.TermKind.QUARTIC:
-            g[:, k] -= s[:, k] / t.alpha - t.beta
+            gt[k] -= st[k] / t.alpha - t.beta
         else:
-            g[:, k] -= [model.conj_grad(t, v) for v in s[:, k].tolist()]
-    g[:, len(p.dual_terms):] -= 1.0
+            values = st[k].tolist()  # a float, or a list of them
+            gt[k] -= ([model.conj_grad(t, v) for v in values] if isinstance(values, list)
+                      else model.conj_grad(t, values))
+    gt[len(p.dual_terms):] -= 1.0
     return g
 
 
@@ -363,14 +371,8 @@ class DualPoint:
 
     @cached_property
     def bare_grad(self) -> np.ndarray:
-        """Gradient of the bare dual objective, g = 0.5 x'A - dPhi*_c.  A sign
-        multiplier's conjugate part is sigma_i itself, so it adds -1."""
-        p = self.p
-        g = 0.5 * (self.x @ self.images)
-        for k, idx in enumerate(p.dual_terms):
-            g[k] -= model.conj_grad(p.terms[idx], float(self.s[k]))
-        g[len(p.dual_terms):] -= 1.0
-        return g
+        """Gradient of the bare dual objective: ``bare_grads`` at this point."""
+        return bare_grads(self.p, self.s, self.x, self.images)
 
     @cached_property
     def bare_hess(self) -> np.ndarray:
@@ -427,15 +429,16 @@ def factor_point(p: Problem, s, cholesky: bool = True,
 
 
 class PointStack:
-    """LU points at a stack of dual points, evaluated in one pass; build it
-    with ``factor_stack``.  Row j is refused where
+    """LU points at a stack of dual points ``Z``, evaluated in one pass;
+    build it with ``factor_stack``.  Row j is refused where
     ``factor_point(problems[j], z_j, cholesky=False)`` would be None.
     ``kept`` lists the other rows in order and ``bare_grads`` their bare
-    gradients.  ``stack[j]`` is the ``DualPoint`` of row j, on its own
-    problem, or None where refused, built on demand: a caller builds only
-    the points it keeps.  A point holds copies of its rows of the stack's
-    matrices, G and the coordinate images, so that it does not keep them
-    alive; its x and gradient are views."""
+    gradients, all that a line-search trial's merit reads.  ``stack[j]`` is
+    the ``DualPoint`` of row j, on its own problem, or None where refused,
+    built on demand: a trial builds only the points it accepts.  A point
+    holds copies of its rows of the stack's matrices, G and the coordinate
+    images, so that it does not keep them alive; its x and gradient are
+    views."""
 
     def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, kept: np.ndarray,
                  G: np.ndarray, X: np.ndarray, images: np.ndarray, problems):
@@ -444,9 +447,6 @@ class PointStack:
         self.bare_grads = bare_grads(p, Z[kept], X, images)
         self._row = np.full(len(Z), -1)  # row j's place in kept, -1 where refused
         self._row[kept] = np.arange(len(kept))
-
-    def __len__(self) -> int:
-        return len(self.Z)
 
     def __getitem__(self, j: int) -> Optional[DualPoint]:
         r = int(self._row[j])

@@ -38,16 +38,17 @@ the root search, the Hessians A'G^-1 A of all of them in stacked solves,
 with the ridge fallback only for the rows that need it.  The line search
 runs in rounds over the starts still searching: one round for each of the
 first step lengths, then one for all the shorter steps, whose domain is
-screened at once (``dual.screen``).  A stacked LU trial makes the screened
-points of that last round in passes of a few step lengths, each start
-only until one of its points is accepted: a small G takes them all in one
-call, a large one makes few points past a start's accepted one.  A
-Cholesky trial makes them one at a time, up to the first accepted.  Each
-start takes its first accepted step, the longest, so its trials and
-accepted step are those of halving one step at a time.  A trial builds
-only what its merit reads, the barrier value or the bare gradient: the
-Hessian and L^-1 are formed only at the points the loop accepts, and a
-stacked LU trial builds a point only where it is accepted.  Each outer
+screened at once (``dual.screen``) and which go to the trial longest step
+first across all starts.  The trial alone decides acceptance: it returns
+the state of each start's first point within its Armijo bound, the
+longest step, and of no other, so each start's trials and accepted step
+are those of halving one step at a time.  A Cholesky trial makes the
+points one at a time, a stacked LU trial in calls of a bounded size (a
+small G takes a whole round in one call); both drop a start's later
+points once it has accepted one.  A trial builds only what its merit
+reads, the barrier value or the bare gradient: the Hessian and L^-1 are
+formed only at the points the loop accepts, and a stacked LU trial builds
+a point only where it is accepted.  Each outer
 step starts from the factorized point the last one ended at, and the
 convergence test reads that point: a Cholesky test of G minus the
 feasibility margin and the bare gradient from the factor.  The
@@ -201,19 +202,20 @@ def _stationarity(p: Problem, problems: Optional[Sequence[Problem]] = None) -> t
 def _one_at_a_time(make, merit):
     """A stack trial of ``_damped_newton`` that makes each point alone:
     ``make(z, slacks=None)`` is the state at z, or None outside the domain,
-    and ``merit(state)`` its merit (inf where refused).  Past the first row
-    of a start that reaches its bound, the start's rows are not made: each
-    costs a factorization, and the loop takes only that one."""
+    and ``merit(state)`` its merit (inf where refused).  Past a start's
+    accepted row, the start's rows are not made: each costs a
+    factorization."""
     def trial(Z, slacks=None, owners=None, bounds=None):
-        states, merits = [None] * len(Z), [math.inf] * len(Z)
+        states, merits = {}, [math.inf] * len(Z)
         done = set()
         for a, z in enumerate(Z):
-            if bounds is not None and owners[a] in done:
+            if owners[a] in done:
                 continue
-            state = states[a] = make(z) if slacks is None else make(z, slacks=slacks[a])
+            state = make(z) if slacks is None else make(z, slacks=slacks[a])
             if state is not None:
                 m = merits[a] = merit(state)
-                if bounds is not None and math.isfinite(m) and m <= bounds[a]:
+                if bounds is None or (math.isfinite(m) and m <= bounds[a]):
+                    states[a] = state
                     done.add(owners[a])
         return states, merits
     return trial
@@ -237,61 +239,35 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, sla
     """The root search's stack trial: the LU points of ``dual.factor_stack``,
     each row with the input ``f`` and the ``Problem`` of its owner, and their
     gradient-norm merits (``_gradient_norms``, inf where refused or not
-    made).  Rows that fit one call, at most ``cap`` (``_stack_rows``), are
-    made in one, and its ``dual.PointStack`` is returned as the states: the
-    caller builds the points it takes.  More rows are made in calls of at
-    most cap rows, and the points the caller may take are built at once, so
-    that no stack outlives its call: every point without ``bounds``, each
-    start's first point that reaches its bound with them.  With bounds a
-    start's rows are then made in passes, a few step lengths at a time, and
-    only while none of them has reached its bound: each pass gives every
-    start still open max(1, cap // starts open) more rows, so few rows are
-    made past a start's accepted one."""
+    made).  The rows are made in order, in calls of at most ``cap`` rows
+    (``_stack_rows``), and once a start has accepted a row its later rows
+    are dropped: with the rows of a deep round longest step first across
+    all starts, few are made past a start's accepted one, and a 1x1 or 2x2
+    G takes the whole round in one call.  The accepted points are built in
+    the call that makes them, so that no stack outlives its call."""
     Z, owners = np.asarray(Z, dtype=float), np.asarray(owners)
-    merits = np.full(len(Z), math.inf)
-
-    def factor(take):
+    if bounds is not None:
+        bounds = np.asarray(bounds)
+    states, merits = {}, np.full(len(Z), math.inf)
+    waiting = np.arange(len(Z))
+    while waiting.size:
+        take, waiting = waiting[:cap], waiting[cap:]
         who = owners[take]
         stack = dual.factor_stack(p, Z[take], f[who], problems[who],
                                   None if slacks is None else slacks[take])
-        merits[take[stack.kept]] = _gradient_norms(stack.bare_grads)
-        return stack
-
-    if len(Z) <= cap:
-        return factor(np.arange(len(Z))), merits
-    states = [None] * len(Z)
-    if bounds is None:
-        for first in range(0, len(Z), cap):
-            stack = factor(np.arange(first, min(first + cap, len(Z))))
-            for j in stack.kept.tolist():
-                states[first + j] = stack[j]
-        return states, merits
-    bounds = np.asarray(bounds)
-    # a start's rows are consecutive, in order of decreasing t
-    heads = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
-    counts = np.diff(np.append(heads, len(Z)))
-    start = np.repeat(np.arange(len(heads)), counts)
-    rank = np.arange(len(Z)) - heads[start]
-    open_ = np.ones(len(heads), dtype=bool)
-    made = 0
-    while True:
-        waiting = open_ & (counts > made)
-        if not waiting.any():
-            return states, merits
-        width = max(1, cap // int(np.count_nonzero(waiting)))
-        rows = np.flatnonzero(waiting[start] & (rank >= made) & (rank < made + width))
-        for first in range(0, len(rows), cap):
-            take = rows[first:first + cap]
-            stack = factor(take)
-            m = merits[take]
-            passed = np.flatnonzero(np.isfinite(m) & (m <= bounds[take]))
-            who = start[take[passed]]
-            # each open start's first row to pass
-            firsts = passed[np.concatenate(([True], who[1:] != who[:-1])) & open_[who]]
-            open_[start[take[firsts]]] = False
-            for j in firsts.tolist():
-                states[take[j]] = stack[j]
-        made += width
+        kept = stack.kept
+        m = merits[take[kept]] = _gradient_norms(stack.bare_grads)
+        if bounds is not None:
+            passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
+            # a start's first row to pass, its longest step, is its accepted
+            # one: read backwards, a start's first row is the last one kept
+            first = dict(zip(who[passed][::-1].tolist(), passed[::-1].tolist()))
+            kept = sorted(first.values())
+            if waiting.size:
+                waiting = waiting[[o not in first for o in owners[waiting].tolist()]]
+        for j, a in zip(kept, take[kept].tolist()):
+            states[a] = stack[j]
+    return states, merits
 
 
 def _lu_derivatives(p: Problem, cap: int, points: list) -> tuple:
@@ -345,31 +321,34 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     of starts S run in lockstep.
 
     ``trial(Z, slacks, owners, bounds)`` evaluates the rows of Z, points of
-    the starts ``owners`` (a start's rows in order of decreasing t), as the
-    pair (states, merits), one of each per row: the state is None outside
-    the domain, where the merit is inf.  ``slacks``, when given, are the
-    domain slacks of each row, which passed ``screen``, ``dual.screen`` for
-    the same domain.  ``bounds``, when given, is the merit at which each row
-    is accepted: a trial may then leave a start's rows past its first
-    accepted one unmade (None, inf), and the state of a row that misses its
-    bound None.  Every round passes them.  ``merit(state)`` is the merit of a
-    state passed in ``states``; ``derivatives(states)`` is the pair (g, H)
-    of a list of states, stacked.  Each iteration takes the derivatives and
-    the Newton directions of every start still running in one call each:
-    d solves (-H) d = g (``_newton_directions``), replaced by the scaled
-    gradient when ``slope(g, d, m)`` is not positive.  A step of length
-    t = 2^-k, k = 0 .. _HALVINGS - 1, is accepted when its finite merit is
-    at most m - _ARMIJO * t * slope(g, d, m), where m is the current merit;
-    the first such t, the longest, is taken.  The line search runs in
-    rounds, each over every start still searching.  The first _SINGLE_STEPS
-    rounds take each such start's point at one t.  The last round forms the
-    other points s + t d of every start left as one stack, screens them in
-    one call, and hands ``trial`` the points that pass, with their slacks:
-    a point the screen refuses would have been a None state.  Each start
-    then takes its first accepted point.  A row's numbers do not depend on
-    the stack it is in, so each start's accepted step is that of halving t
-    one step at a time on the start alone, to the bit, and each start ends
-    where it would alone.  A start stops at |g| <= tol (a number, or one
+    the starts ``owners`` (a start's rows in order of decreasing t), and
+    decides which are accepted.  It returns the pair (states, merits): a
+    dict from row to state, and one merit per row, inf outside the domain
+    and where the row is not made.  ``bounds``, when given, is the merit at
+    which each row is accepted: a row is accepted when its merit is finite
+    and within its bound and no earlier row of its start is, and only
+    accepted rows have a state.  A trial may leave a start's rows past its
+    accepted one unmade.  Without bounds, in the first call only, every
+    point made has a state.  ``slacks``, when given, are the domain slacks
+    of each row, which passed ``screen``, ``dual.screen`` for the same
+    domain.  ``merit(state)`` is the merit of a state passed in ``states``;
+    ``derivatives(states)`` is the pair (g, H) of a list of states, stacked.
+    Each iteration takes the derivatives and the Newton directions of every
+    start still running in one call each: d solves (-H) d = g
+    (``_newton_directions``), replaced by the scaled gradient when
+    ``slope(g, d, m)`` is not positive.  A step of length t = 2^-k,
+    k = 0 .. _HALVINGS - 1, has the bound m - _ARMIJO * t * slope(g, d, m),
+    where m is the current merit, so each start takes its longest step
+    within it.  The line search runs in rounds, each over every start still
+    searching.  The first _SINGLE_STEPS rounds take each such start's point
+    at one t.  The last round forms the other points s + t d of every start
+    left as one stack, screens them in one call, and hands ``trial`` the
+    points that pass, with their slacks, longest step first across all
+    starts: a point the screen refuses would not have been made.  A row's
+    numbers do not depend on the stack it is in, so each start's accepted
+    step is that of halving t one step at a time on the start alone, to
+    the bit, and each start ends where it would alone.  A start stops at
+    |g| <= tol (a number, or one
     per start); with ``centred``, also when the squared Newton decrement
     g'd lies in [0, centred] (a negative g'd means -H is not numerically
     definite, and says nothing); when no step is accepted; after
@@ -382,8 +361,8 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     S = list(S)
     if states is None:
         made, merits = trial(S, None, list(range(len(S))), None)
-        states = [made[i] for i in range(len(S))]
-        live = [i for i, state in enumerate(states) if state is not None]
+        states = [made.get(i) for i in range(len(S))]
+        live = sorted(made)
     else:
         states = list(states)
         merits = list(map(merit, states))
@@ -422,19 +401,19 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
             if not searching:
                 break
             if t is None:
-                Z, made, zms, accepted = _deep_round(S, merits, searching, trial, screen)
+                Z, owners, t_rows, made, zms = _deep_round(S, merits, searching, trial, screen)
             else:
-                tried = list(searching)
-                Z = [S[i] + t * searching[i][0] for i in tried]
+                owners = list(searching)
+                Z = [S[i] + t * searching[i][0] for i in owners]
                 armijo = _ARMIJO * t
-                bounds = [merits[i] - armijo * searching[i][1] for i in tried]
-                made, zms = trial(Z, None, tried, bounds)
-                accepted = [(a, i, t) for a, i in enumerate(tried)
-                            if math.isfinite(zms[a]) and zms[a] <= bounds[a]]
-            for a, i, t in accepted:
+                made, zms = trial(Z, None, owners,
+                                  [merits[i] - armijo * searching[i][1] for i in owners])
+            for a, state in made.items():
+                i = int(owners[a])
                 d = searching.pop(i)[0]
-                S[i], states[i], merits[i] = Z[a], made[a], zms[a]
-                if step_tol is None or t * _norm(d) > step_tol * (1.0 + _norm(S[i])):
+                S[i], states[i], merits[i] = Z[a], state, zms[a]
+                step = t if t is not None else t_rows[a]
+                if step_tol is None or step * _norm(d) > step_tol * (1.0 + _norm(S[i])):
                     live.append(i)
     return list(zip(S, states, steps))
 
@@ -443,27 +422,21 @@ def _deep_round(S, merits, searching, trial, screen) -> tuple:
     """The last round of a line search of ``_damped_newton``: the points
     s + t d, t = 2^-_SINGLE_STEPS .. 2^-(_HALVINGS - 1), of every start still
     searching (start: (direction, rate)), formed as one stack, screened in
-    one call and handed to ``trial`` in one call with their Armijo bounds.
-    Returns (Z, states, merits, accepted): the rows handed over, what
-    ``trial`` made of them, and (row, start, t) for each start's first
-    accepted row."""
+    one call and handed to ``trial`` in one call with their Armijo bounds,
+    longest step first across all starts.  Returns (Z, owners, t, states,
+    merits): the rows handed over, the start and the step length of each,
+    and what ``trial`` made of them."""
     tried = list(searching)
     deep = (np.array([S[i] for i in tried])[:, None, :] + _STACKED_STEPS
             * np.array([d for d, _ in searching.values()])[:, None, :])
     outside, slacks = screen(deep)
-    rows, j = np.nonzero(~outside)  # each start's points in order of t
-    if not rows.size:
-        return (), (), (), ()
+    j, rows = np.nonzero(~outside.T)
     owners = np.take(tried, rows)
     rates = np.array([rate for _, rate in searching.values()])
     bounds = np.take(merits, owners) - _STACKED_ARMIJO[j] * rates[rows]
     Z = deep[rows, j]
     made, zms = trial(Z, slacks[rows, j], owners, bounds)
-    passed = np.flatnonzero(np.isfinite(zms) & (np.asarray(zms) <= bounds))
-    first = np.concatenate(([True], rows[passed[1:]] != rows[passed[:-1]]))[:len(passed)]
-    accepted = [(a, tried[rows[a]], _STEP_LENGTHS[_SINGLE_STEPS + j[a]])
-                for a in passed[first].tolist()]
-    return Z, made, zms, accepted
+    return Z, owners, _STACKED_STEPS[j, 0], made, zms
 
 
 def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -841,27 +814,32 @@ def existence_check(p: Problem) -> ExistenceResult:
 
 
 def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
-                         n_starts: int = 12, include_certified: bool = True,
-                         base: Optional[SolveReport] = None) -> list:
+                         n_starts: int = 12) -> list:
     """Multistart damped Newton on the dual gradient across the dual domain.
 
     Returns deduplicated stationary points as (sigma, dual value, membership)
     sorted by descending value then lexicographic sigma.  This searches the
     whole nonsingular dual domain, not only the certified region, so it sees
-    the local pairs on the negative-definite side as well.  With
-    ``include_certified`` the certified-region maximizer joins the starts;
-    ``base``, when given, is the caller's report of ``solve_dual(p, cfg)``
-    and saves solving for it again.
+    the local pairs on the negative-definite side as well.  The maximizer of
+    the certified region (``solve_dual``) joins the points when its solve
+    ends interior.
     """
     cfg = cfg or SolverConfig()
-    certified = []
-    if include_certified:
-        try:
-            certified = _certified_point(base if base is not None else solve_dual(p, cfg))
-        except (EmptyInterior, MaxIterations):
-            pass
+    rep, _ = _certify(p, cfg)
     [roots] = _root_search([p], cfg, n_starts)
-    return _merge_points(p, certified + roots)
+    return _merge_points(p, _certified_point(rep) + roots)
+
+
+def _certify(p: Problem, cfg: SolverConfig) -> tuple:
+    """(report, outcome) of ``solve_dual(p, cfg)``: the report's status, or
+    no report and the reason the solve raised."""
+    try:
+        rep = solve_dual(p, cfg)
+    except EmptyInterior:
+        return None, "empty_interior"
+    except MaxIterations:
+        return None, "stalled"
+    return rep, rep.status
 
 
 def _certified_point(rep: Optional[SolveReport]) -> list:
@@ -876,35 +854,29 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) 
     problem's starts end at, one list per problem.
 
     G(s) does not depend on f, so the starts of several problems run as one
-    lockstep stack (``_lockstep_roots``): as many problems, in order, as
-    keep the points of its starts within _SEARCH_ELEMENTS numbers
-    (``_row_size`` a start), and at least one.  Each start ends where it
-    would alone, to the bit.
+    lockstep stack, each row with its own f, its own tolerance and its own
+    ``Problem``: as many problems, in order, as keep the points of its
+    starts within _SEARCH_ELEMENTS numbers (``_row_size`` a start), and at
+    least one.  Each start ends where it would alone, to the bit.
     """
-    if not problems:
-        return []
-    size = _row_size(problems[0]) * (len(_LADDER_UNITS) + n_starts)
-    group = max(1, _SEARCH_ELEMENTS // size)
-    return [roots for first in range(0, len(problems), group)
-            for roots in _lockstep_roots(problems[first:first + group], cfg, n_starts)]
-
-
-def _lockstep_roots(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
-    """``_root_search`` of problems on the same terms as one lockstep stack,
-    each row with its own f, its own tolerance and its own ``Problem``."""
-    starts, owners, tols = [], [], []
-    for k, q in enumerate(problems):
-        rng = np.random.default_rng(cfg.seed)
-        drawn = _ladder_starts(q) + [_random_dual_start(q, rng) for _ in range(n_starts)]
-        starts += drawn
-        owners += [k] * len(drawn)
-        tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
     roots = [[] for _ in problems]
-    callbacks = _stationarity(problems[0], [problems[k] for k in owners])
-    for (s, state, _), k, gtol in zip(_damped_newton(starts, *callbacks, tol=tols, max_iter=60),
-                                      owners, tols):
-        if state is not None and _gradient_norm(state) <= gtol:
-            roots[k].append(s)
+    if not problems:
+        return roots
+    group = max(1, _SEARCH_ELEMENTS // (_row_size(problems[0]) * (len(_LADDER_UNITS) + n_starts)))
+    for first in range(0, len(problems), group):
+        starts, owners, tols = [], [], []
+        for k in range(first, min(first + group, len(problems))):
+            q = problems[k]
+            rng = np.random.default_rng(cfg.seed)
+            drawn = _ladder_starts(q) + [_random_dual_start(q, rng) for _ in range(n_starts)]
+            starts += drawn
+            owners += [k] * len(drawn)
+            tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
+        callbacks = _stationarity(problems[first], [problems[k] for k in owners])
+        ends = _damped_newton(starts, *callbacks, tol=tols, max_iter=60)
+        for (s, state, _), k, gtol in zip(ends, owners, tols):
+            if state is not None and _gradient_norm(state) <= gtol:
+                roots[k].append(s)
     return roots
 
 
@@ -986,12 +958,13 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     stationary points are collected by multistart; a magnitude is flagged
     unique when exactly one cluster survives and no boundary degeneracy was
     hit.  The reported threshold is the smallest grid magnitude from which
-    every larger grid entry is unique.  Each magnitude's points are those of
-    ``dual_critical_points`` with its certified solve as ``base``, to the
-    bit, but the root searches of the magnitudes run as one lockstep stack
+    every larger grid entry is unique, whatever the grid's order; the rows
+    keep that order.  Each magnitude's points are those of
+    ``dual_critical_points`` of that magnitude alone, to the bit, but the
+    root searches of the magnitudes run as one lockstep stack
     (``_root_search``, which caps its size): G(s) does not depend on the
     input.  With threads > 1 the certified solves, one per magnitude, run
-    on a thread pool; the rows keep the grid's order.
+    on a thread pool.
     """
     cfg = cfg or SolverConfig()
     direction = np.asarray(direction, dtype=float).reshape(-1)
@@ -1002,23 +975,13 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     grid = [float(m) for m in grid]
     problems = [Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
                         variables=p_template.variables) for m in grid]
-
-    def certify(pm: Problem) -> tuple:
-        try:
-            rep = solve_dual(pm, cfg)
-        except EmptyInterior:
-            return None, "empty_interior"
-        except MaxIterations:
-            return None, "stalled"
-        return rep, rep.status
-
     if threads > 1 and len(grid) > 1:
         # loaded here: concurrent.futures brings logging, which a solve never runs
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-            solved = list(pool.map(certify, problems))
+            solved = list(pool.map(partial(_certify, cfg=cfg), problems))
     else:
-        solved = [certify(pm) for pm in problems]
+        solved = [_certify(pm, cfg) for pm in problems]
     rows = []
     for m, pm, (rep, outcome), roots in zip(grid, problems, solved,
                                             _root_search(problems, cfg, n_starts)):
@@ -1033,11 +996,10 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
                           n_clusters=len(clusters), boundary=boundary, unique=unique,
                           outcome=outcome))
     threshold = None
-    for row in reversed(rows):
-        if row.unique:
-            threshold = row.magnitude
-        else:
+    for row in sorted(rows, key=lambda row: row.magnitude, reverse=True):
+        if not row.unique:
             break
+        threshold = row.magnitude
     return FcSweepResult(rows=rows, threshold=threshold)
 
 

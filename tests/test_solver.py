@@ -320,7 +320,7 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
 
         def trial(Z, slacks=None, owners=None, bounds=None):
             handed.extend(zip(Z, [None] * len(Z) if slacks is None else slacks))
-            return [None] * len(Z), [math.inf] * len(Z)
+            return {}, [math.inf] * len(Z)  # no row accepted, none made
 
         # g = d with H = -I makes d the Newton direction; every trial is
         # refused, so the line search runs through all its steps
@@ -418,7 +418,7 @@ def test_lu_points_refuse_an_exponential_coordinate_on_its_edge(alpha):
         assert dual.screen(p, s)[0]  # a Cholesky point needs every slack positive
         assert (dual.factor_point(p, s, cholesky=False) is None) == refused
     stack = dual.factor_stack(p, [on_edges, exponential_inside], [p.f] * 2, [p] * 2)
-    assert len(stack) == 2 and stack.kept.tolist() == [1] and stack[0] is None
+    assert len(stack.Z) == 2 and stack.kept.tolist() == [1] and stack[0] is None
     alone = dual.factor_point(p, exponential_inside, cholesky=False)
     assert stack[1].x.tobytes() == alone.x.tobytes()
 
@@ -986,16 +986,13 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
 def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig, n_starts: int) -> solver.FcRow:
     """The sweep row of magnitude m, with input pm, built from the certified
     solve and ``dual_critical_points`` of that magnitude alone."""
-    rep = None
     try:
-        rep = solver.solve_dual(pm, cfg)
-        outcome = rep.status
+        outcome = solver.solve_dual(pm, cfg).status
     except EmptyInterior:
         outcome = "empty_interior"
     except MaxIterations:
         outcome = "stalled"
-    points = solver.dual_critical_points(pm, cfg, n_starts=n_starts,
-                                         include_certified=rep is not None, base=rep)
+    points = solver.dual_critical_points(pm, cfg, n_starts=n_starts)
     boundary = outcome != "interior"
     clusters = []
     for s, _, _ in points:
@@ -1099,50 +1096,72 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     assert json.dumps([dataclasses.asdict(row) for row in alone]) == rows
 
 
-def test_lu_trial_builds_only_each_starts_first_accepted_point(monkeypatch):
-    # a stack trial with bounds, three rows a call: a start's rows past its
-    # first that reaches its bound are not made, only that first row's point
-    # is built, and every merit made is that of one call for all the rows
+@pytest.mark.parametrize("trial", ["one_at_a_time", "lu_3_a_call", "lu_one_call"])
+def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatch):
+    # the trial contract: a trial returns the state of each start's first row
+    # within its bound, and of no other row, and the merit of every row it
+    # makes.  The rows come as a deep round hands them over, longest step
+    # first across the starts; a start's rows past its accepted one may go
+    # unmade (merit inf).  A stacked LU trial builds no other point
     p = double_well(1.75)
     rng = np.random.default_rng(2)
-    owners = np.repeat([0, 1, 2], [5, 1, 4])
+    owners = np.array([0, 1, 2, 0, 2, 0, 2, 0, 2, 0])
     Z = np.abs(rng.standard_normal((10, 1))) + 0.5
-    f, problems = np.array([p.f] * 3), np.array([p, p, p], dtype=object)
-    _, every = solver._lu_trials(p, f, problems, 10**6, Z, None, owners)
-    # the first row of each start to pass, by rank: three starts, one row a
-    # start in the first pass; start 0 alone, three in the second
-    accept = {0: 3, 1: None, 2: 0}
+    alone = [dual.factor_point(p, z, cholesky=False) for z in Z]
+    every = np.array([solver._gradient_norm(point) for point in alone])
+    # start 0 accepts its fourth row (row 7), start 1 none, start 2 its first
+    # (row 2): a row passes from the accepted one on
     bounds = every - 1.0
-    for start, rank in accept.items():
-        if rank is not None:
-            first = np.flatnonzero(owners == start)[rank]
-            bounds[first:][owners[first:] == start] = every[first:][owners[first:] == start]
-    sizes = []
-    factor = dual.factor_stack
+    bounds[[7, 9, 2, 4, 6, 8]] = every[[7, 9, 2, 4, 6, 8]]
+    sizes, built = [], []
+    factor, init = dual.factor_stack, dual.DualPoint.__init__
 
     def counting_stack(p, Z, f, problems, slacks=None):
         sizes.append(len(Z))
         return factor(p, Z, f, problems, slacks)
 
+    def recording_init(point, *args, **kwargs):
+        init(point, *args, **kwargs)
+        built.append(point)
+
     monkeypatch.setattr(dual, "factor_stack", counting_stack)
-    states, merits = solver._lu_trials(p, f, problems, 3, Z, None, owners, bounds)
-    assert max(sizes) <= 3 and sum(sizes) < len(Z)
-    built = [a for a, state in enumerate(states) if state is not None]
-    assert built == [3, 6]
-    for a in range(len(Z)):
-        start = owners[a]
-        rank = a - np.flatnonzero(owners == start)[0]
-        if accept[start] is not None and rank > accept[start]:
-            assert merits[a] == math.inf  # past the accepted row: not made
-        elif math.isfinite(merits[a]):
-            assert merits[a] == every[a]
-    assert np.isfinite(merits[[0, 1, 2, 3, 5, 6]]).all() and sizes == [3, 3]
+    monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
+    if trial == "one_at_a_time":
+        run = solver._one_at_a_time(partial(dual.factor_point, p, cholesky=False),
+                                    solver._gradient_norm)
+    else:
+        run = partial(solver._lu_trials, p, np.array([p.f] * 3),
+                      np.array([p] * 3, dtype=object), 3 if trial == "lu_3_a_call" else 10)
+    states, merits = run(Z, None, owners, bounds)
+    merits = np.asarray(merits)
+    assert sorted(states) == [2, 7]
+    for a, state in states.items():
+        assert state.p is p and state.x.tobytes() == alone[a].x.tobytes()
+        assert state.bare_grad.tobytes() == alone[a].bare_grad.tobytes()
+    made = np.flatnonzero(np.isfinite(merits))
+    assert (merits[made] == every[made]).all()
+    # every row up to each start's accepted one is made; one call makes all
+    assert made.tolist() == ([0, 1, 2, 3, 5, 7] if trial != "lu_one_call" else list(range(10)))
+    if trial != "one_at_a_time":
+        assert sizes == ([3, 3] if trial == "lu_3_a_call" else [10])
+        assert sorted(map(id, built)) == sorted(map(id, states.values()))
 
 
 def test_fc_sweep_all_unique_above_threshold():
     res = solver.fc_sweep(double_well(0.0), [1.0], [2.0, 3.0, 4.0], SolverConfig(), n_starts=6)
     assert all(r.unique for r in res.rows)
     assert res.threshold == 2.0
+
+
+def test_fc_sweep_threshold_does_not_depend_on_the_grid_order():
+    # the threshold is the smallest grid magnitude from which every larger
+    # one is unique, whatever the grid's order; the rows keep that order
+    sweeps = [solver.fc_sweep(double_well(1.0), [1.0], grid)
+              for grid in ([0.5, 2.0, 3.0], [2.0, 0.5, 3.0], [3.0, 2.0, 0.5])]
+    assert [res.threshold for res in sweeps] == [2.0, 2.0, 2.0]
+    rows = [{row.magnitude: dataclasses.asdict(row) for row in res.rows} for res in sweeps]
+    assert rows[0] == rows[1] == rows[2]
+    assert [row.magnitude for row in sweeps[2].rows] == [3.0, 2.0, 0.5]
 
 
 def test_fc_sweep_threads_keep_the_rows():
