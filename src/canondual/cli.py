@@ -139,8 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = command("sweep", _cmd_sweep, "input-magnitude uniqueness sweep", _SOLVER_FLAGS)
     p_sweep.add_argument("--direction", required=True, help="comma-separated direction")
     p_sweep.add_argument("--grid", required=True, help="comma-separated magnitudes")
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the grid solves (default 1)")
 
     p_plot = command("plotdata", _cmd_plotdata, "primal and dual curve samples as TSV", ())
     p_plot.add_argument("--range", dest="range_spec", required=True, help="a:b:steps")
@@ -277,9 +275,7 @@ def _cmd_export(args, cfg, p, qip) -> tuple:
 def _cmd_sweep(args, cfg, p, qip) -> tuple:
     direction = _floats(args.direction)
     grid = [float(tok) for tok in args.grid.split(",")]
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    result = solver.fc_sweep(p, direction, grid, cfg, threads=args.threads)
+    result = solver.fc_sweep(p, direction, grid, cfg)
     return {"sweep": result}, EXIT_OK
 
 

@@ -12,17 +12,17 @@ Each barrier weight runs until its point is centred: the squared Newton
 decrement g'(-H)^-1 g of the barrier objective is at most _CENTERING * mu
 (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, section 11.3),
 or the bare gradient is within the solve's tolerance.
-The barrier ascent, the polish and the multistart root search of
-``dual_critical_points`` run one damped-Newton loop, ``_damped_newton``,
-with callbacks from ``_barrier`` and ``_stationarity``: the ascent
-backtracks on the barrier value, the other two on the norm of the dual
-gradient.  The loop runs a stack of starts in lockstep, and each start ends
-where it would alone, to the bit.  The ascent and the polish pass one start.
-The root search passes all of its starts, the ladder and the random ones,
-as one stack; ``fc_sweep`` passes the starts of the magnitudes of its grid
-as one stack, each row with its own input f, tolerance and ``Problem``,
-since G(s) does not depend on f (as many magnitudes as keep the stack's
-points within a fixed count of numbers).  All three step on
+The barrier ascent, the polish and the multistart root search run one
+damped-Newton loop, ``_damped_newton``, with callbacks from ``_barrier``,
+``_polish`` and ``_roots``: the ascent backtracks on the barrier value, the
+other two on the norm of the dual gradient.  The loop runs a stack of starts
+in lockstep, and each start ends where it would alone, to the bit.  The
+ascent and the polish pass one start.  The root search of
+``_critical_points``, which serves ``dual_critical_points`` and ``fc_sweep``,
+passes the starts of all its problems (a sweep's magnitudes) as one stack,
+each row with its own input f, tolerance and ``Problem``, since G(s) does
+not depend on f (as many problems as keep the stack's points within a fixed
+count of numbers).  All three step on
 ``dual.DualPoint``, a point factorized once: the ascent and the polish by
 Cholesky (``dual.factor_point``, one trial at a time), where a trial point
 is feasible when its domain slacks are positive and the factor exists (for
@@ -167,30 +167,33 @@ def _barrier(p: Problem, mu: float) -> tuple:
         return -point.barrier(mu)
 
     return (_one_at_a_time(partial(dual.factor_point, p), merit), partial(dual.screen, p),
-            merit, lambda g, d, m: float(g @ d), _each(lambda point: point.barrier_derivs(mu)))
+            merit, lambda g, d, m: float(g @ d), _one_start(lambda point: point.barrier_derivs(mu)))
 
 
-def _stationarity(p: Problem, problems: Optional[Sequence[Problem]] = None) -> tuple:
+def _polish(p: Problem) -> tuple:
     """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
-    gradient norm as merit and slope.  A state is a ``dual.DualPoint``.
+    gradient norm as merit and slope, in the certified region with G
+    nonsingular by ``dual.boundary_tol``: a state is a Cholesky
+    ``dual.DualPoint`` that clears the boundary, made one trial at a time.
 
     Value-based line searches stall once the remaining improvement falls
     below the rounding of the objective itself; descending on the gradient
-    norm instead converges to stationarity at machine precision.  Without
-    ``problems`` (the polish of p) the domain is the certified region with G
-    nonsingular by ``dual.boundary_tol``: Cholesky points that clear the
-    boundary, made one trial at a time.  With ``problems``, the problem of
-    each start (on p's terms, each with its own f), it is every point with
-    nonnegative domain slacks and nonsingular G: LU points, made a stack of
-    trials at a time by ``_lu_trials``, and the Hessians of all the starts
-    in one pass by ``dual.bare_hessians``.
+    norm instead converges to stationarity at machine precision.
     """
-    if problems is None:
-        def make(s, slacks=None):
-            point = dual.factor_point(p, s, slacks=slacks)
-            return point if point is not None and point.clears(0.0) else None
-        return (_one_at_a_time(make, _gradient_norm), partial(dual.screen, p), _gradient_norm,
-                lambda g, d, m: m, _each(lambda point: point.barrier_derivs(0.0)))
+    def make(s, slacks=None):
+        point = dual.factor_point(p, s, slacks=slacks)
+        return point if point is not None and point.clears(0.0) else None
+    return (_one_at_a_time(make, _gradient_norm), partial(dual.screen, p), _gradient_norm,
+            lambda g, d, m: m, _one_start(lambda point: point.barrier_derivs(0.0)))
+
+
+def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
+    """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
+    merit and slope of ``_polish``, at every point with nonnegative domain
+    slacks and nonsingular G, for starts with the ``problems`` on p's terms
+    (each its own f): a state is an LU ``dual.DualPoint``, made a stack of
+    trials at a time by ``_lu_trials``, and the Hessians of all the starts
+    come in one pass of ``dual.bare_hessians``."""
     objects = np.empty(len(problems), dtype=object)
     objects[:] = problems
     cap = _stack_rows(p)
@@ -281,14 +284,13 @@ def _lu_derivatives(p: Problem, cap: int, points: list) -> tuple:
     return np.array([point.bare_grad for point in points]), 0.5 * (H + H.swapaxes(1, 2))
 
 
-def _each(derivatives):
-    """Stacked derivatives from ``derivatives(state)``, a state at a time."""
+def _one_start(derivatives):
+    """The stacked derivatives of the barrier and the polish, which pass one
+    start: ``derivatives(state)`` as a stack of one, a view, no copy."""
     def stacked(states):
-        if len(states) == 1:  # the barrier and the polish: a view, no copy
-            g, H = derivatives(states[0])
-            return g[None], H[None]
-        g, H = zip(*map(derivatives, states))
-        return np.array(g), np.array(H)
+        [state] = states
+        g, H = derivatives(state)
+        return g[None], H[None]
     return stacked
 
 
@@ -593,7 +595,7 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
             break
 
     # Barrier-free polish while the iterate stays strictly interior.
-    [(s, _, its)] = _damped_newton([s], *_stationarity(p),
+    [(s, _, its)] = _damped_newton([s], *_polish(p),
                                    tol=min(gtol, 1e-12 * p.f_scale), max_iter=cfg.max_inner)
     iterations += its
 
@@ -616,12 +618,11 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
 
 
 def _build_report(gm: dual.GapMatrix, status: str, iterations: int, grad_norm: float,
-                  perturb_rounds: int = 0, x_override: Optional[np.ndarray] = None,
-                  messages: Sequence[str] = ()) -> SolveReport:
+                  perturb_rounds: int = 0, x_override: Optional[np.ndarray] = None) -> SolveReport:
     """The report of the dual point ``gm``, paired with x = [G(s)]^+ f or
     with ``x_override``."""
     p = gm.p
-    messages = list(messages)
+    messages = []
     if x_override is not None:
         x = np.asarray(x_override, dtype=float)
     else:
@@ -822,34 +823,36 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     whole nonsingular dual domain, not only the certified region, so it sees
     the local pairs on the negative-definite side as well.  The maximizer of
     the certified region (``solve_dual``) joins the points when its solve
-    ends interior.
+    ends interior.  ``n_starts`` (at least 0) random starts join the ladder's.
     """
-    cfg = cfg or SolverConfig()
-    rep, _ = _certify(p, cfg)
-    [roots] = _root_search([p], cfg, n_starts)
-    return _merge_points(p, _certified_point(rep) + roots)
+    [(_, points)] = _critical_points([p], cfg or SolverConfig(), n_starts)
+    return points
 
 
-def _certify(p: Problem, cfg: SolverConfig) -> tuple:
-    """(report, outcome) of ``solve_dual(p, cfg)``: the report's status, or
-    no report and the reason the solve raised."""
-    try:
-        rep = solve_dual(p, cfg)
-    except EmptyInterior:
-        return None, "empty_interior"
-    except MaxIterations:
-        return None, "stalled"
-    return rep, rep.status
-
-
-def _certified_point(rep: Optional[SolveReport]) -> list:
-    """The certified-region maximizer of a solve, as a list of at most one
-    dual point: none unless the solve ended interior."""
-    return [np.asarray(rep.sigma_bar)] if rep is not None and rep.status == "interior" else []
+def _critical_points(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
+    """(outcome, points) for each of ``problems``, which share their terms:
+    the status of ``solve_dual`` on it, or why it raised (``empty_interior``,
+    ``stalled``), and ``_merge_points`` of the solve's point, if interior,
+    and of the points its starts of ``_root_search`` end at."""
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be nonnegative, got {n_starts}")
+    solved = []
+    for q in problems:
+        try:
+            rep = solve_dual(q, cfg)
+        except EmptyInterior:
+            solved.append(("empty_interior", []))
+        except MaxIterations:
+            solved.append(("stalled", []))
+        else:
+            solved.append((rep.status, [rep.sigma_bar] if rep.status == "interior" else []))
+    return [(outcome, _merge_points(q, certified + roots))
+            for q, (outcome, certified), roots
+            in zip(problems, solved, _root_search(problems, cfg, n_starts))]
 
 
 def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
-    """The multistart root search of ``dual_critical_points`` for each of
+    """The multistart root search of ``_critical_points`` for each of
     ``problems``, which share their terms: the stationary points each
     problem's starts end at, one list per problem.
 
@@ -872,7 +875,7 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) 
             starts += drawn
             owners += [k] * len(drawn)
             tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
-        callbacks = _stationarity(problems[first], [problems[k] for k in owners])
+        callbacks = _roots(problems[first], [problems[k] for k in owners])
         ends = _damped_newton(starts, *callbacks, tol=tols, max_iter=60)
         for (s, state, _), k, gtol in zip(ends, owners, tols):
             if state is not None and _gradient_norm(state) <= gtol:
@@ -960,12 +963,14 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     hit.  The reported threshold is the smallest grid magnitude from which
     every larger grid entry is unique, whatever the grid's order; the rows
     keep that order.  Each magnitude's points are those of
-    ``dual_critical_points`` of that magnitude alone, to the bit, but the
-    root searches of the magnitudes run as one lockstep stack
-    (``_root_search``, which caps its size): G(s) does not depend on the
-    input.  With threads > 1 the certified solves, one per magnitude, run
-    on a thread pool.
+    ``dual_critical_points`` of that magnitude alone, to the bit: both come
+    from ``_critical_points``, which runs the root searches of all the
+    magnitudes as one lockstep stack (``_root_search``, which caps its
+    size), since G(s) does not depend on the input.  The sweep runs on the
+    calling thread; ``threads`` must be 1.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     cfg = cfg or SolverConfig()
     direction = np.asarray(direction, dtype=float).reshape(-1)
     norm = float(np.linalg.norm(direction))
@@ -975,17 +980,8 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     grid = [float(m) for m in grid]
     problems = [Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
                         variables=p_template.variables) for m in grid]
-    if threads > 1 and len(grid) > 1:
-        # loaded here: concurrent.futures brings logging, which a solve never runs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(threads, len(grid))) as pool:
-            solved = list(pool.map(partial(_certify, cfg=cfg), problems))
-    else:
-        solved = [_certify(pm, cfg) for pm in problems]
     rows = []
-    for m, pm, (rep, outcome), roots in zip(grid, problems, solved,
-                                            _root_search(problems, cfg, n_starts)):
-        points = _merge_points(pm, _certified_point(rep) + roots)
+    for m, (outcome, points) in zip(grid, _critical_points(problems, cfg, n_starts)):
         boundary = outcome != "interior"
         clusters = []
         for s, _, _ in points:

@@ -75,18 +75,6 @@ def test_usage_error_exits_one(tmp_path):
     assert "usage:" in help_res.stdout
 
 
-def test_threads_flag_only_on_sweep(tmp_path):
-    dw = write(tmp_path, "dw.json", DW)
-    assert run_cli("solve", dw, "--threads", "3").returncode == 1
-    sweep = ("sweep", dw, "--direction", "1", "--grid", "0.5,2.0")
-    res = run_cli(*sweep, "--threads", "2")
-    assert res.returncode == 0
-    assert res.stdout == run_cli(*sweep).stdout
-    rejected = run_cli(*sweep, "--threads", "0")
-    assert rejected.returncode == 1
-    assert rejected.stdout == "" and "error:" in rejected.stderr
-
-
 @pytest.mark.parametrize("flags", [
     ("--tol", "-1"), ("--max-iter", "-3"), ("--delta0", "-0.5", "--perturb"),
     ("--tol", "nan"), ("--delta0", "inf", "--perturb"), ("--seed", "-1"), ("--max-iter", "2.5"),
@@ -181,16 +169,18 @@ def test_solve_loads_neither_the_oracles_the_relaxations_nor_a_thread_pool(tmp_p
     ("plotdata", ("--pretty",), False),
     ("solve", ("--json",), False),
     ("classify", ("--max-iter", "5"), False),
+    ("sweep", ("--threads", "2"), False),
     ("oracle", ("--seed", "3"), True),
     ("classify", ("--tol", "1e-3", "--pretty"), True),
     ("export", ("--pretty",), True),
 ], ids=["export-seed", "plotdata-pretty", "solve-json", "classify-max-iter",
-        "oracle-seed", "classify-tol-pretty", "export-pretty"])
+        "sweep-threads", "oracle-seed", "classify-tol-pretty", "export-pretty"])
 def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, command, flags, accepted):
     required = {
         "classify": ("--x", "2.1149", "--sigma", "0.2364"),
         "export": ("--format", "lp", "--out", str(tmp_path / "q.lp")),
         "plotdata": ("--range", "-3:3:11"),
+        "sweep": ("--direction", "1", "--grid", "0.5,2.0"),
     }.get(command, ())
     doc = QIP if command in ("export", "oracle") else DW
     res = run_cli(command, write(tmp_path, "doc.json", doc), *required, *flags)

@@ -360,7 +360,7 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     if search == "root":
         p = double_well(1.75)  # one real root: most root searches never converge
         starts = solver._ladder_starts(p)
-        callbacks = solver._stationarity(p, [p] * len(starts))
+        callbacks = solver._roots(p, [p] * len(starts))
     else:
         p = _barrier_problem("continuous")
         callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
@@ -483,12 +483,12 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
             owners += [q] * len(drawn)
             tols += [1e-11 * q.f_scale] * len(drawn)
         together = solver._damped_newton(
-            starts, *solver._stationarity(family[0], owners), tol=tols,
+            starts, *solver._roots(family[0], owners), tol=tols,
             max_iter=60)
         for start, q, tol, (s, state, steps) in zip(starts, owners, tols, together):
             alone = ((solver._one_at_a_time(partial(dual.factor_point, q, cholesky=False),
                                             solver._gradient_norm),)
-                     + solver._stationarity(q, [q])[1:])
+                     + solver._roots(q, [q])[1:])
             [(s_alone, state_alone, steps_alone)] = solver._damped_newton(
                 [start], *alone, tol=tol, max_iter=60)
             assert s.tobytes() == s_alone.tobytes()
@@ -1164,9 +1164,22 @@ def test_fc_sweep_threshold_does_not_depend_on_the_grid_order():
     assert [row.magnitude for row in sweeps[2].rows] == [3.0, 2.0, 0.5]
 
 
-def test_fc_sweep_threads_keep_the_rows():
+def test_fc_sweep_runs_on_the_calling_thread_only():
+    # the sweep keeps its threads keyword for callers that pass 1
     args = (double_well(0.0), [1.0], [0.5, 2.0, 3.0], SolverConfig(), 6)
-    assert solver.fc_sweep(*args, threads=2) == solver.fc_sweep(*args, threads=1)
+    with pytest.raises(ValueError, match="threads"):
+        solver.fc_sweep(*args, threads=2)
+    assert solver.fc_sweep(*args, threads=1) == solver.fc_sweep(*args)
+
+
+@pytest.mark.parametrize("n_starts", [-6, -3])
+def test_a_negative_start_count_is_refused(n_starts):
+    # the root search sizes its stacks by the ladder's 6 starts plus n_starts
+    p = double_well(1.0)
+    with pytest.raises(ValueError, match="n_starts"):
+        solver.dual_critical_points(p, n_starts=n_starts)
+    with pytest.raises(ValueError, match="n_starts"):
+        solver.fc_sweep(p, [1.0], [0.5, 2.0], n_starts=n_starts)
 
 
 def test_fc_sweep_zero_magnitude_flagged():
