@@ -20,8 +20,14 @@ answers from heuristic ones:
 
     0  certified global optimum (interior dual / dual_certified)
     1  schema, input, or budget errors
-    2  heuristic or boundary answer (perturbation_only, boundary)
-    3  solver failure
+    2  heuristic or boundary answer: a continuous boundary or perturbation
+       report, or a sign answer rounded from the dual point
+       (perturbation_only, no certificate)
+    3  solver failure (for a sign problem, certificate failed: the dual
+       solve raised)
+
+A sign problem runs no perturbation round, so --seed, --perturb and
+--delta0 do not change its report.
 """
 
 from __future__ import annotations

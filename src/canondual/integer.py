@@ -6,8 +6,11 @@ multiplier sigma >= 0, which turns the operator into G(sigma) = Q + 2 diag
 (sigma) and the dual objective into -0.5 f'[G(sigma)]^+ f - e'sigma over
 {sigma > 0, G(sigma) psd}.  An interior dual maximizer recovers x = G^-1 f
 with every component at +-1, a certificate that the snapped sign vector is
-the exact optimum; otherwise the perturbation rounds take over and the
-answer is flagged as heuristic.
+the exact optimum.  Otherwise that one dual point is rounded: the signs of
+x and of x moved along the two lowest eigenvectors of G(sigma), each
+improved by single flips.  Such an answer is heuristic (perturbation_only,
+the name the report format keeps for it), and the solve's dual value is a
+weak-duality lower bound on the optimum.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, model, solver
+from . import dual, linalg, model, solver
 from .errors import DimensionMismatch, EmptyInterior, MaxIterations, SchemaError
 from .model import CanonicalTerm, Problem, TermKind, Variables
 
@@ -79,68 +82,79 @@ class QipReport:
 
 
 def qip_dual_solve(inst: QipInstance, cfg: Optional[solver.SolverConfig] = None) -> QipReport:
-    """Barrier maximization of the relaxed dual with perturbation fallback.
+    """One barrier maximization of the relaxed dual, rounded when it does
+    not certify.
 
-    Degradation is encoded in the certificate, never raised: instances whose
-    dual maximizer sits on the boundary come back as perturbation_only, and
-    a completely failed pipeline returns certificate failed with the best
-    sign vector seen.
+    Degradation is encoded in the certificate, never raised: an instance
+    whose dual solve gives no certificate comes back as perturbation_only
+    (the best rounding of the dual point, no certificate, with the solve's
+    dual value as a weak-duality lower bound), and one whose dual solve
+    fails comes back as failed with a one-flip descent from all-ones.
     """
     return sign_problem_solve(inst.to_problem(), cfg, objective=inst.objective)
 
 
 def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
                        objective=None) -> QipReport:
-    """Sign-vector pipeline for any sign-integer problem, quadratic or not."""
+    """Sign-vector pipeline for any sign-integer problem, quadratic or not.
+
+    One ``solver.solve_dual``.  An interior point whose x snaps to signs with
+    a matched value is dual_certified.  Otherwise the candidates
+    ``sign_round(x_bar)`` and ``sign_round(x_bar +- t v)``, for t in {1, 10}
+    and v each of the two lowest eigenvectors of G(sigma_bar), run a greedy
+    one-flip descent; the lowest objective wins, ties going to the first.
+    """
     if not p.is_sign_integer:
         raise DimensionMismatch("sign pipeline requires sign_integer variables")
     cfg = cfg or solver.SolverConfig()
     objective = objective or (lambda x: model.eval_primal(p, x))
-    report = None
     try:
         report = solver.solve_dual(p, cfg)
     except (EmptyInterior, MaxIterations):
-        report = None
+        x_star = _descend(p, np.ones(p.n))
+        return QipReport(x_star=x_star, sigma_star=np.zeros(p.dual_dim),
+                         objective=objective(x_star), certificate="failed",
+                         dual_value=float("nan"))
 
-    if report is not None and report.status == "interior":
-        x = report.x_bar
-        if float(np.max(np.abs(np.abs(x) - 1.0))) <= SNAP_TOL:
-            x_star = solver.sign_round(x)
-            value = objective(x_star)
-            if abs(value - report.dual_value) <= CERT_TOL * (1.0 + abs(value)):
-                return QipReport(
-                    x_star=x_star,
-                    sigma_star=np.asarray(report.sigma_bar),
-                    objective=value,
-                    certificate="dual_certified",
-                    dual_value=report.dual_value,
-                )
+    sigma = np.asarray(report.sigma_bar)
+    x = report.x_bar
+    if report.status == "interior" and float(np.max(np.abs(np.abs(x) - 1.0))) <= SNAP_TOL:
+        x_star = solver.sign_round(x)
+        value = objective(x_star)
+        if abs(value - report.dual_value) <= CERT_TOL * (1.0 + abs(value)):
+            return QipReport(x_star=x_star, sigma_star=sigma, objective=value,
+                             certificate="dual_certified", dual_value=report.dual_value)
 
-    try:
-        rep = solver.perturbed_solve(p, cfg, base=report)
-    except (EmptyInterior, MaxIterations):
-        rep = None
-    if rep is not None:
-        x_star = solver.sign_round(rep.x_bar)
-        dual_value = rep.dual_value
-        return QipReport(
-            x_star=x_star,
-            sigma_star=np.asarray(rep.sigma_bar),
-            objective=objective(x_star),
-            certificate="perturbation_only",
-            dual_value=dual_value if math.isfinite(dual_value) else float("nan"),
-        )
-
-    x_star = np.ones(p.n)
-    if report is not None:
-        x_star = solver.sign_round(report.x_bar)
+    vecs = dual.assemble_G(p, sigma).decomp.eigvecs[:, :2].T
+    starts = solver.sign_round([x] + [x + sign * t * v for v in vecs
+                                      for t in (1.0, 10.0) for sign in (1.0, -1.0)])
+    _, first = np.unique(starts, axis=0, return_index=True)  # the descent is deterministic
+    answers = [_descend(p, starts[i]) for i in np.sort(first)]
+    values = [objective(answer) for answer in answers]
+    best = int(np.argmin(values))
+    dual_value = report.dual_value
     return QipReport(
-        x_star=x_star,
-        sigma_star=np.asarray(report.sigma_bar) if report is not None else np.zeros(p.dual_dim),
-        objective=objective(x_star),
-        certificate="failed",
-        dual_value=report.dual_value if report is not None else float("nan"),
+        x_star=answers[best],
+        sigma_star=sigma,
+        objective=values[best],
+        certificate="perturbation_only",
+        dual_value=dual_value if math.isfinite(dual_value) else float("nan"),
     )
+
+
+def _descend(p: Problem, x: np.ndarray) -> np.ndarray:
+    """Greedy one-flip descent: flip the lowest of the n one-flip neighbours
+    while it is strictly lower, ties going to the lowest index."""
+    value = model.eval_primal_batch(p, x[None, :])[0]
+    flips = np.arange(p.n)
+    while True:
+        X = np.tile(x, (p.n, 1))
+        X[flips, flips] *= -1.0
+        values = model.eval_primal_batch(p, X)
+        i = int(np.argmin(values))
+        if not values[i] < value:
+            return x
+        x, value = X[i], values[i]
 
 
 @dataclass

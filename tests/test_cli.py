@@ -55,6 +55,18 @@ def test_solve_symmetric_qip_heuristic_exit(tmp_path):
     assert tuple(report["x_star"]) in {(1.0, -1.0), (-1.0, 1.0)}
 
 
+def test_sign_solve_ignores_the_perturbation_flags(tmp_path):
+    # a sign problem runs no perturbation round, so the flags that steer the
+    # rounds leave its payload as it is (the echoed config records them)
+    path = write(tmp_path, "q0.json", QIP0)
+    plain = run_cli("solve", path)
+    assert plain.returncode == 2
+    for flags in (("--seed", "3"), ("--perturb", "--delta0", "0.5", "--seed", "7")):
+        res = run_cli("solve", path, *flags)
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["payload"] == json.loads(plain.stdout)["payload"]
+
+
 def test_solve_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"nope": 1}')

@@ -721,8 +721,8 @@ def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
 def test_centering_test_needs_a_nonnegative_decrement(monkeypatch):
     # on sign QPs scaled by 1e4, -H is not numerically definite near the
     # boundary and g'd can come out negative; read as "centred", it ends each
-    # barrier run early, and these certify or end perturbation rounds
-    # interior only with the sign guard
+    # barrier run early, and these certify, or end the perturbation rounds of
+    # perturbed_solve interior, only with the sign guard
     rng = np.random.default_rng(0)
     instances = [random_qip(rng, int(rng.integers(3, 11))) for _ in range(20)]
     scaled = [QipInstance(Q=1e4 * inst.Q, f=1e4 * inst.f) for inst in instances]
@@ -738,10 +738,11 @@ def test_centering_test_needs_a_nonnegative_decrement(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_dual", recording)
     for inst in (scaled[9], scaled[10]):
-        statuses.clear()
         rep = integer.qip_dual_solve(inst)
         assert rep.certificate == "perturbation_only"
         assert rep.objective == oracle.enumerate_signs(inst).best_value
+        statuses.clear()
+        solver.perturbed_solve(inst.to_problem())
         assert "interior" in statuses[1:]
 
 
