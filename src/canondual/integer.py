@@ -146,10 +146,9 @@ def _descend(p: Problem, x: np.ndarray) -> np.ndarray:
     """Greedy one-flip descent: flip the lowest of the n one-flip neighbours
     while it is strictly lower, ties going to the lowest index."""
     value = model.eval_primal_batch(p, x[None, :])[0]
-    flips = np.arange(p.n)
+    flip = np.eye(p.n, dtype=bool)
     while True:
-        X = np.tile(x, (p.n, 1))
-        X[flips, flips] *= -1.0
+        X = np.where(flip, -x, x)  # row i is x with sign i flipped
         values = model.eval_primal_batch(p, X)
         i = int(np.argmin(values))
         if not values[i] < value:

@@ -61,11 +61,13 @@ one finds a strictly positive-definite start by a doubling scan along the
 domain-feasible direction followed by projected subgradient ascent on the
 smallest eigenvalue.
 
-Degenerate instances (symmetric inputs, boundary maximizers) go through the
-quadratic perturbation scheme: at round k the operator gains delta_k * I and
-the input gains delta_k * x_k for an anchor point x_k, the perturbed dual is
-solved exactly, the anchor moves to the recovered primal point (snapped to
-signs for sign-integer problems), and delta_k shrinks geometrically.
+Degenerate instances (symmetric inputs, boundary maximizers) can go through
+the quadratic perturbation scheme of ``perturbed_solve``: at round k the
+operator gains delta_k * I and the input gains delta_k * x_k for an anchor
+point x_k, the perturbed dual is solved exactly, the anchor moves to the
+recovered primal point (snapped to signs for sign-integer problems), and
+delta_k shrinks geometrically.  The sign pipeline of ``integer`` does not
+use it: it rounds the point of its one dual solve.
 """
 
 from __future__ import annotations
@@ -714,27 +716,22 @@ def _draw_anchor(p: Problem, rng: np.random.Generator) -> np.ndarray:
     return v / norm if norm > 0 else np.ones(p.n) / math.sqrt(p.n)
 
 
-def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None,
-                    base: Optional[SolveReport] = None) -> SolveReport:
+def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     """Solve through the shrinking-perturbation rounds.
 
     Tries the unperturbed dual first and returns immediately on interior
-    certification (zero rounds); ``base``, when given, is the caller's
-    report of ``solve_dual(p, cfg)`` and stands in for that first solve.
-    Each round solves the dual of the problem perturbed by the current
-    anchor; the anchor follows the recovered primal point, re-randomized
-    (seeded) if a round stalls without certification.  The returned report
-    is evaluated against the original problem and keeps the
-    ``perturbation`` status, since boundary instances carry no interior
+    certification (zero rounds).  Each round solves the dual of the problem
+    perturbed by the current anchor; the anchor follows the recovered primal
+    point, re-randomized (seeded) if a round stalls without certification.
+    The returned report is evaluated against the original problem and keeps
+    the ``perturbation`` status, since boundary instances carry no interior
     certificate.
     """
     cfg = cfg or SolverConfig()
-    base_report = base
-    if base_report is None:
-        try:
-            base_report = solve_dual(p, cfg)
-        except (EmptyInterior, MaxIterations):
-            base_report = None
+    try:
+        base_report = solve_dual(p, cfg)
+    except (EmptyInterior, MaxIterations):
+        base_report = None
     if base_report is not None and base_report.status == "interior":
         return base_report
     if cfg.perturb_delta0 == 0.0:

@@ -227,9 +227,14 @@ def test_uncertified_sign_answers_are_one_flip_minima_above_the_dual_bound():
     for k in range(36):
         n = int(rng.integers(1, 13))
         A = rng.standard_normal((n, n))
-        Q, f = 0.5 * (A + A.T), [np.zeros(n), rng.standard_normal(n),
-                                  3.0 * np.sqrt(n) * rng.choice([-1.0, 1.0], n), None][k % 4]
-        if f is None:
+        Q = 0.5 * (A + A.T)
+        if k % 4 == 0:
+            f = np.zeros(n)
+        elif k % 4 == 1:
+            f = rng.standard_normal(n)
+        elif k % 4 == 2:
+            f = 3.0 * np.sqrt(n) * rng.choice([-1.0, 1.0], n)
+        else:
             Q, f = np.zeros((n, n)), np.where(rng.random(n) < 0.5, 0.0, rng.standard_normal(n))
         instances.append(QipInstance(Q=Q, f=f))
     uncertified = 0
