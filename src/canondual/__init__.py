@@ -4,8 +4,8 @@ The package models objectives built from canonical terms over factored
 quadratic operators, maximizes the concave dual over the certified
 positive-semidefinite region, recovers primal solutions analytically,
 classifies critical pairs, handles sign-integer quadratic programs through
-the same dual plus a perturbation scheme, and cross-checks everything
-against brute-force oracles at desk scale.
+the same dual plus a rounding of its point where it does not certify, and
+cross-checks everything against brute-force oracles at desk scale.
 
 A solve runs neither the oracles nor the relaxations, so ``oracle`` and
 ``relaxations``, and the names re-exported from ``oracle``, load on first

@@ -174,37 +174,29 @@ def _load_document(path) -> tuple:
     return model.load_problem(doc), None
 
 
-def _to_jsonable(obj):
-    # json.dumps renders non-finite floats as NaN/Infinity literals, which is
-    # deterministic and accepted back by json.loads
+def _encode(obj):
+    """``json.dumps``' hook for what json cannot encode itself: a dataclass
+    as its fields in order, an Enum as its value, numpy through tolist().
+    Non-finite floats go out as NaN/Infinity, which json.loads reads back."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, cfg: solver.SolverConfig, payload: dict, started: float) -> None:
-    report = _to_jsonable({"command": args.command, "config": cfg, "payload": payload,
-                           "version": __version__})
+    report = {"command": args.command, "config": cfg, "payload": payload,
+              "version": __version__}
     if args.pretty:
         elapsed_ms = (time.perf_counter() - started) * 1e3
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=_encode))
         print(f"wall time: {elapsed_ms:.1f} ms")
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":"),
+                                    default=_encode) + "\n")
 
 
 def _floats(spec: str) -> np.ndarray:
@@ -222,10 +214,8 @@ def _cmd_solve(args, cfg, p, qip) -> tuple:
         try:
             rep = solver.perturbed_solve(p, cfg) if args.perturb else solver.solve_dual(p, cfg)
         except EmptyInterior:
-            if args.perturb:
-                raise
-            rep = solver.perturbed_solve(p, cfg)
-    except (EmptyInterior, MaxIterations) as exc:
+            rep = solver.perturbed_solve(p, cfg)  # catches EmptyInterior from each solve
+    except MaxIterations as exc:
         return {"kind": "continuous", "error": str(exc)}, EXIT_FAILED
     certified = (rep.status == "interior"
                  and rep.triality_class == triality.TrialityLabel.GLOBAL_MIN.value)

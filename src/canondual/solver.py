@@ -115,6 +115,8 @@ _CENTERING = 0.25
 _FEAS_MARGIN = 1e-7
 # fc_sweep counts two stationary points as one cluster within this distance
 CLUSTER_RADIUS = 1e-5
+# the root search's random starts per problem, beside the ladder's
+RANDOM_STARTS = 12
 
 
 @dataclass
@@ -207,10 +209,11 @@ def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
 def _one_at_a_time(make, merit):
     """A stack trial of ``_damped_newton`` that makes each point alone:
     ``make(z, slacks=None)`` is the state at z, or None outside the domain,
-    and ``merit(state)`` its merit (inf where refused).  Past a start's
-    accepted row, the start's rows are not made: each costs a
-    factorization."""
-    def trial(Z, slacks=None, owners=None, bounds=None):
+    and ``merit(state)`` its merit (inf where refused).  A row is accepted
+    when its merit is finite and within its bound and no earlier row of its
+    start is.  Past a start's accepted row, the start's rows are not made:
+    each costs a factorization."""
+    def trial(Z, slacks, owners, bounds):
         states, merits = {}, [math.inf] * len(Z)
         done = set()
         for a, z in enumerate(Z):
@@ -219,7 +222,7 @@ def _one_at_a_time(make, merit):
             state = make(z) if slacks is None else make(z, slacks=slacks[a])
             if state is not None:
                 m = merits[a] = merit(state)
-                if bounds is None or (math.isfinite(m) and m <= bounds[a]):
+                if math.isfinite(m) and m <= bounds[a]:
                     states[a] = state
                     done.add(owners[a])
         return states, merits
@@ -239,20 +242,20 @@ def _stack_rows(p: Problem) -> int:
     return max(1, _STACK_ELEMENTS // _row_size(p))
 
 
-def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, slacks=None,
-               owners=None, bounds=None) -> tuple:
+def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, slacks, owners,
+               bounds) -> tuple:
     """The root search's stack trial: the LU points of ``dual.factor_stack``,
     each row with the input ``f`` and the ``Problem`` of its owner, and their
     gradient-norm merits (``_gradient_norms``, inf where refused or not
-    made).  The rows are made in order, in calls of at most ``cap`` rows
-    (``_stack_rows``), and once a start has accepted a row its later rows
-    are dropped: with the rows of a deep round longest step first across
-    all starts, few are made past a start's accepted one, and a 1x1 or 2x2
-    G takes the whole round in one call.  The accepted points are built in
-    the call that makes them, so that no stack outlives its call."""
-    Z, owners = np.asarray(Z, dtype=float), np.asarray(owners)
-    if bounds is not None:
-        bounds = np.asarray(bounds)
+    made).  A row is accepted when its merit is finite and within its bound
+    and no earlier row of its start is.  The rows are made in order, in
+    calls of at most ``cap`` rows (``_stack_rows``), and once a start has
+    accepted a row its later rows are dropped: with the rows of a deep
+    round longest step first across all starts, few are made past a start's
+    accepted one, and a 1x1 or 2x2 G takes the whole round in one call.
+    The accepted points are built in the call that makes them, so that no
+    stack outlives its call."""
+    Z, owners, bounds = np.asarray(Z, dtype=float), np.asarray(owners), np.asarray(bounds)
     states, merits = {}, np.full(len(Z), math.inf)
     waiting = np.arange(len(Z))
     while waiting.size:
@@ -262,14 +265,13 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, sla
                                   None if slacks is None else slacks[take])
         kept = stack.kept
         m = merits[take[kept]] = _gradient_norms(stack.bare_grads)
-        if bounds is not None:
-            passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
-            # a start's first row to pass, its longest step, is its accepted
-            # one: read backwards, a start's first row is the last one kept
-            first = dict(zip(who[passed][::-1].tolist(), passed[::-1].tolist()))
-            kept = sorted(first.values())
-            if waiting.size:
-                waiting = waiting[[o not in first for o in owners[waiting].tolist()]]
+        passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
+        # a start's first row to pass, its longest step, is its accepted
+        # one: read backwards, a start's first row is the last one kept
+        first = dict(zip(who[passed][::-1].tolist(), passed[::-1].tolist()))
+        kept = sorted(first.values())
+        if waiting.size:
+            waiting = waiting[[o not in first for o in owners[waiting].tolist()]]
         for j, a in zip(kept, take[kept].tolist()):
             states[a] = stack[j]
     return states, merits
@@ -328,15 +330,15 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     the starts ``owners`` (a start's rows in order of decreasing t), and
     decides which are accepted.  It returns the pair (states, merits): a
     dict from row to state, and one merit per row, inf outside the domain
-    and where the row is not made.  ``bounds``, when given, is the merit at
-    which each row is accepted: a row is accepted when its merit is finite
-    and within its bound and no earlier row of its start is, and only
-    accepted rows have a state.  A trial may leave a start's rows past its
-    accepted one unmade.  Without bounds, in the first call only, every
-    point made has a state.  ``slacks``, when given, are the domain slacks
-    of each row, which passed ``screen``, ``dual.screen`` for the same
-    domain.  ``merit(state)`` is the merit of a state passed in ``states``;
-    ``derivatives(states)`` is the pair (g, H) of a list of states, stacked.
+    and where the row is not made.  ``bounds`` is the merit at which each
+    row is accepted: a row is accepted when its merit is finite and within
+    its bound and no earlier row of its start is, and only accepted rows
+    have a state; the first call, at the starts, bounds each by inf.  A
+    trial may leave a start's rows past its accepted one unmade.
+    ``slacks``, when given, are the domain slacks of each row, which passed
+    ``screen``, ``dual.screen`` for the same domain.  ``merit(state)`` is
+    the merit of a state passed in ``states``; ``derivatives(states)`` is
+    the pair (g, H) of a list of states, stacked.
     Each iteration takes the derivatives and the Newton directions of every
     start still running in one call each: d solves (-H) d = g
     (``_newton_directions``), replaced by the scaled gradient when
@@ -359,12 +361,13 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     ``max_iter`` steps; or, with ``step_tol``, after a step shorter than
     step_tol * (1 + |s|).  ``states``, when given, is the state at each
     start already computed by the caller.  Returns one (s, state, steps)
-    per start; the state is None when the start is outside the domain.
+    per start; the state is None when the start is outside the domain or
+    its merit is not finite.
     Only accepted states reach ``derivatives``.
     """
     S = list(S)
     if states is None:
-        made, merits = trial(S, None, list(range(len(S))), None)
+        made, merits = trial(S, None, list(range(len(S))), [math.inf] * len(S))
         states = [made.get(i) for i in range(len(S))]
         live = sorted(made)
     else:
@@ -509,7 +512,8 @@ def _term_starts(p: Problem, u) -> np.ndarray:
 
 def _phase1(p: Problem) -> tuple:
     """Strictly feasible start s and the GapMatrix that accepted it, or
-    EmptyInterior after the search budget."""
+    EmptyInterior after the search budget.  A problem with no dual
+    coordinate has nothing to move: G is its plain block, tested once."""
     margin = _FEAS_MARGIN * p.f_scale
     q = len(p.dual_terms)
     base = np.zeros(p.dual_dim)
@@ -523,6 +527,8 @@ def _phase1(p: Problem) -> tuple:
     gm = _strictly_feasible(p, base, margin)
     if gm is not None:
         return base, gm
+    if not p.dual_dim:
+        _raise_empty(dual.assemble_G(p, base).min_eig)
     t = 1.0
     for _ in range(24):
         trial = base + t * direction
@@ -549,6 +555,11 @@ def _phase1(p: Problem) -> tuple:
         s = s + step * sub / norm
         if it % 25 == 24:
             step *= 0.5
+    _raise_empty(best)
+
+
+def _raise_empty(best: float) -> None:
+    """Raise EmptyInterior with the best smallest eigenvalue of G found."""
     exc = EmptyInterior(
         f"no strictly positive-definite dual point found (best min eigenvalue {best:.3e})"
     )
@@ -811,8 +822,7 @@ def existence_check(p: Problem) -> ExistenceResult:
     return ExistenceResult(status="interior_nonempty", witness=s, min_eig=gm.min_eig)
 
 
-def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
-                         n_starts: int = 12) -> list:
+def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None) -> list:
     """Multistart damped Newton on the dual gradient across the dual domain.
 
     Returns deduplicated stationary points as (sigma, dual value, membership)
@@ -820,19 +830,17 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None,
     whole nonsingular dual domain, not only the certified region, so it sees
     the local pairs on the negative-definite side as well.  The maximizer of
     the certified region (``solve_dual``) joins the points when its solve
-    ends interior.  ``n_starts`` (at least 0) random starts join the ladder's.
+    ends interior.  RANDOM_STARTS random starts join the ladder's.
     """
-    [(_, points)] = _critical_points([p], cfg or SolverConfig(), n_starts)
+    [(_, points)] = _critical_points([p], cfg or SolverConfig())
     return points
 
 
-def _critical_points(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
+def _critical_points(problems: Sequence[Problem], cfg: SolverConfig) -> list:
     """(outcome, points) for each of ``problems``, which share their terms:
     the status of ``solve_dual`` on it, or why it raised (``empty_interior``,
     ``stalled``), and ``_merge_points`` of the solve's point, if interior,
     and of the points its starts of ``_root_search`` end at."""
-    if n_starts < 0:
-        raise ValueError(f"n_starts must be nonnegative, got {n_starts}")
     solved = []
     for q in problems:
         try:
@@ -845,10 +853,10 @@ def _critical_points(problems: Sequence[Problem], cfg: SolverConfig, n_starts: i
             solved.append((rep.status, [rep.sigma_bar] if rep.status == "interior" else []))
     return [(outcome, _merge_points(q, certified + roots))
             for q, (outcome, certified), roots
-            in zip(problems, solved, _root_search(problems, cfg, n_starts))]
+            in zip(problems, solved, _root_search(problems, cfg))]
 
 
-def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) -> list:
+def _root_search(problems: Sequence[Problem], cfg: SolverConfig) -> list:
     """The multistart root search of ``_critical_points`` for each of
     ``problems``, which share their terms: the stationary points each
     problem's starts end at, one list per problem.
@@ -862,13 +870,15 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig, n_starts: int) 
     roots = [[] for _ in problems]
     if not problems:
         return roots
-    group = max(1, _SEARCH_ELEMENTS // (_row_size(problems[0]) * (len(_LADDER_UNITS) + n_starts)))
+    per_problem = len(_LADDER_UNITS) + RANDOM_STARTS
+    group = max(1, _SEARCH_ELEMENTS // (_row_size(problems[0]) * per_problem))
     for first in range(0, len(problems), group):
         starts, owners, tols = [], [], []
         for k in range(first, min(first + group, len(problems))):
             q = problems[k]
             rng = np.random.default_rng(cfg.seed)
-            drawn = _ladder_starts(q) + [_random_dual_start(q, rng) for _ in range(n_starts)]
+            drawn = _ladder_starts(q) + [_random_dual_start(q, rng)
+                                         for _ in range(RANDOM_STARTS)]
             starts += drawn
             owners += [k] * len(drawn)
             tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
@@ -950,8 +960,7 @@ class FcSweepResult:
 
 
 def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
-             cfg: Optional[SolverConfig] = None, n_starts: int = 12,
-             threads: int = 1) -> FcSweepResult:
+             cfg: Optional[SolverConfig] = None, threads: int = 1) -> FcSweepResult:
     """Uniqueness-versus-input-magnitude sweep.
 
     For each magnitude the input is magnitude * direction and the dual
@@ -978,7 +987,7 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     problems = [Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
                         variables=p_template.variables) for m in grid]
     rows = []
-    for m, (outcome, points) in zip(grid, _critical_points(problems, cfg, n_starts)):
+    for m, (outcome, points) in zip(grid, _critical_points(problems, cfg)):
         boundary = outcome != "interior"
         clusters = []
         for s, _, _ in points:

@@ -45,7 +45,7 @@ def test_criterion_1_double_well_reproduction():
     # (b) f = 0: isolated dual maximizer at -2 paired with the center point,
     # boundary roots at zero, symmetric minima through perturbation
     p0 = double_well(0.0)
-    points = solver.dual_critical_points(p0, n_starts=8)
+    points = solver.dual_critical_points(p0)
     ok &= len(points) == 1 and abs(points[0][0][0] + 2.0) <= 1e-9
     x3 = dual.recover_x(p0, points[0][0])
     ok &= abs(x3[0]) <= 1e-9
@@ -59,7 +59,7 @@ def test_criterion_1_double_well_reproduction():
 
     # (c) f = -2: exactly one dual critical point, certified side
     pm = double_well(-2.0)
-    pts = solver.dual_critical_points(pm, n_starts=8)
+    pts = solver.dual_critical_points(pm)
     ok &= len(pts) == 1 and pts[0][2] is dual.Membership.INTERIOR
 
     elapsed = time.perf_counter() - t0
@@ -249,7 +249,7 @@ def _terms_of(Q, n):
 
 def test_criterion_8_uniqueness_threshold():
     grid = [round(0.1 * k, 10) for k in range(1, 41)]
-    res = solver.fc_sweep(double_well(0.0), [1.0], grid, SolverConfig(seed=2), n_starts=8)
+    res = solver.fc_sweep(double_well(0.0), [1.0], grid, SolverConfig(seed=2))
     # independent oracle: first grid magnitude where the stationarity cubic
     # drops from three real roots to one
     oracle_threshold = next(m for m in grid

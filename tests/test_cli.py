@@ -67,6 +67,60 @@ def test_sign_solve_ignores_the_perturbation_flags(tmp_path):
         assert json.loads(res.stdout)["payload"] == json.loads(plain.stdout)["payload"]
 
 
+def test_solve_symmetric_well_ends_on_the_boundary_or_in_the_rounds(tmp_path):
+    # f = 0: the plain solve ends on the boundary; --perturb runs the rounds
+    # to one of the two minima, x = +-2, with the same bytes on every run
+    path = write(tmp_path, "dw0.json", dict(DW, f=[0.0]))
+    plain = run_cli("solve", path)
+    assert plain.returncode == 2
+    assert json.loads(plain.stdout)["payload"]["report"]["status"] == "boundary"
+    runs = [run_cli("solve", path, "--perturb") for _ in range(2)]
+    assert [res.returncode for res in runs] == [2, 2]
+    assert runs[0].stdout == runs[1].stdout
+    report = json.loads(runs[0].stdout)["payload"]["report"]
+    assert report["status"] == "perturbation" and report["perturb_rounds"] > 0
+    assert abs(report["x_bar"][0]) == pytest.approx(2.0, abs=1e-9)
+
+
+def _plain(alpha, f, *terms):
+    """A continuous document of a plain term alpha |x|^2 / 2 and ``terms``."""
+    plain = {"kind": "plain_quadratic", "alpha": alpha, "factor": np.eye(len(f)).tolist()}
+    return {"n": len(f), "variables": "continuous", "f": f, "terms": [plain, *terms]}
+
+
+# a plain term alone has no dual coordinate: G is the plain block, here -I
+NO_COORDINATE = _plain(-1, [0.5, 0.1])
+
+
+@pytest.mark.parametrize("doc, code", [
+    # the rounds' ridge never makes G = -I definite: no solve succeeds
+    (NO_COORDINATE, 3),
+    # the first round's ridge, 0.1 I, makes G = 0.05 definite
+    (_plain(-0.05, [0.5]), 2),
+    # a quartic whose coordinate is confined to sigma <= -0.95 keeps G negative
+    (_plain(-1, [0.5], {"kind": "quartic", "alpha": -1, "beta": -0.95, "factor": [[1]]}), 2),
+], ids=["no-coordinate", "no-coordinate-ridged", "confined-quartic"])
+def test_solve_without_a_certified_region_runs_the_perturbation_rounds(tmp_path, doc, code):
+    # the plain solve finds no certified point, so solve runs the rounds
+    # without --perturb: a heuristic answer, or exit 3 if no round solves
+    res = run_cli("solve", write(tmp_path, "doc.json", doc))
+    assert res.returncode == code, res.stderr
+    payload = json.loads(res.stdout)["payload"]
+    if code == 3:
+        assert payload["kind"] == "continuous" and "error" in payload
+    else:
+        assert payload["report"]["status"] == "perturbation"
+        assert payload["report"]["perturb_rounds"] > 0
+
+
+def test_sweep_without_a_dual_coordinate(tmp_path):
+    res = run_cli("sweep", write(tmp_path, "doc.json", NO_COORDINATE),
+                  "--direction", "1,0", "--grid", "0.5,2.0")
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(res.stdout)["payload"]["sweep"]["rows"]
+    assert [row["outcome"] for row in rows] == ["empty_interior"] * 2
+
+
 def test_solve_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"nope": 1}')

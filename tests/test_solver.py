@@ -84,7 +84,7 @@ def test_refinement_keeps_x_where_the_step_fails_or_does_not_help():
 def test_solve_dual_quasiconvex_side_unique_point():
     rep = solver.solve_dual(double_well(-2.0))
     assert rep.status == "interior"
-    points = solver.dual_critical_points(double_well(-2.0), n_starts=10)
+    points = solver.dual_critical_points(double_well(-2.0))
     assert len(points) == 1
     assert points[0][2] is Membership.INTERIOR
 
@@ -693,7 +693,7 @@ def test_newton_loops_make_no_eigh_call(monkeypatch):
     # the barrier ascent and the polish of a solve, and the root search from
     # every start of a multistart
     assert solver.solve_dual(_continuous_problem(np.random.default_rng(5), 32)).status == "interior"
-    assert len(solver.dual_critical_points(double_well(0.5), n_starts=10)) == 3
+    assert len(solver.dual_critical_points(double_well(0.5))) == 3
     assert calls["newton"] == 0 and calls["outside"] > 0
 
 
@@ -876,11 +876,34 @@ def test_existence_likely_empty_with_flipped_domain():
     assert not res.nonempty
 
 
+def test_phase_one_without_a_dual_coordinate_tests_the_plain_block_once(monkeypatch):
+    # -|x|^2 / 2 - f'x has plain terms only, so no dual coordinate, and
+    # G = -I.  With no coordinate to move, phase one stops after the base
+    # test: no doubling scan and no ascent, and the plain block's smallest
+    # eigenvalue is the best one found
+    p = Problem(n=2, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.eye(2), -1.0)],
+                f=np.array([0.5, 0.1]))
+    assert p.dual_dim == 0
+    assembled = []
+    assemble = dual.assemble_G
+
+    def counting(p, s):
+        assembled.append(s)
+        return assemble(p, s)
+
+    monkeypatch.setattr(dual, "assemble_G", counting)
+    with pytest.raises(EmptyInterior) as raised:
+        solver.solve_dual(p)
+    assert raised.value.best_min_eig == -1.0 and len(assembled) <= 2
+    res = solver.existence_check(p)
+    assert res.status == "likely_empty" and res.witness is None and res.min_eig == -1.0
+
+
 # ------------------------------------------------------- critical points
 
 
 def test_critical_points_find_all_three_roots():
-    points = solver.dual_critical_points(double_well(0.5), n_starts=10)
+    points = solver.dual_critical_points(double_well(0.5))
     found = sorted(float(s[0]) for s, _, _ in points)
     expected = sorted(solver.solve_cubic_dual(1.0, 2.0, 0.5))
     assert len(found) == 3
@@ -888,7 +911,7 @@ def test_critical_points_find_all_three_roots():
 
 
 def test_critical_points_symmetric_case_isolated_maximizer():
-    points = solver.dual_critical_points(double_well(0.0), n_starts=8)
+    points = solver.dual_critical_points(double_well(0.0))
     assert len(points) == 1
     assert points[0][0][0] == pytest.approx(-2.0, abs=1e-9)
 
@@ -923,7 +946,7 @@ def test_root_search_refuses_an_overflowing_trial_without_a_warning(monkeypatch)
 
 def test_fc_sweep_threshold_matches_discriminant_oracle():
     grid = [round(0.1 * k, 10) for k in range(1, 41)]
-    res = solver.fc_sweep(double_well(0.0), [1.0], grid, SolverConfig(seed=2), n_starts=8)
+    res = solver.fc_sweep(double_well(0.0), [1.0], grid, SolverConfig(seed=2))
     # independent oracle: smallest grid point where the cubic has one real root
     oracle_threshold = next(m for m in grid
                             if len(solver.solve_cubic_dual(1.0, 2.0, m)) == 1)
@@ -984,7 +1007,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
         "757eafc1eecde4305e5fe676f3a384c7d1f36b04709d163cb511db1cc949b3b6")
 
 
-def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig, n_starts: int) -> solver.FcRow:
+def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig) -> solver.FcRow:
     """The sweep row of magnitude m, with input pm, built from the certified
     solve and ``dual_critical_points`` of that magnitude alone."""
     try:
@@ -993,7 +1016,7 @@ def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig, n_starts: int) ->
         outcome = "empty_interior"
     except MaxIterations:
         outcome = "stalled"
-    points = solver.dual_critical_points(pm, cfg, n_starts=n_starts)
+    points = solver.dual_critical_points(pm, cfg)
     boundary = outcome != "interior"
     clusters = []
     for s, _, _ in points:
@@ -1005,8 +1028,7 @@ def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig, n_starts: int) ->
 
 
 @pytest.mark.parametrize("case", ["well", "two_variable", "empty_interior", "random"])
-@pytest.mark.parametrize("n_starts", [12, 6])
-def test_fc_sweep_rows_equal_the_search_of_each_magnitude_alone(case, n_starts):
+def test_fc_sweep_rows_equal_the_search_of_each_magnitude_alone(case):
     # the sweep runs the root searches of all its magnitudes as one stack;
     # every row equals, byte for byte, the row of its magnitude searched
     # alone.  The grids hold magnitude 0, a boundary outcome, and magnitudes
@@ -1025,10 +1047,10 @@ def test_fc_sweep_rows_equal_the_search_of_each_magnitude_alone(case, n_starts):
         template = random_problem(np.random.default_rng(4), n_max=4, max_terms=3)
         direction = np.ones(template.n)
     grid = [0.0, 0.5, 1.5, 2.0, 3.0]
-    res = solver.fc_sweep(template, direction, grid, cfg, n_starts=n_starts)
+    res = solver.fc_sweep(template, direction, grid, cfg)
     unit = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
     alone = [_sweep_row_alone(m, Problem(n=template.n, terms=template.terms, f=m * unit,
-                                        variables=template.variables), cfg, n_starts)
+                                        variables=template.variables), cfg)
              for m in grid]
     outcomes = {row.outcome for row in alone}
     if case == "empty_interior":
@@ -1059,7 +1081,7 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     # call a round, with three rows a call and one magnitude a stack, and
     # with each magnitude searched alone
     template = _continuous_template(16)
-    grid, cfg, n_starts = [0.5, 1.5, 3.0], SolverConfig(), 4
+    grid, cfg = [0.5, 1.5, 3.0], SolverConfig()
     size = solver._row_size(template)
     assert size == 16 * 32 and solver._stack_rows(template) == 128
     factor, hessians = dual.factor_stack, dual.bare_hessians
@@ -1080,7 +1102,7 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
             patch.setattr(solver, "_SEARCH_ELEMENTS", search_elements)
             patch.setattr(dual, "factor_stack", counting_stack)
             patch.setattr(dual, "bare_hessians", counting_hessians)
-            res = solver.fc_sweep(template, template.f, grid, cfg, n_starts=n_starts)
+            res = solver.fc_sweep(template, template.f, grid, cfg)
         return json.dumps([dataclasses.asdict(row) for row in res.rows]), calls
 
     rows, calls = sweep(solver._STACK_ELEMENTS, solver._SEARCH_ELEMENTS)
@@ -1089,10 +1111,10 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     made = sum(k for kind, k in calls if kind == "trial")
     assert made < sum(k for kind, k in one_call if kind == "trial")
     assert one_call_rows == rows
-    small_rows, small = sweep(3 * size, size * (6 + n_starts))
+    small_rows, small = sweep(3 * size, size * (6 + solver.RANDOM_STARTS))
     assert max(k for _, k in small) == 3 and small_rows == rows
     unit = template.f / np.linalg.norm(template.f)
-    alone = [_sweep_row_alone(m, Problem(n=16, terms=template.terms, f=m * unit), cfg, n_starts)
+    alone = [_sweep_row_alone(m, Problem(n=16, terms=template.terms, f=m * unit), cfg)
              for m in grid]
     assert json.dumps([dataclasses.asdict(row) for row in alone]) == rows
 
@@ -1149,7 +1171,7 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
 
 
 def test_fc_sweep_all_unique_above_threshold():
-    res = solver.fc_sweep(double_well(0.0), [1.0], [2.0, 3.0, 4.0], SolverConfig(), n_starts=6)
+    res = solver.fc_sweep(double_well(0.0), [1.0], [2.0, 3.0, 4.0], SolverConfig())
     assert all(r.unique for r in res.rows)
     assert res.threshold == 2.0
 
@@ -1167,24 +1189,14 @@ def test_fc_sweep_threshold_does_not_depend_on_the_grid_order():
 
 def test_fc_sweep_runs_on_the_calling_thread_only():
     # the sweep keeps its threads keyword for callers that pass 1
-    args = (double_well(0.0), [1.0], [0.5, 2.0, 3.0], SolverConfig(), 6)
+    args = (double_well(0.0), [1.0], [0.5, 2.0, 3.0], SolverConfig())
     with pytest.raises(ValueError, match="threads"):
         solver.fc_sweep(*args, threads=2)
     assert solver.fc_sweep(*args, threads=1) == solver.fc_sweep(*args)
 
 
-@pytest.mark.parametrize("n_starts", [-6, -3])
-def test_a_negative_start_count_is_refused(n_starts):
-    # the root search sizes its stacks by the ladder's 6 starts plus n_starts
-    p = double_well(1.0)
-    with pytest.raises(ValueError, match="n_starts"):
-        solver.dual_critical_points(p, n_starts=n_starts)
-    with pytest.raises(ValueError, match="n_starts"):
-        solver.fc_sweep(p, [1.0], [0.5, 2.0], n_starts=n_starts)
-
-
 def test_fc_sweep_zero_magnitude_flagged():
-    res = solver.fc_sweep(double_well(0.0), [1.0], [0.0, 2.0], SolverConfig(), n_starts=6)
+    res = solver.fc_sweep(double_well(0.0), [1.0], [0.0, 2.0], SolverConfig())
     assert res.rows[0].boundary and not res.rows[0].unique
     assert res.rows[0].outcome == "boundary"
     assert res.rows[1].unique and res.rows[1].outcome == "interior"
