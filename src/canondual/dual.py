@@ -31,9 +31,9 @@ carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
 the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
 ``factor_stack`` makes the LU points of a stack in one pass, the
-arithmetic of each row that of ``factor_point`` alone (``bare_grads``
-gives the bare gradient of a point and of a stack alike), and
-``PointStack`` builds a row's ``DualPoint`` only when asked.  G(s) does
+arithmetic of each row that of ``factor_point`` alone (``bare_grads``, the
+one formula for the dual gradient, gives it at a point and at a stack
+alike), and ``PointStack`` builds a row's ``DualPoint`` only when asked.  G(s) does
 not depend on f, so each row of a stack carries its own f and its own
 ``Problem`` on the same terms: one stack may hold the points of several
 inputs.
@@ -41,10 +41,10 @@ inputs.
 stacked solve.  ``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
 eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
-reference gradient and the membership of the certified region.  A dual
-point from outside is checked once, by ``assemble_G``; the Newton loops
-pass ``factor_point``, ``factor_stack`` and ``operator`` their own float
-arrays.
+reference gradient (``bare_grads`` at that x) and the membership of the
+certified region.  A dual point from outside is checked once, by
+``assemble_G``; the Newton loops pass ``factor_point``, ``factor_stack``
+and ``operator`` their own float arrays.
 """
 
 from __future__ import annotations
@@ -120,11 +120,12 @@ class GapMatrix:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        """Gradient of Pi_d, the balance residuals at x = G^-1 f; raises
-        SingularG where G is singular."""
+        """Gradient of Pi_d, ``bare_grads`` at x = G^-1 f; raises SingularG
+        where G is singular."""
         if self.is_singular():
             raise SingularG("dual gradient undefined where G is singular")
-        return balance_residuals(self.p, self.s, self.pinv_f)
+        x = self.pinv_f
+        return bare_grads(self.p, self.s, x, coordinate_images(self.p, x))
 
     @cached_property
     def membership(self) -> Membership:
@@ -176,18 +177,6 @@ def conjugate_total(p: Problem, s: np.ndarray) -> float:
     if p.is_sign_integer:
         total += float(np.sum(s[q:]))
     return total
-
-
-def balance_residuals(p: Problem, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The canonical balance equations at (x, s), one per dual coordinate:
-    xi_s(x) - dPhi*_s(varsigma_s) for term s and x_i^2 - 1 for sigma_i."""
-    g = np.empty(p.dual_dim)
-    for k, idx in enumerate(p.dual_terms):
-        t = p.terms[idx]
-        g[k] = t.xi(x) - model.conj_grad(t, float(s[k]))
-    if p.is_sign_integer:
-        g[len(p.dual_terms):] = x * x - 1.0
-    return g
 
 
 def eval_Xi(p: Problem, x, s) -> float:

@@ -49,7 +49,14 @@ class NotCritical(CanonDualError):
 
 
 class EmptyInterior(CanonDualError):
-    """Feasibility phase found no strictly positive-definite dual point."""
+    """Feasibility phase found no strictly positive-definite dual point.
+
+    Carries the best smallest eigenvalue of G found in ``best_min_eig``.
+    """
+
+    def __init__(self, message: str, best_min_eig: float = float("nan")):
+        super().__init__(message)
+        self.best_min_eig = best_min_eig
 
 
 class MaxIterations(CanonDualError):

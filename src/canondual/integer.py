@@ -119,15 +119,15 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
     sigma = np.asarray(report.sigma_bar)
     x = report.x_bar
     if report.status == "interior" and float(np.max(np.abs(np.abs(x) - 1.0))) <= SNAP_TOL:
-        x_star = solver.sign_round(x)
+        x_star = sign_round(x)
         value = objective(x_star)
         if abs(value - report.dual_value) <= CERT_TOL * (1.0 + abs(value)):
             return QipReport(x_star=x_star, sigma_star=sigma, objective=value,
                              certificate="dual_certified", dual_value=report.dual_value)
 
     vecs = dual.assemble_G(p, sigma).decomp.eigvecs[:, :2].T
-    starts = solver.sign_round([x] + [x + sign * t * v for v in vecs
-                                      for t in (1.0, 10.0) for sign in (1.0, -1.0)])
+    starts = sign_round([x] + [x + sign * t * v for v in vecs
+                               for t in (1.0, 10.0) for sign in (1.0, -1.0)])
     _, first = np.unique(starts, axis=0, return_index=True)  # the descent is deterministic
     answers = [_descend(p, starts[i]) for i in np.sort(first)]
     values = [objective(answer) for answer in answers]
@@ -140,6 +140,11 @@ def sign_problem_solve(p: Problem, cfg: Optional[solver.SolverConfig] = None,
         certificate="perturbation_only",
         dual_value=dual_value if math.isfinite(dual_value) else float("nan"),
     )
+
+
+def sign_round(x) -> np.ndarray:
+    """Componentwise signs, with zeros broken toward +1."""
+    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 def _descend(p: Problem, x: np.ndarray) -> np.ndarray:

@@ -61,13 +61,13 @@ one finds a strictly positive-definite start by a doubling scan along the
 domain-feasible direction followed by projected subgradient ascent on the
 smallest eigenvalue.
 
-Degenerate instances (symmetric inputs, boundary maximizers) can go through
-the quadratic perturbation scheme of ``perturbed_solve``: at round k the
-operator gains delta_k * I and the input gains delta_k * x_k for an anchor
-point x_k, the perturbed dual is solved exactly, the anchor moves to the
-recovered primal point (snapped to signs for sign-integer problems), and
-delta_k shrinks geometrically.  The sign pipeline of ``integer`` does not
-use it: it rounds the point of its one dual solve.
+Degenerate continuous instances (symmetric inputs, boundary maximizers) can
+go through the quadratic perturbation scheme of ``perturbed_solve``: at
+round k the operator gains delta_k * I and the input gains delta_k * x_k for
+an anchor point x_k, the perturbed dual is solved exactly, the anchor moves
+to the recovered primal point, and delta_k shrinks geometrically.  It
+refuses a sign problem: the sign pipeline of ``integer`` rounds the point of
+its one dual solve instead.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ import numpy as np
 
 from . import dual, model, triality
 from .dual import Membership, SolveReport
-from .errors import CanonDualError, EmptyInterior, MaxIterations, RangeViolation, SingularG
+from .errors import (CanonDualError, DimensionMismatch, EmptyInterior, MaxIterations,
+                     RangeViolation, SingularG)
 from .model import CanonicalTerm, Problem, TermKind
 
 _ARMIJO = 1e-4
@@ -528,7 +529,8 @@ def _phase1(p: Problem) -> tuple:
     if gm is not None:
         return base, gm
     if not p.dual_dim:
-        _raise_empty(dual.assemble_G(p, base).min_eig)
+        best = dual.assemble_G(p, base).min_eig
+        raise EmptyInterior(f"no dual coordinate, and G has min eigenvalue {best:.3e}", best)
     t = 1.0
     for _ in range(24):
         trial = base + t * direction
@@ -555,16 +557,8 @@ def _phase1(p: Problem) -> tuple:
         s = s + step * sub / norm
         if it % 25 == 24:
             step *= 0.5
-    _raise_empty(best)
-
-
-def _raise_empty(best: float) -> None:
-    """Raise EmptyInterior with the best smallest eigenvalue of G found."""
-    exc = EmptyInterior(
-        f"no strictly positive-definite dual point found (best min eigenvalue {best:.3e})"
-    )
-    exc.best_min_eig = best
-    raise exc
+    raise EmptyInterior("no strictly positive-definite dual point found "
+                        f"(best min eigenvalue {best:.3e})", best)
 
 
 def _project_domain(p: Problem, s: np.ndarray, margin: float) -> np.ndarray:
@@ -710,25 +704,17 @@ def _refine_x(p: Problem, x: np.ndarray) -> np.ndarray:
 
 def _perturbed_problem(p: Problem, delta: float, anchor: np.ndarray) -> Problem:
     ridge = CanonicalTerm(kind=TermKind.PLAIN_QUADRATIC, factor=np.eye(p.n), alpha=delta)
-    return Problem(n=p.n, terms=tuple(p.terms) + (ridge,), f=p.f + delta * anchor,
-                   variables=p.variables)
-
-
-def sign_round(x) -> np.ndarray:
-    """Componentwise signs, with zeros broken toward +1."""
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
+    return Problem(n=p.n, terms=tuple(p.terms) + (ridge,), f=p.f + delta * anchor)
 
 
 def _draw_anchor(p: Problem, rng: np.random.Generator) -> np.ndarray:
-    if p.is_sign_integer:
-        return rng.choice([-1.0, 1.0], size=p.n)
     v = rng.standard_normal(p.n)
     norm = float(np.linalg.norm(v))
     return v / norm if norm > 0 else np.ones(p.n) / math.sqrt(p.n)
 
 
 def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    """Solve through the shrinking-perturbation rounds.
+    """Solve a continuous problem through the shrinking-perturbation rounds.
 
     Tries the unperturbed dual first and returns immediately on interior
     certification (zero rounds).  Each round solves the dual of the problem
@@ -736,27 +722,28 @@ def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveRepo
     point, re-randomized (seeded) if a round stalls without certification.
     The returned report is evaluated against the original problem and keeps
     the ``perturbation`` status, since boundary instances carry no interior
-    certificate.
+    certificate.  Where no round runs (``perturb_delta0`` or
+    ``max_perturb_rounds`` zero) or none solves its dual, the plain solve's
+    report comes back, if it succeeded.  A sign problem is refused:
+    ``integer.sign_problem_solve`` rounds its one dual point instead.
     """
+    if p.is_sign_integer:
+        raise DimensionMismatch("perturbation rounds require continuous variables")
     cfg = cfg or SolverConfig()
     try:
-        base_report = solve_dual(p, cfg)
+        plain = solve_dual(p, cfg)
     except (EmptyInterior, MaxIterations):
-        base_report = None
-    if base_report is not None and base_report.status == "interior":
-        return base_report
-    if cfg.perturb_delta0 == 0.0:
-        if base_report is not None:
-            return base_report
-        raise MaxIterations("zero perturbation requested and the plain dual solve failed")
+        plain = None
+    if plain is not None and plain.status == "interior":
+        return plain
 
     rng = np.random.default_rng(cfg.seed)
     anchor = _draw_anchor(p, rng)
     delta = cfg.perturb_delta0
-    best = None  # (primal value, x, report, rounds)
-    rounds = 0
+    best = None  # (primal value, x, report)
     idle_redraws = 0
-    for rounds in range(1, cfg.max_perturb_rounds + 1):
+    budget = cfg.max_perturb_rounds if delta > 0.0 else 0  # a zero ridge perturbs nothing
+    for rounds in range(1, budget + 1):
         pk = _perturbed_problem(p, delta, anchor)
         try:
             rep = solve_dual(pk, cfg)
@@ -764,11 +751,11 @@ def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveRepo
             anchor = _draw_anchor(p, rng)
             delta = max(delta * cfg.perturb_shrink, 1e-14)
             continue
-        x_new = sign_round(rep.x_bar) if p.is_sign_integer else rep.x_bar
+        x_new = rep.x_bar
         value = model.eval_primal(p, x_new)
         improved = best is None or value < best[0] - 1e-12
         if improved:
-            best = (value, x_new.copy(), rep, rounds)
+            best = (value, x_new.copy(), rep)
         stalled = float(np.linalg.norm(x_new - anchor)) <= cfg.step_tol * (1.0 + float(np.linalg.norm(anchor)))
         if stalled and rep.status == "interior":
             return _perturbation_report(p, x_new, rep, rounds)
@@ -781,11 +768,13 @@ def perturbed_solve(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveRepo
             anchor = x_new
         delta *= cfg.perturb_shrink
     if best is not None:
-        value, x_new, rep, _ = best
+        _, x_new, rep = best
         report = _perturbation_report(p, x_new, rep, rounds)
         report.messages = report.messages + ("perturbation rounds exhausted before the anchor settled",)
         return report
-    raise MaxIterations("perturbation rounds exhausted without a single successful dual solve")
+    if plain is not None:
+        return plain
+    raise MaxIterations("the plain dual solve failed, and no perturbation round solved its dual")
 
 
 def _perturbation_report(p: Problem, x: np.ndarray, rep: SolveReport, rounds: int) -> SolveReport:
@@ -817,8 +806,7 @@ def existence_check(p: Problem) -> ExistenceResult:
     try:
         s, gm = _phase1(p)
     except EmptyInterior as exc:
-        return ExistenceResult(status="likely_empty", witness=None,
-                               min_eig=getattr(exc, "best_min_eig", float("nan")))
+        return ExistenceResult(status="likely_empty", witness=None, min_eig=exc.best_min_eig)
     return ExistenceResult(status="interior_nonempty", witness=s, min_eig=gm.min_eig)
 
 

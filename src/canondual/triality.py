@@ -2,7 +2,9 @@
 
 A pair (x, s) is critical when x is stationary for the primal (a sign
 vector, for sign problems), s for the dual, and G(s) x = f pairs them;
-other pairs raise NotCritical.
+other pairs raise NotCritical.  The dual side is read from one formula,
+``dual.bare_grads``: at G^-1 f where G is nonsingular, at the pair's own x
+where it is singular.
 
 The sign of G at the dual point decides the branch: a positive semidefinite
 G certifies a global minimizer, a negative definite G splits into the
@@ -67,14 +69,15 @@ def _dual_stationarity(gm: dual.GapMatrix, x: np.ndarray) -> float:
     """Residual of dual-side stationarity at gm.s, usable on the boundary.
 
     Nonsingular G: norm of the dual gradient.  Singular G: the largest
-    balance residual at x, from the per-term matching xi_s(x) =
-    dPhi*(varsigma_s) and the per-variable x_i^2 = 1; any NaN residual
-    makes it NaN (``classify_pair`` checks G x = f).
+    entry of the same formula, ``dual.bare_grads``, at the given x in place
+    of G^-1 f (``classify_pair`` checks G x = f); any NaN entry makes it
+    NaN.
     """
     try:
         return float(np.linalg.norm(gm.grad))
     except SingularG:
-        return float(np.max(np.abs(dual.balance_residuals(gm.p, gm.s, x)), initial=0.0))
+        g = dual.bare_grads(gm.p, gm.s, x, dual.coordinate_images(gm.p, x))
+        return float(np.max(np.abs(g), initial=0.0))
 
 
 def classify(p: Problem, x_bar, sigma_bar, tol: float = DEFAULT_CRIT_TOL) -> TrialityClass:

@@ -82,6 +82,17 @@ def test_solve_symmetric_well_ends_on_the_boundary_or_in_the_rounds(tmp_path):
     assert abs(report["x_bar"][0]) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_solve_perturb_with_zero_rounds_reports_the_plain_solve(tmp_path):
+    # no round runs, so the plain solve's boundary answer is reported
+    path = write(tmp_path, "dw0.json", dict(DW, f=[0.0]))
+    config = write(tmp_path, "config.json", {"max_perturb_rounds": 0})
+    res = run_cli("solve", path, "--perturb", "--config", config)
+    assert res.returncode == 2, res.stderr
+    report = json.loads(res.stdout)["payload"]["report"]
+    assert report == json.loads(run_cli("solve", path).stdout)["payload"]["report"]
+    assert report["status"] == "boundary" and report["perturb_rounds"] == 0
+
+
 def _plain(alpha, f, *terms):
     """A continuous document of a plain term alpha |x|^2 / 2 and ``terms``."""
     plain = {"kind": "plain_quadratic", "alpha": alpha, "factor": np.eye(len(f)).tolist()}

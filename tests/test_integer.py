@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from canondual import integer, oracle
 from canondual.errors import DimensionMismatch, SchemaError
-from canondual.integer import QipInstance, qip_dual_solve
-from canondual.solver import SolverConfig, sign_round
+from canondual.integer import QipInstance, qip_dual_solve, sign_round
+from canondual.solver import SolverConfig
 
 from conftest import random_qip
 

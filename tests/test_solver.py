@@ -10,7 +10,7 @@ import pytest
 
 from canondual import dual, integer, oracle, solver
 from canondual.dual import Membership
-from canondual.errors import EmptyInterior, MaxIterations, SingularG
+from canondual.errors import DimensionMismatch, EmptyInterior, MaxIterations, SingularG
 from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 from canondual.solver import SolverConfig
@@ -557,14 +557,16 @@ def test_solve_reports_match_pinned():
     cont16, cont32 = _continuous_problem(rng, 16), _continuous_problem(rng, 32)
     assert [t.kind for t in cont32.terms[1:]] == [TermKind.QUARTIC, TermKind.XLOGX]
     certified = random_qip(np.random.default_rng(2), 16).to_problem()
-    symmetric = random_qip(np.random.default_rng(2), 8, f_style="zero").to_problem()
+    # f = 0: the plain solve ends on the boundary, and the rounds run
+    drawn = _continuous_problem(np.random.default_rng(2), 8)
+    symmetric = Problem(n=8, terms=drawn.terms, f=np.zeros(8))
     reports = {
         "continuous n=16": solver.solve_dual(cont16),
         "continuous n=32": solver.solve_dual(cont32),
         "certified qip n=16": solver.solve_dual(certified),
-        "symmetric qip n=8": solver.perturbed_solve(symmetric),
+        "continuous n=8, f=0": solver.perturbed_solve(symmetric),
     }
-    assert reports["symmetric qip n=8"].perturb_rounds == 10
+    assert reports["continuous n=8, f=0"].perturb_rounds == 8
     # the outcome fields, which the arithmetic must not move
     interior = ("interior", "global_min", False)
     assert {name: (rep.status, rep.triality_class, rep.boundary_flag,
@@ -573,13 +575,13 @@ def test_solve_reports_match_pinned():
         "continuous n=16": interior + ("+---+--++++---+-",),
         "continuous n=32": interior + ("-+-+--+--+-+---++---+++++-++----",),
         "certified qip n=16": interior + ("+" * 16,),
-        "symmetric qip n=8": ("perturbation", "boundary_degenerate", True, "++----+-"),
+        "continuous n=8, f=0": ("perturbation", "global_min", True, "----++-+"),
     }
     assert {name: _report_sha(rep) for name, rep in reports.items()} == {
-        "continuous n=16": "1f2406790fa223d677c246cea7b0cba7177944fa7a5f901a71f22c3028928424",
-        "continuous n=32": "e9e67d8dce05c6c206579bcb686ce00c920a65e42203bd61c483893e7e7bab1c",
+        "continuous n=16": "46ed17826686047648e0506cb6349ffb1d807c610643c2535e45c5e8ab576adb",
+        "continuous n=32": "1a8c9f87418fd47123ec69aaac0ed7819827cebbec6312f7b166c0617482bb85",
         "certified qip n=16": "5922fcf96cfa9b05f257c4c7819fdc363745d57e76b3995f363ca2edbf3ae23f",
-        "symmetric qip n=8": "1627921cba4ce377ab0b63f10301034f27409fe7c6cc39cbb8d5e3a09d404b64",
+        "continuous n=8, f=0": "2335cf1286110bfdc9f7bf5492d7be67a5446f696219608c65c6ec47e6f05ca1",
     }
 
 
@@ -718,32 +720,18 @@ def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
     assert polish_steps == [(None, 0)] * len(problems)
 
 
-def test_centering_test_needs_a_nonnegative_decrement(monkeypatch):
+def test_centering_test_needs_a_nonnegative_decrement():
     # on sign QPs scaled by 1e4, -H is not numerically definite near the
     # boundary and g'd can come out negative; read as "centred", it ends each
-    # barrier run early, and these certify, or end the perturbation rounds of
-    # perturbed_solve interior, only with the sign guard
+    # barrier run early, and instance 19 certifies only with the sign guard
     rng = np.random.default_rng(0)
     instances = [random_qip(rng, int(rng.integers(3, 11))) for _ in range(20)]
     scaled = [QipInstance(Q=1e4 * inst.Q, f=1e4 * inst.f) for inst in instances]
     assert integer.qip_dual_solve(scaled[19]).certificate == "dual_certified"
-
-    statuses = []
-    solve = solver.solve_dual
-
-    def recording(p, cfg=None):
-        rep = solve(p, cfg)
-        statuses.append(rep.status)
-        return rep
-
-    monkeypatch.setattr(solver, "solve_dual", recording)
     for inst in (scaled[9], scaled[10]):
         rep = integer.qip_dual_solve(inst)
         assert rep.certificate == "perturbation_only"
         assert rep.objective == oracle.enumerate_signs(inst).best_value
-        statuses.clear()
-        solver.perturbed_solve(inst.to_problem())
-        assert "interior" in statuses[1:]
 
 
 # ------------------------------------------------------------- phase one
@@ -811,27 +799,36 @@ def test_perturbed_solve_recovers_symmetric_minima():
     assert rep.primal_value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_perturbed_solve_maxcut_pair():
+def test_perturbed_solve_refuses_a_sign_problem():
+    # the sign pipeline rounds its one dual point, and the rounds serve
+    # continuous problems only, as the sign pipeline serves sign ones only
     inst = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.zeros(2))
-    rep = solver.perturbed_solve(inst.to_problem(), SolverConfig(seed=5))
-    x = rep.x_bar
-    assert set(np.abs(x)) == {1.0}
-    assert x[0] * x[1] == -1.0
-    assert rep.primal_value == pytest.approx(-1.0)
+    with pytest.raises(DimensionMismatch, match="continuous"):
+        solver.perturbed_solve(inst.to_problem(), SolverConfig(seed=5))
+    with pytest.raises(DimensionMismatch, match="sign_integer"):
+        integer.sign_problem_solve(double_well(0.0))
 
 
 def test_perturbed_solve_strong_input_needs_zero_rounds():
-    inst = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([3.0, 0.0]))
-    p = inst.to_problem()
+    # the terms of the pinned f = 0 instance with their drawn input certify
+    p = _continuous_problem(np.random.default_rng(2), 8)
     direct = solver.solve_dual(p)
     rep = solver.perturbed_solve(p)
-    assert rep.perturb_rounds == 0
-    assert np.allclose(rep.x_bar, direct.x_bar)
+    assert direct.status == "interior" and rep.perturb_rounds == 0
+    assert _report_sha(rep) == _report_sha(direct)
 
 
 def test_perturbed_solve_zero_delta_degenerates_to_plain_dual():
     rep = solver.perturbed_solve(double_well(0.0), SolverConfig(perturb_delta0=0.0))
     assert rep.status == "boundary"
+
+
+def test_perturbed_solve_zero_rounds_returns_the_plain_report():
+    # no round runs, so the plain solve's boundary report is the answer
+    p, cfg = double_well(0.0), SolverConfig(max_perturb_rounds=0)
+    rep = solver.perturbed_solve(p, cfg)
+    assert rep.status == "boundary" and rep.perturb_rounds == 0
+    assert _report_sha(rep) == _report_sha(solver.solve_dual(p, cfg))
 
 
 # ------------------------------------------------------------- existence

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -45,6 +46,22 @@ def test_classify_symmetric_case_boundary_pair_is_global_min():
     p = double_well(0.0)
     result = triality.classify(p, [2.0], [0.0])
     assert result.label is TrialityLabel.GLOBAL_MIN
+
+
+def test_singular_G_reads_the_dual_residual_at_the_given_x():
+    # two quartics on [[1]] with f = 0 and x = sqrt 3, where P' = x (x^2 - 3)
+    # is zero: sigma_1 + sigma_2 = 0 makes G = 0, so the dual residual is
+    # read at x, xi = 3/2 against sigma_k - beta_k for each coordinate
+    terms = [CanonicalTerm(TermKind.QUARTIC, np.eye(1), 1.0, beta) for beta in (-2.0, -1.0)]
+    p = Problem(n=1, terms=terms, f=np.array([0.0]))
+    x = [math.sqrt(3.0)]
+    assert dual.assemble_G(p, [-0.5, 0.5]).is_singular()
+    result = triality.classify(p, x, [-0.5, 0.5])
+    assert result.label is TrialityLabel.GLOBAL_MIN
+    assert result.evidence["dual_residual"] <= 1e-15
+    # with the multipliers swapped G is still 0, but the residuals are -1 and 1
+    with pytest.raises(NotCritical, match=r"dual 1\.000e\+00"):
+        triality.classify(p, x, [0.5, -0.5])
 
 
 def test_classify_rejects_noncritical_pair():
