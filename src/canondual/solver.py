@@ -11,7 +11,14 @@ polish with barrier-free Newton when the maximizer is strictly interior.
 Each barrier weight runs until its point is centred: the squared Newton
 decrement g'(-H)^-1 g of the barrier objective is at most _CENTERING * mu
 (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, section 11.3),
-or the bare gradient is within the solve's tolerance.
+or the bare gradient is within the solve's tolerance.  Below mu = 1e-4,
+once a centred point clears the feasibility margin and its bare gradient
+is within _POLISH_GATE * f_scale, the barrier hands it to the polish:
+Newton on grad Pi_d = 0 converges quadratically from there (Boyd and
+Vandenberghe 2004, section 9.5), and when the polished point is a strictly
+interior stationary point the solve ends.  Otherwise the barrier goes on
+from its own point; only a barrier that reaches the floor _MU_FLOOR
+without a handover is polished after the loop.
 The barrier ascent, the polish and the multistart root search run one
 damped-Newton loop, ``_damped_newton``, with callbacks from ``_barrier``,
 ``_polish`` and ``_roots``: the ascent backtracks on the barrier value, the
@@ -50,8 +57,9 @@ reads, the barrier value or the bare gradient: the Hessian and L^-1 are
 formed only at the points the loop accepts, and a stacked LU trial builds
 a point only where it is accepted.  Each outer
 step starts from the factorized point the last one ended at, and the
-convergence test reads that point: a Cholesky test of G minus the
-feasibility margin and the bare gradient from the factor.  The
+handover and the test of the polished point read the factorized point: a
+Cholesky test of G minus the feasibility margin and the bare gradient from
+the factor.  The
 eigendecomposition is used only by phase one, the report and triality
 classification.  For a continuous problem with an interior certificate the
 report refines x = G^-1 f by one Newton step on the primal gradient,
@@ -109,6 +117,9 @@ _ROUNDS = _STEP_LENGTHS[:_SINGLE_STEPS] + [None]
 _STACK_ELEMENTS = 2**16
 _SEARCH_ELEMENTS = 2**22
 _MU_FLOOR = 1e-12
+# Below mu = 1e-4, a centred barrier point that clears the feasibility
+# margin, with a bare gradient within _POLISH_GATE * f_scale, goes to the polish
+_POLISH_GATE = 1e-3
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
 # objective over mu is then at most 1/2.
@@ -484,8 +495,8 @@ def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _interior_converged(point: dual.DualPoint, gtol: float) -> bool:
-    """Whether a barrier point is a strictly interior stationary point of the
-    bare dual: it clears the feasibility margin (``DualPoint.clears``)
+    """Whether a polished point is a strictly interior stationary point of
+    the bare dual: it clears the feasibility margin (``DualPoint.clears``)
     and its own bare gradient has norm <= gtol."""
     return point.clears(_FEAS_MARGIN * point.p.f_scale) and _gradient_norm(point) <= gtol
 
@@ -574,7 +585,14 @@ def _project_domain(p: Problem, s: np.ndarray, margin: float) -> np.ndarray:
 def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     """Maximize the dual objective over the certified region.
 
-    Interior convergence yields a stationary dual point paired with the
+    The barrier weight shrinks by ``barrier_shrink`` each outer step, and
+    once it is below 1e-4 each centred point near a strictly interior
+    stationary point (``_POLISH_GATE``) is handed to the barrier-free
+    polish.  The solve ends at the first polished point that
+    ``_interior_converged`` accepts; a refused one leaves the barrier's
+    point as it was.  Without a handover the barrier runs to _MU_FLOOR (or
+    ``max_outer`` steps) and its last point is polished.  Interior
+    convergence yields a stationary dual point paired with the
     recovered primal point and a matched-value check; a maximizer pinned to
     the region boundary is reported with ``boundary_flag`` set and the
     pseudoinverse recovery residual recorded.  Raises EmptyInterior when
@@ -585,10 +603,12 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     cfg = cfg or SolverConfig()
     s, _ = _phase1(p)
     gtol = cfg.grad_tol * p.f_scale
+    polish_tol = min(gtol, 1e-12 * p.f_scale)
 
     iterations = 0
     mu = cfg.barrier_weight
     point = None  # each outer step starts from the factorized point the last one ended at
+    handed_over = False
     for _ in range(cfg.max_outer):
         [(s, point, its)] = _damped_newton([s], *_barrier(p, mu), tol=gtol,
                                            max_iter=cfg.max_inner, step_tol=cfg.step_tol,
@@ -598,13 +618,24 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
         mu *= cfg.barrier_shrink
-        if mu < _MU_FLOOR or (mu < 1e-4 and _interior_converged(point, gtol)):
+        if mu < _MU_FLOOR:
             break
+        if (mu < 1e-4 and _norm(point.bare_grad) <= _POLISH_GATE * p.f_scale
+                and point.clears(_FEAS_MARGIN * p.f_scale)):
+            # Newton may finish from here: hand over to the polish, and if it
+            # does not, go on with the barrier from its own point
+            [(t, state, its)] = _damped_newton([s], *_polish(p), tol=polish_tol,
+                                               max_iter=cfg.max_inner, states=[point])
+            if _interior_converged(state, gtol):
+                s, handed_over = t, True
+                iterations += its
+                break
 
-    # Barrier-free polish while the iterate stays strictly interior.
-    [(s, _, its)] = _damped_newton([s], *_polish(p),
-                                   tol=min(gtol, 1e-12 * p.f_scale), max_iter=cfg.max_inner)
-    iterations += its
+    if not handed_over:
+        # no handover finished: barrier-free polish from the barrier's last point
+        [(s, _, its)] = _damped_newton([s], *_polish(p), tol=polish_tol,
+                                       max_iter=cfg.max_inner)
+        iterations += its
 
     gm = dual.assemble_G(p, s)
     at_domain_edge = bool((dual.domain_slacks(p, s) <= 1e-6 * p.f_scale).any())
@@ -853,10 +884,11 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig) -> list:
     lockstep stack, each row with its own f, its own tolerance and its own
     ``Problem``: as many problems, in order, as keep the points of its
     starts within _SEARCH_ELEMENTS numbers (``_row_size`` a start), and at
-    least one.  Each start ends where it would alone, to the bit.
+    least one.  Each start ends where it would alone, to the bit.  A
+    problem with no dual coordinate has no stationary point to find.
     """
     roots = [[] for _ in problems]
-    if not problems:
+    if not problems or not problems[0].dual_dim:
         return roots
     per_problem = len(_LADDER_UNITS) + RANDOM_STARTS
     group = max(1, _SEARCH_ELEMENTS // (_row_size(problems[0]) * per_problem))

@@ -130,6 +130,8 @@ def test_sweep_without_a_dual_coordinate(tmp_path):
     assert res.returncode == 0, res.stderr
     rows = json.loads(res.stdout)["payload"]["sweep"]["rows"]
     assert [row["outcome"] for row in rows] == ["empty_interior"] * 2
+    # a zero-dimensional dual has no stationary point to count
+    assert [(row["clusters"], row["n_clusters"]) for row in rows] == [([], 0)] * 2
 
 
 def test_solve_malformed_file(tmp_path):
@@ -201,9 +203,9 @@ SIGN_DOC = {
 
 @pytest.mark.parametrize("doc, args, digest", [
     (README_WELL, ("solve",),
-     "fd9591fc0683ef1deb96bebf468993bfd55ee9642ec6f2b5f0dc0c170d30bbd2"),
+     "d497ae51d161d05fdbe2ccd47a0c0c6debd8e65b26253772b55c233f9da55314"),
     (README_QIP, ("solve",),
-     "dd0c51d09377f1d7fa0cbac0b0f2c9505efebd7683139d7d553e0c85c14ffb7d"),
+     "cf679c61ffec77f23e4d044f0c713b14d0393c74165513b5c492f3984ab6e9c1"),
     (README_WELL, ("classify", "--x", "2.1149", "--sigma", "0.2364", "--tol", "1e-3"),
      "9fca366801ce2e111dcc1fe45c565d0a89c5b69bbe79ac4e0c3759f5bfc7fb6d"),
     # the oracle and sweep reports, and the sign-integer route of solve, which
@@ -211,9 +213,9 @@ SIGN_DOC = {
     (README_QIP, ("oracle",),
      "cd39c5abd3de6bf23d9d7cae1c2df6138bff328f4cf318312f127cd3a3b3743c"),
     (README_WELL, ("sweep", "--direction", "1", "--grid", "0.5,2.0"),
-     "e0e3940c04fa49130bc88da59586213b2df368f8db7dc543485c8c567386e087"),
+     "40d8192accd0d51369928d3b43e8fb3465f3864e9ff6ccdf75779df065b82e7f"),
     (SIGN_DOC, ("solve",),
-     "dd0c51d09377f1d7fa0cbac0b0f2c9505efebd7683139d7d553e0c85c14ffb7d"),
+     "cf679c61ffec77f23e4d044f0c713b14d0393c74165513b5c492f3984ab6e9c1"),
 ], ids=["solve-well", "solve-qip", "classify-well", "oracle-qip", "sweep-well", "solve-sign"])
 def test_readme_command_bytes_are_pinned(tmp_path, doc, args, digest):
     # a report must stay byte-identical across changes, not only between runs

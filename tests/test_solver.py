@@ -578,11 +578,56 @@ def test_solve_reports_match_pinned():
         "continuous n=8, f=0": ("perturbation", "global_min", True, "----++-+"),
     }
     assert {name: _report_sha(rep) for name, rep in reports.items()} == {
-        "continuous n=16": "46ed17826686047648e0506cb6349ffb1d807c610643c2535e45c5e8ab576adb",
-        "continuous n=32": "1a8c9f87418fd47123ec69aaac0ed7819827cebbec6312f7b166c0617482bb85",
-        "certified qip n=16": "5922fcf96cfa9b05f257c4c7819fdc363745d57e76b3995f363ca2edbf3ae23f",
-        "continuous n=8, f=0": "2335cf1286110bfdc9f7bf5492d7be67a5446f696219608c65c6ec47e6f05ca1",
+        "continuous n=16": "6b4a75859d86c244353e766f2342f19b46a1a19e15856081f71419acc3f066cc",
+        "continuous n=32": "d8e84b96ef15f7f88de5e92476593b7c169ec1da208d1f6d06b7349727a9e87b",
+        "certified qip n=16": "0e6e54d98ccddb0b507053084e17be1df25fc780fbdda5c1586dc33c894e8cf5",
+        "continuous n=8, f=0": "06fba022769dfe6285dd0738137e9ac350b14585d87e2324f1bbd0e73d5824dc",
     }
+
+
+def _counting_newton(monkeypatch) -> list:
+    """A list that records, for each ``_damped_newton`` call from here on,
+    whether it is a barrier step (``centred`` set) or not (a polish)."""
+    calls = []
+    newton = solver._damped_newton
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("centred") is not None)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_damped_newton", counting)
+    return calls
+
+
+def test_a_refused_handover_leaves_the_path_to_the_floor(monkeypatch):
+    # the barrier hands over to the polish once Newton can finish there: 6
+    # outer steps on this certified solve, then one polish.  With every
+    # handover refused, mu walks to the floor in 18 steps and the one polish
+    # follows, with the bits of a solve that never hands over
+    certified = random_qip(np.random.default_rng(2), 16).to_problem()
+    calls = _counting_newton(monkeypatch)
+    handed = solver.solve_dual(certified)
+    assert (calls.count(True), calls.count(False), calls[-1]) == (6, 1, False)
+    calls.clear()
+    monkeypatch.setattr(solver, "_interior_converged", lambda point, gtol: False)
+    refused = solver.solve_dual(certified)
+    assert calls.count(True) == 18 and calls[-1] is False
+    assert handed.status == refused.status == "interior"
+    assert np.allclose(handed.x_bar, refused.x_bar, rtol=0.0, atol=1e-9)
+    assert _report_sha(refused) == (
+        "5922fcf96cfa9b05f257c4c7819fdc363745d57e76b3995f363ca2edbf3ae23f")
+
+
+def test_a_solve_that_never_hands_over_keeps_its_bits(monkeypatch):
+    # f = 0: each sign's bare gradient x_i^2 - 1 is -1, so the gradient norm
+    # stays sqrt(n), no handover is tried, and the barrier runs to the floor
+    p = random_qip(np.random.default_rng(2), 8, f_style="zero").to_problem()
+    calls = _counting_newton(monkeypatch)
+    rep = solver.solve_dual(p)
+    assert calls == [True] * 18 + [False]
+    assert (rep.status, rep.iterations) == ("boundary", 37)
+    assert _report_sha(rep) == (
+        "4d8583a592c1409061556c64271e474b20425489fa516321981a18463c57c544")
 
 
 def _newton_end_points(monkeypatch, problems) -> list:
@@ -957,7 +1002,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # a time makes 23,051 factor_point calls, 10,576 of them refused for
     # their domain slacks; the stacked screen leaves those of the first
     # _SINGLE_STEPS trials of each line search (2,502).  The solves' barrier
-    # and polish make 91 trials one at a time.  The root searches, the 216
+    # and polish make 80 trials one at a time.  The root searches, the 216
     # starts of all 12 magnitudes in one lockstep stack, make one stack of
     # the start points, then at most five an iteration: the four single
     # steps, and every screened deeper step of every start still searching
@@ -996,12 +1041,12 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     monkeypatch.setattr(dual, "bare_hessians", counting_hessians)
     monkeypatch.setattr(solver, "_solve_newton", counting_alone)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
-    assert calls == {"points": 91, "stacks": 125, "rows": 31_510, "slack_refused": 2_502,
+    assert calls == {"points": 80, "stacks": 125, "rows": 31_510, "slack_refused": 2_502,
                      "hessian_stacks": 25, "hessians": 1_865, "alone_directions": 0}
     assert res.threshold == 1.75
     rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "757eafc1eecde4305e5fe676f3a384c7d1f36b04709d163cb511db1cc949b3b6")
+        "d2e178489baf822b223f2c5a440315e03fe123349d998c46cd9a103b25a1b8cb")
 
 
 def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig) -> solver.FcRow:
