@@ -29,7 +29,9 @@ derivative for all of them, and its domain is one bound s/alpha >= beta
 ``DualPoint``, built by ``factor_point``, is a point factorized once that
 carries x = G^-1 f, the closed-form derivatives of Pi_d and log det G, and
 the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
-its value (``barrier``) and derivatives (``barrier_derivs``) at any mu.
+its value (``barrier``) and derivatives (``barrier_derivs``) at any mu,
+and the length of the bare Newton step in its local norm
+(``newton_radius``).
 ``factor_stack`` makes the LU points of a stack in one pass, the
 arithmetic of each row that of ``factor_point`` alone (``bare_grads``, the
 one formula for the dual gradient, gives it at a point and at a stack
@@ -348,6 +350,34 @@ class DualPoint:
         else:
             g, H = self.bare_grad.copy(), self.bare_hess
         return g, 0.5 * (H + H.T)
+
+    def newton_radius(self) -> float:
+        """The length r of the bare Newton step d, which solves (-H) d = g
+        for the bare derivatives (``barrier_derivs(0.0)``):
+        r^2 = d' (grad^2 F) d + sum (d_k / alpha_k)^2.
+
+        The first part is the local norm of the barrier
+        F = -log det G - sum log slack, whose Hessian is the H of
+        ``logdet_derivs`` plus 1/slack^2 on the bounded coordinates: r < 1
+        puts s + d inside the Dikin ellipsoid of F, within the certified
+        region.  The sum runs over the xlogx coordinates k, which have no
+        slack: along d their conjugate's second derivative
+        exp(s/alpha - 1)/alpha changes by the factor exp(d_k / alpha_k),
+        which the barrier does not see.  r does not change when the terms,
+        f and s are scaled alike.  It is inf where -H is singular and nan
+        where r^2 is not a nonnegative number (an overflow, say)."""
+        g, H = self.barrier_derivs(0.0)
+        try:
+            d = np.linalg.solve(-H, g)
+        except np.linalg.LinAlgError:
+            return math.inf
+        rows = self.p.coordinate_rows
+        free = ~rows.bounded
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = d[rows.index] / self.slacks
+            de = d[free] / rows.alpha[free]
+            r2 = float(d @ self.logdet_derivs[1] @ d + ds @ ds + de @ de)
+        return math.sqrt(r2) if r2 >= 0.0 else math.nan
 
     @cached_property
     def Linv(self) -> np.ndarray:

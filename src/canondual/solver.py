@@ -11,13 +11,16 @@ polish with barrier-free Newton when the maximizer is strictly interior.
 Each barrier weight runs until its point is centred: the squared Newton
 decrement g'(-H)^-1 g of the barrier objective is at most _CENTERING * mu
 (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, section 11.3),
-or the bare gradient is within the solve's tolerance.  Below mu = 1e-4,
-once a centred point clears the feasibility margin and its bare gradient
-is within _POLISH_GATE * f_scale, the barrier hands it to the polish:
-Newton on grad Pi_d = 0 converges quadratically from there (Boyd and
-Vandenberghe 2004, section 9.5), and when the polished point is a strictly
-interior stationary point the solve ends.  Otherwise the barrier goes on
-from its own point; only a barrier that reaches the floor _MU_FLOOR
+or the bare gradient is within the solve's tolerance.  After each outer
+step above the floor _MU_FLOOR, a centred point that clears the
+feasibility margin goes to the polish, Newton on grad Pi_d = 0, once its
+bare Newton step lies well inside the Dikin ellipsoid of the barrier
+(``DualPoint.newton_radius`` at most _DIKIN): the step then stays in the
+certified region, and the test reads no absolute scale.  Toward a strictly
+interior maximizer that radius falls with mu; toward a boundary maximizer
+it grows, and the barrier runs to the floor.  When the polished point is
+a strictly interior stationary point the solve ends.  Otherwise the
+barrier goes on from its own point; only a barrier that reaches the floor
 without a handover is polished after the loop.
 The barrier ascent, the polish and the multistart root search run one
 damped-Newton loop, ``_damped_newton``, with callbacks from ``_barrier``,
@@ -57,17 +60,20 @@ reads, the barrier value or the bare gradient: the Hessian and L^-1 are
 formed only at the points the loop accepts, and a stacked LU trial builds
 a point only where it is accepted.  Each outer
 step starts from the factorized point the last one ended at, and the
-handover and the test of the polished point read the factorized point: a
-Cholesky test of G minus the feasibility margin and the bare gradient from
-the factor.  The
-eigendecomposition is used only by phase one, the report and triality
+handover and the test of the polished point read the factorized point: the
+Newton radius from the derivatives the centring test formed, a Cholesky
+test of G minus the feasibility margin and the bare gradient from the
+factor.  The eigendecomposition is used only by phase one's start of the
+sign multipliers and its subgradient ascent, the report and triality
 classification.  For a continuous problem with an interior certificate the
 report refines x = G^-1 f by one Newton step on the primal gradient,
-evaluated in np.longdouble, so that x_bar does not depend on which iterate
-within an ulp or two of the root the ascent ended at.  Feasibility phase
-one finds a strictly positive-definite start by a doubling scan along the
-domain-feasible direction followed by projected subgradient ascent on the
-smallest eigenvalue.
+evaluated in np.longdouble, which brings x_bar to within an ulp or two
+(of its largest entry) of the primal stationary point; its last bits can
+still move with the iterate the ascent ended at.  Feasibility phase one
+finds a strictly positive-definite start by a Cholesky test of G minus the
+margin at a base point and along a doubling scan in the domain-feasible
+direction, then by projected subgradient ascent on the smallest
+eigenvalue.
 
 Degenerate continuous instances (symmetric inputs, boundary maximizers) can
 go through the quadratic perturbation scheme of ``perturbed_solve``: at
@@ -117,9 +123,14 @@ _ROUNDS = _STEP_LENGTHS[:_SINGLE_STEPS] + [None]
 _STACK_ELEMENTS = 2**16
 _SEARCH_ELEMENTS = 2**22
 _MU_FLOOR = 1e-12
-# Below mu = 1e-4, a centred barrier point that clears the feasibility
-# margin, with a bare gradient within _POLISH_GATE * f_scale, goes to the polish
-_POLISH_GATE = 1e-3
+# A centred barrier point that clears the feasibility margin goes to the
+# polish once its bare Newton step d has DualPoint.newton_radius r at most
+# _DIKIN: r < 1 keeps s + d in the certified region (the Dikin ellipsoid of
+# the self-concordant barrier; Nesterov and Nemirovski 1994), and r <= 1/2
+# keeps G(s + d) >= G(s) / 2 and each xlogx conjugate's second derivative
+# within a factor e^(1/2), so the polish steps where the bare Hessian is
+# close to the one that made its step
+_DIKIN = 0.5
 # A barrier run is centred once the squared Newton decrement g'(-H)^-1 g of
 # the barrier objective is at most _CENTERING * mu: the decrement of that
 # objective over mu is then at most 1/2.
@@ -503,11 +514,17 @@ def _interior_converged(point: dual.DualPoint, gtol: float) -> bool:
 
 def _strictly_feasible(p: Problem, s: np.ndarray, margin: float) -> Optional[dual.GapMatrix]:
     """GapMatrix if s is strictly inside the certified region by the margin,
-    else None."""
+    else None: every domain slack exceeds it and G minus it has a Cholesky
+    factor.  The GapMatrix is returned unread, so no eigendecomposition is
+    made here."""
     if (dual.domain_slacks(p, s) <= margin).any():
         return None
     gm = dual.assemble_G(p, s)
-    return gm if gm.min_eig > margin else None
+    try:
+        np.linalg.cholesky(gm.G - margin * np.eye(p.n))
+    except np.linalg.LinAlgError:
+        return None
+    return gm
 
 
 def _term_starts(p: Problem, u) -> np.ndarray:
@@ -585,10 +602,11 @@ def _project_domain(p: Problem, s: np.ndarray, margin: float) -> np.ndarray:
 def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     """Maximize the dual objective over the certified region.
 
-    The barrier weight shrinks by ``barrier_shrink`` each outer step, and
-    once it is below 1e-4 each centred point near a strictly interior
-    stationary point (``_POLISH_GATE``) is handed to the barrier-free
-    polish.  The solve ends at the first polished point that
+    The barrier weight shrinks by ``barrier_shrink`` each outer step.
+    After each step above _MU_FLOOR, a centred point that clears the
+    feasibility margin and whose bare Newton step has
+    ``DualPoint.newton_radius`` at most _DIKIN is handed to the
+    barrier-free polish.  The solve ends at the first polished point that
     ``_interior_converged`` accepts; a refused one leaves the barrier's
     point as it was.  Without a handover the barrier runs to _MU_FLOOR (or
     ``max_outer`` steps) and its last point is polished.  Interior
@@ -620,8 +638,7 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
         mu *= cfg.barrier_shrink
         if mu < _MU_FLOOR:
             break
-        if (mu < 1e-4 and _norm(point.bare_grad) <= _POLISH_GATE * p.f_scale
-                and point.clears(_FEAS_MARGIN * p.f_scale)):
+        if point.newton_radius() <= _DIKIN and point.clears(_FEAS_MARGIN * p.f_scale):
             # Newton may finish from here: hand over to the polish, and if it
             # does not, go on with the barrier from its own point
             [(t, state, its)] = _damped_newton([s], *_polish(p), tol=polish_tol,
@@ -714,9 +731,10 @@ def _build_report(gm: dual.GapMatrix, status: str, iterations: int, grad_norm: f
 def _refine_x(p: Problem, x: np.ndarray) -> np.ndarray:
     """x after one Newton step on grad P(x) = 0: the residual in extended
     precision, the step from ``triality.hessian_primal`` in double, added in
-    extended precision and rounded once.  This makes x the correctly rounded
-    stationary point in practice, whichever iterate the dual solve ended at.
-    The input x comes back if the step fails or does not lower the residual."""
+    extended precision and rounded once.  This brings x to within an ulp
+    or two (of its largest entry) of the stationary point, but its last
+    bits can still depend on the iterate the dual solve ended at.  The
+    input x comes back if the step fails or does not lower the residual."""
     try:
         residual = model.primal_gradient(p, np.longdouble)  # the factors converted once
         r0 = residual(x)

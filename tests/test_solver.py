@@ -578,10 +578,10 @@ def test_solve_reports_match_pinned():
         "continuous n=8, f=0": ("perturbation", "global_min", True, "----++-+"),
     }
     assert {name: _report_sha(rep) for name, rep in reports.items()} == {
-        "continuous n=16": "6b4a75859d86c244353e766f2342f19b46a1a19e15856081f71419acc3f066cc",
-        "continuous n=32": "d8e84b96ef15f7f88de5e92476593b7c169ec1da208d1f6d06b7349727a9e87b",
-        "certified qip n=16": "0e6e54d98ccddb0b507053084e17be1df25fc780fbdda5c1586dc33c894e8cf5",
-        "continuous n=8, f=0": "06fba022769dfe6285dd0738137e9ac350b14585d87e2324f1bbd0e73d5824dc",
+        "continuous n=16": "a65056f0b02084df14ab497a1b7daa2f755bebeac74897d6c655875838452fbf",
+        "continuous n=32": "02f93fcf04fca48ef53b2c8e4bb54dd12b3fd69697d0fc736e8d19938b3f9c20",
+        "certified qip n=16": "6b1fd9ef617678bc954190386cdbd31e02c131c4ebb3607c74ee05880d3123a6",
+        "continuous n=8, f=0": "94ab444a55820b800f9bd0d1fbcf7ea6c70a77206d66bc0be26b572cc67ecaf6",
     }
 
 
@@ -600,14 +600,15 @@ def _counting_newton(monkeypatch) -> list:
 
 
 def test_a_refused_handover_leaves_the_path_to_the_floor(monkeypatch):
-    # the barrier hands over to the polish once Newton can finish there: 6
-    # outer steps on this certified solve, then one polish.  With every
-    # handover refused, mu walks to the floor in 18 steps and the one polish
-    # follows, with the bits of a solve that never hands over
+    # the barrier hands over to the polish once the bare Newton step lies
+    # inside the barrier's Dikin ellipsoid: 2 outer steps on this certified
+    # solve, then one polish.  With every handover refused, mu walks to the
+    # floor in 18 steps and the one polish follows, with the bits of a solve
+    # that never hands over
     certified = random_qip(np.random.default_rng(2), 16).to_problem()
     calls = _counting_newton(monkeypatch)
     handed = solver.solve_dual(certified)
-    assert (calls.count(True), calls.count(False), calls[-1]) == (6, 1, False)
+    assert (calls.count(True), calls.count(False), calls[-1]) == (2, 1, False)
     calls.clear()
     monkeypatch.setattr(solver, "_interior_converged", lambda point, gtol: False)
     refused = solver.solve_dual(certified)
@@ -628,6 +629,56 @@ def test_a_solve_that_never_hands_over_keeps_its_bits(monkeypatch):
     assert (rep.status, rep.iterations) == ("boundary", 37)
     assert _report_sha(rep) == (
         "4d8583a592c1409061556c64271e474b20425489fa516321981a18463c57c544")
+
+
+def _scaled(p: Problem, c: float) -> Problem:
+    """p with every term's alpha and f multiplied by c: the objective times
+    c, whose dual points are c times those of p."""
+    return Problem(n=p.n, terms=[dataclasses.replace(t, alpha=c * t.alpha) for t in p.terms],
+                   f=c * p.f, variables=p.variables)
+
+
+def test_newton_radius_is_scale_free():
+    # at a centred barrier point of a certified sign QP (Q and f times c),
+    # and of a continuous problem with an xlogx and a quartic term, the bare
+    # Newton step's radius is that of the problem scaled by c at c times
+    # the point
+    certified = random_qip(np.random.default_rng(2), 16).to_problem()
+    cont = _continuous_problem(np.random.default_rng(2), 32)
+    assert [t.kind for t in cont.terms[1:]] == [TermKind.XLOGX, TermKind.QUARTIC]
+    for p in (certified, cont):
+        s, _ = solver._phase1(p)
+        [(s, point, _)] = solver._damped_newton([s], *solver._barrier(p, 1.0), tol=0.0,
+                                                max_iter=60, centred=solver._CENTERING)
+        r = point.newton_radius()
+        assert 0.0 < r < math.inf
+        for c in (1e-4, 1e4):
+            assert dual.factor_point(_scaled(p, c), c * s).newton_radius() == pytest.approx(
+                r, rel=1e-9, abs=0.0)
+
+
+def test_boundary_problems_start_no_polish(rng, monkeypatch):
+    # f = 0 continuous problems, most with a boundary maximizer: the barrier
+    # hands a point over only where the polish finishes, so no polished
+    # point is refused.  The last problem, G = 5 + s with the xlogx conjugate
+    # e^(s - 1), has its maximizer on the boundary, and the bare Newton step
+    # is d = -1 everywhere: short in the barrier's norm far from the
+    # boundary, but it changes the conjugate's curvature by e each step
+    problems = [random_problem(rng, f_scale=0.0) for _ in range(20)]
+    problems.append(Problem(n=1, f=np.zeros(1), terms=[
+        CanonicalTerm(TermKind.PLAIN_QUADRATIC, np.eye(1), 5.0),
+        CanonicalTerm(TermKind.XLOGX, np.eye(1), 1.0)]))
+    verdicts = []
+    converged = solver._interior_converged
+
+    def recording(point, gtol):
+        verdicts.append(converged(point, gtol))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver, "_interior_converged", recording)
+    statuses = [solver.solve_dual(p).status for p in problems]
+    assert (statuses.count("interior"), statuses.count("boundary")) == (4, 17)
+    assert verdicts == [True] * 4
 
 
 def _newton_end_points(monkeypatch, problems) -> list:
@@ -670,16 +721,18 @@ def test_interior_converged_matches_the_eigh_definition(monkeypatch):
     seen = set()
     for point in points:
         p = point.p
-        gm = solver._strictly_feasible(p, point.s, solver._FEAS_MARGIN * p.f_scale)
+        margin = solver._FEAS_MARGIN * p.f_scale
+        gm = dual.assemble_G(p, point.s)
+        inside = gm.min_eig > margin and bool((dual.domain_slacks(p, point.s) > margin).all())
         # the solve's own tolerance, and an infinite one that tests the
         # region and singularity part alone
         for gtol in (SolverConfig().grad_tol * p.f_scale, math.inf):
             try:
-                expected = gm is not None and np.linalg.norm(gm.grad) <= gtol
+                expected = inside and np.linalg.norm(gm.grad) <= gtol
             except SingularG:
                 expected = False
             assert solver._interior_converged(point, gtol) == expected
-            seen.add(("outside" if gm is None else expected, gtol))
+            seen.add((expected if inside else "outside", gtol))
     # every outcome occurs: outside the margin, inside but not stationary, converged
     assert {outcome for outcome, _ in seen} == {"outside", False, True}
 
@@ -712,9 +765,10 @@ def test_interior_converged_makes_no_eigh_call(monkeypatch):
         assert rep.status == "interior"
         counts.append(calls["solve"])
     assert calls["converged"] == 0
-    # phase one and the report, which classification shares; every Newton
-    # loop and the convergence test factorize by Cholesky only
-    assert counts == [3, 2]
+    # the report, which classification shares, and for the sign problem the
+    # start of phase one's multipliers; phase one's feasibility test, every
+    # Newton loop and the convergence test factorize by Cholesky only
+    assert counts == [2, 1]
 
 
 def test_newton_loops_make_no_eigh_call(monkeypatch):
@@ -1002,7 +1056,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # a time makes 23,051 factor_point calls, 10,576 of them refused for
     # their domain slacks; the stacked screen leaves those of the first
     # _SINGLE_STEPS trials of each line search (2,502).  The solves' barrier
-    # and polish make 80 trials one at a time.  The root searches, the 216
+    # and polish make 89 trials one at a time.  The root searches, the 216
     # starts of all 12 magnitudes in one lockstep stack, make one stack of
     # the start points, then at most five an iteration: the four single
     # steps, and every screened deeper step of every start still searching
@@ -1041,12 +1095,12 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     monkeypatch.setattr(dual, "bare_hessians", counting_hessians)
     monkeypatch.setattr(solver, "_solve_newton", counting_alone)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
-    assert calls == {"points": 80, "stacks": 125, "rows": 31_510, "slack_refused": 2_502,
+    assert calls == {"points": 89, "stacks": 125, "rows": 31_510, "slack_refused": 2_502,
                      "hessian_stacks": 25, "hessians": 1_865, "alone_directions": 0}
     assert res.threshold == 1.75
     rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "d2e178489baf822b223f2c5a440315e03fe123349d998c46cd9a103b25a1b8cb")
+        "43f64423f2a43139d62a9ff18deeee8fc15cb444d5b5e31c2017a3fb1e4c6e2e")
 
 
 def _sweep_row_alone(m: float, pm: Problem, cfg: SolverConfig) -> solver.FcRow:
