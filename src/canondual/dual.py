@@ -265,10 +265,11 @@ def domain_slacks(p: Problem, s) -> np.ndarray:
 
 def screen(p: Problem, s, cholesky: bool = True) -> tuple:
     """(outside, slacks) at s, a point or a stack of points (one per row):
-    the ``domain_slacks`` and whether each point fails the domain test of
-    ``factor_point``.  A Cholesky point fails on a slack that is not
-    positive.  An LU point fails on a negative slack, or on a zero slack of
-    a ``strict`` (exponential) coordinate, where the conjugate is undefined."""
+    the ``domain_slacks`` and whether each point fails the domain test,
+    the one test of ``factor_point`` and ``factor_stack`` before they form
+    G.  A Cholesky point fails on a slack that is not positive.  An LU
+    point fails on a negative slack, or on a zero slack of a ``strict``
+    (exponential) coordinate, where the conjugate is undefined."""
     slacks = domain_slacks(p, s)
     if cholesky:
         return (slacks <= 0.0).any(axis=-1), slacks
@@ -364,9 +365,12 @@ class DualPoint:
         slack: along d their conjugate's second derivative
         exp(s/alpha - 1)/alpha changes by the factor exp(d_k / alpha_k),
         which the barrier does not see.  r does not change when the terms,
-        f and s are scaled alike.  It is inf where -H is singular and nan
-        where r^2 is not a nonnegative number (an overflow, say)."""
+        f and s are scaled alike.  It is inf where -H is singular (with no
+        solve where H is 0) and nan where r^2 is not a nonnegative number
+        (an overflow, say)."""
         g, H = self.barrier_derivs(0.0)
+        if not H.any():  # x = G^-1 f = 0 and no conjugate curvature, as at f = 0
+            return math.inf
         try:
             d = np.linalg.solve(-H, g)
         except np.linalg.LinAlgError:
@@ -426,19 +430,16 @@ class DualPoint:
         return g, H
 
 
-def factor_point(p: Problem, s, cholesky: bool = True,
-                 slacks: Optional[np.ndarray] = None) -> Optional[DualPoint]:
+def factor_point(p: Problem, s, cholesky: bool = True) -> Optional[DualPoint]:
     """The factorized point at s, or None outside the domain.  A Cholesky
     point needs positive domain slacks and G positive definite (the open
     certified region, where the barrier is finite).  An LU point needs
     nonnegative slacks with the conjugates defined (the closed dual domain,
     where a critical pair may sit) and G nonsingular with a finite
-    x = G^-1 f.  ``slacks``, when given, is ``domain_slacks(p, s)`` that
-    has already passed ``screen``."""
-    if slacks is None:
-        outside, slacks = screen(p, s, cholesky)
-        if outside:
-            return None
+    x = G^-1 f.  The slacks are tested by ``screen``, before G is formed."""
+    outside, slacks = screen(p, s, cholesky)
+    if outside:
+        return None
     G = operator(p, s)
     try:
         point = DualPoint(p, s, slacks, G, np.linalg.cholesky(G) if cholesky else None)
@@ -477,21 +478,17 @@ class PointStack:
         return point
 
 
-def factor_stack(p: Problem, Z, f, problems, slacks=None) -> PointStack:
+def factor_stack(p: Problem, Z, f, problems) -> PointStack:
     """``factor_point(problems[j], z_j, cholesky=False)`` at every row z_j
-    of Z, in one pass: the stacked operator, one ``np.linalg.solve`` over
-    the stack (singular rows, which make it fail, are then refused one by
-    one) and the bare gradients.  Every problem is on p's terms, and row j
-    solves G x = f[j], its problem's input: G(s) does not depend on f, so
-    one stack may hold the points of several inputs.  ``slacks``, when
-    given, holds ``domain_slacks`` of each row that has already passed
-    ``screen``."""
+    of Z, in one pass: one ``screen`` of every row, then, for the rows
+    inside, the stacked operator, one ``np.linalg.solve`` over the stack
+    (singular rows, which make it fail, are then refused one by one) and
+    the bare gradients.  Every problem is on p's terms, and row j solves
+    G x = f[j], its problem's input: G(s) does not depend on f, so one
+    stack may hold the points of several inputs."""
     Z = np.asarray(Z, dtype=float)
-    if slacks is None:
-        outside, slacks = screen(p, Z, cholesky=False)
-        kept = np.flatnonzero(~outside)
-    else:
-        slacks, kept = np.asarray(slacks), np.arange(len(Z))
+    outside, slacks = screen(p, Z, cholesky=False)
+    kept = np.flatnonzero(~outside)
     G = operator(p, Z[kept])
     # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a stack
     # of vectors, numpy 2 as one column

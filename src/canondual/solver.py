@@ -20,8 +20,10 @@ certified region, and the test reads no absolute scale.  Toward a strictly
 interior maximizer that radius falls with mu; toward a boundary maximizer
 it grows, and the barrier runs to the floor.  When the polished point is
 a strictly interior stationary point the solve ends.  Otherwise the
-barrier goes on from its own point; only a barrier that reaches the floor
-without a handover is polished after the loop.
+barrier goes on from its own point, which is not handed over again while
+the barrier takes no step from it.  The barrier's last point, at the
+floor or after ``max_outer`` steps, is polished where the polish can start
+from it, by the same call: ``solve_dual`` polishes in one place.
 The barrier ascent, the polish and the multistart root search run one
 damped-Newton loop, ``_damped_newton``, with callbacks from ``_barrier``,
 ``_polish`` and ``_roots``: the ascent backtracks on the barrier value, the
@@ -47,18 +49,19 @@ the root search, the Hessians A'G^-1 A of all of them in stacked solves,
 ``dual.bare_hessians``) and their Newton directions in one stacked solve,
 with the ridge fallback only for the rows that need it.  The line search
 runs in rounds over the starts still searching: one round for each of the
-first step lengths, then one for all the shorter steps, whose domain is
-screened at once (``dual.screen``) and which go to the trial longest step
-first across all starts.  The trial alone decides acceptance: it returns
-the state of each start's first point within its Armijo bound, the
-longest step, and of no other, so each start's trials and accepted step
-are those of halving one step at a time.  A Cholesky trial makes the
-points one at a time, a stacked LU trial in calls of a bounded size (a
-small G takes a whole round in one call); both drop a start's later
-points once it has accepted one.  A trial builds only what its merit
-reads, the barrier value or the bare gradient: the Hessian and L^-1 are
-formed only at the points the loop accepts, and a stacked LU trial builds
-a point only where it is accepted.  Each outer
+first step lengths, then one for all the shorter steps, which go to the
+trial in one call, longest step first across all starts.  The trial alone
+decides acceptance and the domain: its factorization tests each point once
+(``dual.screen`` in ``dual.factor_point`` and ``dual.factor_stack``) and
+refuses those outside.  It returns the state of each start's first point
+within its Armijo bound, the longest step, and of no other, so each
+start's trials and accepted step are those of halving one step at a time.
+A Cholesky trial makes the points one at a time, a stacked LU trial in
+calls of a bounded size (a small G takes a whole round in one call); both
+drop a start's later points once it has accepted one.  A trial builds
+only what its merit reads, the barrier value or the bare gradient: the
+Hessian and L^-1 are formed only at the points the loop accepts, and a
+stacked LU trial builds a point only where it is accepted.  Each outer
 step starts from the factorized point the last one ended at, and the
 handover and the test of the polished point read the factorized point: the
 Newton radius from the derivatives the centring test formed, a Cholesky
@@ -107,9 +110,9 @@ _ARMIJO = 1e-4
 # that does not lower the gradient-norm merit would pass the Armijo test.
 _HALVINGS = 40
 _STEP_LENGTHS = [math.ldexp(1.0, -k) for k in range(_HALVINGS)]  # exact
-# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are made
-# without a screen: most searches stop among them.  The others, t = 2^-4 ..
-# 2^-39, are formed and screened for the domain as one stack.
+# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are handed
+# to the trial one round each: most searches stop among them.  The others,
+# t = 2^-4 .. 2^-39, are formed as one stack and handed over in one round.
 _SINGLE_STEPS = 4
 _STACKED_STEPS = np.array(_STEP_LENGTHS[_SINGLE_STEPS:])[:, None]
 _STACKED_ARMIJO = _ARMIJO * _STACKED_STEPS[:, 0]
@@ -193,8 +196,8 @@ def _barrier(p: Problem, mu: float) -> tuple:
     def merit(point):
         return -point.barrier(mu)
 
-    return (_one_at_a_time(partial(dual.factor_point, p), merit), partial(dual.screen, p),
-            merit, lambda g, d, m: float(g @ d), _one_start(lambda point: point.barrier_derivs(mu)))
+    return (_one_at_a_time(partial(dual.factor_point, p), merit), merit,
+            lambda g, d, m: float(g @ d), _one_start(lambda point: point.barrier_derivs(mu)))
 
 
 def _polish(p: Problem) -> tuple:
@@ -207,11 +210,11 @@ def _polish(p: Problem) -> tuple:
     below the rounding of the objective itself; descending on the gradient
     norm instead converges to stationarity at machine precision.
     """
-    def make(s, slacks=None):
-        point = dual.factor_point(p, s, slacks=slacks)
+    def make(s):
+        point = dual.factor_point(p, s)
         return point if point is not None and point.clears(0.0) else None
-    return (_one_at_a_time(make, _gradient_norm), partial(dual.screen, p), _gradient_norm,
-            lambda g, d, m: m, _one_start(lambda point: point.barrier_derivs(0.0)))
+    return (_one_at_a_time(make, _gradient_norm), _gradient_norm, lambda g, d, m: m,
+            _one_start(lambda point: point.barrier_derivs(0.0)))
 
 
 def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
@@ -225,24 +228,23 @@ def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
     objects[:] = problems
     cap = _stack_rows(p)
     return (partial(_lu_trials, p, np.array([q.f for q in problems]), objects, cap),
-            partial(dual.screen, p, cholesky=False), _gradient_norm, lambda g, d, m: m,
-            partial(_lu_derivatives, p, cap))
+            _gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p, cap))
 
 
 def _one_at_a_time(make, merit):
     """A stack trial of ``_damped_newton`` that makes each point alone:
-    ``make(z, slacks=None)`` is the state at z, or None outside the domain,
-    and ``merit(state)`` its merit (inf where refused).  A row is accepted
-    when its merit is finite and within its bound and no earlier row of its
+    ``make(z)`` is the state at z, or None outside the domain, and
+    ``merit(state)`` its merit (inf where refused).  A row is accepted when
+    its merit is finite and within its bound and no earlier row of its
     start is.  Past a start's accepted row, the start's rows are not made:
     each costs a factorization."""
-    def trial(Z, slacks, owners, bounds):
+    def trial(Z, owners, bounds):
         states, merits = {}, [math.inf] * len(Z)
         done = set()
         for a, z in enumerate(Z):
             if owners[a] in done:
                 continue
-            state = make(z) if slacks is None else make(z, slacks=slacks[a])
+            state = make(z)
             if state is not None:
                 m = merits[a] = merit(state)
                 if math.isfinite(m) and m <= bounds[a]:
@@ -265,7 +267,7 @@ def _stack_rows(p: Problem) -> int:
     return max(1, _STACK_ELEMENTS // _row_size(p))
 
 
-def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, slacks, owners,
+def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, owners,
                bounds) -> tuple:
     """The root search's stack trial: the LU points of ``dual.factor_stack``,
     each row with the input ``f`` and the ``Problem`` of its owner, and their
@@ -284,8 +286,7 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, sla
     while waiting.size:
         take, waiting = waiting[:cap], waiting[cap:]
         who = owners[take]
-        stack = dual.factor_stack(p, Z[take], f[who], problems[who],
-                                  None if slacks is None else slacks[take])
+        stack = dual.factor_stack(p, Z[take], f[who], problems[who])
         kept = stack.kept
         m = merits[take[kept]] = _gradient_norms(stack.bare_grads)
         passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
@@ -343,25 +344,24 @@ def _gradient_norms(grads: np.ndarray) -> np.ndarray:
         return np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0])
 
 
-def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivatives,
+def _damped_newton(S: Sequence[np.ndarray], trial, merit, slope, derivatives,
                    tol, max_iter: int, step_tol: Optional[float] = None,
                    states: Optional[list] = None, centred: Optional[float] = None) -> list:
     """Damped Newton iteration with a backtracking line search, for a stack
     of starts S run in lockstep.
 
-    ``trial(Z, slacks, owners, bounds)`` evaluates the rows of Z, points of
-    the starts ``owners`` (a start's rows in order of decreasing t), and
-    decides which are accepted.  It returns the pair (states, merits): a
-    dict from row to state, and one merit per row, inf outside the domain
-    and where the row is not made.  ``bounds`` is the merit at which each
-    row is accepted: a row is accepted when its merit is finite and within
-    its bound and no earlier row of its start is, and only accepted rows
-    have a state; the first call, at the starts, bounds each by inf.  A
-    trial may leave a start's rows past its accepted one unmade.
-    ``slacks``, when given, are the domain slacks of each row, which passed
-    ``screen``, ``dual.screen`` for the same domain.  ``merit(state)`` is
-    the merit of a state passed in ``states``; ``derivatives(states)`` is
-    the pair (g, H) of a list of states, stacked.
+    ``trial(Z, owners, bounds)`` evaluates the rows of Z, points of the
+    starts ``owners`` (a start's rows in order of decreasing t), and
+    decides which are accepted; its own domain test refuses a row outside.
+    It returns the pair (states, merits): a dict from row to state, and one
+    merit per row, inf outside the domain and where the row is not made.
+    ``bounds`` is the merit at which each row is accepted: a row is
+    accepted when its merit is finite and within its bound and no earlier
+    row of its start is, and only accepted rows have a state; the first
+    call, at the starts, bounds each by inf.  A trial may leave a start's
+    rows past its accepted one unmade.  ``merit(state)`` is the merit of a
+    state passed in ``states``; ``derivatives(states)`` is the pair (g, H)
+    of a list of states, stacked.
     Each iteration takes the derivatives and the Newton directions of every
     start still running in one call each: d solves (-H) d = g
     (``_newton_directions``), replaced by the scaled gradient when
@@ -370,10 +370,9 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     where m is the current merit, so each start takes its longest step
     within it.  The line search runs in rounds, each over every start still
     searching.  The first _SINGLE_STEPS rounds take each such start's point
-    at one t.  The last round forms the other points s + t d of every start
-    left as one stack, screens them in one call, and hands ``trial`` the
-    points that pass, with their slacks, longest step first across all
-    starts: a point the screen refuses would not have been made.  A row's
+    at one t.  The last round (``_deep_round``) forms the other points
+    s + t d of every start left as one stack and hands them all to
+    ``trial`` in one call, longest step first across all starts.  A row's
     numbers do not depend on the stack it is in, so each start's accepted
     step is that of halving t one step at a time on the start alone, to
     the bit, and each start ends where it would alone.  A start stops at
@@ -390,7 +389,7 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     """
     S = list(S)
     if states is None:
-        made, merits = trial(S, None, list(range(len(S))), [math.inf] * len(S))
+        made, merits = trial(S, list(range(len(S))), [math.inf] * len(S))
         states = [made.get(i) for i in range(len(S))]
         live = sorted(made)
     else:
@@ -431,13 +430,12 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
             if not searching:
                 break
             if t is None:
-                Z, owners, t_rows, made, zms = _deep_round(S, merits, searching, trial, screen)
+                Z, owners, t_rows, made, zms = _deep_round(S, merits, searching, trial)
             else:
                 owners = list(searching)
                 Z = [S[i] + t * searching[i][0] for i in owners]
                 armijo = _ARMIJO * t
-                made, zms = trial(Z, None, owners,
-                                  [merits[i] - armijo * searching[i][1] for i in owners])
+                made, zms = trial(Z, owners, [merits[i] - armijo * searching[i][1] for i in owners])
             for a, state in made.items():
                 i = int(owners[a])
                 d = searching.pop(i)[0]
@@ -448,24 +446,23 @@ def _damped_newton(S: Sequence[np.ndarray], trial, screen, merit, slope, derivat
     return list(zip(S, states, steps))
 
 
-def _deep_round(S, merits, searching, trial, screen) -> tuple:
+def _deep_round(S, merits, searching, trial) -> tuple:
     """The last round of a line search of ``_damped_newton``: the points
     s + t d, t = 2^-_SINGLE_STEPS .. 2^-(_HALVINGS - 1), of every start still
-    searching (start: (direction, rate)), formed as one stack, screened in
-    one call and handed to ``trial`` in one call with their Armijo bounds,
-    longest step first across all starts.  Returns (Z, owners, t, states,
-    merits): the rows handed over, the start and the step length of each,
-    and what ``trial`` made of them."""
+    searching (start: (direction, rate)), formed as one stack and handed to
+    ``trial`` in one call with their Armijo bounds, longest step first
+    across all starts; the trial's own domain test refuses the points
+    outside.  Returns (Z, owners, t, states, merits): the rows handed over,
+    the start and the step length of each, and what ``trial`` made of
+    them."""
     tried = list(searching)
-    deep = (np.array([S[i] for i in tried])[:, None, :] + _STACKED_STEPS
-            * np.array([d for d, _ in searching.values()])[:, None, :])
-    outside, slacks = screen(deep)
-    j, rows = np.nonzero(~outside.T)
+    j, rows = np.divmod(np.arange(len(_STACKED_STEPS) * len(tried)), len(tried))
     owners = np.take(tried, rows)
     rates = np.array([rate for _, rate in searching.values()])
     bounds = np.take(merits, owners) - _STACKED_ARMIJO[j] * rates[rows]
-    Z = deep[rows, j]
-    made, zms = trial(Z, slacks[rows, j], owners, bounds)
+    Z = (np.array([S[i] for i in tried])[rows]
+         + _STACKED_STEPS[j] * np.array([d for d, _ in searching.values()])[rows])
+    made, zms = trial(Z, owners, bounds)
     return Z, owners, _STACKED_STEPS[j, 0], made, zms
 
 
@@ -608,8 +605,11 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     ``DualPoint.newton_radius`` at most _DIKIN is handed to the
     barrier-free polish.  The solve ends at the first polished point that
     ``_interior_converged`` accepts; a refused one leaves the barrier's
-    point as it was.  Without a handover the barrier runs to _MU_FLOOR (or
-    ``max_outer`` steps) and its last point is polished.  Interior
+    point as it was, and that point, while the barrier takes no step from
+    it, is not handed over again.  Without a handover the barrier runs to
+    _MU_FLOOR (or ``max_outer`` steps), and its own last point is polished
+    if it clears the boundary (``DualPoint.clears(0.0)``), with no new
+    factorization: one polish call serves both.  Interior
     convergence yields a stationary dual point paired with the
     recovered primal point and a matched-value check; a maximizer pinned to
     the region boundary is reported with ``boundary_flag`` set and the
@@ -626,8 +626,8 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     iterations = 0
     mu = cfg.barrier_weight
     point = None  # each outer step starts from the factorized point the last one ended at
-    handed_over = False
-    for _ in range(cfg.max_outer):
+    refused = None  # the last point whose polish _interior_converged refused
+    for outer in range(cfg.max_outer):
         [(s, point, its)] = _damped_newton([s], *_barrier(p, mu), tol=gtol,
                                            max_iter=cfg.max_inner, step_tol=cfg.step_tol,
                                            states=None if point is None else [point],
@@ -636,23 +636,22 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
         mu *= cfg.barrier_shrink
-        if mu < _MU_FLOOR:
-            break
-        if point.newton_radius() <= _DIKIN and point.clears(_FEAS_MARGIN * p.f_scale):
-            # Newton may finish from here: hand over to the polish, and if it
-            # does not, go on with the barrier from its own point
+        last = mu < _MU_FLOOR or outer == cfg.max_outer - 1
+        # the last point is polished wherever the polish can start; an earlier
+        # one once Newton may finish from it, and not again where the barrier
+        # took no step from a refused one
+        if (point.clears(0.0) if last else point is not refused
+                and point.newton_radius() <= _DIKIN
+                and point.clears(_FEAS_MARGIN * p.f_scale)):
             [(t, state, its)] = _damped_newton([s], *_polish(p), tol=polish_tol,
                                                max_iter=cfg.max_inner, states=[point])
-            if _interior_converged(state, gtol):
-                s, handed_over = t, True
+            if last or _interior_converged(state, gtol):
+                s = t
                 iterations += its
                 break
-
-    if not handed_over:
-        # no handover finished: barrier-free polish from the barrier's last point
-        [(s, _, its)] = _damped_newton([s], *_polish(p), tol=polish_tol,
-                                       max_iter=cfg.max_inner)
-        iterations += its
+            refused = point  # the barrier goes on from its own point
+        elif last:
+            break
 
     gm = dual.assemble_G(p, s)
     at_domain_edge = bool((dual.domain_slacks(p, s) <= 1e-6 * p.f_scale).any())

@@ -301,14 +301,15 @@ def test_barrier_value_rejects_points_outside_the_region():
 @pytest.mark.parametrize("cholesky", [True, False], ids=["cholesky", "lu"])
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
 def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng):
-    # the trials of a line search, the first ones made one at a time and the
-    # rest screened as one stack, are those of halving t one step at a time,
-    # bit for bit, and each screened point gets its own slacks
+    # the rows a line search hands its trial, the first ones one at a time
+    # and the rest as one stack, are those of halving t one step at a time,
+    # bit for bit, the points outside the domain among them.  The trial's
+    # own screen (the barrier's Cholesky trial, the root search's stacked LU
+    # trial) refuses those, every row's merit is that of its point made
+    # alone, and a point it makes holds its own row's slacks
     p = _barrier_problem(name)
     s, _ = solver._phase1(p)
-    screen = partial(dual.screen, p, cholesky=cholesky)
-    # an LU point may sit on its edge, except an exponential coordinate's
-    strict = p.coordinate_rows.strict[p.coordinate_rows.index]
+    trial, merit = (solver._barrier(p, 1.0) if cholesky else solver._roots(p, [p]))[:2]
     refused_any, edge_steps = False, set()
     # t = 2^-k along -2^k s puts each sign multiplier and exponential
     # coordinate exactly on its edge, slack 0: at t = 1/2 among the single
@@ -318,36 +319,30 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
                       for scale in (10.0, 10.0, 1e3, 1e3, 1e3)]:
         handed = []
 
-        def trial(Z, slacks=None, owners=None, bounds=None):
-            handed.extend(zip(Z, [None] * len(Z) if slacks is None else slacks))
-            return {}, [math.inf] * len(Z)  # no row accepted, none made
+        def refusing(Z, owners, bounds):
+            # within a bound of inf the first row inside is accepted; within
+            # -inf none is, so every row is made and the line search runs
+            # through all its steps
+            for a, state in trial(Z, owners, [math.inf] * len(Z))[0].items():
+                assert state.slacks.tobytes() == dual.domain_slacks(p, Z[a]).tobytes()
+            states, merits = trial(Z, owners, [-math.inf] * len(Z))
+            assert states == {}
+            handed.extend(zip(Z, merits))
+            return states, merits
 
-        # g = d with H = -I makes d the Newton direction; every trial is
-        # refused, so the line search runs through all its steps
-        solver._damped_newton([s], trial, screen, lambda state: 0.0, lambda g, d, m: 1.0,
+        # g = d with H = -I makes d the Newton direction
+        solver._damped_newton([s], refusing, lambda state: 0.0, lambda g, d, m: 1.0,
                               lambda states: (d[None], -np.eye(p.dual_dim)[None]), tol=0.0,
                               max_iter=1, states=["start"])
-        expected, t = [], 1.0
-        for k in range(solver._HALVINGS):
-            z = s + t * d
-            slacks = dual.domain_slacks(p, z)
-            if (slacks == 0.0).any():
+        assert len(handed) == solver._HALVINGS
+        for k, (z, m) in enumerate(handed):
+            t = math.ldexp(1.0, -k)
+            assert z.tobytes() == (s + t * d).tobytes()
+            if (dual.domain_slacks(p, z) == 0.0).any():
                 edge_steps.add(t)
-            if k < solver._SINGLE_STEPS:
-                expected.append((z, None))
-            elif not ((slacks <= 0.0).any() if cholesky
-                      else ((slacks < 0.0) | (slacks == 0.0) & strict).any()):
-                expected.append((z, slacks))
-            else:
-                refused_any = True
-            t *= 0.5
-        assert len(handed) == len(expected)
-        for (z, slacks), (z_expected, slacks_expected) in zip(handed, expected):
-            assert z.tobytes() == z_expected.tobytes()
-            if slacks_expected is None:
-                assert slacks is None
-            else:
-                assert slacks.tobytes() == slacks_expected.tobytes()
+            alone = dual.factor_point(p, z, cholesky)
+            refused_any |= alone is None
+            assert m == (math.inf if alone is None else merit(alone))
     assert refused_any
     assert {0.5, math.ldexp(1.0, -solver._SINGLE_STEPS)} <= edge_steps
 
@@ -364,7 +359,7 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     else:
         p = _barrier_problem("continuous")
         callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
-    trial, screen, merit, slope, derivatives = callbacks
+    trial, merit, slope, derivatives = callbacks
     built, derived, tried = [], [], []
     init = dual.DualPoint.__init__
 
@@ -381,7 +376,7 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
         return derivatives(points)
 
     monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
-    ends = solver._damped_newton(starts, recording_trial, screen, merit, slope,
+    ends = solver._damped_newton(starts, recording_trial, merit, slope,
                                  recording_derivatives, tol=1e-12, max_iter=60)
     kept = {id(point) for point in derived + [state for _, state, _ in ends]}
     refused = [point for point in built if id(point) not in kept]
@@ -621,11 +616,12 @@ def test_a_refused_handover_leaves_the_path_to_the_floor(monkeypatch):
 
 def test_a_solve_that_never_hands_over_keeps_its_bits(monkeypatch):
     # f = 0: each sign's bare gradient x_i^2 - 1 is -1, so the gradient norm
-    # stays sqrt(n), no handover is tried, and the barrier runs to the floor
+    # stays sqrt(n), no handover is tried, and the barrier runs to the floor,
+    # where G is singular by dual.boundary_tol: no polish starts there
     p = random_qip(np.random.default_rng(2), 8, f_style="zero").to_problem()
     calls = _counting_newton(monkeypatch)
     rep = solver.solve_dual(p)
-    assert calls == [True] * 18 + [False]
+    assert calls == [True] * 18
     assert (rep.status, rep.iterations) == ("boundary", 37)
     assert _report_sha(rep) == (
         "4d8583a592c1409061556c64271e474b20425489fa516321981a18463c57c544")
@@ -679,6 +675,21 @@ def test_boundary_problems_start_no_polish(rng, monkeypatch):
     statuses = [solver.solve_dual(p).status for p in problems]
     assert (statuses.count("interior"), statuses.count("boundary")) == (4, 17)
     assert verdicts == [True] * 4
+
+
+def test_a_refused_point_is_not_polished_again(monkeypatch):
+    # n = 6 with one xlogx term, whose maximizer sits near s = 20, where the
+    # conjugate is about e^10: the polish stalls above gtol, and most barrier
+    # runs after the first take no Newton step.  The barrier's unchanged
+    # point is not polished again: a polish for each new point and one at
+    # the floor, not one per outer step (18), and the solve still raises
+    rng = np.random.default_rng(212)
+    p = [random_problem(rng, f_scale=3.0) for _ in range(12)][-1]
+    assert p.n == 6 and [t.kind for t in p.terms].count(TermKind.XLOGX) == 1
+    calls = _counting_newton(monkeypatch)
+    with pytest.raises(MaxIterations):
+        solver.solve_dual(p)
+    assert calls.count(True) == 18 and calls.count(False) <= 4
 
 
 def _newton_end_points(monkeypatch, problems) -> list:
@@ -800,15 +811,18 @@ def test_newton_loops_make_no_eigh_call(monkeypatch):
 
 def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
     # at a boundary maximizer the barrier ends where G is singular by
-    # dual.boundary_tol, outside the polish's domain, so the polish stops at
-    # its start; a positive-definite test alone lets it take one more step
-    polish_steps = []
+    # dual.boundary_tol, outside the polish's domain, so no polish starts
+    # from its last point; a positive-definite test alone lets the polish
+    # take one more step
+    polish_steps, last_points = [], []
     newton = solver._damped_newton
 
     def recording(*args, **kwargs):
         ends = newton(*args, **kwargs)
         if kwargs.get("step_tol") is None:  # the barrier steps pass one
             polish_steps.extend((state, its) for _, state, its in ends)
+        else:
+            last_points[:] = [state for _, state, _ in ends]
         return ends
 
     monkeypatch.setattr(solver, "_damped_newton", recording)
@@ -816,7 +830,10 @@ def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
                                      .to_problem() for seed, n in ((0, 3), (1, 6), (2, 8))]
     for p in problems:
         assert solver.solve_dual(p).status == "boundary"
-    assert polish_steps == [(None, 0)] * len(problems)
+        [point] = last_points
+        # positive definite, with its Cholesky factor, yet singular
+        assert point.L is not None and not point.clears(0.0)
+    assert polish_steps == []
 
 
 def test_centering_test_needs_a_nonnegative_decrement():
@@ -1054,17 +1071,17 @@ def test_fc_sweep_threshold_matches_discriminant_oracle():
 def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypatch):
     # the 12-magnitude sweep of the benchmark.  Factorizing every trial one at
     # a time makes 23,051 factor_point calls, 10,576 of them refused for
-    # their domain slacks; the stacked screen leaves those of the first
-    # _SINGLE_STEPS trials of each line search (2,502).  The solves' barrier
-    # and polish make 89 trials one at a time.  The root searches, the 216
-    # starts of all 12 magnitudes in one lockstep stack, make one stack of
-    # the start points, then at most five an iteration: the four single
-    # steps, and every screened deeper step of every start still searching
-    # in one (a 1x1 G fits a whole deep round in one pass of _lu_trials).
-    # So they evaluate 31,510 trials, the deep steps past each start's
-    # accepted one among them, in 125 stacks.  Each of their 25 iterations forms the
-    # Hessians of its running starts as one stack (1,865 in all), and the
-    # Newton directions too: no start is solved alone
+    # their domain slacks.  The solves' barrier and polish make 89 trials one
+    # at a time.  The root searches, the 216 starts of all 12 magnitudes in
+    # one lockstep stack, make one stack of the start points, then at most
+    # five an iteration: the four single steps, and every deeper step of
+    # every start still searching in one (a 1x1 G fits a whole deep round in
+    # one pass of _lu_trials).  So they hand factor_stack 39,584 trials, the
+    # deep steps past each start's accepted one among them, in 126 stacks,
+    # and its own screen refuses the same 10,576 for their slacks.  Each of
+    # their 25 iterations forms the Hessians of its running starts as one
+    # stack (1,865 in all), and the Newton directions too: no start is
+    # solved alone
     calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0,
              "hessian_stacks": 0, "hessians": 0, "alone_directions": 0}
     factor, stack = dual.factor_point, dual.factor_stack
@@ -1079,23 +1096,22 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
         calls["alone_directions"] += 1
         return alone_direction(H, g)
 
-    def counting(p, s, cholesky=True, slacks=None):
+    def counting(p, s, cholesky=True):
         calls["points"] += 1
-        return factor(p, s, cholesky, slacks)
+        return factor(p, s, cholesky)
 
-    def counting_stack(p, Z, f, problems, slacks=None):
+    def counting_stack(p, Z, f, problems):
         calls["stacks"] += 1
         calls["rows"] += len(Z)
-        if slacks is None:
-            calls["slack_refused"] += int(dual.screen(p, np.array(Z), False)[0].sum())
-        return stack(p, Z, f, problems, slacks)
+        calls["slack_refused"] += int(dual.screen(p, np.array(Z), False)[0].sum())
+        return stack(p, Z, f, problems)
 
     monkeypatch.setattr(dual, "factor_point", counting)
     monkeypatch.setattr(dual, "factor_stack", counting_stack)
     monkeypatch.setattr(dual, "bare_hessians", counting_hessians)
     monkeypatch.setattr(solver, "_solve_newton", counting_alone)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
-    assert calls == {"points": 89, "stacks": 125, "rows": 31_510, "slack_refused": 2_502,
+    assert calls == {"points": 89, "stacks": 126, "rows": 39_584, "slack_refused": 10_576,
                      "hessian_stacks": 25, "hessians": 1_865, "alone_directions": 0}
     assert res.threshold == 1.75
     rows = json.dumps([dataclasses.asdict(row) for row in res.rows])
@@ -1185,9 +1201,9 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     def sweep(stack_elements, search_elements):
         calls = []
 
-        def counting_stack(p, Z, f, problems, slacks=None):
+        def counting_stack(p, Z, f, problems):
             calls.append(("trial", len(Z)))
-            return factor(p, Z, f, problems, slacks)
+            return factor(p, Z, f, problems)
 
         def counting_hessians(p, s, G, images):
             calls.append(("hessians", len(s)))
@@ -1235,9 +1251,9 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     sizes, built = [], []
     factor, init = dual.factor_stack, dual.DualPoint.__init__
 
-    def counting_stack(p, Z, f, problems, slacks=None):
+    def counting_stack(p, Z, f, problems):
         sizes.append(len(Z))
-        return factor(p, Z, f, problems, slacks)
+        return factor(p, Z, f, problems)
 
     def recording_init(point, *args, **kwargs):
         init(point, *args, **kwargs)
@@ -1251,7 +1267,7 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     else:
         run = partial(solver._lu_trials, p, np.array([p.f] * 3),
                       np.array([p] * 3, dtype=object), 3 if trial == "lu_3_a_call" else 10)
-    states, merits = run(Z, None, owners, bounds)
+    states, merits = run(Z, owners, bounds)
     merits = np.asarray(merits)
     assert sorted(states) == [2, 7]
     for a, state in states.items():
