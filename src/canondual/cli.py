@@ -166,8 +166,8 @@ def _load_config(args) -> solver.SolverConfig:
 def _load_document(path) -> tuple:
     """(problem, qip): a qip document gives its QipInstance and the problem
     it converts to, any other document its problem and None."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        doc = model._decode(fh.read())
     if isinstance(doc, dict) and "qip" in doc:
         qip = integer.load_qip(doc)
         return qip.to_problem(), qip

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import dual, linalg, model, solver
-from .errors import DimensionMismatch, EmptyInterior, MaxIterations, SchemaError
+from .errors import DimensionMismatch, EmptyInterior, MaxIterations
 from .model import CanonicalTerm, Problem, TermKind, Variables
 
 SNAP_TOL = 1e-5
@@ -197,26 +197,11 @@ def complementarity_check(inst: QipInstance, x, sigma, tol: float = 1e-6) -> Com
 
 
 def load_qip(doc) -> QipInstance:
-    """Parse the {"qip": {"Q": ..., "f": ...}} document form."""
-    doc = model._decode(doc)
-    if not isinstance(doc, dict) or set(doc) != {"qip"}:
-        raise SchemaError("$", "expected a single top-level 'qip' object")
-    body = doc["qip"]
-    if not isinstance(body, dict):
-        raise SchemaError("$.qip", "must be an object")
-    unknown = set(body) - {"Q", "f"}
-    if unknown:
-        raise SchemaError("$.qip", f"unknown fields {sorted(unknown)}")
-    if "Q" not in body or "f" not in body:
-        raise SchemaError("$.qip", "requires fields Q and f")
-    rows = body["Q"]
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError("$.qip.Q", "must be a non-empty array of rows")
-    Q = [model._number_list(row, f"$.qip.Q[{r}]") for r, row in enumerate(rows)]
-    f = model._number_list(body["f"], "$.qip.f")
-    widths = {len(row) for row in Q}
-    if len(widths) != 1 or widths.pop() != len(Q):
+    """Parse the {"qip": {"Q": ..., "f": ...}} document form; its structure
+    is checked here, its shapes by ``QipInstance``."""
+    body = model._object(model._object(model._decode(doc), "$", {"qip"})["qip"], "$.qip",
+                         {"Q", "f"})
+    Q = model._rows(body["Q"], "$.qip.Q")
+    if Q.shape[0] != Q.shape[1]:
         raise DimensionMismatch("$.qip.Q must be square")
-    if len(f) != len(Q):
-        raise DimensionMismatch(f"$.qip.f has length {len(f)}, expected {len(Q)}")
-    return QipInstance(Q=np.array(Q), f=np.array(f))
+    return QipInstance(Q=Q, f=model._numbers(body["f"], "$.qip.f"))

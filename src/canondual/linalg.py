@@ -35,9 +35,10 @@ def check_symmetric(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidMatrix(f"{name} has non-finite entries")
     scale = np.max(np.abs(A)) if A.size else 0.0
-    if A.size and np.max(np.abs(A - A.T)) > SYM_RTOL * max(scale, 1.0):
-        raise InvalidMatrix(f"{name} is not symmetric within tolerance")
-    return 0.5 * (A + A.T)
+    with np.errstate(over="ignore"):  # a difference past the double range is asymmetry
+        if A.size and np.max(np.abs(A - A.T)) > SYM_RTOL * max(scale, 1.0):
+            raise InvalidMatrix(f"{name} is not symmetric within tolerance")
+    return 0.5 * A + 0.5 * A.T  # 0.5 * (A + A.T) overflows near the double range
 
 
 def eigh(M: np.ndarray) -> EigenDecomp:

@@ -400,25 +400,15 @@ def conj_hess(t: CanonicalTerm, sigma: float) -> float:
 
 # JSON problem format ----------------------------------------------------
 
-_TOP_KEYS = {"n", "variables", "f", "terms"}
-_TERM_KEYS = {"kind", "alpha", "beta", "factor"}
-
 
 def load_problem(text) -> Problem:
     """Parse and validate the JSON problem document.
 
-    Accepts a JSON string, bytes, or an already-decoded dict.  Unknown fields
-    are rejected; numbers are parsed as IEEE-754 doubles.
+    Accepts JSON text (str or bytes) or an already-decoded value.  Unknown
+    fields are rejected; numbers are parsed as IEEE-754 doubles.  The
+    document's structure is checked here, its shapes by ``Problem``.
     """
-    doc = _decode(text)
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SchemaError("$", f"unknown fields {sorted(unknown)}")
-    missing = _TOP_KEYS - set(doc)
-    if missing:
-        raise SchemaError("$", f"missing fields {sorted(missing)}")
+    doc = _object(_decode(text), "$", {"n", "variables", "f", "terms"})
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("$.n", "must be a positive integer")
@@ -426,62 +416,71 @@ def load_problem(text) -> Problem:
         variables = Variables(doc["variables"])
     except ValueError:
         raise SchemaError("$.variables", "must be 'continuous' or 'sign_integer'") from None
-    f = _number_list(doc["f"], "$.f")
-    if len(f) != n:
-        raise DimensionMismatch(f"f has length {len(f)}, expected {n}")
-    if not isinstance(doc["terms"], list) or not doc["terms"]:
-        raise SchemaError("$.terms", "must be a non-empty array")
-    terms = []
-    for i, td in enumerate(doc["terms"]):
-        path = f"$.terms[{i}]"
-        if not isinstance(td, dict):
-            raise SchemaError(path, "must be an object")
-        unknown = set(td) - _TERM_KEYS
-        if unknown:
-            raise SchemaError(path, f"unknown fields {sorted(unknown)}")
-        for key in ("kind", "alpha", "factor"):
-            if key not in td:
-                raise SchemaError(f"{path}.{key}", "missing")
-        try:
-            kind = TermKind(td["kind"])
-        except ValueError:
-            raise SchemaError(f"{path}.kind", f"unknown kind {td['kind']!r}") from None
-        alpha = _number(td["alpha"], f"{path}.alpha")
-        beta = _number(td.get("beta", 0.0), f"{path}.beta")
-        factor = td["factor"]
-        if not isinstance(factor, list) or not factor:
-            raise SchemaError(f"{path}.factor", "must be a non-empty array of rows")
-        rows = [_number_list(row, f"{path}.factor[{r}]") for r, row in enumerate(factor)]
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
-            raise SchemaError(f"{path}.factor", "rows have inconsistent lengths")
-        if widths.pop() != n:
-            raise DimensionMismatch(f"{path}.factor has {len(rows[0])} columns, expected {n}")
-        try:
-            terms.append(CanonicalTerm(kind=kind, factor=np.array(rows), alpha=alpha, beta=beta))
-        except DomainViolation as exc:
-            raise SchemaError(path, str(exc)) from None
-    return Problem(n=n, terms=terms, f=np.array(f), variables=variables)
+    f = _numbers(doc["f"], "$.f")
+    if not isinstance(doc["terms"], list):
+        raise SchemaError("$.terms", "must be an array")
+    terms = [_term(td, f"$.terms[{i}]") for i, td in enumerate(doc["terms"])]
+    return Problem(n=n, terms=terms, f=f, variables=variables)
+
+
+def _term(td, path: str) -> CanonicalTerm:
+    td = _object(td, path, {"kind", "alpha", "factor"}, optional={"beta"})
+    try:
+        kind = TermKind(td["kind"])
+    except ValueError:
+        raise SchemaError(f"{path}.kind", f"unknown kind {td['kind']!r}") from None
+    try:
+        return CanonicalTerm(kind=kind, factor=_rows(td["factor"], f"{path}.factor"),
+                             alpha=_number(td["alpha"], f"{path}.alpha"),
+                             beta=_number(td.get("beta", 0.0), f"{path}.beta"))
+    except DomainViolation as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def _decode(text):
-    if isinstance(text, (dict, list)):
+    """JSON text (str or bytes) decoded; any other value is taken as decoded."""
+    if not isinstance(text, (str, bytes)):
         return text
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, not Unicode, nested too deep
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+
+
+def _object(v, path: str, required: set, optional: set = frozenset()) -> dict:
+    """``v`` as an object with every ``required`` field and no field outside
+    ``required`` and ``optional``."""
+    if not isinstance(v, dict):
+        raise SchemaError(path, "must be a JSON object")
+    unknown = set(v) - required - optional
+    if unknown:
+        raise SchemaError(path, f"unknown fields {sorted(unknown)}")
+    missing = required - set(v)
+    if missing:
+        raise SchemaError(path, f"missing fields {sorted(missing)}")
+    return v
 
 
 def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(path, "must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the double range
+        raise SchemaError(path, "must be within the double range") from None
 
 
-def _number_list(v, path: str) -> list:
+def _numbers(v, path: str) -> list:
     if not isinstance(v, list):
         raise SchemaError(path, "must be an array of numbers")
     return [_number(item, f"{path}[{i}]") for i, item in enumerate(v)]
+
+
+def _rows(v, path: str) -> np.ndarray:
+    """``v`` as a matrix: a non-empty array of number rows of one length."""
+    if not isinstance(v, list) or not v:
+        raise SchemaError(path, "must be a non-empty array of rows")
+    rows = [_numbers(row, f"{path}[{r}]") for r, row in enumerate(v)]
+    if len({len(row) for row in rows}) != 1:
+        raise SchemaError(path, "rows have inconsistent lengths")
+    return np.array(rows)

@@ -92,6 +92,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional, Sequence
@@ -165,7 +166,8 @@ class SolverConfig:
             if f.type == "int":
                 if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                     raise ValueError(f"{f.name} must be an integer, got {v!r}")
-            elif isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            elif (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                  or not abs(v) <= sys.float_info.max):  # refuses nan, inf and huge ints
                 raise ValueError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("barrier_weight", "max_outer", "max_inner", "grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
@@ -282,6 +284,7 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, own
     stack outlives its call."""
     Z, owners, bounds = np.asarray(Z, dtype=float), np.asarray(owners), np.asarray(bounds)
     states, merits = {}, np.full(len(Z), math.inf)
+    accepted = np.zeros(len(problems), dtype=bool)  # per start
     waiting = np.arange(len(Z))
     while waiting.size:
         take, waiting = waiting[:cap], waiting[cap:]
@@ -290,14 +293,12 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, own
         kept = stack.kept
         m = merits[take[kept]] = _gradient_norms(stack.bare_grads)
         passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
-        # a start's first row to pass, its longest step, is its accepted
-        # one: read backwards, a start's first row is the last one kept
-        first = dict(zip(who[passed][::-1].tolist(), passed[::-1].tolist()))
-        kept = sorted(first.values())
-        if waiting.size:
-            waiting = waiting[[o not in first for o in owners[waiting].tolist()]]
-        for j, a in zip(kept, take[kept].tolist()):
-            states[a] = stack[j]
+        # a start's first row to pass, its longest step, is its accepted one
+        done, first = np.unique(who[passed], return_index=True)
+        for j in np.sort(passed[first]).tolist():
+            states[int(take[j])] = stack[j]
+        accepted[done] = True
+        waiting = waiting[~accepted[owners[waiting]]]
     return states, merits
 
 

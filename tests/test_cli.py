@@ -142,6 +142,32 @@ def test_solve_malformed_file(tmp_path):
     assert "error" in res.stderr
 
 
+BIG = "1" + "0" * 400  # an integer past the double range
+
+
+# each is refused where it enters, with a message and no traceback
+@pytest.mark.parametrize("doc, config", [
+    ("0", None), ("null", None), ("true", None), ("1.5", None), (b"\xff", None),
+    ("[" * 100_000 + "]" * 100_000, None),
+    (json.dumps(DW).replace("[0.5]", f"[{BIG}]"), None),
+    (json.dumps(QIP).replace("[[0, 1]", f"[[{BIG}, 1]"), None),
+    (json.dumps(DW), f'{{"grad_tol": {BIG}}}'),
+    ('{"qip": {"Q": [[1e308, 1e308], [1e308, 1e308]], "f": [1, 0]}}', None),
+], ids=["zero", "null", "true", "float", "not-utf8", "deep", "big-f", "big-Q", "big-grad_tol",
+        "qip-1e308"])
+def test_malformed_input_exits_one_with_a_message(tmp_path, doc, config):
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+    args = ["solve", str(path)]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        args += ["--config", str(tmp_path / "config.json")]
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stdout == "" and res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_exits_one(tmp_path):
     # 2 is reserved for heuristic answers, so argparse's usage exit must not leak
     res = run_cli("solve", write(tmp_path, "q.json", QIP), "--bogus")

@@ -117,6 +117,14 @@ def test_load_qip_document():
         integer.load_qip({"qip": {"Q": [[0, 1]], "f": [0]}})
 
 
+def test_qip_near_the_double_range_is_refused_not_solved():
+    # Q loads finite; its spectral factors do not, so no report is made of it
+    inst = integer.load_qip({"qip": {"Q": [[1e308, 1e308], [1e308, 1e308]], "f": [1, 0]}})
+    assert np.all(np.isfinite(inst.Q))
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        inst.to_problem()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
 def test_sign_round_lands_on_hypercube(values):

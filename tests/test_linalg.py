@@ -36,6 +36,16 @@ def test_check_symmetric_rejects_nonfinite():
         linalg.check_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_check_symmetric_near_the_double_range():
+    with pytest.raises(InvalidMatrix):  # the difference is past the double range
+        linalg.check_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    # 0.5 * (A + A.T) would be inf: each half is taken before the sum
+    A = np.full((2, 2), 1e308)
+    assert np.array_equal(linalg.check_symmetric(A), A)
+    B = np.array([[1.0, 2.0 + 1e-15], [2.0, 3.0]])
+    assert np.array_equal(linalg.check_symmetric(B), 0.5 * (B + B.T))
+
+
 def test_eigh_invariants_random_corpus():
     rng = np.random.default_rng(11)
     for _ in range(200):

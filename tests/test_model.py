@@ -1,12 +1,15 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canondual import model
-from canondual.errors import DimensionMismatch, DomainViolation, SchemaError
+from canondual import integer, model
+from canondual.errors import CanonDualError, DimensionMismatch, DomainViolation, SchemaError
+from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 
 from conftest import double_well
@@ -195,3 +198,109 @@ def test_load_problem_beta_only_for_quartic():
     doc["terms"][0]["kind"] = "exponential"
     with pytest.raises(SchemaError):
         model.load_problem(doc)
+
+
+# Both loaders check a document's structure with model's one checker.
+
+@pytest.mark.parametrize("doc", [
+    0, None, True, 1.5, [], "0", "null", "true", "1.5", "[]", b"\xff", "{",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["0", "None", "True", "1.5", "list", "text-0", "text-null", "text-true", "text-1.5",
+        "text-list", "not-utf8", "truncated", "deep"])
+@pytest.mark.parametrize("load", [model.load_problem, integer.load_qip])
+def test_a_document_that_is_not_an_object_is_refused_at_the_root(load, doc):
+    with pytest.raises(SchemaError) as exc:
+        load(doc)
+    assert exc.value.path == "$"
+
+
+def test_an_integer_past_the_double_range_is_refused_at_its_path():
+    big = 10 ** 400
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["f"] = [big]
+    for text in (doc, json.dumps(doc)):
+        with pytest.raises(SchemaError) as exc:
+            model.load_problem(text)
+        assert exc.value.path == "$.f[0]"
+    with pytest.raises(SchemaError) as exc:
+        integer.load_qip({"qip": {"Q": [[0, 1], [1, -big]], "f": [0, 0]}})
+    assert exc.value.path == "$.qip.Q[1][1]"
+
+
+NAMES = ("n", "variables", "f", "terms", "kind", "alpha", "beta", "factor", "qip", "Q",
+         "continuous", "sign_integer") + tuple(k.value for k in TermKind)
+numbers = (st.integers() | st.floats(width=64)
+           | st.sampled_from([2 ** 1024, -(10 ** 400), 1e308, -1e308, math.inf, -math.inf]))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.sampled_from(NAMES) | numbers,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(NAMES) | st.text(max_size=2), children, max_size=5),
+    max_leaves=20,
+)
+# any value, or a field of the documents' own shapes: a number list or a matrix
+fields = (json_values | st.lists(numbers, max_size=3)
+          | st.lists(st.lists(numbers, min_size=1, max_size=3), min_size=1, max_size=3))
+
+
+def near_documents():
+    """Objects over the documents' own fields, each value often of its own type."""
+    term = st.fixed_dictionaries(
+        {"kind": st.sampled_from([k.value for k in TermKind]) | fields, "alpha": fields,
+         "factor": fields}, optional={"beta": fields})
+    problem = st.fixed_dictionaries(
+        {"n": st.integers(-1, 3) | fields,
+         "variables": st.sampled_from(["continuous", "sign_integer"]) | fields,
+         "f": fields, "terms": st.lists(term | fields, max_size=3) | fields})
+    qip = st.fixed_dictionaries({"qip": st.fixed_dictionaries({"Q": fields, "f": fields})})
+    return problem | qip
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=json_values | near_documents(), as_text=st.booleans())
+def test_loaders_return_a_document_or_raise_the_package_error(doc, as_text):
+    # the exponential term's negative-alpha warning is by design
+    if as_text:
+        doc = json.dumps(doc)
+    for load, built in ((model.load_problem, Problem), (integer.load_qip, QipInstance)):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "exponential term with negative alpha",
+                                    UserWarning)
+            try:
+                assert isinstance(load(doc), built)
+            except CanonDualError:
+                pass
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000)
+nonzero = finite.filter(lambda v: v != 0)
+
+
+@st.composite
+def valid_problem_documents(draw):
+    n = draw(st.integers(1, 3))
+    row = st.lists(finite, min_size=n, max_size=n)
+    terms = []
+    for kind in draw(st.lists(st.sampled_from([k.value for k in TermKind]), min_size=1,
+                              max_size=4)):
+        term = {"kind": kind, "alpha": draw(nonzero),
+                "factor": draw(st.lists(row, min_size=1, max_size=3))}
+        if kind == "quartic" and draw(st.booleans()):
+            term["beta"] = draw(finite)
+        terms.append(term)
+    return {"n": n, "variables": draw(st.sampled_from(["continuous", "sign_integer"])),
+            "f": draw(row), "terms": terms}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=valid_problem_documents())
+def test_a_valid_document_loads_to_its_source(doc):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "exponential term with negative alpha", UserWarning)
+        p = model.load_problem(json.dumps(doc))
+    assert p.n == doc["n"] and p.variables.value == doc["variables"]
+    assert p.f.tolist() == [float(v) for v in doc["f"]]
+    assert [t.kind.value for t in p.terms] == [t["kind"] for t in doc["terms"]]
+    assert [t.factor.tolist() for t in p.terms] == [
+        [[float(v) for v in r] for r in t["factor"]] for t in doc["terms"]]
+    assert [t.alpha for t in p.terms] == [float(t["alpha"]) for t in doc["terms"]]
+    assert [t.beta for t in p.terms] == [float(t.get("beta", 0.0)) for t in doc["terms"]]

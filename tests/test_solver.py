@@ -1323,3 +1323,8 @@ def test_solver_config_json_roundtrip(tmp_path):
         SolverConfig.from_json('{"grad_tol": 1e-8, "mystery": 1}')
     with pytest.raises(ValueError):
         SolverConfig(barrier_shrink=1.5)
+
+
+def test_solver_config_refuses_an_integer_past_the_double_range():
+    with pytest.raises(ValueError, match="grad_tol must be a finite number"):
+        SolverConfig.from_json('{"grad_tol": 1' + "0" * 400 + "}")

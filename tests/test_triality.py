@@ -119,6 +119,49 @@ def test_local_min_weakens_to_unclassified_when_dims_differ():
     assert result.label is TrialityLabel.UNCLASSIFIED
 
 
+def test_negative_definite_G_on_a_sign_problem_is_unclassified():
+    # Q = -4I and sigma = (0.5, 0.5) give G = Q + 2 diag(sigma) = -3I, and G x = f at x = (1, 1)
+    term = CanonicalTerm(TermKind.PLAIN_QUADRATIC, 2.0 * np.eye(2), -1.0)
+    p = Problem(n=2, terms=[term], f=[-3.0, -3.0], variables="sign_integer")
+    result = triality.classify(p, [1.0, 1.0], [0.5, 0.5])
+    assert result.evidence["G_eigvals"] == [-3.0, -3.0]
+    assert result.label is TrialityLabel.UNCLASSIFIED
+    assert result.evidence["note"] == "negative definite G on a sign-integer problem"
+
+
+def two_wells(lams, f) -> Problem:
+    """Decoupled wells 0.5 (0.5 x_i^2 - lam_i)^2 - f_i x_i on the factors e1'
+    and e2': G(s) = diag(s), each s_i a root of its own well's cubic."""
+    terms = [CanonicalTerm(TermKind.QUARTIC, np.eye(2)[[i]], 1.0, -lam)
+             for i, lam in enumerate(lams)]
+    return Problem(n=2, terms=terms, f=np.array(f))
+
+
+WELL_ROOTS = solver.solve_cubic_dual(1.0, 2.0, 0.5)  # global min, local min, local max
+
+
+@pytest.mark.parametrize("lams, f, s, label, note", [
+    # well 1's local minimum, well 2's local maximum: G < 0, primal Hessian indefinite
+    ((2.0, 2.0), (0.5, 0.5), WELL_ROOTS[[1, 2]], TrialityLabel.UNCLASSIFIED,
+     "indefinite primal Hessian at a negative definite G"),
+    # s = -1 is the double root of (s + 1.5) s^2 = 0.5, where well 1's primal
+    # curvature 3 s + 2 lam is 0: G < 0 with a singular primal Hessian
+    ((1.5, 2.0), (-1.0, 0.5), (-1.0, WELL_ROOTS[2]), TrialityLabel.BOUNDARY_DEGENERATE, None),
+    # well 1 at f = 0 pairs its root s = 0 with x = 2: G = diag(0, s) <= 0 is singular
+    ((2.0, 2.0), (0.0, 0.5), (0.0, WELL_ROOTS[2]), TrialityLabel.BOUNDARY_DEGENERATE, None),
+    # well 1's global minimum, well 2's local maximum: G indefinite
+    ((2.0, 2.0), (0.5, 0.5), WELL_ROOTS[[0, 2]], TrialityLabel.UNCLASSIFIED,
+     "indefinite G, outside both certified regions"),
+])
+def test_two_wells_label_the_pairs_of_their_roots(lams, f, s, label, note):
+    x = [fi / si if si else math.sqrt(2.0 * lam) for fi, si, lam in zip(f, s, lams)]
+    result = triality.classify(two_wells(lams, f), x, s)
+    assert result.label is label
+    assert result.evidence.get("note") == note
+    # the primal Hessian is read only at a negative definite G
+    assert ("primal_hessian_eigvals" in result.evidence) == (max(s) < 0.0)
+
+
 def test_double_max_side_dual_curvature_is_concave():
     p = double_well(0.5)
     x3, s3 = pair_for(p, WELL_S3)
