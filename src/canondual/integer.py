@@ -199,8 +199,8 @@ def complementarity_check(inst: QipInstance, x, sigma, tol: float = 1e-6) -> Com
 def load_qip(doc) -> QipInstance:
     """Parse the {"qip": {"Q": ..., "f": ...}} document form; its structure
     is checked here, its shapes by ``QipInstance``."""
-    body = model._object(model._object(model._decode(doc), "$", {"qip"})["qip"], "$.qip",
-                         {"Q", "f"})
+    doc = model._object(model._decode(doc), "$", {"qip"})
+    body = model._object(doc["qip"], "$.qip", {"Q", "f"})
     Q = model._rows(body["Q"], "$.qip.Q")
     if Q.shape[0] != Q.shape[1]:
         raise DimensionMismatch("$.qip.Q must be square")
