@@ -67,13 +67,5 @@ class TooLarge(CanonDualError):
     """Instance exceeds a hard budget guard."""
 
 
-class Unbounded(CanonDualError):
-    """Linear program is unbounded below."""
-
-
-class Infeasible(CanonDualError):
-    """Linear program has no feasible point."""
-
-
 class UnsupportedTerm(CanonDualError):
     """Requested encoding cannot represent this canonical term kind."""

@@ -14,62 +14,31 @@ box-constrained quadratic program by a fresh unknown xi_kl.  Each row is the
 linearized product (a1'x + c1)(a2'x + c2) >= 0 of two nonnegative factors:
 every pair of bound factors (x - lower, upper - x), and every optional extra
 row a'x - b against every bound factor.  The result is a small LP over
-[x | xi] whose value bounds the true minimum from below.  The LP is solved by
-a dense two-phase simplex with Bland's rule; termination is guaranteed and
-speed is explicitly not a goal.
+[x | xi] whose value bounds the true minimum from below.
 
-Both constructions export to deterministic text files (sparse block format
-for the PSD form, a plain row format for the LP) that re-parse to the exact
-internal representation.
+Neither form is solved here.  Both export to deterministic text files
+(sparse block format for the PSD form, a plain row format for the LP) that
+re-parse to the exact internal representation; the tests read them back and
+solve the LP with HiGHS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import dual, linalg, solver
-from .errors import (
-    DimensionMismatch,
-    Infeasible,
-    MaxIterations,
-    TooLarge,
-    Unbounded,
-    UnsupportedTerm,
-)
+from . import linalg
+from .errors import DimensionMismatch, TooLarge, UnsupportedTerm
 from .model import Problem, TermKind
 
-LP_MAX_VARS = 66
 RLT_MAX_ROWS = 5000
 _FMT = ".17g"
 
 
 # Block-PSD form ----------------------------------------------------------
-
-
-@dataclass
-class SdpSolution:
-    value: float  # optimum of g + conjugate(s), equals minus the dual optimum
-    sigma: np.ndarray
-    g_star: float
-
-
-def solve_sdp_via_dual(p: Problem, cfg: Optional[solver.SolverConfig] = None) -> SdpSolution:
-    """Optimum of the epigraph form computed through the equivalent dual solve.
-
-    At the maximizer, g* = 0.5 f'G^+ f, and the epigraph objective value
-    g* + conjugate(s*) is exactly minus the dual optimum.
-    """
-    report = solver.solve_dual(p, cfg or solver.SolverConfig())
-    if math.isfinite(report.dual_value):
-        g_star = -report.dual_value - dual.conjugate_total(p, report.sigma_bar)
-    else:
-        g_star = float("nan")
-    return SdpSolution(value=-report.dual_value, sigma=np.asarray(report.sigma_bar),
-                       g_star=g_star)
 
 
 def schur_block(G: np.ndarray, f: np.ndarray, g: float) -> np.ndarray:
@@ -204,22 +173,6 @@ def export_sdp(p: Problem, path) -> SdpaData:
     return data
 
 
-def parse_sdpa(path) -> SdpaData:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
-    m = int(raw[0])
-    nblocks = int(raw[1])
-    sizes = [int(tok) for tok in raw[2].replace(",", " ").split()]
-    if len(sizes) != nblocks:
-        raise DimensionMismatch("block size list does not match the block count")
-    c = [float(tok) for tok in raw[3].replace(",", " ").split()]
-    entries = {}
-    for ln in raw[4:]:
-        mat, blk, i, j, val = ln.split()
-        entries[(int(mat), int(blk), int(i), int(j))] = float(val)
-    return SdpaData(m=m, block_sizes=sizes, c=c, entries=entries)
-
-
 # Level-1 linearization ----------------------------------------------------
 
 
@@ -328,127 +281,6 @@ def build_rlt(Q, f, lower, upper, extra_rows: Sequence = ()) -> RltProblem:
     return RltProblem(n=n, obj=obj, rows=rows, rhs=rhs, lower=lo, upper=up)
 
 
-@dataclass
-class RltSolution:
-    x: np.ndarray
-    xi: np.ndarray  # aligned with pair_index(n)
-    value: float
-
-    def xi_matrix(self, n: int) -> np.ndarray:
-        M = np.zeros((n, n))
-        for (k, l), v in zip(pair_index(n), self.xi):
-            M[k, l] = v
-            M[l, k] = v
-        return M
-
-
-def solve_lp_small(lp: RltProblem) -> RltSolution:
-    """Optimal basic solution of the relaxation by dense simplex.
-
-    Product surrogates are shifted by their corner-product lower bounds so
-    every unknown is nonnegative; corner upper bounds enter as rows.  Raises
-    Unbounded or Infeasible accordingly (an all-product box relaxation is
-    always feasible and bounded, so these fire only on degenerate inputs or
-    extra rows).
-    """
-    if lp.n_vars > LP_MAX_VARS:
-        raise TooLarge(f"{lp.n_vars} unknowns exceed the {LP_MAX_VARS}-variable guard")
-    K, L = np.triu_indices(lp.n)
-    lo, up = lp.lower, lp.upper
-    corners = np.stack([lo[K] * lo[L], lo[K] * up[L], up[K] * lo[L], up[K] * up[L]])
-    xi_lo = corners.min(axis=0)
-    offset = np.concatenate([lo, xi_lo])
-    span = np.concatenate([up - lo, corners.max(axis=0) - xi_lo])
-
-    b_ge = lp.rhs - lp.rows @ offset
-    A_ub = np.vstack([-lp.rows, np.eye(lp.n_vars)])
-    b_ub = np.concatenate([-b_ge, span])
-
-    z, _ = _simplex_min(lp.obj, A_ub, b_ub)
-    full = z + offset
-    value = float(lp.obj @ full)
-    return RltSolution(x=full[: lp.n], xi=full[lp.n:], value=value)
-
-
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    """Make column j a unit column with its one in row r."""
-    T[r] /= T[r, j]
-    rows = np.flatnonzero(T[:, j])
-    rows = rows[rows != r]
-    T[rows] -= T[rows, j, None] * T[r]
-
-
-def _simplex_min(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
-    """Two-phase dense simplex with Bland's rule for min c'z, Az <= b, z >= 0.
-
-    Columns are z, one slack per row, then one artificial per row with b < 0
-    (such rows are negated first).  The entering column is the lowest index
-    with a negative reduced cost; the leaving row has the least ratio, ties
-    going to the lowest basic index.
-    """
-    m, nv = A.shape
-    flip = b < 0
-    art = np.flatnonzero(flip)
-    ncols = nv + m + len(art)
-    T = np.zeros((m, ncols + 1))
-    T[:, :nv] = A
-    T[:, nv:nv + m] = np.eye(m)
-    T[:, -1] = b
-    T[flip] *= -1.0
-    T[art, nv + m + np.arange(len(art))] = 1.0
-    basis = np.arange(nv, nv + m)
-    basis[art] = nv + m + np.arange(len(art))
-
-    scale = 1.0 + float(np.max(np.abs(T)))
-    tol = 1e-10 * scale
-
-    def bland(cost: np.ndarray, n_allowed: int) -> float:
-        reduced = cost.copy()
-        for r, bv in enumerate(basis):
-            if cost[bv] != 0.0:
-                reduced -= cost[bv] * T[r, :-1]
-        for _ in range(200000):
-            entering = np.flatnonzero(reduced[:n_allowed] < -tol)
-            if not entering.size:
-                obj = 0.0
-                for r, bv in enumerate(basis):
-                    obj += cost[bv] * T[r, -1]
-                return obj
-            j = entering[0]
-            rows = np.flatnonzero(T[:, j] > tol)
-            if not rows.size:
-                raise Unbounded("objective decreases without bound")
-            ratios = T[rows, -1] / T[rows, j]
-            ties = rows[ratios == ratios.min()]
-            r = ties[np.argmin(basis[ties])]
-            _pivot(T, r, j)
-            reduced -= reduced[j] * T[r, :-1]
-            reduced[j] = 0.0
-            basis[r] = j
-        raise MaxIterations("simplex pivot budget exhausted")
-
-    if len(art):
-        cost1 = np.zeros(ncols)
-        cost1[nv + m:] = 1.0
-        phase1 = bland(cost1, ncols)
-        if phase1 > 1e-7 * scale:
-            raise Infeasible(f"no feasible point (phase-one value {phase1:.3e})")
-        for r in np.flatnonzero(basis >= nv + m):
-            candidates = np.flatnonzero(np.abs(T[r, :nv + m]) > tol)
-            if candidates.size:
-                _pivot(T, r, candidates[0])
-                basis[r] = candidates[0]
-
-    cost2 = np.zeros(ncols)
-    cost2[:nv] = c
-    obj = bland(cost2, nv + m)
-    z = np.zeros(nv)
-    for r, bv in enumerate(basis):
-        if bv < nv:
-            z[bv] = T[r, -1]
-    return z, obj
-
-
 # LP text format ------------------------------------------------------------
 
 
@@ -481,59 +313,3 @@ def export_rlt_lp(lp: RltProblem, path) -> None:
     lines.append("end")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def parse_rlt_lp(path) -> RltProblem:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("vars "):
-        raise DimensionMismatch("missing vars header")
-    n = int(lines[0].split()[1])
-    names = _var_names(n)
-    index = {name: k for k, name in enumerate(names)}
-
-    def parse_terms(text: str) -> np.ndarray:
-        coeffs = np.zeros(len(names))
-        text = text.strip()
-        if text == "0":
-            return coeffs
-        for part in text.split(" + "):
-            coef, name = part.split()
-            coeffs[index[name]] += float(coef)
-        return coeffs
-
-    obj = None
-    rows, rhs = [], []
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    mode = None
-    for ln in lines[1:]:
-        if ln.startswith("minimize: "):
-            obj = parse_terms(ln[len("minimize: "):])
-        elif ln == "subject:":
-            mode = "rows"
-        elif ln == "bounds:":
-            mode = "bounds"
-        elif ln == "end":
-            break
-        elif mode == "rows":
-            _, body = ln.split(": ", 1)
-            expr, b = body.rsplit(" >= ", 1)
-            rows.append(parse_terms(expr))
-            rhs.append(float(b))
-        elif mode == "bounds":
-            lo_s, rest = ln.split(" <= ", 1)
-            name, hi_s = rest.split(" <= ")
-            i = int(name.split("_")[1]) - 1
-            lower[i] = float(lo_s)
-            upper[i] = float(hi_s)
-    if obj is None:
-        raise DimensionMismatch("missing objective line")
-    return RltProblem(
-        n=n,
-        obj=obj,
-        rows=np.array(rows) if rows else np.zeros((0, len(names))),
-        rhs=np.array(rhs),
-        lower=lower,
-        upper=upper,
-    )

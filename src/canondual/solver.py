@@ -165,10 +165,10 @@ class SolverConfig:
             v = getattr(self, f.name)
             if f.type == "int":
                 if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+                    raise ValueError(f"{f.name} must be an integer, got {_clip(v)}")
             elif (isinstance(v, bool) or not isinstance(v, numbers.Real)
                   or not abs(v) <= sys.float_info.max):  # refuses nan, inf and huge ints
-                raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+                raise ValueError(f"{f.name} must be a finite number, got {_clip(v)}")
         for name in ("barrier_weight", "max_outer", "max_inner", "grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -189,6 +189,12 @@ class SolverConfig:
         if unknown:
             raise ValueError(f"unknown solver config fields {sorted(unknown)}")
         return cls(**d)
+
+
+def _clip(v, width: int = 40) -> str:
+    """repr of a refused value, cut so a 400-digit one stays a short message."""
+    text = repr(v)
+    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 def _barrier(p: Problem, mu: float) -> tuple:

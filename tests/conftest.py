@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from canondual.errors import DimensionMismatch
 from canondual.model import CanonicalTerm, Problem, TermKind
+from canondual.relaxations import RltProblem, SdpaData, _var_names
 
 KINDS = (TermKind.PLAIN_QUADRATIC, TermKind.QUARTIC, TermKind.EXPONENTIAL, TermKind.XLOGX)
 
@@ -60,6 +62,99 @@ def random_qip(rng: np.random.Generator, n: int, f_style: str = "uniform"):
     else:
         f = np.zeros(n)
     return QipInstance(Q=Q, f=f)
+
+
+# Readers of the two export formats and the LP arbiter.  The package writes
+# the relaxations but never solves them; HiGHS (through scipy, from the test
+# extra) solves the level-1 LP.
+
+
+def parse_sdpa(path) -> SdpaData:
+    with open(path) as fh:
+        raw = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
+    m = int(raw[0])
+    nblocks = int(raw[1])
+    sizes = [int(tok) for tok in raw[2].replace(",", " ").split()]
+    if len(sizes) != nblocks:
+        raise DimensionMismatch("block size list does not match the block count")
+    c = [float(tok) for tok in raw[3].replace(",", " ").split()]
+    entries = {}
+    for ln in raw[4:]:
+        mat, blk, i, j, val = ln.split()
+        entries[(int(mat), int(blk), int(i), int(j))] = float(val)
+    return SdpaData(m=m, block_sizes=sizes, c=c, entries=entries)
+
+
+def parse_rlt_lp(path) -> RltProblem:
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines or not lines[0].startswith("vars "):
+        raise DimensionMismatch("missing vars header")
+    n = int(lines[0].split()[1])
+    names = _var_names(n)
+    index = {name: k for k, name in enumerate(names)}
+
+    def parse_terms(text: str) -> np.ndarray:
+        coeffs = np.zeros(len(names))
+        text = text.strip()
+        if text == "0":
+            return coeffs
+        for part in text.split(" + "):
+            coef, name = part.split()
+            coeffs[index[name]] += float(coef)
+        return coeffs
+
+    obj = None
+    rows, rhs = [], []
+    lower = np.zeros(n)
+    upper = np.zeros(n)
+    mode = None
+    for ln in lines[1:]:
+        if ln.startswith("minimize: "):
+            obj = parse_terms(ln[len("minimize: "):])
+        elif ln == "subject:":
+            mode = "rows"
+        elif ln == "bounds:":
+            mode = "bounds"
+        elif ln == "end":
+            break
+        elif mode == "rows":
+            _, body = ln.split(": ", 1)
+            expr, b = body.rsplit(" >= ", 1)
+            rows.append(parse_terms(expr))
+            rhs.append(float(b))
+        elif mode == "bounds":
+            lo_s, rest = ln.split(" <= ", 1)
+            name, hi_s = rest.split(" <= ")
+            i = int(name.split("_")[1]) - 1
+            lower[i] = float(lo_s)
+            upper[i] = float(hi_s)
+    if obj is None:
+        raise DimensionMismatch("missing objective line")
+    return RltProblem(
+        n=n,
+        obj=obj,
+        rows=np.array(rows) if rows else np.zeros((0, len(names))),
+        rhs=np.array(rhs),
+        lower=lower,
+        upper=upper,
+    )
+
+
+def highs_rlt(lp: RltProblem):
+    """``scipy.optimize.linprog`` result of the relaxation: rows as <= after
+    negation, box bounds on x, free product surrogates."""
+    from scipy.optimize import linprog
+
+    bounds = list(zip(lp.lower, lp.upper)) + [(None, None)] * len(lp.pairs)
+    return linprog(lp.obj, A_ub=-lp.rows, b_ub=-lp.rhs, bounds=bounds, method="highs")
+
+
+def solve_rlt(lp: RltProblem) -> tuple:
+    """(x, xi, value) at the HiGHS optimum; xi follows ``pair_index`` order."""
+    res = highs_rlt(lp)
+    assert res.status == 0, res.message
+    return res.x[: lp.n], res.x[lp.n:], float(res.fun)
 
 
 @pytest.fixture

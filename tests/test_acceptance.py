@@ -14,7 +14,7 @@ from canondual.integer import qip_dual_solve
 from canondual.model import CanonicalTerm, Problem, TermKind
 from canondual.solver import SolverConfig
 
-from conftest import double_well, random_problem, random_qip
+from conftest import double_well, random_problem, random_qip, solve_rlt
 
 
 def _report(name: str, ok: bool, detail: str = "") -> bool:
@@ -199,8 +199,16 @@ def test_criterion_6_block_psd_equivalence():
         rep = qip_dual_solve(inst)
         if rep.certificate != "dual_certified":
             continue
-        sd = rx.solve_sdp_via_dual(inst.to_problem())
-        value_ok &= abs(sd.value - (-rep.dual_value)) <= 1e-6 * (1 + abs(sd.value))
+        # at the certified sigma*, g* = 0.5 f'G^-1 f is the least feasible
+        # epigraph variable and g* + conjugate is minus the enumerated optimum
+        sigma = rep.sigma_star
+        G = inst.Q + 2.0 * np.diag(sigma)
+        g_star = 0.5 * float(inst.f @ np.linalg.solve(G, inst.f))
+        best = oracle.enumerate_signs(inst).best_value
+        value = -(g_star + dual.conjugate_total(inst.to_problem(), sigma))
+        value_ok &= rx.schur_psd_check(G, inst.f, g_star)
+        value_ok &= not rx.schur_psd_check(G, inst.f, g_star - 1e-6 * (1 + abs(g_star)))
+        value_ok &= abs(value - best) <= 1e-6 * abs(best)
         checked += 1
     ok = mismatches == 0 and value_ok
     assert _report("6 (block-psd equivalence)", ok,
@@ -220,16 +228,17 @@ def test_criterion_7_linearization_validity():
         f = rng.standard_normal(n)
         lo, up = -np.ones(n), np.ones(n)
         lp = rx.build_rlt(Q, f, lo, up)
-        sol = rx.solve_lp_small(lp)
+        x, xi, value = solve_rlt(lp)
         p = Problem(n=n, terms=_terms_of(Q, n), f=f)
         points = 9 if n >= 5 else 21
         probe = oracle.grid_multistart(p, np.stack([lo, up], axis=1), grid_points=points)
-        ok &= sol.value <= probe.best_value + 1e-6
-        if np.max(np.abs(sol.xi_matrix(n) - np.outer(sol.x, sol.x))) <= 1e-8:
+        ok &= value <= probe.best_value + 1e-6
+        # xi follows pair_index, the row-major upper triangle
+        if np.max(np.abs(xi - np.outer(x, x)[np.triu_indices(n)])) <= 1e-8:
             recovered += 1
             step = 2.0 / (points - 1)
-            ok &= model.eval_primal(p, sol.x) <= probe.best_value + 1e-6
-            ok &= np.max(np.abs(sol.x - probe.best_x)) <= step + 1e-9
+            ok &= model.eval_primal(p, x) <= probe.best_value + 1e-6
+            ok &= np.max(np.abs(x - probe.best_x)) <= step + 1e-9
     assert _report("7 (linearization validity)", ok, f"{recovered} exact-product instances")
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canondual import integer, oracle
-from canondual.errors import DimensionMismatch, SchemaError
+from canondual.errors import DimensionMismatch, EmptyInterior, MaxIterations, SchemaError
 from canondual.integer import QipInstance, qip_dual_solve, sign_round
 from canondual.solver import SolverConfig
 
@@ -226,6 +226,26 @@ def test_uncertified_sign_answer_solves_the_dual_once(monkeypatch):
     rep = qip_dual_solve(inst)
     assert rep.certificate == "perturbation_only"
     assert calls == {"solve_dual": 1, "perturbed_solve": 0}
+
+
+@pytest.mark.parametrize("error", [EmptyInterior, MaxIterations])
+def test_failed_dual_solve_gives_the_descent_from_all_ones(monkeypatch, tmp_path, error):
+    from canondual import cli, solver
+
+    def failing(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(solver, "solve_dual", failing)
+    inst = random_qip(np.random.default_rng(5), 6, f_style="random_unit")
+    p = inst.to_problem()
+    rep = qip_dual_solve(inst)
+    assert rep.certificate == "failed"
+    assert np.array_equal(rep.sigma_star, np.zeros(p.dual_dim))
+    assert math.isnan(rep.dual_value)
+    assert np.array_equal(rep.x_star, integer._descend(p, np.ones(p.n)))
+    path = tmp_path / "qip.json"
+    path.write_text(json.dumps({"qip": {"Q": inst.Q.tolist(), "f": inst.f.tolist()}}))
+    assert cli.main(["solve", str(path)]) == 3
 
 
 def test_uncertified_sign_answers_are_one_flip_minima_above_the_dual_bound():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from canondual import linalg, oracle, relaxations as rx
-from canondual.errors import Infeasible, TooLarge, Unbounded, UnsupportedTerm
+from canondual import dual, linalg, oracle, relaxations as rx
+from canondual.errors import DimensionMismatch, TooLarge, UnsupportedTerm
 from canondual.integer import QipInstance, qip_dual_solve
 from canondual.model import CanonicalTerm, Problem, TermKind
 
-from conftest import double_well, random_qip
+from conftest import double_well, highs_rlt, parse_rlt_lp, parse_sdpa, random_qip, solve_rlt
 
 QIP2 = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([3.0, 0.0]))
 
@@ -74,12 +74,15 @@ def test_sdp_value_matches_certified_qip_dual(rng):
         rep = qip_dual_solve(inst)
         if rep.certificate != "dual_certified":
             continue
-        sd = rx.solve_sdp_via_dual(inst.to_problem())
-        assert sd.value == pytest.approx(-rep.dual_value, rel=1e-6, abs=1e-6)
-        # epigraph variable equals half the recovered quadratic form
-        G = inst.Q + 2.0 * np.diag(sd.sigma)
-        x = np.linalg.solve(G, inst.f)
-        assert sd.g_star == pytest.approx(0.5 * float(inst.f @ x), rel=1e-6, abs=1e-6)
+        # the least feasible epigraph variable is half the quadratic form, and
+        # the epigraph objective there is the enumerated optimum
+        sigma = rep.sigma_star
+        G = inst.Q + 2.0 * np.diag(sigma)
+        g_star = 0.5 * float(inst.f @ np.linalg.solve(G, inst.f))
+        assert rx.schur_psd_check(G, inst.f, g_star)
+        assert not rx.schur_psd_check(G, inst.f, g_star - 1e-6 * (1.0 + abs(g_star)))
+        value = g_star + dual.conjugate_total(inst.to_problem(), sigma)
+        assert -value == pytest.approx(oracle.enumerate_signs(inst).best_value, rel=1e-6)
         checked += 1
 
 
@@ -95,7 +98,7 @@ def test_sdpa_data_block_structure():
 def test_sdpa_export_roundtrip(tmp_path):
     path = tmp_path / "q.dat-s"
     data = rx.export_sdp(QIP2.to_problem(), path)
-    back = rx.parse_sdpa(path)
+    back = parse_sdpa(path)
     assert back == data
     # byte determinism
     first = path.read_bytes()
@@ -108,7 +111,7 @@ def test_sdpa_export_quartic_epigraph(tmp_path):
     path = tmp_path / "w.dat-s"
     data = rx.export_sdp(p, path)
     assert data.block_sizes == [2, 2, -1]
-    assert rx.parse_sdpa(path) == data
+    assert parse_sdpa(path) == data
 
 
 def test_sdpa_export_rejects_transcendental_terms(tmp_path):
@@ -141,9 +144,9 @@ def test_product_rows_match_the_expanded_products(rng):
 
 def test_rlt_one_dimensional_concave_example():
     lp = rx.build_rlt(np.array([[-1.0]]), np.array([0.0]), [-1.0], [1.0])
-    sol = rx.solve_lp_small(lp)
-    assert sol.value == pytest.approx(-0.5, abs=1e-9)
-    assert sol.xi[0] == pytest.approx(1.0, abs=1e-9)
+    _, xi, value = solve_rlt(lp)
+    assert value == pytest.approx(-0.5, abs=1e-9)
+    assert xi[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rlt_lower_bound_property(rng):
@@ -154,10 +157,10 @@ def test_rlt_lower_bound_property(rng):
         f = rng.standard_normal(n)
         lo, up = -np.ones(n), np.ones(n)
         lp = rx.build_rlt(Q, f, lo, up)
-        sol = rx.solve_lp_small(lp)
+        _, _, value = solve_rlt(lp)
         p = Problem(n=n, terms=QipInstance(Q=Q, f=f).to_problem().terms, f=f)
         probe = oracle.grid_multistart(p, np.stack([lo, up], axis=1), grid_points=11)
-        assert sol.value <= probe.best_value + 1e-7
+        assert value <= probe.best_value + 1e-7
 
 
 def test_rlt_exact_product_match_recovers_solution(rng):
@@ -172,66 +175,49 @@ def test_rlt_exact_product_match_recovers_solution(rng):
         f = scale * rng.standard_normal(n)
         lo, up = -np.ones(n), np.ones(n)
         lp = rx.build_rlt(Q, f, lo, up)
-        sol = rx.solve_lp_small(lp)
-        outer = np.outer(sol.x, sol.x)
-        if np.max(np.abs(sol.xi_matrix(n) - outer)) > 1e-8:
+        x, xi, _ = solve_rlt(lp)
+        # xi follows pair_index, the row-major upper triangle
+        if np.max(np.abs(xi - np.outer(x, x)[np.triu_indices(n)])) > 1e-8:
             continue
         hits += 1
         p = Problem(n=n, terms=QipInstance(Q=Q, f=f).to_problem().terms, f=f)
         probe = oracle.grid_multistart(p, np.stack([lo, up], axis=1), grid_points=41)
         step = 2.0 / 40.0
-        assert np.max(np.abs(sol.x - probe.best_x)) <= step + 1e-9
+        assert np.max(np.abs(x - probe.best_x)) <= step + 1e-9
     assert hits >= 5
-
-
-def test_simplex_agrees_with_independent_lp_solver(rng):
-    from scipy.optimize import linprog
-
-    worst = 0.0
-    for k in range(30):
-        n = int(rng.integers(1, 6))
-        A = rng.standard_normal((n, n))
-        Q = 0.5 * (A + A.T)
-        f = rng.standard_normal(n) * (3.0 if k % 3 == 0 else 0.7)
-        lo = -rng.uniform(0.5, 2.0, n)
-        up = rng.uniform(0.5, 2.0, n)
-        lp = rx.build_rlt(Q, f, lo, up)
-        sol = rx.solve_lp_small(lp)
-        res = linprog(
-            lp.obj,
-            A_ub=-lp.rows,
-            b_ub=-lp.rhs,
-            bounds=[(lp.lower[i], lp.upper[i]) for i in range(n)]
-            + [(None, None)] * len(lp.pairs),
-            method="highs",
-        )
-        assert res.status == 0
-        worst = max(worst, abs(sol.value - res.fun))
-    assert worst <= 1e-9
 
 
 def test_simplex_zero_objective():
     lp = rx.build_rlt(np.zeros((1, 1)), np.zeros(1), [-1.0], [1.0])
-    sol = rx.solve_lp_small(lp)
-    assert sol.value == pytest.approx(0.0, abs=1e-12)
+    _, _, value = solve_rlt(lp)
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simplex_infeasible_contradictory_rows():
     lp = rx.build_rlt(np.zeros((1, 1)), np.zeros(1), [-1.0], [1.0],
                       extra_rows=[(np.array([1.0]), 2.0)])  # x >= 2 inside [-1, 1]
-    with pytest.raises(Infeasible):
-        rx.solve_lp_small(lp)
+    assert highs_rlt(lp).status == 2  # HiGHS: infeasible
 
 
-def test_simplex_unbounded_direct():
-    with pytest.raises(Unbounded):
-        rx._simplex_min(np.array([-1.0, 0.0]), np.zeros((1, 2)), np.array([1.0]))
+def _box(n, lower=-1.0, upper=1.0, extra_rows=()):
+    return rx.build_rlt(np.eye(n), np.zeros(n), np.full(n, lower), np.full(n, upper),
+                        extra_rows=extra_rows)
 
 
-def test_lp_variable_guard():
-    with pytest.raises(TooLarge):
-        rx.solve_lp_small(rx.build_rlt(np.eye(11), np.zeros(11),
-                                       -np.ones(11), np.ones(11)))
+@pytest.mark.parametrize("make, error", [
+    (lambda: rx.build_rlt(np.eye(2), np.zeros(3), [-1.0, -1.0], [1.0, 1.0]), DimensionMismatch),
+    (lambda: rx.build_rlt(np.eye(2), np.zeros(2), [-1.0], [1.0, 1.0]), DimensionMismatch),
+    (lambda: _box(2, upper=np.inf), DimensionMismatch),
+    (lambda: _box(2, lower=1.0, upper=-1.0), DimensionMismatch),
+    (lambda: _box(2, extra_rows=[(np.ones(3), 0.0)]), DimensionMismatch),
+    (lambda: _box(50), TooLarge),  # 5,050 bound-factor rows
+    (lambda: _box(10, extra_rows=[(np.ones(10), 0.0)] * 240), TooLarge),  # 210 + 21 per row
+    (lambda: rx.sdpa_data(double_well(0.5, alpha=-1.0)), UnsupportedTerm),
+], ids=["f-length", "box-length", "box-infinite", "box-reversed", "extra-row-length",
+        "bound-rows-cap", "extra-rows-cap", "quartic-negative-alpha"])
+def test_constructions_refuse_what_they_cannot_build(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_rlt_export_roundtrip(tmp_path):
@@ -241,7 +227,7 @@ def test_rlt_export_roundtrip(tmp_path):
                       -np.ones(3), 2.0 * np.ones(3))
     path = tmp_path / "r.lp"
     rx.export_rlt_lp(lp, path)
-    back = rx.parse_rlt_lp(path)
+    back = parse_rlt_lp(path)
     assert lp.equals(back)
     first = path.read_bytes()
     rx.export_rlt_lp(lp, path)
@@ -252,16 +238,16 @@ def test_rlt_export_empty_objective(tmp_path):
     lp = rx.build_rlt(np.zeros((1, 1)), np.zeros(1), [0.0], [1.0])
     path = tmp_path / "z.lp"
     rx.export_rlt_lp(lp, path)
-    assert rx.parse_rlt_lp(path).equals(lp)
+    assert parse_rlt_lp(path).equals(lp)
 
 
 # ------------------------------------------------- pinned bytes and values
 #
-# Exact bytes and values of the exports and LP answers, recorded before the
-# product rows and the simplex pivot were written as array operations; a
-# change to either must keep them.  The LP values go through BLAS
-# matrix-vector products, so a BLAS that sums in another order may move
-# their last digits.
+# Exact bytes of the exports, recorded before the product rows were written
+# as array operations; a change to them must keep the bytes.  The LP answers
+# are the exact optima of the two boxes, which HiGHS reaches to within 1e-9;
+# the last bits are the LP solver's, not the relaxation's, so they are not
+# pinned.
 
 README_WELL = {"n": 1, "variables": "continuous", "f": [0.5],
                "terms": [{"kind": "quartic", "alpha": 1.0, "beta": -2.0, "factor": [[1.0]]}]}
@@ -296,14 +282,10 @@ def test_exports_match_pinned_bytes(tmp_path):
 
 
 def test_lp_values_match_pinned():
-    sol = rx.solve_lp_small(rx.build_rlt(**BOX3))
-    assert sol.value == -7.999999999999998
-    assert sol.x.tolist() == [0.9999999999999984, 0.4999999999999982, 2.9999999999999964]
-    sol = rx.solve_lp_small(rx.build_rlt(**BOX4))
-    assert sol.value == -20.774999999999974
-    assert sol.x.tolist() == [-0.9999999999999929, -1.9999999999999971, 2.999999999999995,
-                              -0.4999999999999908]
-    assert sol.xi.tolist() == [0.9999999999999927, 1.999999999999997, -2.999999999999976,
-                               0.5000000000000022, 3.999999999999993, -5.99999999999999,
-                               0.9999999999999929, 8.999999999999993, -1.4999999999999902,
-                               0.24999999999999323]
+    x, _, value = solve_rlt(rx.build_rlt(**BOX3))
+    assert value == pytest.approx(-8.0, abs=1e-9)
+    assert x == pytest.approx([1.0, 0.5, 3.0], abs=1e-9)
+    x, xi, value = solve_rlt(rx.build_rlt(**BOX4))
+    assert value == pytest.approx(-20.775, abs=1e-9)
+    assert x == pytest.approx([-1.0, -2.0, 3.0, -0.5], abs=1e-9)
+    assert xi == pytest.approx([1.0, 2.0, -3.0, 0.5, 4.0, -6.0, 1.0, 9.0, -1.5, 0.25], abs=1e-9)
