@@ -44,9 +44,11 @@ stacked solve.  ``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
 eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
 reference gradient (``bare_grads`` at that x) and the membership of the
-certified region.  A dual point from outside is checked once, by
-``assemble_G``; the Newton loops pass ``factor_point``, ``factor_stack``
-and ``operator`` their own float arrays.
+certified region; ``stack_values`` gives the value and membership of each
+of a stack of points with its arithmetic, from one stacked ``eigh``.  A
+dual point from outside is checked once, by ``assemble_G``; the Newton
+loops pass ``factor_point``, ``factor_stack`` and ``operator`` their own
+float arrays.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import linalg, model
-from .errors import DimensionMismatch, InvalidMatrix, RangeViolation, SingularG
+from .errors import (CanonDualError, DimensionMismatch, InvalidMatrix, RangeViolation,
+                     SingularG)
 from .linalg import EigenDecomp
 from .model import Problem
 
@@ -70,6 +72,21 @@ RANGE_TOL = 1e-8
 def boundary_tol(G: np.ndarray) -> float:
     """Scale-invariant eigenvalue dead zone for boundary detection."""
     return 1e-8 * (1.0 + float(np.linalg.norm(G, "fro")))
+
+
+class cached_property:
+    """functools.cached_property without the lock that Python 3.11 takes
+    at every first read: the value is computed once and kept in the
+    instance's __dict__, which shadows this descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Membership(Enum):
@@ -177,8 +194,38 @@ def conjugate_total(p: Problem, s: np.ndarray) -> float:
     for varsig_s, idx in zip(s[:q], p.dual_terms):
         total += model.conj_value(p.terms[idx], float(varsig_s))
     if p.is_sign_integer:
-        total += float(np.sum(s[q:]))
+        total += float(s[q:].sum())
     return total
+
+
+def stack_values(p: Problem, S: np.ndarray) -> list:
+    """(row, value, membership) at each row s of a stack of dual points S
+    where ``assemble_G(p, s).value`` is defined, with the arithmetic of that
+    ``GapMatrix`` alone, to the bit: one stacked ``operator`` and
+    ``linalg.eigh``, then x = [G]^+ f, its range check, the value and the
+    membership.  A row drops out alone where the GapMatrix raises: G not
+    finite, f outside the range of G, or a conjugate undefined."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = operator(p, S)
+    rows = np.flatnonzero(np.isfinite(G).all(axis=(1, 2)))
+    S, G = S[rows], G[rows]
+    w, v = linalg.eigh(G)
+    x = linalg.apply_pinv((w, v), p.f)
+    r = np.matmul(G, x[..., None])[..., 0] - p.f
+    half = -0.5 * linalg.dots(x, p.f)
+    flat = G.reshape(len(G), p.n * p.n)
+    tol = 1e-8 * (1.0 + np.sqrt(linalg.dots(flat, flat)))  # boundary_tol
+    least = np.minimum(w[:, 0], S[:, len(p.dual_terms):].min(axis=1, initial=np.inf))
+    out = []
+    for k in np.flatnonzero(~(np.sqrt(linalg.dots(r, r)) > RANGE_TOL * p.f_scale)).tolist():
+        try:
+            value = float(half[k] - conjugate_total(p, S[k]))
+        except CanonDualError:
+            continue
+        member = (Membership.INTERIOR if least[k] > tol[k] else Membership.BOUNDARY
+                  if least[k] >= -tol[k] else Membership.OUTSIDE)
+        out.append((int(rows[k]), value, member))
+    return out
 
 
 def eval_Xi(p: Problem, x, s) -> float:
@@ -244,13 +291,18 @@ def bare_grads(p: Problem, s: np.ndarray, x: np.ndarray, images: np.ndarray) -> 
 
 def bare_hessians(p: Problem, s: np.ndarray, G: np.ndarray, images: np.ndarray) -> np.ndarray:
     """The LU ``DualPoint.bare_hess`` at a stack of dual points s (one per
-    row), with G their operators and A their ``coordinate_images``, and the
-    arithmetic of each row alone: one stacked solve G^-1 A, stacked matrix
-    products A'(G^-1 A), and each conjugate's second derivative the scalar
-    ``model.conj_hess``."""
+    row) inside the LU domain (``screen``), with G their operators and A
+    their ``coordinate_images``, and the arithmetic of each row alone: one
+    stacked solve G^-1 A, stacked matrix products A'(G^-1 A), and each
+    conjugate's second derivative that of ``model.conj_hess``: as a column
+    for a quartic term (1/alpha) and an exponential one (1/sigma), by the
+    scalar call for xlogx, whose np.exp and math.exp bits differ."""
     H = -np.matmul(images.swapaxes(-1, -2), np.linalg.solve(G, images))
     for k, idx in enumerate(p.dual_terms):
-        H[:, k, k] -= [model.conj_hess(p.terms[idx], v) for v in s[:, k].tolist()]
+        t = p.terms[idx]
+        H[:, k, k] -= (1.0 / t.alpha if t.kind is model.TermKind.QUARTIC
+                       else 1.0 / s[:, k] if t.kind is model.TermKind.EXPONENTIAL
+                       else [model.conj_hess(t, v) for v in s[:, k].tolist()])
     return H
 
 
@@ -304,7 +356,7 @@ class DualPoint:
             self.x = np.linalg.solve(G, p.f) if x is None else x
         else:
             self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
-            self.logdet = float(np.sum(np.log(np.diag(L))))  # 0.5 log det G
+            self.logdet = float(np.log(L.diagonal()).sum())  # 0.5 log det G
 
     @cached_property
     def bare_value(self) -> float:
@@ -317,9 +369,10 @@ class DualPoint:
         ``grad_dual`` calls G singular."""
         if (self.slacks <= margin).any():
             return False
-        G = self.G
+        G = self.G.copy()
+        G.reshape(-1)[::len(G) + 1] -= max(margin, boundary_tol(G))  # G - c I
         try:
-            np.linalg.cholesky(G - max(margin, boundary_tol(G)) * np.eye(len(G)))
+            np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             return False
         return True
@@ -452,30 +505,45 @@ class PointStack:
     """LU points at a stack of dual points ``Z``, evaluated in one pass;
     build it with ``factor_stack``.  Row j is refused where
     ``factor_point(problems[j], z_j, cholesky=False)`` would be None.
-    ``kept`` lists the other rows in order and ``bare_grads`` their bare
-    gradients, all that a line-search trial's merit reads.  ``stack[j]`` is
-    the ``DualPoint`` of row j, on its own problem, or None where refused,
-    built on demand: a trial builds only the points it accepts.  A point
-    holds copies of its rows of the stack's matrices, G and the coordinate
-    images, so that it does not keep them alive; its x and gradient are
-    views."""
+    ``kept`` lists the other rows in order, and ``G``, ``X``, ``images`` and
+    ``bare_grads`` hold their arrays in that order: the gradients are all
+    that a line-search trial's merit reads.  ``stack[j]`` is the
+    ``DualPoint`` of row j, on its own problem, or None where refused, with
+    copies of its rows of G and the coordinate images, so that it does not
+    keep them alive, and views of its x and gradient.  For an index array
+    of kept rows, ``stack[rows]`` is the stack of those rows, all kept: the
+    root search keeps its points in such stacks and builds a ``DualPoint``
+    only where one is asked for."""
 
     def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, kept: np.ndarray,
-                 G: np.ndarray, X: np.ndarray, images: np.ndarray, problems):
+                 G: np.ndarray, X: np.ndarray, images: np.ndarray, problems, grads: np.ndarray):
         self.p, self.Z, self.slacks, self.kept = p, Z, slacks, kept
         self.G, self.X, self.images, self.problems = G, X, images, problems
-        self.bare_grads = bare_grads(p, Z[kept], X, images)
+        self.bare_grads = grads
         self._row = np.full(len(Z), -1)  # row j's place in kept, -1 where refused
         self._row[kept] = np.arange(len(kept))
 
-    def __getitem__(self, j: int) -> Optional[DualPoint]:
-        r = int(self._row[j])
+    def __getitem__(self, j):
+        r = self._row[j]
+        if isinstance(j, np.ndarray):
+            return PointStack(self.p, self.Z[j], self.slacks[j], np.arange(len(j)), self.G[r],
+                              self.X[r], self.images[r], self.problems[j], self.bare_grads[r])
         if r < 0:
             return None
         point = DualPoint(self.problems[j], self.Z[j], self.slacks[j], self.G[r].copy(), None,
                           x=self.X[r])
         point.images, point.bare_grad = self.images[r].copy(), self.bare_grads[r]
         return point
+
+
+def join_stacks(stacks: list) -> PointStack:
+    """The rows of ``stacks``, each with every row kept, in order, as one."""
+    if len(stacks) == 1:
+        return stacks[0]
+    Z, slacks, G, X, images, problems, grads = (
+        np.concatenate([getattr(stack, name) for stack in stacks])
+        for name in ("Z", "slacks", "G", "X", "images", "problems", "bare_grads"))
+    return PointStack(stacks[0].p, Z, slacks, np.arange(len(Z)), G, X, images, problems, grads)
 
 
 def factor_stack(p: Problem, Z, f, problems) -> PointStack:
@@ -505,7 +573,9 @@ def factor_stack(p: Problem, Z, f, problems) -> PointStack:
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         kept, G, X = kept[finite], G[finite], X[finite]
-    return PointStack(p, Z, slacks, kept, G, X, coordinate_images(p, X), problems)
+    images = coordinate_images(p, X)
+    return PointStack(p, Z, slacks, kept, G, X, images, problems,
+                      bare_grads(p, Z[kept], X, images))
 
 
 @dataclass

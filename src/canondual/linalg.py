@@ -2,10 +2,11 @@
 
 Everything here operates on plain float64 ndarrays.  The eigensolver is
 LAPACK's ``eigh`` through numpy, and ``apply_pinv`` applies the
-pseudoinverse from its decomposition.  ``eigh`` trusts its input: the
-package's own matrices (G(s), the primal and dual Hessians) are exactly
-symmetric by construction, and ``dual.assemble_G`` checks that G(s) is
-finite.  A matrix from outside is checked where it enters, by
+pseudoinverse from its decomposition; both take a stack of matrices, each
+row with the bits of the matrix alone, and so does ``dots``.  ``eigh``
+trusts its input: the package's own matrices (G(s), the primal and dual
+Hessians) are exactly symmetric by construction, and ``dual.assemble_G``
+checks that G(s) is finite.  A matrix from outside is checked where it enters, by
 ``check_symmetric`` (finite, symmetric to 1e-12 relative, then
 symmetrized): in ``QipInstance``, ``build_rlt`` and ``schur_psd_check``.
 """
@@ -49,10 +50,21 @@ def eigh(M: np.ndarray) -> EigenDecomp:
 
 
 def apply_pinv(decomp: EigenDecomp, b: np.ndarray) -> np.ndarray:
-    """[M]^+ b from the eigendecomposition of M.  Eigenvalues with magnitude
-    at most RANK_TOL times the largest are treated as exact zeros."""
+    """[M]^+ b from the eigendecomposition of M, or of each of a stack of
+    matrices, with the arithmetic of each alone.  Eigenvalues with
+    magnitude at most RANK_TOL times the largest are treated as exact
+    zeros."""
     w, v = decomp
-    cutoff = RANK_TOL * np.max(np.abs(w)) if w.size else 0.0
-    coeff = v.T @ b
+    cutoff = RANK_TOL * np.max(np.abs(w), axis=-1, keepdims=True) if w.size else 0.0
+    coeff = np.matmul(v.swapaxes(-1, -2), b[..., None])[..., 0]
     inv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    return v @ (coeff * inv)
+    return np.matmul(v, (coeff * inv)[..., None])[..., 0]
+
+
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for the rows k of two stacks of vectors (b may be one
+    vector), each the one vector product of the rows alone, as a.dot(b)
+    and np.linalg.norm compute it."""
+    if a.ndim == b.ndim == 2 and len(a) == 1:  # one row: the vector product itself
+        return np.array([a[0].dot(b[0])])
+    return np.matmul(a[:, None], b[..., None])[:, 0, 0]

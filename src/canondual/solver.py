@@ -16,67 +16,43 @@ step above the floor _MU_FLOOR, a centred point that clears the
 feasibility margin goes to the polish, Newton on grad Pi_d = 0, once its
 bare Newton step lies well inside the Dikin ellipsoid of the barrier
 (``DualPoint.newton_radius`` at most _DIKIN): the step then stays in the
-certified region, and the test reads no absolute scale.  Toward a strictly
-interior maximizer that radius falls with mu; toward a boundary maximizer
-it grows, and the barrier runs to the floor.  When the polished point is
-a strictly interior stationary point the solve ends.  Otherwise the
-barrier goes on from its own point, which is not handed over again while
-the barrier takes no step from it.  The barrier's last point, at the
-floor or after ``max_outer`` steps, is polished where the polish can start
-from it, by the same call: ``solve_dual`` polishes in one place.
-The barrier ascent, the polish and the multistart root search run one
-damped-Newton loop, ``_damped_newton``, with callbacks from ``_barrier``,
-``_polish`` and ``_roots``: the ascent backtracks on the barrier value, the
-other two on the norm of the dual gradient.  The loop runs a stack of starts
-in lockstep, and each start ends where it would alone, to the bit.  The
-ascent and the polish pass one start.  The root search of
-``_critical_points``, which serves ``dual_critical_points`` and ``fc_sweep``,
-passes the starts of all its problems (a sweep's magnitudes) as one stack,
-each row with its own input f, tolerance and ``Problem``, since G(s) does
-not depend on f (as many problems as keep the stack's points within a fixed
-count of numbers).  All three step on
-``dual.DualPoint``, a point factorized once: the ascent and the polish by
-Cholesky (``dual.factor_point``, one trial at a time), where a trial point
-is feasible when its domain slacks are positive and the factor exists (for
-the polish, also that of G shifted by the boundary tolerance); the root
-search, where G may be indefinite, by LU, a stack of trials at a time
-(``dual.factor_stack``: one stacked operator, one stacked solve and the
-stacked bare gradients), each call within a fixed count of numbers.  The
-point owns the barrier: its value and derivatives at every mu come from
-the factor and the domain slacks of ``Problem.coordinate_rows``.  Each
-iteration takes the derivatives of every running start in one call (for
-the root search, the Hessians A'G^-1 A of all of them in stacked solves,
-``dual.bare_hessians``) and their Newton directions in one stacked solve,
-with the ridge fallback only for the rows that need it.  The line search
-runs in rounds over the starts still searching: one round for each of the
-first step lengths, then one for all the shorter steps, which go to the
-trial in one call, longest step first across all starts.  The trial alone
-decides acceptance and the domain: its factorization tests each point once
-(``dual.screen`` in ``dual.factor_point`` and ``dual.factor_stack``) and
-refuses those outside.  It returns the state of each start's first point
-within its Armijo bound, the longest step, and of no other, so each
-start's trials and accepted step are those of halving one step at a time.
-A Cholesky trial makes the points one at a time, a stacked LU trial in
-calls of a bounded size (a small G takes a whole round in one call); both
-drop a start's later points once it has accepted one.  A trial builds
-only what its merit reads, the barrier value or the bare gradient: the
-Hessian and L^-1 are formed only at the points the loop accepts, and a
-stacked LU trial builds a point only where it is accepted.  Each outer
-step starts from the factorized point the last one ended at, and the
-handover and the test of the polished point read the factorized point: the
-Newton radius from the derivatives the centring test formed, a Cholesky
-test of G minus the feasibility margin and the bare gradient from the
-factor.  The eigendecomposition is used only by phase one's start of the
-sign multipliers and its subgradient ascent, the report and triality
-classification.  For a continuous problem with an interior certificate the
-report refines x = G^-1 f by one Newton step on the primal gradient,
-evaluated in np.longdouble, which brings x_bar to within an ulp or two
-(of its largest entry) of the primal stationary point; its last bits can
-still move with the iterate the ascent ended at.  Feasibility phase one
-finds a strictly positive-definite start by a Cholesky test of G minus the
-margin at a base point and along a doubling scan in the domain-feasible
-direction, then by projected subgradient ascent on the smallest
-eigenvalue.
+certified region, and the test reads no absolute scale.  When the polished
+point is a strictly interior stationary point the solve ends; otherwise
+the barrier goes on from its own point, which is not handed over again
+while the barrier takes no step from it.  The barrier's last point, at the
+floor or after ``max_outer`` steps, is polished where the polish can start.
+
+The ascent, the polish and the multistart root search run one damped-Newton
+loop, ``_damped_newton``, with callbacks from ``_barrier``, ``_polish`` and
+``_roots``: the ascent backtracks on the barrier value, the other two on
+the norm of the dual gradient.  The loop runs a stack of starts in
+lockstep, its state in arrays over the starts and every test of a start a
+mask, and each start ends where it would alone, to the bit.  The ascent
+and the polish pass one start, a Cholesky ``dual.DualPoint`` made one
+trial at a time (``dual.factor_point``).  The root search of
+``_critical_points``, which serves ``dual_critical_points`` and
+``fc_sweep``, passes the starts of all its problems (a sweep's magnitudes)
+as one stack, each row with its own f, tolerance and ``Problem``, since
+G(s) does not depend on f.  G may be indefinite there: its trials are LU
+points made a stack at a time (``dual.factor_stack``) within a fixed count
+of numbers, and its states are the rows of ``dual.PointStack``s, arrays
+that the Hessians A'G^-1 A of all the starts (``dual.bare_hessians``) read
+directly.  Each iteration takes the Newton directions of every running
+start in one stacked solve, with the ridge fallback only for the rows that
+need it.  The line search runs in rounds: one for each of the first step
+lengths, then one for all the shorter steps, longest first across the
+starts.  The trial alone decides acceptance and the domain (``dual.screen``)
+and returns each start's first point within its Armijo bound, so each
+start's accepted step is that of halving one step at a time.  A trial
+builds only what its merit reads; the Hessian and L^-1 are formed only at
+accepted points.  The eigendecomposition serves phase one, the report and
+triality, and ``_merge_points`` takes it for all the points a root search
+found as one stack (``dual.stack_values``).  For a continuous problem with
+an interior certificate the report refines x = G^-1 f by one Newton step
+on the primal gradient in np.longdouble.  Phase one finds a strictly
+positive-definite start by a Cholesky test of G minus the margin at a base
+point and along a doubling scan in the domain-feasible direction, then by
+projected subgradient ascent on the smallest eigenvalue.
 
 Degenerate continuous instances (symmetric inputs, boundary maximizers) can
 go through the quadratic perturbation scheme of ``perturbed_solve``: at
@@ -99,7 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dual, model, triality
+from . import dual, linalg, model, triality
 from .dual import Membership, SolveReport
 from .errors import (CanonDualError, DimensionMismatch, EmptyInterior, MaxIterations,
                      RangeViolation, SingularG)
@@ -110,16 +86,12 @@ _ARMIJO = 1e-4
 # on, _ARMIJO * t < 2^-54, so m - _ARMIJO * t * m rounds back to m and a trial
 # that does not lower the gradient-norm merit would pass the Armijo test.
 _HALVINGS = 40
-_STEP_LENGTHS = [math.ldexp(1.0, -k) for k in range(_HALVINGS)]  # exact
+_STEPS = np.ldexp(1.0, -np.arange(_HALVINGS))  # exact
+_ARMIJO_STEPS = _ARMIJO * _STEPS
 # The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are handed
 # to the trial one round each: most searches stop among them.  The others,
 # t = 2^-4 .. 2^-39, are formed as one stack and handed over in one round.
 _SINGLE_STEPS = 4
-_STACKED_STEPS = np.array(_STEP_LENGTHS[_SINGLE_STEPS:])[:, None]
-_STACKED_ARMIJO = _ARMIJO * _STACKED_STEPS[:, 0]
-# the rounds of a line search: one per single step length, then one for all
-# the stacked ones
-_ROUNDS = _STEP_LENGTHS[:_SINGLE_STEPS] + [None]
 # A stacked call of the root search holds at most this many numbers in each
 # of its stacked arrays (see _row_size): 0.5 MB of doubles, which a whole
 # deep round of the 1x1 and 2x2 wells fits in.  One lockstep stack of it
@@ -205,7 +177,7 @@ def _barrier(p: Problem, mu: float) -> tuple:
         return -point.barrier(mu)
 
     return (_one_at_a_time(partial(dual.factor_point, p), merit), merit,
-            lambda g, d, m: float(g @ d), _one_start(lambda point: point.barrier_derivs(mu)))
+            lambda g, d, m: linalg.dots(g, d), _one_start(lambda point: point.barrier_derivs(mu)))
 
 
 def _polish(p: Problem) -> tuple:
@@ -229,36 +201,37 @@ def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
     """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
     merit and slope of ``_polish``, at every point with nonnegative domain
     slacks and nonsingular G, for starts with the ``problems`` on p's terms
-    (each its own f): a state is an LU ``dual.DualPoint``, made a stack of
-    trials at a time by ``_lu_trials``, and the Hessians of all the starts
-    come in one pass of ``dual.bare_hessians``."""
-    objects = np.empty(len(problems), dtype=object)
-    objects[:] = problems
+    (each its own f): the states are the rows of ``dual.PointStack``s, made
+    a stack of trials at a time by ``_lu_trials``, and the Hessians of all
+    the starts come in one pass of ``dual.bare_hessians``."""
     cap = _stack_rows(p)
-    return (partial(_lu_trials, p, np.array([q.f for q in problems]), objects, cap),
+    return (partial(_lu_trials, p, np.array([q.f for q in problems]), _objects(problems), cap),
             _gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p, cap))
 
 
+def _objects(items) -> np.ndarray:
+    """``items`` as a 1-d object array, which indexes like the arrays of a
+    ``dual.PointStack``."""
+    return np.fromiter(items, object, len(items))
+
+
 def _one_at_a_time(make, merit):
-    """A stack trial of ``_damped_newton`` that makes each point alone:
+    """A trial of ``_damped_newton`` that makes each point alone:
     ``make(z)`` is the state at z, or None outside the domain, and
-    ``merit(state)`` its merit (inf where refused).  A row is accepted when
-    its merit is finite and within its bound and no earlier row of its
-    start is.  Past a start's accepted row, the start's rows are not made:
-    each costs a factorization."""
+    ``merit(state)`` its merit.  Past a start's accepted row, the start's
+    rows are not made: each costs a factorization."""
     def trial(Z, owners, bounds):
-        states, merits = {}, [math.inf] * len(Z)
-        done = set()
-        for a, z in enumerate(Z):
-            if owners[a] in done:
-                continue
-            state = make(z)
-            if state is not None:
-                m = merits[a] = merit(state)
-                if math.isfinite(m) and m <= bounds[a]:
-                    states[a] = state
-                    done.add(owners[a])
-        return states, merits
+        rows, made, merits, done = [], [], [math.inf] * len(Z), set()
+        for a, owner in enumerate(owners.tolist()):
+            if owner not in done:
+                state = make(Z[a])
+                if state is not None:
+                    m = merits[a] = merit(state)
+                    if math.isfinite(m) and m <= bounds[a]:
+                        rows.append(a)
+                        made.append(state)
+                        done.add(owner)
+        return np.array(rows, dtype=np.intp), np.array(merits), _objects(made)
     return trial
 
 
@@ -277,20 +250,19 @@ def _stack_rows(p: Problem) -> int:
 
 def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, owners,
                bounds) -> tuple:
-    """The root search's stack trial: the LU points of ``dual.factor_stack``,
-    each row with the input ``f`` and the ``Problem`` of its owner, and their
-    gradient-norm merits (``_gradient_norms``, inf where refused or not
-    made).  A row is accepted when its merit is finite and within its bound
-    and no earlier row of its start is.  The rows are made in order, in
-    calls of at most ``cap`` rows (``_stack_rows``), and once a start has
-    accepted a row its later rows are dropped: with the rows of a deep
-    round longest step first across all starts, few are made past a start's
-    accepted one, and a 1x1 or 2x2 G takes the whole round in one call.
-    The accepted points are built in the call that makes them, so that no
-    stack outlives its call."""
+    """The root search's trial: the LU points of ``dual.factor_stack``,
+    each row with the input ``f`` and the ``Problem`` of its owner, and
+    their gradient-norm merits (``_gradient_norms``).  The rows are made in
+    order, in calls of at most ``cap`` rows (``_stack_rows``), and once a
+    start has accepted a row its later rows are dropped: with the rows of a
+    deep round longest step first across all starts, few are made past a
+    start's accepted one, and a 1x1 or 2x2 G takes the whole round in one
+    call.  Only the accepted rows outlive their call, in the arrays of one
+    ``dual.PointStack`` (``dual.join_stacks``)."""
     Z, owners, bounds = np.asarray(Z, dtype=float), np.asarray(owners), np.asarray(bounds)
-    states, merits = {}, np.full(len(Z), math.inf)
-    accepted = np.zeros(len(problems), dtype=bool)  # per start
+    merits = np.full(len(Z), math.inf)
+    first = np.full(len(problems), len(Z))  # each start's accepted row; len(Z) before it has one
+    rows, parts = [], []
     waiting = np.arange(len(Z))
     while waiting.size:
         take, waiting = waiting[:cap], waiting[cap:]
@@ -300,23 +272,27 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, own
         m = merits[take[kept]] = _gradient_norms(stack.bare_grads)
         passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
         # a start's first row to pass, its longest step, is its accepted one
-        done, first = np.unique(who[passed], return_index=True)
-        for j in np.sort(passed[first]).tolist():
-            states[int(take[j])] = stack[j]
-        accepted[done] = True
-        waiting = waiting[~accepted[owners[waiting]]]
-    return states, merits
+        np.minimum.at(first, who[passed], take[passed])
+        chosen = passed[first[who[passed]] == take[passed]]
+        rows.append(take[chosen])
+        parts.append(stack[chosen])
+        waiting = waiting[first[owners[waiting]] == len(Z)]
+    return np.concatenate(rows), merits, dual.join_stacks(parts)
 
 
-def _lu_derivatives(p: Problem, cap: int, points: list) -> tuple:
-    """``DualPoint.barrier_derivs(0.0)`` of LU points, a stack at a time:
-    their bare gradients, and their Hessians by ``dual.bare_hessians``, at
-    most ``cap`` points (``_stack_rows``) to a call."""
-    H = np.concatenate([dual.bare_hessians(p, np.array([point.s for point in chunk]),
-                                           np.array([point.G for point in chunk]),
-                                           np.array([point.images for point in chunk]))
-                        for chunk in (points[i:i + cap] for i in range(0, len(points), cap))])
-    return np.array([point.bare_grad for point in points]), 0.5 * (H + H.swapaxes(1, 2))
+def _lu_derivatives(p: Problem, cap: int, points) -> tuple:
+    """``DualPoint.barrier_derivs(0.0)`` of LU points, the rows of a
+    ``dual.PointStack`` (or DualPoints made one at a time): their bare
+    gradients, and their Hessians by ``dual.bare_hessians``, at most
+    ``cap`` points (``_stack_rows``) to a call."""
+    if isinstance(points, dual.PointStack):
+        s, G, A, g = points.Z, points.G, points.images, points.bare_grads
+    else:
+        s, G, A, g = (np.array([getattr(point, name) for point in points])
+                      for name in ("s", "G", "images", "bare_grad"))
+    H = np.concatenate([dual.bare_hessians(p, s[i:i + cap], G[i:i + cap], A[i:i + cap])
+                        for i in range(0, len(s), cap)])
+    return g, 0.5 * (H + H.swapaxes(1, 2))
 
 
 def _one_start(derivatives):
@@ -343,134 +319,152 @@ def _gradient_norm(point: dual.DualPoint) -> float:
 
 def _gradient_norms(grads: np.ndarray) -> np.ndarray:
     """The norm of each row of a stack of gradients, with the arithmetic of
-    np.linalg.norm on the row alone: it squares a vector by one vector
-    product, and so does the stacked product here.  Far out in the domain a
-    norm can overflow: it is then inf, which the line search refuses, so the
-    overflow is not warned about."""
+    np.linalg.norm on the row alone (``linalg.dots``).  Far out in the
+    domain a norm can overflow: it is then inf, which the line search
+    refuses, so the overflow is not warned about."""
     with np.errstate(over="ignore"):
-        return np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0])
+        return np.sqrt(linalg.dots(grads, grads))
 
 
 def _damped_newton(S: Sequence[np.ndarray], trial, merit, slope, derivatives,
                    tol, max_iter: int, step_tol: Optional[float] = None,
                    states: Optional[list] = None, centred: Optional[float] = None) -> list:
     """Damped Newton iteration with a backtracking line search, for a stack
-    of starts S run in lockstep.
+    of starts S run in lockstep: the points, merits, tolerances and states
+    of the starts still running are arrays over them, and every test of a
+    start is a mask, with the arithmetic of the start alone
+    (``linalg.dots``), so each start ends where it would alone, to the bit.
 
-    ``trial(Z, owners, bounds)`` evaluates the rows of Z, points of the
-    starts ``owners`` (a start's rows in order of decreasing t), and
-    decides which are accepted; its own domain test refuses a row outside.
-    It returns the pair (states, merits): a dict from row to state, and one
-    merit per row, inf outside the domain and where the row is not made.
-    ``bounds`` is the merit at which each row is accepted: a row is
-    accepted when its merit is finite and within its bound and no earlier
-    row of its start is, and only accepted rows have a state; the first
-    call, at the starts, bounds each by inf.  A trial may leave a start's
-    rows past its accepted one unmade.  ``merit(state)`` is the merit of a
-    state passed in ``states``; ``derivatives(states)`` is the pair (g, H)
-    of a list of states, stacked.
+    ``trial(Z, owners, bounds)`` makes the rows of Z, points of the starts
+    ``owners`` (a start's rows in order of decreasing t), and returns
+    (rows, merits, made): the rows it accepts, in order, each start's first
+    row with a finite merit within its bound; every row's merit (inf
+    outside the domain, which its own test refuses, and where not made: it
+    may leave a start's rows past its accepted one unmade); and the states
+    of the accepted rows, a stack that indexes like an array (a
+    ``dual.PointStack``, or ``_objects``).  The first call, at the starts,
+    bounds each by inf; ``states``, when given, are the states at the
+    starts instead, and ``merit(state)`` their merits.
+    ``derivatives(states)`` is the stacked (g, H) of a stack of states and
+    ``slope(g, d, m)`` the slope of each row.
     Each iteration takes the derivatives and the Newton directions of every
     start still running in one call each: d solves (-H) d = g
-    (``_newton_directions``), replaced by the scaled gradient when
-    ``slope(g, d, m)`` is not positive.  A step of length t = 2^-k,
-    k = 0 .. _HALVINGS - 1, has the bound m - _ARMIJO * t * slope(g, d, m),
-    where m is the current merit, so each start takes its longest step
-    within it.  The line search runs in rounds, each over every start still
-    searching.  The first _SINGLE_STEPS rounds take each such start's point
-    at one t.  The last round (``_deep_round``) forms the other points
-    s + t d of every start left as one stack and hands them all to
-    ``trial`` in one call, longest step first across all starts.  A row's
-    numbers do not depend on the stack it is in, so each start's accepted
-    step is that of halving t one step at a time on the start alone, to
-    the bit, and each start ends where it would alone.  A start stops at
-    |g| <= tol (a number, or one
-    per start); with ``centred``, also when the squared Newton decrement
-    g'd lies in [0, centred] (a negative g'd means -H is not numerically
-    definite, and says nothing); when no step is accepted; after
-    ``max_iter`` steps; or, with ``step_tol``, after a step shorter than
-    step_tol * (1 + |s|).  ``states``, when given, is the state at each
-    start already computed by the caller.  Returns one (s, state, steps)
-    per start; the state is None when the start is outside the domain or
-    its merit is not finite.
-    Only accepted states reach ``derivatives``.
+    (``_newton_directions``), replaced by the scaled gradient where the
+    slope is not positive.  A step t = 2^-k, k < _HALVINGS, has the bound
+    m - _ARMIJO * t * slope, m the current merit, and each start takes its
+    longest step within it: the line search hands the trial one round for
+    each of the first _SINGLE_STEPS step lengths, then one with every other
+    step of every start left, longest first across the starts.
+    A start stops at |g| <= tol (a number, or one per start); with
+    ``centred``, also when its slope, for the barrier the squared Newton
+    decrement g'd, lies in [0, centred] (a negative g'd means -H is not
+    numerically definite, and says nothing); when no step is accepted;
+    after ``max_iter`` steps; or, with ``step_tol``, after a step shorter
+    than step_tol * (1 + |s|).  Returns one (s, state, steps) per start;
+    the state is None where the start is outside the domain.
     """
-    S = list(S)
+    S = np.array(S, dtype=float)
+    ends, steps = [None] * len(S), [0] * len(S)
+    tols = np.empty(len(S))
+    tols[:] = tol
     if states is None:
-        made, merits = trial(S, list(range(len(S))), [math.inf] * len(S))
-        states = [made.get(i) for i in range(len(S))]
-        live = sorted(made)
+        live, merits, states = trial(S.copy(), np.arange(len(S)), np.full(len(S), math.inf))
+        s, merits, tols = S[live], merits[live], tols[live]
     else:
-        states = list(states)
-        merits = list(map(merit, states))
-        live = list(range(len(S)))
-    tols = [tol] * len(S) if isinstance(tol, (int, float)) else list(tol)
-    steps = [0] * len(S)
+        live, s, merits = np.arange(len(S)), S, np.array([merit(state) for state in states])
+        states = _objects(states)
+
+    def stop(rows, n):  # the starts at these rows stop after n steps
+        for r in rows.tolist():
+            i = live[r]
+            S[i], ends[i], steps[i] = s[r], states[r], n
+
+    def keep(going, n, *rest):  # the rows not going stop; the rest follow the others
+        nonlocal live, s, merits, tols, states
+        stop((~going).nonzero()[0], n)
+        rows = going.nonzero()[0]
+        if not len(rows):
+            live = rows
+            return rest
+        live, s, merits, tols, states = live[rows], s[rows], merits[rows], tols[rows], states[rows]
+        return [a[rows] for a in rest]
+
     for it in range(max_iter):
-        if not live:
+        if not len(live):
             break
-        g, H = derivatives([states[i] for i in live])
-        going = []
-        for a, i in enumerate(live):
-            gnorm = _norm(g[a])
-            if gnorm > tols[i]:
-                going.append((a, i, gnorm))
-            else:
-                steps[i] = it
-        if len(going) < len(live):
-            rows = [a for a, _, _ in going]
-            g, H = g[rows], H[rows]
-        D = _newton_directions(H, g) if going else None
-        searching = {}  # start: (direction, rate)
-        for b, (_, i, gnorm) in enumerate(going):
-            ga, d = g[b], D[b]
-            steps[i] = it
-            if centred is not None and 0.0 <= float(ga @ d) <= centred:
-                continue
-            rate = slope(ga, d, merits[i])
-            if rate <= 0.0:
-                d = ga / max(1.0, gnorm)
-                rate = slope(ga, d, merits[i])
-            searching[i] = (d, rate)
-            steps[i] = it + 1
-        live = []
-        for t in _ROUNDS:
-            if not searching:
+        g, H = derivatives(states)
+        norms = np.sqrt(linalg.dots(g, g))
+        going = norms > tols
+        if np.count_nonzero(going) < len(live):
+            g, H, norms = keep(going, it, g, H, norms)
+            if not len(live):
                 break
-            if t is None:
-                Z, owners, t_rows, made, zms = _deep_round(S, merits, searching, trial)
-            else:
-                owners = list(searching)
-                Z = [S[i] + t * searching[i][0] for i in owners]
-                armijo = _ARMIJO * t
-                made, zms = trial(Z, owners, [merits[i] - armijo * searching[i][1] for i in owners])
-            for a, state in made.items():
-                i = int(owners[a])
-                d = searching.pop(i)[0]
-                S[i], states[i], merits[i] = Z[a], state, zms[a]
-                step = t if t is not None else t_rows[a]
-                if step_tol is None or step * _norm(d) > step_tol * (1.0 + _norm(S[i])):
-                    live.append(i)
-    return list(zip(S, states, steps))
+        D = _newton_directions(H, g)
+        rates = slope(g, D, merits)
+        low = rates <= (centred or 0.0)
+        if np.count_nonzero(low):
+            if centred is not None:  # centred where 0 <= g'd, flat where g'd < 0
+                going = ~low | (rates < 0.0)
+                if np.count_nonzero(going) < len(live):
+                    g, D, norms, rates, low = keep(going, it, g, D, norms, rates, low)
+                    if not len(live):
+                        break
+            D[low] = g[low] / np.maximum(1.0, norms[low])[:, None]
+            rates = np.where(low, slope(g, D, merits), rates)
+        left, got = None, []  # the rows still searching (None: every row), the accepted
+        for k in range(_SINGLE_STEPS + 1):
+            if k < _SINGLE_STEPS:
+                t, at = _STEPS[k], slice(None) if left is None else left  # a view while all are left
+                Z = s[at] + t * D[at]
+                rows, zms, made = trial(Z, live[at], merits[at] - _ARMIJO_STEPS[k] * rates[at])
+                if left is None and len(rows) == len(live):  # every row, at one step length
+                    s, merits, states, got = Z, zms, made, None
+                    break
+            else:  # every other step of every row left, longest first across them
+                left = np.arange(len(live)) if left is None else left
+                j, at = np.divmod(np.arange((_HALVINGS - k) * len(left)), len(left))
+                at, j = left[at], j + k
+                Z = s[at] + _STEPS[j, None] * D[at]
+                rows, zms, made = trial(Z, live[at], merits[at] - _ARMIJO_STEPS[j] * rates[at])
+                t = _STEPS[j[rows]]
+            if len(rows):
+                at = rows if left is None else at[rows]
+                got.append((at, Z[rows], zms[rows], made, t))
+                searching = np.ones(len(live), dtype=bool)
+                searching[at] = False
+                left = searching.nonzero()[0] if left is None else left[searching[left]]
+                if not len(left):
+                    break
+        if got is not None:
+            if len(left):
+                stop(left, it + 1)  # no step accepted
+            if not got:
+                live = live[:0]
+                break
+            at, s, merits, states, t = zip(*got)
+            if len(got) > 1:  # each row's own step length
+                t = [np.broadcast_to(ti, len(ai)) for ai, ti in zip(at, t)]
+            at, s, merits, t = (a[0] if len(a) == 1 else np.concatenate(a)
+                                for a in (at, s, merits, t))
+            live, tols, states, D = live[at], tols[at], _join(states), D[at]
+        if step_tol is not None:
+            going = (t * np.sqrt(linalg.dots(D, D))
+                     > step_tol * (1.0 + np.sqrt(linalg.dots(s, s))))
+            if np.count_nonzero(going) < len(live):
+                keep(going, it + 1)
+    if len(live):
+        stop(np.arange(len(live)), max_iter)
+    return list(zip(S, ends, steps))
 
 
-def _deep_round(S, merits, searching, trial) -> tuple:
-    """The last round of a line search of ``_damped_newton``: the points
-    s + t d, t = 2^-_SINGLE_STEPS .. 2^-(_HALVINGS - 1), of every start still
-    searching (start: (direction, rate)), formed as one stack and handed to
-    ``trial`` in one call with their Armijo bounds, longest step first
-    across all starts; the trial's own domain test refuses the points
-    outside.  Returns (Z, owners, t, states, merits): the rows handed over,
-    the start and the step length of each, and what ``trial`` made of
-    them."""
-    tried = list(searching)
-    j, rows = np.divmod(np.arange(len(_STACKED_STEPS) * len(tried)), len(tried))
-    owners = np.take(tried, rows)
-    rates = np.array([rate for _, rate in searching.values()])
-    bounds = np.take(merits, owners) - _STACKED_ARMIJO[j] * rates[rows]
-    Z = (np.array([S[i] for i in tried])[rows]
-         + _STACKED_STEPS[j] * np.array([d for d, _ in searching.values()])[rows])
-    made, zms = trial(Z, owners, bounds)
-    return Z, owners, _STACKED_STEPS[j, 0], made, zms
+def _join(stacks: tuple):
+    """One stack of the states of ``stacks`` (``dual.PointStack``s or
+    ``_objects``), in order."""
+    if len(stacks) == 1:
+        return stacks[0]
+    if isinstance(stacks[0], dual.PointStack):
+        return dual.join_stacks(stacks)
+    return np.concatenate(stacks)
 
 
 def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -928,27 +922,27 @@ def _root_search(problems: Sequence[Problem], cfg: SolverConfig) -> list:
             tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
         callbacks = _roots(problems[first], [problems[k] for k in owners])
         ends = _damped_newton(starts, *callbacks, tol=tols, max_iter=60)
-        for (s, state, _), k, gtol in zip(ends, owners, tols):
-            if state is not None and _gradient_norm(state) <= gtol:
+        ends = [(s, k, gtol, state.bare_grad) for (s, state, _), k, gtol in zip(ends, owners, tols)
+                if state is not None]
+        norms = _gradient_norms(np.array([g for *_, g in ends])) if ends else ()
+        for (s, k, gtol, _), norm in zip(ends, norms):
+            if norm <= gtol:
                 roots[k].append(s)
     return roots
 
 
 def _merge_points(p: Problem, found: list) -> list:
     """The dual points ``found`` as (sigma, dual value, membership), sorted by
-    descending value then lexicographic sigma, without near-duplicates."""
-    merged = []
-    for s in found:
-        try:
-            gm = dual.assemble_G(p, s)
-            val = gm.value
-        except CanonDualError:
-            continue
-        merged.append((s, val, gm.membership))
-    merged.sort(key=lambda item: (-item[1], tuple(item[0])))
+    descending value then lexicographic sigma, without near-duplicates: the
+    values and memberships come from stacks of at most ``_stack_rows``
+    points (``dual.stack_values``)."""
+    cap = _stack_rows(p)
+    merged = sorted(((found[i + k], val, member) for i in range(0, len(found), cap)
+                     for k, val, member in dual.stack_values(p, np.array(found[i:i + cap]))),
+                    key=lambda item: (-item[1], tuple(item[0])))
     out = []
     for s, val, member in merged:
-        if all(np.linalg.norm(s - prev[0]) > 1e-7 * (1.0 + np.linalg.norm(s)) for prev in out):
+        if all(_norm(s - prev) > 1e-7 * (1.0 + _norm(s)) for prev, _, _ in out):
             out.append((s, val, member))
     return out
 
@@ -964,12 +958,10 @@ def _ladder_starts(p: Problem) -> list:
     """
     q = len(p.dual_terms)
     xlogx = np.array([p.terms[i].kind is TermKind.XLOGX for i in p.dual_terms], dtype=bool)
-    starts = []
-    for u in _LADDER_UNITS:
-        s = np.full(p.dual_dim, u)
-        s[:q] = _term_starts(p, np.where(xlogx, u - 1.0, u))
-        starts.append(s)
-    return starts
+    units = np.array(_LADDER_UNITS)[:, None]
+    starts = np.repeat(units, p.dual_dim, axis=1)
+    starts[:, :q] = _term_starts(p, np.where(xlogx, units - 1.0, units))
+    return list(starts)
 
 
 _RANDOM_UNITS = {
@@ -1023,11 +1015,17 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
         raise ValueError(f"threads must be 1, got {threads!r}")
     cfg = cfg or SolverConfig()
     direction = np.asarray(direction, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    direction = direction / norm
     grid = [float(m) for m in grid]
+    for name, values in (("direction", direction.tolist()), ("grid", grid)):
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"{name} entry {v} is not finite")
+    big = float(np.max(np.abs(direction), initial=0.0))
+    if big == 0.0:
+        raise ValueError("direction must be nonzero")
+    if not 1e-150 <= big <= 1e150:  # its squared norm would overflow or underflow
+        direction = direction / big
+    direction = direction / float(np.linalg.norm(direction))
     problems = [Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
                         variables=p_template.variables) for m in grid]
     rows = []

@@ -514,6 +514,30 @@ def test_sweep_reports_threshold(tmp_path):
     assert uniq == [False, False, True, True]
 
 
+@pytest.mark.parametrize("direction", ["1e308", "1e-200", "-1e-320"])
+def test_sweep_direction_of_any_size_gives_the_rows_of_its_unit(tmp_path, direction):
+    # the direction is scaled by its largest entry before it is normalised
+    # where its squared norm would overflow or underflow, so the sweep runs
+    # on its unit direction (the well's dual points do not depend on the
+    # sign of f)
+    doc = write(tmp_path, "dw.json", DW)
+    runs = [run_cli("sweep", doc, f"--direction={d}", "--grid", "0.5,2") for d in ("1", direction)]
+    assert [res.returncode for res in runs] == [0, 0], runs[1].stderr
+    unit, scaled = (json.loads(res.stdout)["payload"]["sweep"] for res in runs)
+    assert scaled == unit and unit["threshold"] == 2.0
+
+
+@pytest.mark.parametrize("direction, grid, name", [
+    ("inf", "0.5,2", "direction"), ("nan", "0.5,2", "direction"), ("-inf", "0.5,2", "direction"),
+    ("1", "0.5,inf", "grid"), ("1", "nan,2", "grid")])
+def test_sweep_refuses_a_non_finite_direction_or_grid(tmp_path, direction, grid, name):
+    res = run_cli("sweep", write(tmp_path, "dw.json", DW), f"--direction={direction}",
+                  f"--grid={grid}")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith(f"error: {name} entry") and "not finite" in res.stderr
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"grad_tol": 1e-7, "seed": 3}))

@@ -17,6 +17,44 @@ QIP2 = QipInstance(Q=np.array([[0.0, 1.0], [1.0, 0.0]]), f=np.array([3.0, 0.0]))
 # ------------------------------------------------------------ assembly
 
 
+@pytest.mark.parametrize("kind", [TermKind.QUARTIC, TermKind.EXPONENTIAL, TermKind.XLOGX])
+def test_conjugate_array_forms_equal_the_scalar_calls(kind):
+    # bare_grads and bare_hessians take some conjugate derivatives as
+    # columns over a stack: a quartic term's gradient s/alpha - beta and
+    # Hessian 1/alpha, an exponential one's Hessian 1/s.  Each row equals
+    # model.conj_grad and model.conj_hess at the row alone, to the bit, over
+    # a seeded draw with its extremes.  The exponential gradient (a log) and
+    # the xlogx derivatives (an exp) stay scalar calls: np.log and np.exp
+    # need not round as math.log and math.exp do
+    alpha, beta = (0.7, -1.3) if kind is TermKind.QUARTIC else (0.7, 0.0)
+    term = CanonicalTerm(kind, np.array([[1.0, -0.5], [0.25, 2.0]]), alpha, beta)
+    p = Problem(n=2, terms=[term], f=np.array([0.3, -0.2]))
+    rng = np.random.default_rng(5)
+    if kind is TermKind.XLOGX:
+        s = np.concatenate([rng.normal(0.0, 3.0, 60), [-1e308, -700.0, 0.0, 5e-324, 500.0, 1e308]])
+    else:
+        edge = alpha * beta  # s/alpha - beta = 0: the quartic's edge, the exponential's 0
+        s = np.concatenate([edge + alpha * rng.exponential(2.0, 60),
+                            edge + alpha * np.array([5e-324, 1e-300, 1e-8, 1e8, 1e300, 1e308])])
+        if kind is TermKind.QUARTIC:
+            s = np.append(s, edge)
+    S = s[:, None]
+    X = rng.standard_normal((len(S), 2))
+    A = rng.standard_normal((len(S), 2, 1))
+    G = np.broadcast_to(np.eye(2), (len(S), 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 1/s and s/alpha overflow at the extremes
+        H = dual.bare_hessians(p, S, G, A)
+        g = dual.bare_grads(p, S, X, A)
+        H_alone = -np.matmul(A.swapaxes(-1, -2), np.linalg.solve(G, A))
+        g_alone = 0.5 * (X[:, None, :] @ A)[:, 0, :]
+        for r, v in enumerate(s.tolist()):
+            H_alone[r, 0, 0] -= model.conj_hess(term, v)
+            g_alone[r, 0] -= model.conj_grad(term, v)
+    assert H.tobytes() == H_alone.tobytes()
+    assert g.tobytes() == g_alone.tobytes()
+
+
 def test_assemble_G_qip_substitution():
     p = QIP2.to_problem()
     gm = dual.assemble_G(p, [2.0, 0.5])

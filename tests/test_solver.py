@@ -10,7 +10,8 @@ import pytest
 
 from canondual import dual, integer, oracle, solver
 from canondual.dual import Membership
-from canondual.errors import DimensionMismatch, EmptyInterior, MaxIterations, SingularG
+from canondual.errors import (CanonDualError, DimensionMismatch, EmptyInterior, MaxIterations,
+                              SingularG)
 from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 from canondual.solver import SolverConfig
@@ -323,15 +324,16 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
             # within a bound of inf the first row inside is accepted; within
             # -inf none is, so every row is made and the line search runs
             # through all its steps
-            for a, state in trial(Z, owners, [math.inf] * len(Z))[0].items():
-                assert state.slacks.tobytes() == dual.domain_slacks(p, Z[a]).tobytes()
-            states, merits = trial(Z, owners, [-math.inf] * len(Z))
-            assert states == {}
+            rows, _, made = trial(Z, owners, np.full(len(Z), math.inf))
+            for k, a in enumerate(rows.tolist()):
+                assert made[k].slacks.tobytes() == dual.domain_slacks(p, Z[a]).tobytes()
+            rows, merits, made = trial(Z, owners, np.full(len(Z), -math.inf))
+            assert len(rows) == 0
             handed.extend(zip(Z, merits))
-            return states, merits
+            return rows, merits, made
 
         # g = d with H = -I makes d the Newton direction
-        solver._damped_newton([s], refusing, lambda state: 0.0, lambda g, d, m: 1.0,
+        solver._damped_newton([s], refusing, lambda state: 0.0, lambda g, d, m: np.ones(len(g)),
                               lambda states: (d[None], -np.eye(p.dual_dim)[None]), tol=0.0,
                               max_iter=1, states=["start"])
         assert len(handed) == solver._HALVINGS
@@ -495,6 +497,61 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
             outcomes.add("none" if state is None else "60" if steps == 60 else
                          "root" if solver._gradient_norm(state) <= tol else "stopped")
     assert outcomes == {"none", "60", "root", "stopped"}
+
+
+def _merge_points_alone(p: Problem, found: list) -> list:
+    """``solver._merge_points`` point by point: each value and membership
+    from its own ``dual.assemble_G``, a point dropped where that raises."""
+    merged = []
+    for s in found:
+        try:
+            gm = dual.assemble_G(p, s)
+            merged.append((s, gm.value, gm.membership))
+        except CanonDualError:
+            continue
+    merged.sort(key=lambda item: (-item[1], tuple(item[0])))
+    out = []
+    for s, val, member in merged:
+        if all(np.linalg.norm(s - prev) > 1e-7 * (1.0 + np.linalg.norm(s)) for prev, _, _ in out):
+            out.append((s, val, member))
+    return out
+
+
+def test_merge_points_stack_equals_each_point_alone(monkeypatch):
+    # _merge_points evaluates the ends of a root search as one stack
+    # (dual.stack_values), or as stacks of three rows: its points, values
+    # and memberships, in order, equal those of assemble_G at each point
+    # alone, bit for bit.  Rows that raise alone drop out alone: a
+    # non-finite G (InvalidMatrix), f outside the range of a singular G
+    # (RangeViolation) and a conjugate outside its domain (DomainViolation)
+    cfg = SolverConfig()
+    raised = set()
+    for k, p in enumerate(_root_search_problems()):
+        rng = np.random.default_rng(0)
+        starts = solver._ladder_starts(p) + [solver._random_dual_start(p, rng) for _ in range(6)]
+        ends = [s for s, _, _ in solver._damped_newton(
+            starts, *solver._roots(p, [p] * len(starts)), tol=1e-11 * p.f_scale, max_iter=60)]
+        bad = [np.full(p.dual_dim, np.nan)]
+        if k < 12:  # the README well, G(s) = s
+            bad += [np.array([0.0]), np.array([-10.0])]
+        found = ends[:3] + bad + ends[3:] + solver._root_search([p], cfg)[0]
+        for s in bad:
+            try:
+                dual.assemble_G(p, s).value
+            except CanonDualError as err:
+                raised.add(type(err).__name__)
+        alone = _merge_points_alone(p, found)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_stack_rows", lambda p: 3)
+            in_threes = solver._merge_points(p, found)
+        for together in (solver._merge_points(p, found), in_threes):
+            assert len(together) == len(alone) > 0
+            for (s, val, member), (s1, val1, member1) in zip(together, alone):
+                assert s.tobytes() == s1.tobytes()
+                assert np.float64(val).tobytes() == np.float64(val1).tobytes()
+                assert member is member1
+    assert raised == {"InvalidMatrix", "RangeViolation", "DomainViolation"}
+    assert solver._merge_points(double_well(1.0), [np.array([np.nan]), np.array([0.0])]) == []
 
 
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
@@ -1233,11 +1290,14 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
 
 @pytest.mark.parametrize("trial", ["one_at_a_time", "lu_3_a_call", "lu_one_call"])
 def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatch):
-    # the trial contract: a trial returns the state of each start's first row
-    # within its bound, and of no other row, and the merit of every row it
-    # makes.  The rows come as a deep round hands them over, longest step
-    # first across the starts; a start's rows past its accepted one may go
-    # unmade (merit inf).  A stacked LU trial builds no other point
+    # the trial contract: a trial returns the rows it accepts, each start's
+    # first row within its bound and no other, the states of those rows as
+    # a stack, and the merit of every row it makes.  The rows come as a deep
+    # round hands them over, longest step first across the starts; a
+    # start's rows past its accepted one may go unmade (merit inf).  A
+    # stacked LU trial keeps its accepted rows in the arrays of one
+    # dual.PointStack and builds no DualPoint: one is built only where a
+    # row of the stack is asked for, with the bits of the point made alone
     p = double_well(1.75)
     rng = np.random.default_rng(2)
     owners = np.array([0, 1, 2, 0, 2, 0, 2, 0, 2, 0])
@@ -1267,19 +1327,26 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     else:
         run = partial(solver._lu_trials, p, np.array([p.f] * 3),
                       np.array([p] * 3, dtype=object), 3 if trial == "lu_3_a_call" else 10)
-    states, merits = run(Z, owners, bounds)
-    merits = np.asarray(merits)
-    assert sorted(states) == [2, 7]
-    for a, state in states.items():
+    rows, merits, made = run(Z, owners, bounds)
+    assert rows.tolist() == [2, 7]
+    if trial != "one_at_a_time":
+        assert built == []
+        assert [q is p for q in made.problems] == [True, True]
+        for k, a in enumerate(rows.tolist()):
+            assert made.Z[k].tobytes() == Z[a].tobytes()
+            assert made.X[k].tobytes() == alone[a].x.tobytes()
+            assert made.bare_grads[k].tobytes() == alone[a].bare_grad.tobytes()
+    for k, a in enumerate(rows.tolist()):
+        state = made[k]
         assert state.p is p and state.x.tobytes() == alone[a].x.tobytes()
         assert state.bare_grad.tobytes() == alone[a].bare_grad.tobytes()
-    made = np.flatnonzero(np.isfinite(merits))
-    assert (merits[made] == every[made]).all()
+    made_rows = np.flatnonzero(np.isfinite(merits))
+    assert (merits[made_rows] == every[made_rows]).all()
     # every row up to each start's accepted one is made; one call makes all
-    assert made.tolist() == ([0, 1, 2, 3, 5, 7] if trial != "lu_one_call" else list(range(10)))
+    assert made_rows.tolist() == ([0, 1, 2, 3, 5, 7] if trial != "lu_one_call"
+                                  else list(range(10)))
     if trial != "one_at_a_time":
         assert sizes == ([3, 3] if trial == "lu_3_a_call" else [10])
-        assert sorted(map(id, built)) == sorted(map(id, states.values()))
 
 
 def test_fc_sweep_all_unique_above_threshold():
