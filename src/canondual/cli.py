@@ -37,7 +37,6 @@ import dataclasses
 import json
 import sys
 import time
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -176,12 +175,11 @@ def _load_document(path) -> tuple:
 
 def _encode(obj):
     """``json.dumps``' hook for what json cannot encode itself: a dataclass
-    as its fields in order, an Enum as its value, numpy through tolist().
+    as its fields in order, numpy through tolist().  The enums a report
+    holds are str Enums, which json writes itself.
     Non-finite floats go out as NaN/Infinity, which json.loads reads back."""
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -1,0 +1,326 @@
+"""The multistart search for the critical points of the dual.
+
+The certificate comes from ``solver.solve_dual``, the dual maximized where
+G(s) is positive semidefinite.  The triality diagnostics,
+``solver.dual_critical_points`` and ``solver.fc_sweep``, also want every
+stationary point of the dual on its whole nonsingular domain, where G may
+be indefinite.  This module finds them, and ``solver`` loads it on their
+first call only, so a solve does not compile it.
+
+``critical_points`` runs the certified solve of each problem and the root
+search of all of them, then merges each problem's points.  The root
+search (``_root_search``) passes the starts of all its problems, a ladder
+away from each domain edge and RANDOM_STARTS seeded random draws each, to
+``solver._damped_newton`` as one lockstep stack.  G(s) does not depend on
+f, so each row has its own f, tolerance and ``Problem``.  Its trials
+(``_lu_trials``) are LU points made a stack at a time (``factor_stack``)
+within a fixed count of numbers, and its states are the rows of
+``PointStack``s: arrays that the Hessians A'G^-1 A of all the starts
+(``dual.bare_hessians``) read directly.  A ``dual.DualPoint`` is built only
+for a start's end.  ``_merge_points`` evaluates the points a search found
+as stacks (``stack_values``, one stacked ``eigh``), each row to the bit of
+``dual.assemble_G`` at the point alone.  The shared Newton driver and the
+gradient norms are read as ``solver`` attributes at each call.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+from typing import Sequence
+
+import numpy as np
+
+from . import dual, linalg, solver
+from .errors import CanonDualError, EmptyInterior, MaxIterations
+from .model import Problem, TermKind
+
+# A stacked call of the root search holds at most this many numbers in each
+# of its stacked arrays (see _row_size): 0.5 MB of doubles, which a whole
+# deep round of the 1x1 and 2x2 wells fits in.  One lockstep stack of it
+# holds the points of at most _SEARCH_ELEMENTS numbers' worth of starts.
+_STACK_ELEMENTS = 2**16
+_SEARCH_ELEMENTS = 2**22
+# the root search's random starts per problem, beside the ladder's
+RANDOM_STARTS = 12
+
+
+class PointStack:
+    """LU points at a stack of dual points, evaluated in one pass; build it
+    with ``factor_stack``.  Row j is the point ``Z[j]`` on its own
+    ``problems[j]``, with its ``slacks``, ``G``, x (``X``), coordinate
+    ``images`` and ``bare_grads``: the gradients are all that a line-search
+    trial's merit reads.  ``stack[j]`` is the ``dual.DualPoint`` of row j,
+    with copies of its G and images, so that it does not keep the stack
+    alive, and views of its x and gradient.  ``stack[rows]``, for an index
+    array, is the stack of those rows, and ``stack.join(others)`` the stack
+    of its rows followed by theirs."""
+
+    _FIELDS = ("Z", "slacks", "G", "X", "images", "problems", "bare_grads")
+
+    def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, G: np.ndarray,
+                 X: np.ndarray, images: np.ndarray, problems: np.ndarray, grads: np.ndarray):
+        self.p, self.Z, self.slacks, self.G, self.X = p, Z, slacks, G, X
+        self.images, self.problems, self.bare_grads = images, problems, grads
+
+    def __getitem__(self, j):
+        if isinstance(j, np.ndarray):
+            return PointStack(self.p, *(getattr(self, name)[j] for name in self._FIELDS))
+        point = dual.DualPoint(self.problems[j], self.Z[j], self.slacks[j], self.G[j].copy(),
+                               None, x=self.X[j])
+        point.images, point.bare_grad = self.images[j].copy(), self.bare_grads[j]
+        return point
+
+    def join(self, others: Sequence["PointStack"]) -> "PointStack":
+        if not others:
+            return self
+        stacks = (self, *others)
+        return PointStack(self.p, *(np.concatenate([getattr(stack, name) for stack in stacks])
+                                    for name in self._FIELDS))
+
+
+def factor_stack(p: Problem, Z, f, problems: np.ndarray) -> tuple:
+    """(kept, stack): ``dual.factor_point(problems[j], z_j, cholesky=False)``
+    at every row z_j of Z, in one pass, where ``kept`` lists in order the
+    rows where that is not None and ``stack`` holds their points.  One
+    ``dual.screen`` of every row, then, for the rows inside, the stacked
+    operator, one ``np.linalg.solve`` over the stack (singular rows, which
+    make it fail, are then refused one by one) and the bare gradients.
+    Every problem (an object array) is on p's terms, and row j solves
+    G x = f[j], its problem's input: G(s) does not depend on f, so one
+    stack may hold the points of several inputs."""
+    Z = np.asarray(Z, dtype=float)
+    outside, slacks = dual.screen(p, Z, cholesky=False)
+    kept = np.flatnonzero(~outside)
+    Z, slacks = Z[kept], slacks[kept]
+    G = dual.operator(p, Z)
+    # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a stack
+    # of vectors, numpy 2 as one column
+    F = np.asarray(f, dtype=float)[kept][..., None]
+    try:
+        X = np.linalg.solve(G, F)[..., 0]
+    except np.linalg.LinAlgError:
+        X = np.full((len(kept), p.n), np.nan)  # a singular row stays NaN: refused
+        for r, Gr in enumerate(G):
+            try:
+                X[r] = np.linalg.solve(Gr, F[r])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        kept, Z, slacks, G, X = kept[finite], Z[finite], slacks[finite], G[finite], X[finite]
+    images = dual.coordinate_images(p, X)
+    return kept, PointStack(p, Z, slacks, G, X, images, problems[kept],
+                            dual.bare_grads(p, Z, X, images))
+
+
+def stack_values(p: Problem, S: np.ndarray) -> list:
+    """(row, value, membership) at each row s of a stack of dual points S
+    where ``dual.assemble_G(p, s).value`` is defined, with the arithmetic
+    of that ``GapMatrix`` alone, to the bit: one stacked ``dual.operator``
+    and ``linalg.eigh``, then x = [G]^+ f, its range check, the value and
+    the membership.  A row drops out alone where the GapMatrix raises: G
+    not finite, f outside the range of G, or a conjugate undefined."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = dual.operator(p, S)
+    rows = np.flatnonzero(np.isfinite(G).all(axis=(1, 2)))
+    S, G = S[rows], G[rows]
+    w, v = linalg.eigh(G)
+    x = linalg.apply_pinv((w, v), p.f)
+    r = np.matmul(G, x[..., None])[..., 0] - p.f
+    half = -0.5 * linalg.dots(x, p.f)
+    flat = G.reshape(len(G), p.n * p.n)
+    tol = 1e-8 * (1.0 + np.sqrt(linalg.dots(flat, flat)))  # dual.boundary_tol
+    least = np.minimum(w[:, 0], S[:, len(p.dual_terms):].min(axis=1, initial=np.inf))
+    out = []
+    for k in np.flatnonzero(~(np.sqrt(linalg.dots(r, r)) > dual.RANGE_TOL * p.f_scale)).tolist():
+        try:
+            value = float(half[k] - dual.conjugate_total(p, S[k]))
+        except CanonDualError:
+            continue
+        member = (dual.Membership.INTERIOR if least[k] > tol[k] else dual.Membership.BOUNDARY
+                  if least[k] >= -tol[k] else dual.Membership.OUTSIDE)
+        out.append((int(rows[k]), value, member))
+    return out
+
+
+def _row_size(p: Problem) -> int:
+    """The numbers n * max(n, R) one point of the root search on p's terms
+    takes in a stacked array: its G, and its coordinate images while they
+    are formed, for R the rows of ``Problem.coordinate_rows.Bt``."""
+    return p.n * max(p.n, p.coordinate_rows.Bt.shape[1])
+
+
+def _stack_rows(p: Problem) -> int:
+    """The most rows of one stacked call of the root search on p's terms
+    (``factor_stack``, ``dual.bare_hessians``)."""
+    return max(1, _STACK_ELEMENTS // _row_size(p))
+
+
+def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
+    """``solver._damped_newton`` callbacks for grad = 0 on the bare dual,
+    with the merit and slope of ``solver._polish``, at every point with
+    nonnegative domain slacks and nonsingular G, for starts with the
+    ``problems`` on p's terms (each its own f): the states are the rows of
+    ``PointStack``s, made a stack of trials at a time by ``_lu_trials``,
+    and the Hessians of all the starts come in one pass of
+    ``dual.bare_hessians``."""
+    cap = _stack_rows(p)
+    return (partial(_lu_trials, p, np.array([q.f for q in problems]), solver._objects(problems),
+                    cap),
+            solver._gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p, cap))
+
+
+def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, owners,
+               bounds) -> tuple:
+    """The root search's trial: the LU points of ``factor_stack``, each row
+    with the input ``f`` and the ``Problem`` of its owner, and their
+    gradient-norm merits (``solver._gradient_norms``).  The rows are made
+    in order, in calls of at most ``cap`` rows (``_stack_rows``), and once
+    a start has accepted a row its later rows are dropped: with the rows of
+    a deep round longest step first across all starts, few are made past a
+    start's accepted one, and a 1x1 or 2x2 G takes the whole round in one
+    call.  Only the accepted rows outlive their call, in the arrays of one
+    ``PointStack``."""
+    Z, owners, bounds = np.asarray(Z, dtype=float), np.asarray(owners), np.asarray(bounds)
+    merits = np.full(len(Z), math.inf)
+    first = np.full(len(problems), len(Z))  # each start's accepted row; len(Z) before it has one
+    rows, parts = [], []
+    waiting = np.arange(len(Z))
+    while waiting.size:
+        take, waiting = waiting[:cap], waiting[cap:]
+        who = owners[take]
+        kept, stack = factor_stack(p, Z[take], f[who], problems[who])
+        made = take[kept]  # the rows of Z in the stack, in its order
+        m = merits[made] = solver._gradient_norms(stack.bare_grads)
+        passed = np.flatnonzero(np.isfinite(m) & (m <= bounds[made]))  # places in the stack
+        # a start's first row to pass, its longest step, is its accepted one
+        np.minimum.at(first, owners[made[passed]], made[passed])
+        chosen = passed[first[owners[made[passed]]] == made[passed]]
+        rows.append(made[chosen])
+        parts.append(stack[chosen])
+        waiting = waiting[first[owners[waiting]] == len(Z)]
+    return np.concatenate(rows), merits, parts[0].join(parts[1:])
+
+
+def _lu_derivatives(p: Problem, cap: int, stack: PointStack) -> tuple:
+    """``DualPoint.barrier_derivs(0.0)`` at the rows of a ``PointStack``:
+    their bare gradients, and their Hessians by ``dual.bare_hessians``, at
+    most ``cap`` points (``_stack_rows``) to a call."""
+    s, G, A = stack.Z, stack.G, stack.images
+    H = np.concatenate([dual.bare_hessians(p, s[i:i + cap], G[i:i + cap], A[i:i + cap])
+                        for i in range(0, len(s), cap)])
+    return stack.bare_grads, 0.5 * (H + H.swapaxes(1, 2))
+
+
+def critical_points(problems: Sequence[Problem], cfg: solver.SolverConfig) -> list:
+    """(outcome, points) for each of ``problems``, which share their terms:
+    the status of ``solver.solve_dual`` on it, or why it raised
+    (``empty_interior``, ``stalled``), and ``_merge_points`` of the solve's
+    point, if interior, and of the points its starts of ``_root_search``
+    end at."""
+    solved = []
+    for q in problems:
+        try:
+            rep = solver.solve_dual(q, cfg)
+        except EmptyInterior:
+            solved.append(("empty_interior", []))
+        except MaxIterations:
+            solved.append(("stalled", []))
+        else:
+            solved.append((rep.status, [rep.sigma_bar] if rep.status == "interior" else []))
+    return [(outcome, _merge_points(q, certified + roots))
+            for q, (outcome, certified), roots
+            in zip(problems, solved, _root_search(problems, cfg))]
+
+
+def _root_search(problems: Sequence[Problem], cfg: solver.SolverConfig) -> list:
+    """The multistart root search of ``critical_points`` for each of
+    ``problems``, which share their terms: the stationary points each
+    problem's starts end at, one list per problem.
+
+    G(s) does not depend on f, so the starts of several problems run as one
+    lockstep stack, each row with its own f, its own tolerance and its own
+    ``Problem``: as many problems, in order, as keep the points of its
+    starts within _SEARCH_ELEMENTS numbers (``_row_size`` a start), and at
+    least one.  Each start ends where it would alone, to the bit.  A
+    problem with no dual coordinate has no stationary point to find.
+    """
+    roots = [[] for _ in problems]
+    if not problems or not problems[0].dual_dim:
+        return roots
+    per_problem = len(_LADDER_UNITS) + RANDOM_STARTS
+    group = max(1, _SEARCH_ELEMENTS // (_row_size(problems[0]) * per_problem))
+    for first in range(0, len(problems), group):
+        starts, owners, tols = [], [], []
+        for k in range(first, min(first + group, len(problems))):
+            q = problems[k]
+            rng = np.random.default_rng(cfg.seed)
+            drawn = _ladder_starts(q) + [_random_dual_start(q, rng)
+                                         for _ in range(RANDOM_STARTS)]
+            starts += drawn
+            owners += [k] * len(drawn)
+            tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
+        callbacks = _roots(problems[first], [problems[k] for k in owners])
+        ends = solver._damped_newton(starts, *callbacks, tol=tols, max_iter=60)
+        ends = [(s, k, gtol, state.bare_grad) for (s, state, _), k, gtol in zip(ends, owners, tols)
+                if state is not None]
+        norms = solver._gradient_norms(np.array([g for *_, g in ends])) if ends else ()
+        for (s, k, gtol, _), norm in zip(ends, norms):
+            if norm <= gtol:
+                roots[k].append(s)
+    return roots
+
+
+def _merge_points(p: Problem, found: list) -> list:
+    """The dual points ``found`` as (sigma, dual value, membership), sorted by
+    descending value then lexicographic sigma, without near-duplicates: the
+    values and memberships come from stacks of at most ``_stack_rows``
+    points (``stack_values``)."""
+    cap = _stack_rows(p)
+    merged = sorted(((found[i + k], val, member) for i in range(0, len(found), cap)
+                     for k, val, member in stack_values(p, np.array(found[i:i + cap]))),
+                    key=lambda item: (-item[1], tuple(item[0])))
+    out = []
+    for s, val, member in merged:
+        if all(_norm(s - prev) > 1e-7 * (1.0 + _norm(s)) for prev, _, _ in out):
+            out.append((s, val, member))
+    return out
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector, to the bit: the square root of one dot
+    product, without the argument handling of np.linalg.norm."""
+    return math.sqrt(v.dot(v))
+
+
+_LADDER_UNITS = (0.05, 0.2, 0.5, 1.0, 2.0, 4.0)
+
+
+def _ladder_starts(p: Problem) -> list:
+    """Deterministic start points marching away from each domain boundary.
+
+    Guarantees basin coverage for low-dimensional duals where pure random
+    starts can miss a stationary point between the boundary and zero.
+    """
+    q = len(p.dual_terms)
+    xlogx = np.array([p.terms[i].kind is TermKind.XLOGX for i in p.dual_terms], dtype=bool)
+    units = np.array(_LADDER_UNITS)[:, None]
+    starts = np.repeat(units, p.dual_dim, axis=1)
+    starts[:, :q] = solver._term_starts(p, np.where(xlogx, units - 1.0, units))
+    return list(starts)
+
+
+_RANDOM_UNITS = {
+    TermKind.QUARTIC: lambda rng: rng.uniform(0.02, 3.0),
+    TermKind.EXPONENTIAL: lambda rng: rng.uniform(0.05, 4.0),
+    TermKind.XLOGX: lambda rng: rng.normal(0.0, 2.0),
+}
+
+
+def _random_dual_start(p: Problem, rng: np.random.Generator) -> np.ndarray:
+    s = np.empty(p.dual_dim)
+    q = len(p.dual_terms)
+    s[:q] = solver._term_starts(p, [_RANDOM_UNITS[p.terms[i].kind](rng) for i in p.dual_terms])
+    s[q:] = rng.uniform(0.05, 3.0, size=p.dual_dim - q)
+    return s

@@ -32,23 +32,17 @@ the whole interior-point barrier Pi_d + mu log det G + mu sum log slack:
 its value (``barrier``) and derivatives (``barrier_derivs``) at any mu,
 and the length of the bare Newton step in its local norm
 (``newton_radius``).
-``factor_stack`` makes the LU points of a stack in one pass, the
-arithmetic of each row that of ``factor_point`` alone (``bare_grads``, the
-one formula for the dual gradient, gives it at a point and at a stack
-alike), and ``PointStack`` builds a row's ``DualPoint`` only when asked.  G(s) does
-not depend on f, so each row of a stack carries its own f and its own
-``Problem`` on the same terms: one stack may hold the points of several
-inputs.
-``bare_hessians`` gives the LU Hessians of a stack of points in one
-stacked solve.  ``GapMatrix``, built by
+``bare_grads``, the one formula for the dual gradient, gives it at a point
+and at a stack of points alike, and ``bare_hessians`` gives the LU
+Hessians of a stack of points in one stacked solve, each row with the
+arithmetic of the point alone: the multistart root search of ``critical``
+builds its stacked points from them.  ``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
 eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
 reference gradient (``bare_grads`` at that x) and the membership of the
-certified region; ``stack_values`` gives the value and membership of each
-of a stack of points with its arithmetic, from one stacked ``eigh``.  A
-dual point from outside is checked once, by ``assemble_G``; the Newton
-loops pass ``factor_point``, ``factor_stack`` and ``operator`` their own
-float arrays.
+certified region.  A dual point from outside is checked once, by
+``assemble_G``; the Newton loops pass ``factor_point``, ``screen`` and
+``operator`` their own float arrays.
 """
 
 from __future__ import annotations
@@ -61,8 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, model
-from .errors import (CanonDualError, DimensionMismatch, InvalidMatrix, RangeViolation,
-                     SingularG)
+from .errors import DimensionMismatch, InvalidMatrix, RangeViolation, SingularG
 from .linalg import EigenDecomp
 from .model import Problem
 
@@ -198,36 +191,6 @@ def conjugate_total(p: Problem, s: np.ndarray) -> float:
     return total
 
 
-def stack_values(p: Problem, S: np.ndarray) -> list:
-    """(row, value, membership) at each row s of a stack of dual points S
-    where ``assemble_G(p, s).value`` is defined, with the arithmetic of that
-    ``GapMatrix`` alone, to the bit: one stacked ``operator`` and
-    ``linalg.eigh``, then x = [G]^+ f, its range check, the value and the
-    membership.  A row drops out alone where the GapMatrix raises: G not
-    finite, f outside the range of G, or a conjugate undefined."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = operator(p, S)
-    rows = np.flatnonzero(np.isfinite(G).all(axis=(1, 2)))
-    S, G = S[rows], G[rows]
-    w, v = linalg.eigh(G)
-    x = linalg.apply_pinv((w, v), p.f)
-    r = np.matmul(G, x[..., None])[..., 0] - p.f
-    half = -0.5 * linalg.dots(x, p.f)
-    flat = G.reshape(len(G), p.n * p.n)
-    tol = 1e-8 * (1.0 + np.sqrt(linalg.dots(flat, flat)))  # boundary_tol
-    least = np.minimum(w[:, 0], S[:, len(p.dual_terms):].min(axis=1, initial=np.inf))
-    out = []
-    for k in np.flatnonzero(~(np.sqrt(linalg.dots(r, r)) > RANGE_TOL * p.f_scale)).tolist():
-        try:
-            value = float(half[k] - conjugate_total(p, S[k]))
-        except CanonDualError:
-            continue
-        member = (Membership.INTERIOR if least[k] > tol[k] else Membership.BOUNDARY
-                  if least[k] >= -tol[k] else Membership.OUTSIDE)
-        out.append((int(rows[k]), value, member))
-    return out
-
-
 def eval_Xi(p: Problem, x, s) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     gm = assemble_G(p, s)
@@ -318,7 +281,7 @@ def domain_slacks(p: Problem, s) -> np.ndarray:
 def screen(p: Problem, s, cholesky: bool = True) -> tuple:
     """(outside, slacks) at s, a point or a stack of points (one per row):
     the ``domain_slacks`` and whether each point fails the domain test,
-    the one test of ``factor_point`` and ``factor_stack`` before they form
+    the one test of ``factor_point`` and ``critical.factor_stack`` before they form
     G.  A Cholesky point fails on a slack that is not positive.  An LU
     point fails on a negative slack, or on a zero slack of a ``strict``
     (exponential) coordinate, where the conjugate is undefined."""
@@ -337,7 +300,7 @@ class DualPoint:
     ascent and the polish, where G is positive definite: x comes from two
     triangular solves with L, and sum log diag L and L^-1 give the log-det
     terms.  The LU form (L None) serves the root search and classification,
-    where G may be indefinite: x (unless given, as ``factor_stack`` does)
+    where G may be indefinite: x (unless given, as ``critical.PointStack`` does)
     and the G^-1 A term of the Hessian come from ``np.linalg.solve``.  The
     domain test of ``factor_point`` keeps every conjugate defined, so
     everything else is computed on first use: the barrier-free value
@@ -499,83 +462,6 @@ def factor_point(p: Problem, s, cholesky: bool = True) -> Optional[DualPoint]:
     except np.linalg.LinAlgError:
         return None
     return point if cholesky or np.all(np.isfinite(point.x)) else None
-
-
-class PointStack:
-    """LU points at a stack of dual points ``Z``, evaluated in one pass;
-    build it with ``factor_stack``.  Row j is refused where
-    ``factor_point(problems[j], z_j, cholesky=False)`` would be None.
-    ``kept`` lists the other rows in order, and ``G``, ``X``, ``images`` and
-    ``bare_grads`` hold their arrays in that order: the gradients are all
-    that a line-search trial's merit reads.  ``stack[j]`` is the
-    ``DualPoint`` of row j, on its own problem, or None where refused, with
-    copies of its rows of G and the coordinate images, so that it does not
-    keep them alive, and views of its x and gradient.  For an index array
-    of kept rows, ``stack[rows]`` is the stack of those rows, all kept: the
-    root search keeps its points in such stacks and builds a ``DualPoint``
-    only where one is asked for."""
-
-    def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, kept: np.ndarray,
-                 G: np.ndarray, X: np.ndarray, images: np.ndarray, problems, grads: np.ndarray):
-        self.p, self.Z, self.slacks, self.kept = p, Z, slacks, kept
-        self.G, self.X, self.images, self.problems = G, X, images, problems
-        self.bare_grads = grads
-        self._row = np.full(len(Z), -1)  # row j's place in kept, -1 where refused
-        self._row[kept] = np.arange(len(kept))
-
-    def __getitem__(self, j):
-        r = self._row[j]
-        if isinstance(j, np.ndarray):
-            return PointStack(self.p, self.Z[j], self.slacks[j], np.arange(len(j)), self.G[r],
-                              self.X[r], self.images[r], self.problems[j], self.bare_grads[r])
-        if r < 0:
-            return None
-        point = DualPoint(self.problems[j], self.Z[j], self.slacks[j], self.G[r].copy(), None,
-                          x=self.X[r])
-        point.images, point.bare_grad = self.images[r].copy(), self.bare_grads[r]
-        return point
-
-
-def join_stacks(stacks: list) -> PointStack:
-    """The rows of ``stacks``, each with every row kept, in order, as one."""
-    if len(stacks) == 1:
-        return stacks[0]
-    Z, slacks, G, X, images, problems, grads = (
-        np.concatenate([getattr(stack, name) for stack in stacks])
-        for name in ("Z", "slacks", "G", "X", "images", "problems", "bare_grads"))
-    return PointStack(stacks[0].p, Z, slacks, np.arange(len(Z)), G, X, images, problems, grads)
-
-
-def factor_stack(p: Problem, Z, f, problems) -> PointStack:
-    """``factor_point(problems[j], z_j, cholesky=False)`` at every row z_j
-    of Z, in one pass: one ``screen`` of every row, then, for the rows
-    inside, the stacked operator, one ``np.linalg.solve`` over the stack
-    (singular rows, which make it fail, are then refused one by one) and
-    the bare gradients.  Every problem is on p's terms, and row j solves
-    G x = f[j], its problem's input: G(s) does not depend on f, so one
-    stack may hold the points of several inputs."""
-    Z = np.asarray(Z, dtype=float)
-    outside, slacks = screen(p, Z, cholesky=False)
-    kept = np.flatnonzero(~outside)
-    G = operator(p, Z[kept])
-    # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a stack
-    # of vectors, numpy 2 as one column
-    F = np.asarray(f, dtype=float)[kept][..., None]
-    try:
-        X = np.linalg.solve(G, F)[..., 0]
-    except np.linalg.LinAlgError:
-        X = np.full((len(kept), p.n), np.nan)  # a singular row stays NaN: refused
-        for r, Gr in enumerate(G):
-            try:
-                X[r] = np.linalg.solve(Gr, F[r])[:, 0]
-            except np.linalg.LinAlgError:
-                pass
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        kept, G, X = kept[finite], G[finite], X[finite]
-    images = coordinate_images(p, X)
-    return PointStack(p, Z, slacks, kept, G, X, images, problems,
-                      bare_grads(p, Z[kept], X, images))
 
 
 @dataclass

@@ -185,6 +185,22 @@ class Problem:
         for i, t in enumerate(self.terms):
             if t.n != self.n:
                 raise DimensionMismatch(f"terms[{i}] factor has {t.n} columns, expected {self.n}")
+        # every tolerance scales with 1 + |f| or a norm of G: refuse input
+        # whose norms overflow before they are read.  Q and the plain block
+        # are formed here and dropped, not cached: a problem made ahead of
+        # its solve holds no copy of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(self.f_scale):
+                raise DimensionMismatch("f has a norm past the double range")
+            block = np.zeros((self.n, self.n))
+            for i, t in enumerate(self.terms):
+                Q = t.factor.T @ t.factor
+                if not math.isfinite(np.linalg.norm(Q)):
+                    raise DimensionMismatch(f"terms[{i}] Q has a norm past the double range")
+                if not t.has_dual:
+                    block += t.alpha * Q
+            if not math.isfinite(np.linalg.norm(block)):
+                raise DimensionMismatch("the plain block has a norm past the double range")
         self.variables = Variables(self.variables)
         self.f.setflags(write=False)
 

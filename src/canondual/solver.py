@@ -22,32 +22,26 @@ the barrier goes on from its own point, which is not handed over again
 while the barrier takes no step from it.  The barrier's last point, at the
 floor or after ``max_outer`` steps, is polished where the polish can start.
 
-The ascent, the polish and the multistart root search run one damped-Newton
-loop, ``_damped_newton``, with callbacks from ``_barrier``, ``_polish`` and
-``_roots``: the ascent backtracks on the barrier value, the other two on
-the norm of the dual gradient.  The loop runs a stack of starts in
-lockstep, its state in arrays over the starts and every test of a start a
-mask, and each start ends where it would alone, to the bit.  The ascent
-and the polish pass one start, a Cholesky ``dual.DualPoint`` made one
-trial at a time (``dual.factor_point``).  The root search of
-``_critical_points``, which serves ``dual_critical_points`` and
-``fc_sweep``, passes the starts of all its problems (a sweep's magnitudes)
-as one stack, each row with its own f, tolerance and ``Problem``, since
-G(s) does not depend on f.  G may be indefinite there: its trials are LU
-points made a stack at a time (``dual.factor_stack``) within a fixed count
-of numbers, and its states are the rows of ``dual.PointStack``s, arrays
-that the Hessians A'G^-1 A of all the starts (``dual.bare_hessians``) read
-directly.  Each iteration takes the Newton directions of every running
-start in one stacked solve, with the ridge fallback only for the rows that
-need it.  The line search runs in rounds: one for each of the first step
-lengths, then one for all the shorter steps, longest first across the
-starts.  The trial alone decides acceptance and the domain (``dual.screen``)
-and returns each start's first point within its Armijo bound, so each
-start's accepted step is that of halving one step at a time.  A trial
-builds only what its merit reads; the Hessian and L^-1 are formed only at
-accepted points.  The eigendecomposition serves phase one, the report and
-triality, and ``_merge_points`` takes it for all the points a root search
-found as one stack (``dual.stack_values``).  For a continuous problem with
+The ascent, the polish and the multistart root search of ``critical``
+run one damped-Newton loop, ``_damped_newton``, with callbacks from
+``_barrier``, ``_polish`` and ``critical._roots``: the ascent backtracks on
+the barrier value, the other two on the norm of the dual gradient.  The
+loop runs a stack of starts in lockstep, its state in arrays over the
+starts and every test of a start a mask, and each start ends where it
+would alone, to the bit.  The ascent and the polish pass one start, a
+Cholesky ``dual.DualPoint`` made one trial at a time
+(``dual.factor_point``); the root search, which serves
+``dual_critical_points`` and ``fc_sweep`` and loads on their first call,
+passes a stack of LU points.  Each iteration takes the Newton directions
+of every running start in one stacked solve, with the ridge fallback only
+for the rows that need it.  The line search runs in rounds: one for each
+of the first step lengths, then one for all the shorter steps, longest
+first across the starts.  The trial alone decides acceptance and the
+domain (``dual.screen``) and returns each start's first point within its
+Armijo bound, so each start's accepted step is that of halving one step
+at a time.  A trial builds only what its merit reads; the Hessian and
+L^-1 are formed only at accepted points.  The eigendecomposition serves
+phase one, the report and triality.  For a continuous problem with
 an interior certificate the report refines x = G^-1 f by one Newton step
 on the primal gradient in np.longdouble.  Phase one finds a strictly
 positive-definite start by a Cholesky test of G minus the margin at a base
@@ -92,12 +86,6 @@ _ARMIJO_STEPS = _ARMIJO * _STEPS
 # to the trial one round each: most searches stop among them.  The others,
 # t = 2^-4 .. 2^-39, are formed as one stack and handed over in one round.
 _SINGLE_STEPS = 4
-# A stacked call of the root search holds at most this many numbers in each
-# of its stacked arrays (see _row_size): 0.5 MB of doubles, which a whole
-# deep round of the 1x1 and 2x2 wells fits in.  One lockstep stack of it
-# holds the points of at most _SEARCH_ELEMENTS numbers' worth of starts.
-_STACK_ELEMENTS = 2**16
-_SEARCH_ELEMENTS = 2**22
 _MU_FLOOR = 1e-12
 # A centred barrier point that clears the feasibility margin goes to the
 # polish once its bare Newton step d has DualPoint.newton_radius r at most
@@ -114,8 +102,6 @@ _CENTERING = 0.25
 _FEAS_MARGIN = 1e-7
 # fc_sweep counts two stationary points as one cluster within this distance
 CLUSTER_RADIUS = 1e-5
-# the root search's random starts per problem, beside the ladder's
-RANDOM_STARTS = 12
 
 
 @dataclass
@@ -197,102 +183,27 @@ def _polish(p: Problem) -> tuple:
             _one_start(lambda point: point.barrier_derivs(0.0)))
 
 
-def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
-    """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
-    merit and slope of ``_polish``, at every point with nonnegative domain
-    slacks and nonsingular G, for starts with the ``problems`` on p's terms
-    (each its own f): the states are the rows of ``dual.PointStack``s, made
-    a stack of trials at a time by ``_lu_trials``, and the Hessians of all
-    the starts come in one pass of ``dual.bare_hessians``."""
-    cap = _stack_rows(p)
-    return (partial(_lu_trials, p, np.array([q.f for q in problems]), _objects(problems), cap),
-            _gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p, cap))
-
-
 def _objects(items) -> np.ndarray:
     """``items`` as a 1-d object array, which indexes like the arrays of a
-    ``dual.PointStack``."""
+    ``critical.PointStack``."""
     return np.fromiter(items, object, len(items))
 
 
 def _one_at_a_time(make, merit):
-    """A trial of ``_damped_newton`` that makes each point alone:
-    ``make(z)`` is the state at z, or None outside the domain, and
-    ``merit(state)`` its merit.  Past a start's accepted row, the start's
-    rows are not made: each costs a factorization."""
+    """The trial of ``_damped_newton`` for the one start of the barrier and
+    the polish, which makes each point alone: ``make(z)`` is the state at
+    z, or None outside the domain, and ``merit(state)`` its merit.  The
+    rows past the accepted one are not made: each costs a factorization."""
     def trial(Z, owners, bounds):
-        rows, made, merits, done = [], [], [math.inf] * len(Z), set()
-        for a, owner in enumerate(owners.tolist()):
-            if owner not in done:
-                state = make(Z[a])
-                if state is not None:
-                    m = merits[a] = merit(state)
-                    if math.isfinite(m) and m <= bounds[a]:
-                        rows.append(a)
-                        made.append(state)
-                        done.add(owner)
-        return np.array(rows, dtype=np.intp), np.array(merits), _objects(made)
+        merits = np.full(len(Z), math.inf)
+        for a in range(len(Z)):
+            state = make(Z[a])
+            if state is not None:
+                m = merits[a] = merit(state)
+                if math.isfinite(m) and m <= bounds[a]:
+                    return np.array([a]), merits, _objects([state])
+        return np.array([], dtype=np.intp), merits, _objects([])
     return trial
-
-
-def _row_size(p: Problem) -> int:
-    """The numbers n * max(n, R) one point of the root search on p's terms
-    takes in a stacked array: its G, and its coordinate images while they
-    are formed, for R the rows of ``Problem.coordinate_rows.Bt``."""
-    return p.n * max(p.n, p.coordinate_rows.Bt.shape[1])
-
-
-def _stack_rows(p: Problem) -> int:
-    """The most rows of one stacked call of the root search on p's terms
-    (``dual.factor_stack``, ``dual.bare_hessians``)."""
-    return max(1, _STACK_ELEMENTS // _row_size(p))
-
-
-def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, owners,
-               bounds) -> tuple:
-    """The root search's trial: the LU points of ``dual.factor_stack``,
-    each row with the input ``f`` and the ``Problem`` of its owner, and
-    their gradient-norm merits (``_gradient_norms``).  The rows are made in
-    order, in calls of at most ``cap`` rows (``_stack_rows``), and once a
-    start has accepted a row its later rows are dropped: with the rows of a
-    deep round longest step first across all starts, few are made past a
-    start's accepted one, and a 1x1 or 2x2 G takes the whole round in one
-    call.  Only the accepted rows outlive their call, in the arrays of one
-    ``dual.PointStack`` (``dual.join_stacks``)."""
-    Z, owners, bounds = np.asarray(Z, dtype=float), np.asarray(owners), np.asarray(bounds)
-    merits = np.full(len(Z), math.inf)
-    first = np.full(len(problems), len(Z))  # each start's accepted row; len(Z) before it has one
-    rows, parts = [], []
-    waiting = np.arange(len(Z))
-    while waiting.size:
-        take, waiting = waiting[:cap], waiting[cap:]
-        who = owners[take]
-        stack = dual.factor_stack(p, Z[take], f[who], problems[who])
-        kept = stack.kept
-        m = merits[take[kept]] = _gradient_norms(stack.bare_grads)
-        passed = kept[np.isfinite(m) & (m <= bounds[take[kept]])]
-        # a start's first row to pass, its longest step, is its accepted one
-        np.minimum.at(first, who[passed], take[passed])
-        chosen = passed[first[who[passed]] == take[passed]]
-        rows.append(take[chosen])
-        parts.append(stack[chosen])
-        waiting = waiting[first[owners[waiting]] == len(Z)]
-    return np.concatenate(rows), merits, dual.join_stacks(parts)
-
-
-def _lu_derivatives(p: Problem, cap: int, points) -> tuple:
-    """``DualPoint.barrier_derivs(0.0)`` of LU points, the rows of a
-    ``dual.PointStack`` (or DualPoints made one at a time): their bare
-    gradients, and their Hessians by ``dual.bare_hessians``, at most
-    ``cap`` points (``_stack_rows``) to a call."""
-    if isinstance(points, dual.PointStack):
-        s, G, A, g = points.Z, points.G, points.images, points.bare_grads
-    else:
-        s, G, A, g = (np.array([getattr(point, name) for point in points])
-                      for name in ("s", "G", "images", "bare_grad"))
-    H = np.concatenate([dual.bare_hessians(p, s[i:i + cap], G[i:i + cap], A[i:i + cap])
-                        for i in range(0, len(s), cap)])
-    return g, 0.5 * (H + H.swapaxes(1, 2))
 
 
 def _one_start(derivatives):
@@ -303,12 +214,6 @@ def _one_start(derivatives):
         g, H = derivatives(state)
         return g[None], H[None]
     return stacked
-
-
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a vector, to the bit: the square root of one dot
-    product, without the argument handling of np.linalg.norm."""
-    return math.sqrt(v.dot(v))
 
 
 def _gradient_norm(point: dual.DualPoint) -> float:
@@ -342,7 +247,9 @@ def _damped_newton(S: Sequence[np.ndarray], trial, merit, slope, derivatives,
     outside the domain, which its own test refuses, and where not made: it
     may leave a start's rows past its accepted one unmade); and the states
     of the accepted rows, a stack that indexes like an array (a
-    ``dual.PointStack``, or ``_objects``).  The first call, at the starts,
+    ``critical.PointStack``, or ``_objects`` for one start).  Where starts
+    accept in different rounds, which only a stack of several does, their
+    stacks are joined by ``made.join(others)``.  The first call, at the starts,
     bounds each by inf; ``states``, when given, are the states at the
     starts instead, and ``merit(state)`` their merits.
     ``derivatives(states)`` is the stacked (g, H) of a stack of states and
@@ -446,7 +353,8 @@ def _damped_newton(S: Sequence[np.ndarray], trial, merit, slope, derivatives,
                 t = [np.broadcast_to(ti, len(ai)) for ai, ti in zip(at, t)]
             at, s, merits, t = (a[0] if len(a) == 1 else np.concatenate(a)
                                 for a in (at, s, merits, t))
-            live, tols, states, D = live[at], tols[at], _join(states), D[at]
+            live, tols, D = live[at], tols[at], D[at]
+            states = states[0] if len(states) == 1 else states[0].join(states[1:])
         if step_tol is not None:
             going = (t * np.sqrt(linalg.dots(D, D))
                      > step_tol * (1.0 + np.sqrt(linalg.dots(s, s))))
@@ -455,16 +363,6 @@ def _damped_newton(S: Sequence[np.ndarray], trial, merit, slope, derivatives,
     if len(live):
         stop(np.arange(len(live)), max_iter)
     return list(zip(S, ends, steps))
-
-
-def _join(stacks: tuple):
-    """One stack of the states of ``stacks`` (``dual.PointStack``s or
-    ``_objects``), in order."""
-    if len(stacks) == 1:
-        return stacks[0]
-    if isinstance(stacks[0], dual.PointStack):
-        return dual.join_stacks(stacks)
-    return np.concatenate(stacks)
 
 
 def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -867,116 +765,12 @@ def dual_critical_points(p: Problem, cfg: Optional[SolverConfig] = None) -> list
     whole nonsingular dual domain, not only the certified region, so it sees
     the local pairs on the negative-definite side as well.  The maximizer of
     the certified region (``solve_dual``) joins the points when its solve
-    ends interior.  RANDOM_STARTS random starts join the ladder's.
+    ends interior.  ``critical.RANDOM_STARTS`` random starts join the
+    ladder's.
     """
-    [(_, points)] = _critical_points([p], cfg or SolverConfig())
+    from . import critical  # loaded here: a solve never runs it
+    [(_, points)] = critical.critical_points([p], cfg or SolverConfig())
     return points
-
-
-def _critical_points(problems: Sequence[Problem], cfg: SolverConfig) -> list:
-    """(outcome, points) for each of ``problems``, which share their terms:
-    the status of ``solve_dual`` on it, or why it raised (``empty_interior``,
-    ``stalled``), and ``_merge_points`` of the solve's point, if interior,
-    and of the points its starts of ``_root_search`` end at."""
-    solved = []
-    for q in problems:
-        try:
-            rep = solve_dual(q, cfg)
-        except EmptyInterior:
-            solved.append(("empty_interior", []))
-        except MaxIterations:
-            solved.append(("stalled", []))
-        else:
-            solved.append((rep.status, [rep.sigma_bar] if rep.status == "interior" else []))
-    return [(outcome, _merge_points(q, certified + roots))
-            for q, (outcome, certified), roots
-            in zip(problems, solved, _root_search(problems, cfg))]
-
-
-def _root_search(problems: Sequence[Problem], cfg: SolverConfig) -> list:
-    """The multistart root search of ``_critical_points`` for each of
-    ``problems``, which share their terms: the stationary points each
-    problem's starts end at, one list per problem.
-
-    G(s) does not depend on f, so the starts of several problems run as one
-    lockstep stack, each row with its own f, its own tolerance and its own
-    ``Problem``: as many problems, in order, as keep the points of its
-    starts within _SEARCH_ELEMENTS numbers (``_row_size`` a start), and at
-    least one.  Each start ends where it would alone, to the bit.  A
-    problem with no dual coordinate has no stationary point to find.
-    """
-    roots = [[] for _ in problems]
-    if not problems or not problems[0].dual_dim:
-        return roots
-    per_problem = len(_LADDER_UNITS) + RANDOM_STARTS
-    group = max(1, _SEARCH_ELEMENTS // (_row_size(problems[0]) * per_problem))
-    for first in range(0, len(problems), group):
-        starts, owners, tols = [], [], []
-        for k in range(first, min(first + group, len(problems))):
-            q = problems[k]
-            rng = np.random.default_rng(cfg.seed)
-            drawn = _ladder_starts(q) + [_random_dual_start(q, rng)
-                                         for _ in range(RANDOM_STARTS)]
-            starts += drawn
-            owners += [k] * len(drawn)
-            tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
-        callbacks = _roots(problems[first], [problems[k] for k in owners])
-        ends = _damped_newton(starts, *callbacks, tol=tols, max_iter=60)
-        ends = [(s, k, gtol, state.bare_grad) for (s, state, _), k, gtol in zip(ends, owners, tols)
-                if state is not None]
-        norms = _gradient_norms(np.array([g for *_, g in ends])) if ends else ()
-        for (s, k, gtol, _), norm in zip(ends, norms):
-            if norm <= gtol:
-                roots[k].append(s)
-    return roots
-
-
-def _merge_points(p: Problem, found: list) -> list:
-    """The dual points ``found`` as (sigma, dual value, membership), sorted by
-    descending value then lexicographic sigma, without near-duplicates: the
-    values and memberships come from stacks of at most ``_stack_rows``
-    points (``dual.stack_values``)."""
-    cap = _stack_rows(p)
-    merged = sorted(((found[i + k], val, member) for i in range(0, len(found), cap)
-                     for k, val, member in dual.stack_values(p, np.array(found[i:i + cap]))),
-                    key=lambda item: (-item[1], tuple(item[0])))
-    out = []
-    for s, val, member in merged:
-        if all(_norm(s - prev) > 1e-7 * (1.0 + _norm(s)) for prev, _, _ in out):
-            out.append((s, val, member))
-    return out
-
-
-_LADDER_UNITS = (0.05, 0.2, 0.5, 1.0, 2.0, 4.0)
-
-
-def _ladder_starts(p: Problem) -> list:
-    """Deterministic start points marching away from each domain boundary.
-
-    Guarantees basin coverage for low-dimensional duals where pure random
-    starts can miss a stationary point between the boundary and zero.
-    """
-    q = len(p.dual_terms)
-    xlogx = np.array([p.terms[i].kind is TermKind.XLOGX for i in p.dual_terms], dtype=bool)
-    units = np.array(_LADDER_UNITS)[:, None]
-    starts = np.repeat(units, p.dual_dim, axis=1)
-    starts[:, :q] = _term_starts(p, np.where(xlogx, units - 1.0, units))
-    return list(starts)
-
-
-_RANDOM_UNITS = {
-    TermKind.QUARTIC: lambda rng: rng.uniform(0.02, 3.0),
-    TermKind.EXPONENTIAL: lambda rng: rng.uniform(0.05, 4.0),
-    TermKind.XLOGX: lambda rng: rng.normal(0.0, 2.0),
-}
-
-
-def _random_dual_start(p: Problem, rng: np.random.Generator) -> np.ndarray:
-    s = np.empty(p.dual_dim)
-    q = len(p.dual_terms)
-    s[:q] = _term_starts(p, [_RANDOM_UNITS[p.terms[i].kind](rng) for i in p.dual_terms])
-    s[q:] = rng.uniform(0.05, 3.0, size=p.dual_dim - q)
-    return s
 
 
 @dataclass
@@ -1006,11 +800,12 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     every larger grid entry is unique, whatever the grid's order; the rows
     keep that order.  Each magnitude's points are those of
     ``dual_critical_points`` of that magnitude alone, to the bit: both come
-    from ``_critical_points``, which runs the root searches of all the
-    magnitudes as one lockstep stack (``_root_search``, which caps its
-    size), since G(s) does not depend on the input.  The sweep runs on the
-    calling thread; ``threads`` must be 1.
+    from ``critical.critical_points``, which runs the root searches of all
+    the magnitudes as one lockstep stack (``critical._root_search``, which
+    caps its size), since G(s) does not depend on the input.  The sweep
+    runs on the calling thread; ``threads`` must be 1.
     """
+    from . import critical  # loaded here: a solve never runs it
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}")
     cfg = cfg or SolverConfig()
@@ -1029,7 +824,7 @@ def fc_sweep(p_template: Problem, direction, grid: Sequence[float],
     problems = [Problem(n=p_template.n, terms=p_template.terms, f=m * direction,
                         variables=p_template.variables) for m in grid]
     rows = []
-    for m, (outcome, points) in zip(grid, _critical_points(problems, cfg)):
+    for m, (outcome, points) in zip(grid, critical.critical_points(problems, cfg)):
         boundary = outcome != "interior"
         clusters = []
         for s, _, _ in points:

@@ -155,8 +155,11 @@ BIG = "1" + "0" * 400  # an integer past the double range
     (json.dumps(QIP).replace("[[0, 1]", f"[[{BIG}, 1]"), None),
     (json.dumps(DW), f'{{"grad_tol": {BIG}}}'),
     ('{"qip": {"Q": [[1e308, 1e308], [1e308, 1e308]], "f": [1, 0]}}', None),
+    # every entry and factor is finite, but a norm the tolerances scale with is not
+    ('{"qip": {"Q": [[0, 1e308], [1e308, 0]], "f": [1, 0]}}', None),
+    ('{"qip": {"Q": [[1, 0], [0, 1]], "f": [1e300, 1e300]}}', None),
 ], ids=["zero", "null", "true", "float", "not-utf8", "deep", "big-f", "big-Q", "big-grad_tol",
-        "qip-1e308"])
+        "qip-1e308", "qip-Q-norm", "qip-f-norm"])
 def test_malformed_input_exits_one_with_a_message(tmp_path, doc, config):
     path = tmp_path / "doc.json"
     path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
@@ -255,15 +258,17 @@ def test_readme_command_bytes_are_pinned(tmp_path, doc, args, digest):
 
 
 def test_solve_loads_neither_the_oracles_the_relaxations_nor_a_thread_pool(tmp_path):
-    # they load on first use; the fourth field shows that first use loads
-    # oracle, the last that neither module pulls in scipy, a test-only package
+    # they load on first use, and so does the critical-point search of
+    # sweep; the fourth field shows that first use loads oracle, the last
+    # that neither module pulls in scipy, a test-only package
     paths = [write(tmp_path, "well.json", README_WELL), write(tmp_path, "qip.json", README_QIP)]
     code = (
         "import sys\n"
         "from canondual import cli\n"
         f"codes = [cli.main(['solve', path]) for path in {paths!r}]\n"
         "import canondual\n"
-        "names = ('canondual.oracle', 'canondual.relaxations', 'concurrent.futures')\n"
+        "names = ('canondual.oracle', 'canondual.relaxations', 'canondual.critical',\n"
+        "         'concurrent.futures')\n"
         "loaded = [name for name in names if name in sys.modules]\n"
         "canondual.enumerate_signs\n"
         "import canondual.relaxations, canondual.oracle\n"
@@ -501,6 +506,23 @@ def test_export_rejects_a_box_that_does_not_apply(tmp_path, doc, fmt):
                   "--out", str(out), "--box", "-3:5")
     assert res.returncode == 1
     assert "--box" in res.stderr and res.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    (DW, ("export", "--format", "lp"), "purely quadratic objective"),
+    (_plain(1, [1.0, 0.0]), ("export", "--format", "lp", "--box", "1:1"),
+     "upper bound must exceed"),
+    (DW, ("plotdata", "--range", "1:0:5"), "b > a"),
+], ids=["lp-of-a-quartic", "empty-box", "empty-range"])
+def test_refused_command_arguments_exit_one_with_a_message(tmp_path, doc, args, message):
+    out = tmp_path / "out.lp"
+    if args[0] == "export":
+        args += ("--out", str(out))
+    res = run_cli(args[0], write(tmp_path, "doc.json", doc), *args[1:])
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and message in res.stderr
+    assert "Traceback" not in res.stderr
     assert not out.exists()
 
 

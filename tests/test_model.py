@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canondual import integer, model
-from canondual.errors import CanonDualError, DimensionMismatch, DomainViolation, SchemaError
+from canondual import integer, linalg, model
+from canondual.errors import (CanonDualError, DimensionMismatch, DomainViolation, InvalidMatrix,
+                              SchemaError)
 from canondual.integer import QipInstance
 from canondual.model import CanonicalTerm, Problem, TermKind, Variables
 
@@ -198,6 +199,55 @@ def test_load_problem_beta_only_for_quartic():
     doc["terms"][0]["kind"] = "exponential"
     with pytest.raises(SchemaError):
         model.load_problem(doc)
+
+
+def _plain(alpha=1.0, factor=None):
+    return term(TermKind.PLAIN_QUADRATIC, alpha=alpha, factor=factor)
+
+
+# each input check raises the package error that names what it refuses
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: term(TermKind.QUARTIC, alpha=0.0), DomainViolation, "alpha must be finite"),
+    (lambda: term(TermKind.QUARTIC, alpha=math.inf), DomainViolation, "alpha must be finite"),
+    (lambda: term(TermKind.XLOGX, alpha=math.nan), DomainViolation, "alpha must be finite"),
+    (lambda: term(TermKind.QUARTIC, beta=math.inf), DomainViolation, "beta must be finite"),
+    (lambda: Problem(n=1, terms=[], f=[0.0]), DimensionMismatch, "at least one term"),
+    (lambda: Problem(n=1, terms=[_plain()], f=[0.0, 1.0]), DimensionMismatch,
+     "f has length 2, expected 1"),
+    (lambda: Problem(n=1, terms=[_plain()], f=[math.nan]), DimensionMismatch,
+     "f has non-finite"),
+    # 1 + |f| and the norms of G's parts overflow though every entry is finite
+    (lambda: Problem(n=2, terms=[_plain(factor=np.eye(2))], f=[1e300, 1e300]),
+     DimensionMismatch, "f has a norm past the double range"),
+    (lambda: Problem(n=1, terms=[_plain(), _plain(factor=[[1e200]])], f=[0.0]),
+     DimensionMismatch, r"terms\[1\] Q has a norm past the double range"),
+    (lambda: Problem(n=1, terms=[_plain(alpha=1e300, factor=[[1e5]])], f=[0.0]),
+     DimensionMismatch, "plain block has a norm past the double range"),
+    (lambda: QipInstance(Q=np.eye(2), f=[1.0]), DimensionMismatch, "f has length 1, expected 2"),
+    (lambda: QipInstance(Q=np.eye(2), f=[1.0, math.inf]), DimensionMismatch,
+     "f has non-finite"),
+    (lambda: model.load_problem(dict(MINIMAL_DOC, terms={})), SchemaError,
+     r"\$\.terms: must be an array"),
+    (lambda: model.load_problem(dict(MINIMAL_DOC, terms=[dict(MINIMAL_DOC["terms"][0],
+                                                               kind="cubic")])),
+     SchemaError, r"\$\.terms\[0\]\.kind: unknown kind 'cubic'"),
+    (lambda: model.conj_grad(term(TermKind.EXPONENTIAL), -0.5), DomainViolation,
+     "outside sigma/alpha > 0"),
+    (lambda: model.conj_hess(term(TermKind.EXPONENTIAL), 0.0), DomainViolation,
+     "outside sigma/alpha > 0"),
+    (lambda: model.conj_grad(_plain(), 1.0), DomainViolation, "carry no dual coordinate"),
+    (lambda: model.conj_hess(_plain(), 1.0), DomainViolation, "carry no dual coordinate"),
+    (lambda: linalg.check_symmetric(np.ones((2, 3)), name="Q"), InvalidMatrix,
+     r"Q must be square, got shape \(2, 3\)"),
+], ids=["alpha-zero", "alpha-inf", "alpha-nan", "beta-inf", "no-terms", "f-length", "f-nan",
+        "f-norm", "Q-norm", "plain-block-norm", "qip-f-length", "qip-f-inf", "terms-object",
+        "unknown-kind", "conj-grad-exp", "conj-hess-exp", "conj-grad-plain", "conj-hess-plain",
+        "not-square"])
+def test_input_checks_raise_the_package_error(build, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing norm is refused, not warned about
+        with pytest.raises(error, match=match):
+            build()
 
 
 # Both loaders check a document's structure with model's one checker.

@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
-from canondual import dual, integer, oracle, solver
+from canondual import critical, dual, integer, oracle, solver
 from canondual.dual import Membership
 from canondual.errors import (CanonDualError, DimensionMismatch, EmptyInterior, MaxIterations,
                               SingularG)
@@ -49,6 +51,18 @@ def test_cubic_residual_property(rng):
         rhs = 0.5 * fn * fn
         for r in solver.solve_cubic_dual(alpha, lam, fn):
             assert abs((r / alpha + lam) * r * r - rhs) <= 1e-9 * (1.0 + rhs)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: solver.solve_cubic_dual(0.0, 2.0, 0.5), "alpha must be positive"),
+    (lambda: solver.solve_cubic_dual(-1.0, 2.0, 0.5), "alpha must be positive"),
+    (lambda: solver.solve_cubic_dual(1.0, 2.0, -0.5), "f_norm must be nonnegative"),
+    (lambda: solver.fc_sweep(double_well(1.0), [0.0, 0.0], [0.5, 2.0]),
+     "direction must be nonzero"),
+], ids=["cubic-alpha-zero", "cubic-alpha-negative", "cubic-f-norm-negative", "sweep-zero"])
+def test_harnesses_refuse_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ------------------------------------------------------------ main solve
@@ -310,7 +324,7 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
     # alone, and a point it makes holds its own row's slacks
     p = _barrier_problem(name)
     s, _ = solver._phase1(p)
-    trial, merit = (solver._barrier(p, 1.0) if cholesky else solver._roots(p, [p]))[:2]
+    trial, merit = (solver._barrier(p, 1.0) if cholesky else critical._roots(p, [p]))[:2]
     refused_any, edge_steps = False, set()
     # t = 2^-k along -2^k s puts each sign multiplier and exponential
     # coordinate exactly on its edge, slack 0: at t = 1/2 among the single
@@ -349,6 +363,35 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
     assert {0.5, math.ldexp(1.0, -solver._SINGLE_STEPS)} <= edge_steps
 
 
+def test_a_singular_row_leaves_the_other_newton_directions_as_they_are_alone(monkeypatch):
+    # an exactly singular -H fails the stacked solve, and every row is then
+    # solved alone: the others get the bits of their own solve, the
+    # singular one the first ridge direction that is finite
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((3, 3, 3))
+    H = -(A @ A.swapaxes(1, 2) + np.eye(3))  # -H positive definite
+    H[1] = -np.ones((3, 3))
+    g = rng.standard_normal((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(-H, g[:, :, None])
+    alone = []
+    solve_newton = solver._solve_newton
+
+    def recording(Hr, gr):
+        alone.append(Hr)
+        return solve_newton(Hr, gr)
+
+    monkeypatch.setattr(solver, "_solve_newton", recording)
+    D = solver._newton_directions(H, g)
+    assert len(alone) == 3
+    for r in (0, 2):
+        assert D[r].tobytes() == np.linalg.solve(-H[r], g[r]).tobytes()
+        assert D[r].tobytes() == solver._newton_directions(H[r][None], g[r][None])[0].tobytes()
+    ridge = 1e-12 * (float(np.max(np.abs(H[1]))) + 1.0)
+    assert np.isfinite(D[1]).all()
+    assert D[1].tobytes() == np.linalg.solve(-H[1] + ridge * np.eye(3), g[1]).tobytes()
+
+
 @pytest.mark.parametrize("search", ["root", "barrier"])
 def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     # a trial the line search refuses carries its merit's inputs only: the
@@ -356,8 +399,8 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     # search's stacked trials build no point at all for a refused row
     if search == "root":
         p = double_well(1.75)  # one real root: most root searches never converge
-        starts = solver._ladder_starts(p)
-        callbacks = solver._roots(p, [p] * len(starts))
+        starts = critical._ladder_starts(p)
+        callbacks = critical._roots(p, [p] * len(starts))
     else:
         p = _barrier_problem("continuous")
         callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
@@ -414,10 +457,11 @@ def test_lu_points_refuse_an_exponential_coordinate_on_its_edge(alpha):
         assert outside == refused
         assert dual.screen(p, s)[0]  # a Cholesky point needs every slack positive
         assert (dual.factor_point(p, s, cholesky=False) is None) == refused
-    stack = dual.factor_stack(p, [on_edges, exponential_inside], [p.f] * 2, [p] * 2)
-    assert len(stack.Z) == 2 and stack.kept.tolist() == [1] and stack[0] is None
+    kept, stack = critical.factor_stack(p, [on_edges, exponential_inside], [p.f] * 2,
+                                        np.array([p] * 2, dtype=object))
+    assert kept.tolist() == [1] and len(stack.Z) == 1
     alone = dual.factor_point(p, exponential_inside, cholesky=False)
-    assert stack[1].x.tobytes() == alone.x.tobytes()
+    assert stack[0].x.tobytes() == alone.x.tobytes()
 
 
 def _root_search_problems() -> list:
@@ -474,18 +518,19 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
         starts, owners, tols = [], [], []
         for q in family:
             rng = np.random.default_rng(0)
-            drawn = (solver._ladder_starts(q)
-                     + [solver._random_dual_start(q, rng) for _ in range(n_random)])
+            drawn = (critical._ladder_starts(q)
+                     + [critical._random_dual_start(q, rng) for _ in range(n_random)])
             starts += drawn
             owners += [q] * len(drawn)
             tols += [1e-11 * q.f_scale] * len(drawn)
         together = solver._damped_newton(
-            starts, *solver._roots(family[0], owners), tol=tols,
+            starts, *critical._roots(family[0], owners), tol=tols,
             max_iter=60)
         for start, q, tol, (s, state, steps) in zip(starts, owners, tols, together):
             alone = ((solver._one_at_a_time(partial(dual.factor_point, q, cholesky=False),
                                             solver._gradient_norm),)
-                     + solver._roots(q, [q])[1:])
+                     + critical._roots(q, [q])[1:3]
+                     + (solver._one_start(lambda point: point.barrier_derivs(0.0)),))
             [(s_alone, state_alone, steps_alone)] = solver._damped_newton(
                 [start], *alone, tol=tol, max_iter=60)
             assert s.tobytes() == s_alone.tobytes()
@@ -500,7 +545,7 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
 
 
 def _merge_points_alone(p: Problem, found: list) -> list:
-    """``solver._merge_points`` point by point: each value and membership
+    """``critical._merge_points`` point by point: each value and membership
     from its own ``dual.assemble_G``, a point dropped where that raises."""
     merged = []
     for s in found:
@@ -519,7 +564,7 @@ def _merge_points_alone(p: Problem, found: list) -> list:
 
 def test_merge_points_stack_equals_each_point_alone(monkeypatch):
     # _merge_points evaluates the ends of a root search as one stack
-    # (dual.stack_values), or as stacks of three rows: its points, values
+    # (critical.stack_values), or as stacks of three rows: its points, values
     # and memberships, in order, equal those of assemble_G at each point
     # alone, bit for bit.  Rows that raise alone drop out alone: a
     # non-finite G (InvalidMatrix), f outside the range of a singular G
@@ -528,13 +573,14 @@ def test_merge_points_stack_equals_each_point_alone(monkeypatch):
     raised = set()
     for k, p in enumerate(_root_search_problems()):
         rng = np.random.default_rng(0)
-        starts = solver._ladder_starts(p) + [solver._random_dual_start(p, rng) for _ in range(6)]
+        starts = critical._ladder_starts(p) + [critical._random_dual_start(p, rng)
+                                               for _ in range(6)]
         ends = [s for s, _, _ in solver._damped_newton(
-            starts, *solver._roots(p, [p] * len(starts)), tol=1e-11 * p.f_scale, max_iter=60)]
+            starts, *critical._roots(p, [p] * len(starts)), tol=1e-11 * p.f_scale, max_iter=60)]
         bad = [np.full(p.dual_dim, np.nan)]
         if k < 12:  # the README well, G(s) = s
             bad += [np.array([0.0]), np.array([-10.0])]
-        found = ends[:3] + bad + ends[3:] + solver._root_search([p], cfg)[0]
+        found = ends[:3] + bad + ends[3:] + critical._root_search([p], cfg)[0]
         for s in bad:
             try:
                 dual.assemble_G(p, s).value
@@ -542,16 +588,16 @@ def test_merge_points_stack_equals_each_point_alone(monkeypatch):
                 raised.add(type(err).__name__)
         alone = _merge_points_alone(p, found)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_stack_rows", lambda p: 3)
-            in_threes = solver._merge_points(p, found)
-        for together in (solver._merge_points(p, found), in_threes):
+            patch.setattr(critical, "_stack_rows", lambda p: 3)
+            in_threes = critical._merge_points(p, found)
+        for together in (critical._merge_points(p, found), in_threes):
             assert len(together) == len(alone) > 0
             for (s, val, member), (s1, val1, member1) in zip(together, alone):
                 assert s.tobytes() == s1.tobytes()
                 assert np.float64(val).tobytes() == np.float64(val1).tobytes()
                 assert member is member1
     assert raised == {"InvalidMatrix", "RangeViolation", "DomainViolation"}
-    assert solver._merge_points(double_well(1.0), [np.array([np.nan]), np.array([0.0])]) == []
+    assert critical._merge_points(double_well(1.0), [np.array([np.nan]), np.array([0.0])]) == []
 
 
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
@@ -1141,7 +1187,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # solved alone
     calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0,
              "hessian_stacks": 0, "hessians": 0, "alone_directions": 0}
-    factor, stack = dual.factor_point, dual.factor_stack
+    factor, stack = dual.factor_point, critical.factor_stack
     hessians, alone_direction = dual.bare_hessians, solver._solve_newton
 
     def counting_hessians(p, s, G, images):
@@ -1164,7 +1210,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
         return stack(p, Z, f, problems)
 
     monkeypatch.setattr(dual, "factor_point", counting)
-    monkeypatch.setattr(dual, "factor_stack", counting_stack)
+    monkeypatch.setattr(critical, "factor_stack", counting_stack)
     monkeypatch.setattr(dual, "bare_hessians", counting_hessians)
     monkeypatch.setattr(solver, "_solve_newton", counting_alone)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
@@ -1251,9 +1297,9 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     # with each magnitude searched alone
     template = _continuous_template(16)
     grid, cfg = [0.5, 1.5, 3.0], SolverConfig()
-    size = solver._row_size(template)
-    assert size == 16 * 32 and solver._stack_rows(template) == 128
-    factor, hessians = dual.factor_stack, dual.bare_hessians
+    size = critical._row_size(template)
+    assert size == 16 * 32 and critical._stack_rows(template) == 128
+    factor, hessians = critical.factor_stack, dual.bare_hessians
 
     def sweep(stack_elements, search_elements):
         calls = []
@@ -1267,20 +1313,20 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
             return hessians(p, s, G, images)
 
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_STACK_ELEMENTS", stack_elements)
-            patch.setattr(solver, "_SEARCH_ELEMENTS", search_elements)
-            patch.setattr(dual, "factor_stack", counting_stack)
+            patch.setattr(critical, "_STACK_ELEMENTS", stack_elements)
+            patch.setattr(critical, "_SEARCH_ELEMENTS", search_elements)
+            patch.setattr(critical, "factor_stack", counting_stack)
             patch.setattr(dual, "bare_hessians", counting_hessians)
             res = solver.fc_sweep(template, template.f, grid, cfg)
         return json.dumps([dataclasses.asdict(row) for row in res.rows]), calls
 
-    rows, calls = sweep(solver._STACK_ELEMENTS, solver._SEARCH_ELEMENTS)
-    assert max(k for _, k in calls) * size <= solver._STACK_ELEMENTS
-    one_call_rows, one_call = sweep(2**40, solver._SEARCH_ELEMENTS)
+    rows, calls = sweep(critical._STACK_ELEMENTS, critical._SEARCH_ELEMENTS)
+    assert max(k for _, k in calls) * size <= critical._STACK_ELEMENTS
+    one_call_rows, one_call = sweep(2**40, critical._SEARCH_ELEMENTS)
     made = sum(k for kind, k in calls if kind == "trial")
     assert made < sum(k for kind, k in one_call if kind == "trial")
     assert one_call_rows == rows
-    small_rows, small = sweep(3 * size, size * (6 + solver.RANDOM_STARTS))
+    small_rows, small = sweep(3 * size, size * (6 + critical.RANDOM_STARTS))
     assert max(k for _, k in small) == 3 and small_rows == rows
     unit = template.f / np.linalg.norm(template.f)
     alone = [_sweep_row_alone(m, Problem(n=16, terms=template.terms, f=m * unit), cfg)
@@ -1288,7 +1334,7 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     assert json.dumps([dataclasses.asdict(row) for row in alone]) == rows
 
 
-@pytest.mark.parametrize("trial", ["one_at_a_time", "lu_3_a_call", "lu_one_call"])
+@pytest.mark.parametrize("trial", ["lu_3_a_call", "lu_one_call"])
 def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatch):
     # the trial contract: a trial returns the rows it accepts, each start's
     # first row within its bound and no other, the states of those rows as
@@ -1296,7 +1342,7 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     # round hands them over, longest step first across the starts; a
     # start's rows past its accepted one may go unmade (merit inf).  A
     # stacked LU trial keeps its accepted rows in the arrays of one
-    # dual.PointStack and builds no DualPoint: one is built only where a
+    # critical.PointStack and builds no DualPoint: one is built only where a
     # row of the stack is asked for, with the bits of the point made alone
     p = double_well(1.75)
     rng = np.random.default_rng(2)
@@ -1309,7 +1355,7 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     bounds = every - 1.0
     bounds[[7, 9, 2, 4, 6, 8]] = every[[7, 9, 2, 4, 6, 8]]
     sizes, built = [], []
-    factor, init = dual.factor_stack, dual.DualPoint.__init__
+    factor, init = critical.factor_stack, dual.DualPoint.__init__
 
     def counting_stack(p, Z, f, problems):
         sizes.append(len(Z))
@@ -1319,23 +1365,18 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
         init(point, *args, **kwargs)
         built.append(point)
 
-    monkeypatch.setattr(dual, "factor_stack", counting_stack)
+    monkeypatch.setattr(critical, "factor_stack", counting_stack)
     monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
-    if trial == "one_at_a_time":
-        run = solver._one_at_a_time(partial(dual.factor_point, p, cholesky=False),
-                                    solver._gradient_norm)
-    else:
-        run = partial(solver._lu_trials, p, np.array([p.f] * 3),
-                      np.array([p] * 3, dtype=object), 3 if trial == "lu_3_a_call" else 10)
+    run = partial(critical._lu_trials, p, np.array([p.f] * 3),
+                  np.array([p] * 3, dtype=object), 3 if trial == "lu_3_a_call" else 10)
     rows, merits, made = run(Z, owners, bounds)
     assert rows.tolist() == [2, 7]
-    if trial != "one_at_a_time":
-        assert built == []
-        assert [q is p for q in made.problems] == [True, True]
-        for k, a in enumerate(rows.tolist()):
-            assert made.Z[k].tobytes() == Z[a].tobytes()
-            assert made.X[k].tobytes() == alone[a].x.tobytes()
-            assert made.bare_grads[k].tobytes() == alone[a].bare_grad.tobytes()
+    assert built == []
+    assert [q is p for q in made.problems] == [True, True]
+    for k, a in enumerate(rows.tolist()):
+        assert made.Z[k].tobytes() == Z[a].tobytes()
+        assert made.X[k].tobytes() == alone[a].x.tobytes()
+        assert made.bare_grads[k].tobytes() == alone[a].bare_grad.tobytes()
     for k, a in enumerate(rows.tolist()):
         state = made[k]
         assert state.p is p and state.x.tobytes() == alone[a].x.tobytes()
@@ -1343,10 +1384,27 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     made_rows = np.flatnonzero(np.isfinite(merits))
     assert (merits[made_rows] == every[made_rows]).all()
     # every row up to each start's accepted one is made; one call makes all
-    assert made_rows.tolist() == ([0, 1, 2, 3, 5, 7] if trial != "lu_one_call"
+    assert made_rows.tolist() == ([0, 1, 2, 3, 5, 7] if trial == "lu_3_a_call"
                                   else list(range(10)))
-    if trial != "one_at_a_time":
-        assert sizes == ([3, 3] if trial == "lu_3_a_call" else [10])
+    assert sizes == ([3, 3] if trial == "lu_3_a_call" else [10])
+
+
+def test_the_sweep_loads_the_critical_point_search_on_first_use():
+    # a solve does not load critical (test_cli checks canon-dual solve too)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from canondual import model, solver\n"
+        "well = model.Problem(n=1, terms=[model.CanonicalTerm(model.TermKind.QUARTIC, "
+        "np.eye(1), 1.0, -2.0)], f=[0.5])\n"
+        "solver.solve_dual(well)\n"
+        "solved = 'canondual.critical' in sys.modules\n"
+        "solver.fc_sweep(well, [1.0], [0.5, 2.0])\n"
+        "print(solved, 'canondual.critical' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False True"
 
 
 def test_fc_sweep_all_unique_above_threshold():
