@@ -11,16 +11,21 @@ first call only, so a solve does not compile it.
 search of all of them, then merges each problem's points.  The root
 search (``_root_search``) passes the starts of all its problems, a ladder
 away from each domain edge and RANDOM_STARTS seeded random draws each, to
-``solver._damped_newton`` as one lockstep stack.  G(s) does not depend on
-f, so each row has its own f, tolerance and ``Problem``.  Its trials
-(``_lu_trials``) are LU points made a stack at a time (``factor_stack``)
-within a fixed count of numbers, and its states are the rows of
-``PointStack``s: arrays that the Hessians A'G^-1 A of all the starts
-(``dual.bare_hessians``) read directly.  A ``dual.DualPoint`` is built only
-for a start's end.  ``_merge_points`` evaluates the points a search found
-as stacks (``stack_values``, one stacked ``eigh``), each row to the bit of
-``dual.assemble_G`` at the point alone.  The shared Newton driver and the
-gradient norms are read as ``solver`` attributes at each call.
+``_lockstep`` as one stack.  G(s) does not depend on f, so each row has
+its own f, tolerance and ``Problem``.  ``_lockstep`` is the iteration of
+``solver._damped_newton`` on the gradient-norm merit, with its state in
+arrays over the running starts and every test of a start a mask, so each
+start ends where the one-start loop ends it, to the bit; it shares the
+step table and ``solver._solve_newton`` with that loop, which serves the
+single start of every solve.  Its trials (``_lu_trials``) are LU points
+made a stack at a time (``factor_stack``) within a fixed count of
+numbers, and its states are the rows of ``PointStack``s: arrays that the
+Hessians A'G^-1 A of all the starts (``dual.bare_hessians``) read
+directly.  A ``dual.DualPoint`` is built only for a start's end.
+``_merge_points`` evaluates the points a search found as stacks
+(``stack_values``, one stacked ``eigh``), each row to the bit of
+``dual.assemble_G`` at the point alone.  What it shares with ``solver``
+is read as ``solver`` attributes at each call.
 """
 
 from __future__ import annotations
@@ -158,17 +163,132 @@ def _stack_rows(p: Problem) -> int:
 
 
 def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
-    """``solver._damped_newton`` callbacks for grad = 0 on the bare dual,
-    with the merit and slope of ``solver._polish``, at every point with
-    nonnegative domain slacks and nonsingular G, for starts with the
-    ``problems`` on p's terms (each its own f): the states are the rows of
-    ``PointStack``s, made a stack of trials at a time by ``_lu_trials``,
-    and the Hessians of all the starts come in one pass of
-    ``dual.bare_hessians``."""
+    """``_lockstep`` callbacks for grad = 0 on the bare dual, with the
+    gradient norm as merit, at every point with nonnegative domain slacks
+    and nonsingular G, for starts with the ``problems`` on p's terms (each
+    its own f): the states are the rows of ``PointStack``s, made a stack of
+    trials at a time by ``_lu_trials``, and the Hessians of all the starts
+    come in one pass of ``dual.bare_hessians``."""
     cap = _stack_rows(p)
-    return (partial(_lu_trials, p, np.array([q.f for q in problems]), solver._objects(problems),
-                    cap),
-            solver._gradient_norm, lambda g, d, m: m, partial(_lu_derivatives, p, cap))
+    # the problems as a 1-d object array, which indexes like a PointStack's arrays
+    problems = np.fromiter(problems, object, len(problems))
+    return (partial(_lu_trials, p, np.array([q.f for q in problems]), problems, cap),
+            partial(_lu_derivatives, p, cap))
+
+
+# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are handed
+# to the trial one round each: most searches stop among them.  The others,
+# t = 2^-4 .. 2^-39, are formed as one stack and handed over in one round.
+_SINGLE_STEPS = 4
+
+
+def _lockstep(S: Sequence[np.ndarray], trial, derivatives, tol, max_iter: int) -> list:
+    """``solver._damped_newton`` on the gradient-norm merit, for a stack of
+    starts S run in lockstep: the points, merits, tolerances and states of
+    the starts still running are arrays over them, and every test of a
+    start is a mask, with the arithmetic of the start alone
+    (``linalg.dots``), so each start ends where it would alone, to the bit.
+
+    ``trial(Z, owners, bounds)`` makes the rows of Z, points of the starts
+    ``owners`` (a start's rows in order of decreasing t), and returns
+    (rows, merits, made): the rows it accepts, in order, each start's first
+    row with a finite merit within its bound; every row's merit (inf
+    outside the domain, which its own test refuses, and where not made: it
+    may leave a start's rows past its accepted one unmade); and the states
+    of the accepted rows as a ``PointStack``.  Where starts accept in
+    different rounds, their stacks are joined.  The first call, at the
+    starts, bounds each by inf.  ``derivatives(states)`` is the stacked
+    (g, H) of a stack of states.
+    Each iteration takes the derivatives and the Newton directions of every
+    start still running in one call each: d solves (-H) d = g
+    (``_newton_directions``).  The merit m, a gradient norm above its
+    tolerance, is the slope, so a step t = 2^-k, k < _HALVINGS, has the
+    bound m - _ARMIJO * t * m, and each start takes its longest step within
+    it: the line search hands the trial one round for each of the first
+    _SINGLE_STEPS step lengths, then one with every other step of every
+    start left, longest first across the starts.
+    A start stops at |g| <= tol (a number, or one per start), when no step
+    is accepted, or after ``max_iter`` steps.  Returns one (s, state, steps)
+    per start; the state is None where the start is outside the domain.
+    """
+    S = np.array(S, dtype=float)
+    ends, steps = [None] * len(S), [0] * len(S)
+    tols = np.empty(len(S))
+    tols[:] = tol
+    live, merits, states = trial(S.copy(), np.arange(len(S)), np.full(len(S), math.inf))
+    s, merits, tols = S[live], merits[live], tols[live]
+
+    def stop(rows, n):  # the starts at these rows stop after n steps
+        for r in rows.tolist():
+            i = live[r]
+            S[i], ends[i], steps[i] = s[r], states[r], n
+
+    for it in range(max_iter):
+        if not len(live):
+            break
+        g, H = derivatives(states)
+        going = np.sqrt(linalg.dots(g, g)) > tols
+        if np.count_nonzero(going) < len(live):
+            stop((~going).nonzero()[0], it)
+            rows = going.nonzero()[0]
+            live, s, merits, tols, states = (live[rows], s[rows], merits[rows], tols[rows],
+                                             states[rows])
+            if not len(live):
+                break
+            g, H = g[rows], H[rows]
+        D = _newton_directions(H, g)
+        left, got = None, []  # the rows still searching (None: every row), the accepted
+        for k in range(_SINGLE_STEPS + 1):
+            if k < _SINGLE_STEPS:
+                at = slice(None) if left is None else left  # a view while all are left
+                Z = s[at] + solver._STEPS[k] * D[at]
+                m = merits[at]
+                rows, zms, made = trial(Z, live[at], m - solver._ARMIJO_STEPS[k] * m)
+                if left is None and len(rows) == len(live):  # every row, at one step length
+                    s, merits, states, got = Z, zms, made, None
+                    break
+            else:  # every other step of every row left, longest first across them
+                left = np.arange(len(live)) if left is None else left
+                j, at = np.divmod(np.arange((solver._HALVINGS - k) * len(left)), len(left))
+                at, j = left[at], j + k
+                Z, m = s[at] + solver._STEPS[j, None] * D[at], merits[at]
+                rows, zms, made = trial(Z, live[at], m - solver._ARMIJO_STEPS[j] * m)
+            if len(rows):
+                at = rows if left is None else at[rows]
+                got.append((at, Z[rows], zms[rows], made))
+                searching = np.ones(len(live), dtype=bool)
+                searching[at] = False
+                left = searching.nonzero()[0] if left is None else left[searching[left]]
+                if not len(left):
+                    break
+        if got is not None:
+            if len(left):
+                stop(left, it + 1)  # no step accepted
+            if not got:
+                live = live[:0]
+                break
+            at, s, merits, states = zip(*got)
+            at, s, merits = (a[0] if len(a) == 1 else np.concatenate(a) for a in (at, s, merits))
+            live, tols = live[at], tols[at]
+            states = states[0].join(states[1:])
+    if len(live):
+        stop(np.arange(len(live)), max_iter)
+    return list(zip(S, ends, steps))
+
+
+def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``solver._solve_newton`` on each row of a stack: one stacked solve,
+    and the ridge fallback only for the rows that need it (a singular row
+    fails the stacked solve, and then every row is solved alone)."""
+    try:
+        # b as a stack of columns like H, which numpy 1.x and 2 read alike
+        D = np.linalg.solve(-H, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        D = np.full(g.shape, np.nan)
+    if not np.isfinite(D).all():
+        for r in np.flatnonzero(~np.isfinite(D).all(axis=1)).tolist():
+            D[r] = solver._solve_newton(H[r], g[r])
+    return D
 
 
 def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, owners,
@@ -262,7 +382,7 @@ def _root_search(problems: Sequence[Problem], cfg: solver.SolverConfig) -> list:
             owners += [k] * len(drawn)
             tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
         callbacks = _roots(problems[first], [problems[k] for k in owners])
-        ends = solver._damped_newton(starts, *callbacks, tol=tols, max_iter=60)
+        ends = _lockstep(starts, *callbacks, tol=tols, max_iter=60)
         ends = [(s, k, gtol, state.bare_grad) for (s, state, _), k, gtol in zip(ends, owners, tols)
                 if state is not None]
         norms = solver._gradient_norms(np.array([g for *_, g in ends])) if ends else ()

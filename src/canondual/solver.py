@@ -22,31 +22,25 @@ the barrier goes on from its own point, which is not handed over again
 while the barrier takes no step from it.  The barrier's last point, at the
 floor or after ``max_outer`` steps, is polished where the polish can start.
 
-The ascent, the polish and the multistart root search of ``critical``
-run one damped-Newton loop, ``_damped_newton``, with callbacks from
-``_barrier``, ``_polish`` and ``critical._roots``: the ascent backtracks on
-the barrier value, the other two on the norm of the dual gradient.  The
-loop runs a stack of starts in lockstep, its state in arrays over the
-starts and every test of a start a mask, and each start ends where it
-would alone, to the bit.  The ascent and the polish pass one start, a
-Cholesky ``dual.DualPoint`` made one trial at a time
-(``dual.factor_point``); the root search, which serves
-``dual_critical_points`` and ``fc_sweep`` and loads on their first call,
-passes a stack of LU points.  Each iteration takes the Newton directions
-of every running start in one stacked solve, with the ridge fallback only
-for the rows that need it.  The line search runs in rounds: one for each
-of the first step lengths, then one for all the shorter steps, longest
-first across the starts.  The trial alone decides acceptance and the
-domain (``dual.screen``) and returns each start's first point within its
-Armijo bound, so each start's accepted step is that of halving one step
-at a time.  A trial builds only what its merit reads; the Hessian and
-L^-1 are formed only at accepted points.  The eigendecomposition serves
-phase one, the report and triality.  For a continuous problem with
-an interior certificate the report refines x = G^-1 f by one Newton step
-on the primal gradient in np.longdouble.  Phase one finds a strictly
-positive-definite start by a Cholesky test of G minus the margin at a base
-point and along a doubling scan in the domain-feasible direction, then by
-projected subgradient ascent on the smallest eigenvalue.
+The ascent and the polish run one damped-Newton loop from one start,
+``_damped_newton``, with callbacks from ``_barrier`` and ``_polish``: the
+ascent backtracks on the barrier value, the polish on the norm of the
+dual gradient.  A state is a Cholesky ``dual.DualPoint``
+(``dual.factor_point``), whose domain test (``dual.screen``) refuses a
+trial point outside; the line search tries the step lengths one at a
+time, longest first, and takes the first within its Armijo bound.  A
+trial builds only what its merit reads; the Hessian and L^-1 are formed
+only at accepted points.  The multistart root search of ``critical``,
+which serves ``dual_critical_points`` and ``fc_sweep`` and loads on their
+first call, runs the same iteration on a stack of starts in lockstep
+(``critical._lockstep``), sharing the step table and ``_solve_newton``.
+The eigendecomposition serves phase one, the report and triality.  For a
+continuous problem with an interior certificate the report refines
+x = G^-1 f by one Newton step on the primal gradient in np.longdouble.
+Phase one finds a strictly positive-definite start by a Cholesky test of
+G minus the margin at a base point and along a doubling scan in the
+domain-feasible direction, then by projected subgradient ascent on the
+smallest eigenvalue.
 
 Degenerate continuous instances (symmetric inputs, boundary maximizers) can
 go through the quadratic perturbation scheme of ``perturbed_solve``: at
@@ -82,10 +76,6 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 _STEPS = np.ldexp(1.0, -np.arange(_HALVINGS))  # exact
 _ARMIJO_STEPS = _ARMIJO * _STEPS
-# The first _SINGLE_STEPS trials of a line search, t = 1 .. 1/8, are handed
-# to the trial one round each: most searches stop among them.  The others,
-# t = 2^-4 .. 2^-39, are formed as one stack and handed over in one round.
-_SINGLE_STEPS = 4
 _MU_FLOOR = 1e-12
 # A centred barrier point that clears the feasibility margin goes to the
 # polish once its bare Newton step d has DualPoint.newton_radius r at most
@@ -157,20 +147,17 @@ def _clip(v, width: int = 40) -> str:
 
 def _barrier(p: Problem, mu: float) -> tuple:
     """``_damped_newton`` callbacks for ascent of the barrier objective: a
-    state is a Cholesky ``dual.DualPoint``, factorized one trial at a time,
-    the merit is the negated ``DualPoint.barrier``, the slope g'd."""
-    def merit(point):
-        return -point.barrier(mu)
-
-    return (_one_at_a_time(partial(dual.factor_point, p), merit), merit,
-            lambda g, d, m: linalg.dots(g, d), _one_start(lambda point: point.barrier_derivs(mu)))
+    state is a Cholesky ``dual.DualPoint`` (``dual.factor_point``), the
+    merit is the negated ``DualPoint.barrier``, the slope g'd."""
+    return (partial(dual.factor_point, p), lambda point: -point.barrier(mu),
+            lambda g, d, m: g.dot(d), lambda point: point.barrier_derivs(mu))
 
 
 def _polish(p: Problem) -> tuple:
     """``_damped_newton`` callbacks for grad = 0 on the bare dual, with the
     gradient norm as merit and slope, in the certified region with G
     nonsingular by ``dual.boundary_tol``: a state is a Cholesky
-    ``dual.DualPoint`` that clears the boundary, made one trial at a time.
+    ``dual.DualPoint`` that clears the boundary.
 
     Value-based line searches stall once the remaining improvement falls
     below the rounding of the objective itself; descending on the gradient
@@ -179,41 +166,7 @@ def _polish(p: Problem) -> tuple:
     def make(s):
         point = dual.factor_point(p, s)
         return point if point is not None and point.clears(0.0) else None
-    return (_one_at_a_time(make, _gradient_norm), _gradient_norm, lambda g, d, m: m,
-            _one_start(lambda point: point.barrier_derivs(0.0)))
-
-
-def _objects(items) -> np.ndarray:
-    """``items`` as a 1-d object array, which indexes like the arrays of a
-    ``critical.PointStack``."""
-    return np.fromiter(items, object, len(items))
-
-
-def _one_at_a_time(make, merit):
-    """The trial of ``_damped_newton`` for the one start of the barrier and
-    the polish, which makes each point alone: ``make(z)`` is the state at
-    z, or None outside the domain, and ``merit(state)`` its merit.  The
-    rows past the accepted one are not made: each costs a factorization."""
-    def trial(Z, owners, bounds):
-        merits = np.full(len(Z), math.inf)
-        for a in range(len(Z)):
-            state = make(Z[a])
-            if state is not None:
-                m = merits[a] = merit(state)
-                if math.isfinite(m) and m <= bounds[a]:
-                    return np.array([a]), merits, _objects([state])
-        return np.array([], dtype=np.intp), merits, _objects([])
-    return trial
-
-
-def _one_start(derivatives):
-    """The stacked derivatives of the barrier and the polish, which pass one
-    start: ``derivatives(state)`` as a stack of one, a view, no copy."""
-    def stacked(states):
-        [state] = states
-        g, H = derivatives(state)
-        return g[None], H[None]
-    return stacked
+    return make, _gradient_norm, lambda g, d, m: m, lambda point: point.barrier_derivs(0.0)
 
 
 def _gradient_norm(point: dual.DualPoint) -> float:
@@ -231,153 +184,66 @@ def _gradient_norms(grads: np.ndarray) -> np.ndarray:
         return np.sqrt(linalg.dots(grads, grads))
 
 
-def _damped_newton(S: Sequence[np.ndarray], trial, merit, slope, derivatives,
-                   tol, max_iter: int, step_tol: Optional[float] = None,
-                   states: Optional[list] = None, centred: Optional[float] = None) -> list:
-    """Damped Newton iteration with a backtracking line search, for a stack
-    of starts S run in lockstep: the points, merits, tolerances and states
-    of the starts still running are arrays over them, and every test of a
-    start is a mask, with the arithmetic of the start alone
-    (``linalg.dots``), so each start ends where it would alone, to the bit.
+def _damped_newton(s, state, make, merit, slope, derivatives, tol: float, max_iter: int,
+                   step_tol: Optional[float] = None, centred: Optional[float] = None) -> tuple:
+    """Damped Newton iteration with a backtracking line search from one
+    start s, whose state, if not None, is already made.
 
-    ``trial(Z, owners, bounds)`` makes the rows of Z, points of the starts
-    ``owners`` (a start's rows in order of decreasing t), and returns
-    (rows, merits, made): the rows it accepts, in order, each start's first
-    row with a finite merit within its bound; every row's merit (inf
-    outside the domain, which its own test refuses, and where not made: it
-    may leave a start's rows past its accepted one unmade); and the states
-    of the accepted rows, a stack that indexes like an array (a
-    ``critical.PointStack``, or ``_objects`` for one start).  Where starts
-    accept in different rounds, which only a stack of several does, their
-    stacks are joined by ``made.join(others)``.  The first call, at the starts,
-    bounds each by inf; ``states``, when given, are the states at the
-    starts instead, and ``merit(state)`` their merits.
-    ``derivatives(states)`` is the stacked (g, H) of a stack of states and
-    ``slope(g, d, m)`` the slope of each row.
-    Each iteration takes the derivatives and the Newton directions of every
-    start still running in one call each: d solves (-H) d = g
-    (``_newton_directions``), replaced by the scaled gradient where the
-    slope is not positive.  A step t = 2^-k, k < _HALVINGS, has the bound
-    m - _ARMIJO * t * slope, m the current merit, and each start takes its
-    longest step within it: the line search hands the trial one round for
-    each of the first _SINGLE_STEPS step lengths, then one with every other
-    step of every start left, longest first across the starts.
-    A start stops at |g| <= tol (a number, or one per start); with
-    ``centred``, also when its slope, for the barrier the squared Newton
-    decrement g'd, lies in [0, centred] (a negative g'd means -H is not
-    numerically definite, and says nothing); when no step is accepted;
-    after ``max_iter`` steps; or, with ``step_tol``, after a step shorter
-    than step_tol * (1 + |s|).  Returns one (s, state, steps) per start;
-    the state is None where the start is outside the domain.
+    ``make(z)`` is the state at z, or None outside the domain, and
+    ``merit(state)`` its merit; ``derivatives(state)`` is its (g, H), and
+    ``slope(g, d, m)`` the slope of the step d at merit m.  Each iteration
+    takes the direction d that solves (-H) d = g (``_solve_newton``),
+    replaced by the scaled gradient where the slope is not positive.  A
+    step t = 2^-k, k < _HALVINGS, has the bound m - _ARMIJO * t * slope,
+    and the longest step whose state is made with a finite merit within
+    its bound is taken, the steps tried one at a time, longest first.
+    The loop stops at |g| <= tol; with ``centred``, also when the slope,
+    for the barrier the squared Newton decrement g'd, lies in
+    [0, centred] (a negative g'd means -H is not numerically definite,
+    and says nothing); when no step is accepted; after ``max_iter``
+    steps; or, with ``step_tol``, after a step shorter than
+    step_tol * (1 + |s|).  Returns (s, state, steps); the state is None
+    where the start is outside the domain or its merit is not finite.
+    On the gradient-norm merit, with neither ``centred`` nor ``step_tol``,
+    each test is that of one row of ``critical._lockstep``, so a start
+    ends where it ends in that stack, to the bit.
     """
-    S = np.array(S, dtype=float)
-    ends, steps = [None] * len(S), [0] * len(S)
-    tols = np.empty(len(S))
-    tols[:] = tol
-    if states is None:
-        live, merits, states = trial(S.copy(), np.arange(len(S)), np.full(len(S), math.inf))
-        s, merits, tols = S[live], merits[live], tols[live]
+    s = np.asarray(s, dtype=float)
+    if state is None:
+        state = make(s)
+        if state is None:
+            return s, None, 0
+        m = merit(state)
+        if not math.isfinite(m):
+            return s, None, 0
     else:
-        live, s, merits = np.arange(len(S)), S, np.array([merit(state) for state in states])
-        states = _objects(states)
-
-    def stop(rows, n):  # the starts at these rows stop after n steps
-        for r in rows.tolist():
-            i = live[r]
-            S[i], ends[i], steps[i] = s[r], states[r], n
-
-    def keep(going, n, *rest):  # the rows not going stop; the rest follow the others
-        nonlocal live, s, merits, tols, states
-        stop((~going).nonzero()[0], n)
-        rows = going.nonzero()[0]
-        if not len(rows):
-            live = rows
-            return rest
-        live, s, merits, tols, states = live[rows], s[rows], merits[rows], tols[rows], states[rows]
-        return [a[rows] for a in rest]
-
+        m = merit(state)
     for it in range(max_iter):
-        if not len(live):
-            break
-        g, H = derivatives(states)
-        norms = np.sqrt(linalg.dots(g, g))
-        going = norms > tols
-        if np.count_nonzero(going) < len(live):
-            g, H, norms = keep(going, it, g, H, norms)
-            if not len(live):
-                break
-        D = _newton_directions(H, g)
-        rates = slope(g, D, merits)
-        low = rates <= (centred or 0.0)
-        if np.count_nonzero(low):
-            if centred is not None:  # centred where 0 <= g'd, flat where g'd < 0
-                going = ~low | (rates < 0.0)
-                if np.count_nonzero(going) < len(live):
-                    g, D, norms, rates, low = keep(going, it, g, D, norms, rates, low)
-                    if not len(live):
-                        break
-            D[low] = g[low] / np.maximum(1.0, norms[low])[:, None]
-            rates = np.where(low, slope(g, D, merits), rates)
-        left, got = None, []  # the rows still searching (None: every row), the accepted
-        for k in range(_SINGLE_STEPS + 1):
-            if k < _SINGLE_STEPS:
-                t, at = _STEPS[k], slice(None) if left is None else left  # a view while all are left
-                Z = s[at] + t * D[at]
-                rows, zms, made = trial(Z, live[at], merits[at] - _ARMIJO_STEPS[k] * rates[at])
-                if left is None and len(rows) == len(live):  # every row, at one step length
-                    s, merits, states, got = Z, zms, made, None
+        g, H = derivatives(state)
+        norm = math.sqrt(g.dot(g))
+        if not norm > tol:
+            return s, state, it
+        d = _solve_newton(H, g)
+        rate = slope(g, d, m)
+        if rate <= (centred or 0.0):
+            if centred is not None and rate >= 0.0:  # centred; a negative g'd is flat
+                return s, state, it
+            d = g / max(1.0, norm)
+            rate = slope(g, d, m)
+        for k in range(_HALVINGS):
+            z = s + _STEPS[k] * d
+            trial = make(z)
+            if trial is not None:
+                zm = merit(trial)
+                if math.isfinite(zm) and zm <= m - _ARMIJO_STEPS[k] * rate:
                     break
-            else:  # every other step of every row left, longest first across them
-                left = np.arange(len(live)) if left is None else left
-                j, at = np.divmod(np.arange((_HALVINGS - k) * len(left)), len(left))
-                at, j = left[at], j + k
-                Z = s[at] + _STEPS[j, None] * D[at]
-                rows, zms, made = trial(Z, live[at], merits[at] - _ARMIJO_STEPS[j] * rates[at])
-                t = _STEPS[j[rows]]
-            if len(rows):
-                at = rows if left is None else at[rows]
-                got.append((at, Z[rows], zms[rows], made, t))
-                searching = np.ones(len(live), dtype=bool)
-                searching[at] = False
-                left = searching.nonzero()[0] if left is None else left[searching[left]]
-                if not len(left):
-                    break
-        if got is not None:
-            if len(left):
-                stop(left, it + 1)  # no step accepted
-            if not got:
-                live = live[:0]
-                break
-            at, s, merits, states, t = zip(*got)
-            if len(got) > 1:  # each row's own step length
-                t = [np.broadcast_to(ti, len(ai)) for ai, ti in zip(at, t)]
-            at, s, merits, t = (a[0] if len(a) == 1 else np.concatenate(a)
-                                for a in (at, s, merits, t))
-            live, tols, D = live[at], tols[at], D[at]
-            states = states[0] if len(states) == 1 else states[0].join(states[1:])
-        if step_tol is not None:
-            going = (t * np.sqrt(linalg.dots(D, D))
-                     > step_tol * (1.0 + np.sqrt(linalg.dots(s, s))))
-            if np.count_nonzero(going) < len(live):
-                keep(going, it + 1)
-    if len(live):
-        stop(np.arange(len(live)), max_iter)
-    return list(zip(S, ends, steps))
-
-
-def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``_solve_newton`` on each row of a stack: one stacked solve, and the
-    ridge fallback only for the rows that need it (a singular row fails the
-    stacked solve, and then every row is solved alone)."""
-    try:
-        # b as a stack of columns like H, which numpy 1.x and 2 read alike
-        D = np.linalg.solve(-H, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        D = np.full(g.shape, np.nan)
-    if not np.isfinite(D).all():
-        for r in np.flatnonzero(~np.isfinite(D).all(axis=1)).tolist():
-            D[r] = _solve_newton(H[r], g[r])
-    return D
+        else:
+            return s, state, it + 1  # no step accepted
+        s, state, m = z, trial, zm
+        if step_tol is not None and not (_STEPS[k] * math.sqrt(d.dot(d))
+                                         > step_tol * (1.0 + math.sqrt(s.dot(s)))):
+            return s, state, it + 1
+    return s, state, max_iter
 
 
 def _solve_newton(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -527,10 +393,9 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
     point = None  # each outer step starts from the factorized point the last one ended at
     refused = None  # the last point whose polish _interior_converged refused
     for outer in range(cfg.max_outer):
-        [(s, point, its)] = _damped_newton([s], *_barrier(p, mu), tol=gtol,
-                                           max_iter=cfg.max_inner, step_tol=cfg.step_tol,
-                                           states=None if point is None else [point],
-                                           centred=_CENTERING * mu)
+        s, point, its = _damped_newton(s, point, *_barrier(p, mu), tol=gtol,
+                                       max_iter=cfg.max_inner, step_tol=cfg.step_tol,
+                                       centred=_CENTERING * mu)
         if point is None:
             raise EmptyInterior("ascent started at an infeasible point")
         iterations += its
@@ -542,8 +407,8 @@ def solve_dual(p: Problem, cfg: Optional[SolverConfig] = None) -> SolveReport:
         if (point.clears(0.0) if last else point is not refused
                 and point.newton_radius() <= _DIKIN
                 and point.clears(_FEAS_MARGIN * p.f_scale)):
-            [(t, state, its)] = _damped_newton([s], *_polish(p), tol=polish_tol,
-                                               max_iter=cfg.max_inner, states=[point])
+            t, state, its = _damped_newton(s, point, *_polish(p), tol=polish_tol,
+                                           max_iter=cfg.max_inner)
             if last or _interior_converged(state, gtol):
                 s = t
                 iterations += its

@@ -128,8 +128,8 @@ def test_monotone_ascent_of_barrier_objective():
     mu = 0.3
     values = [dual.factor_point(p, s).barrier(mu)]
     for _ in range(6):
-        [(s, _, _)] = solver._damped_newton([s], *solver._barrier(p, mu), tol=1e-14,
-                                            max_iter=1, step_tol=cfg.step_tol)
+        s, _, _ = solver._damped_newton(s, None, *solver._barrier(p, mu), tol=1e-14,
+                                        max_iter=1, step_tol=cfg.step_tol)
         values.append(dual.factor_point(p, s).barrier(mu))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] > values[0]
@@ -240,8 +240,8 @@ def test_barrier_derivatives_match_finite_differences(name, mu):
     p = _barrier_problem(name)
     cfg = SolverConfig()
     # the mu = 1 barrier center keeps every difference step inside the region
-    [(s, _, _)] = solver._damped_newton([solver._phase1(p)[0]], *solver._barrier(p, 1.0),
-                                        tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
+    s, _, _ = solver._damped_newton(solver._phase1(p)[0], None, *solver._barrier(p, 1.0),
+                                    tol=1e-10, max_iter=30, step_tol=cfg.step_tol)
     assert dual.assemble_G(p, s).min_eig > 1e-2
     g, H = dual.factor_point(p, s).barrier_derivs(mu)
 
@@ -316,40 +316,62 @@ def test_barrier_value_rejects_points_outside_the_region():
 @pytest.mark.parametrize("cholesky", [True, False], ids=["cholesky", "lu"])
 @pytest.mark.parametrize("name", ["continuous", "sign_qp", "sign_quartic"])
 def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng):
-    # the rows a line search hands its trial, the first ones one at a time
-    # and the rest as one stack, are those of halving t one step at a time,
-    # bit for bit, the points outside the domain among them.  The trial's
-    # own screen (the barrier's Cholesky trial, the root search's stacked LU
-    # trial) refuses those, every row's merit is that of its point made
-    # alone, and a point it makes holds its own row's slacks
+    # the points a line search tries, the barrier's one at a time, the root
+    # search's first ones one at a time and the rest as one stack, are
+    # those of halving t one step at a time, bit for bit, the points outside
+    # the domain among them.  The point's own screen (the barrier's
+    # Cholesky dual.factor_point, the root search's stacked LU trial)
+    # refuses those, every row's merit is that of its point made alone, and
+    # a point it makes holds its own row's slacks
     p = _barrier_problem(name)
     s, _ = solver._phase1(p)
-    trial, merit = (solver._barrier(p, 1.0) if cholesky else critical._roots(p, [p]))[:2]
     refused_any, edge_steps = False, set()
     # t = 2^-k along -2^k s puts each sign multiplier and exponential
     # coordinate exactly on its edge, slack 0: at t = 1/2 among the single
-    # trials, at t = 2^-_SINGLE_STEPS in the stack
-    edges = [-2.0 * s, -math.ldexp(1.0, solver._SINGLE_STEPS) * s]
+    # trials, at t = 2^-_SINGLE_STEPS in the root search's stack
+    edges = [-2.0 * s, -math.ldexp(1.0, critical._SINGLE_STEPS) * s]
     for d in edges + [scale * (1.0 + np.abs(s)) * rng.standard_normal(p.dual_dim)
                       for scale in (10.0, 10.0, 1e3, 1e3, 1e3)]:
         handed = []
+        if cholesky:
+            make, merit = solver._barrier(p, 1.0)[:2]
 
-        def refusing(Z, owners, bounds):
-            # within a bound of inf the first row inside is accepted; within
-            # -inf none is, so every row is made and the line search runs
-            # through all its steps
-            rows, _, made = trial(Z, owners, np.full(len(Z), math.inf))
-            for k, a in enumerate(rows.tolist()):
-                assert made[k].slacks.tobytes() == dual.domain_slacks(p, Z[a]).tobytes()
-            rows, merits, made = trial(Z, owners, np.full(len(Z), -math.inf))
-            assert len(rows) == 0
-            handed.extend(zip(Z, merits))
-            return rows, merits, made
+            def refusing_make(z):
+                # every point is refused, so the line search runs through
+                # all its steps
+                point = make(z)
+                if point is not None:
+                    assert point.slacks.tobytes() == dual.domain_slacks(p, z).tobytes()
+                handed.append((z, math.inf if point is None else merit(point)))
+                return None
 
-        # g = d with H = -I makes d the Newton direction
-        solver._damped_newton([s], refusing, lambda state: 0.0, lambda g, d, m: np.ones(len(g)),
-                              lambda states: (d[None], -np.eye(p.dual_dim)[None]), tol=0.0,
-                              max_iter=1, states=["start"])
+            # g = d with H = -I makes d the Newton direction
+            solver._damped_newton(s, make(s), refusing_make, lambda state: 0.0,
+                                  lambda g, d, m: 1.0, lambda state: (d, -np.eye(p.dual_dim)),
+                                  tol=0.0, max_iter=1)
+        else:
+            trial = critical._roots(p, [p])[0]
+            merit, started = solver._gradient_norm, []
+
+            def refusing(Z, owners, bounds):
+                # within a bound of inf the first row inside is accepted;
+                # within -inf none is, so every row is made and the line
+                # search runs through all its steps.  The first call, at
+                # the start, accepts it
+                rows, merits, made = trial(Z, owners, np.full(len(Z), math.inf))
+                for k, a in enumerate(rows.tolist()):
+                    assert made[k].slacks.tobytes() == dual.domain_slacks(p, Z[a]).tobytes()
+                if not started:
+                    started.append(Z)
+                    return rows, merits, made
+                rows, merits, made = trial(Z, owners, np.full(len(Z), -math.inf))
+                assert len(rows) == 0
+                handed.extend(zip(Z, merits))
+                return rows, merits, made
+
+            critical._lockstep([s], refusing, lambda states: (d[None], -np.eye(p.dual_dim)[None]),
+                               tol=0.0, max_iter=1)
+            assert started[0].tobytes() == s.tobytes()
         assert len(handed) == solver._HALVINGS
         for k, (z, m) in enumerate(handed):
             t = math.ldexp(1.0, -k)
@@ -360,7 +382,32 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
             refused_any |= alone is None
             assert m == (math.inf if alone is None else merit(alone))
     assert refused_any
-    assert {0.5, math.ldexp(1.0, -solver._SINGLE_STEPS)} <= edge_steps
+    assert {0.5, math.ldexp(1.0, -critical._SINGLE_STEPS)} <= edge_steps
+
+
+def _square_root_callbacks() -> tuple:
+    """``solver._damped_newton`` callbacks for the root of r(z) = z^2 - 4
+    on z >= 0, with |r| as merit and slope: a state is its point."""
+    def derivatives(z):
+        return np.array([z[0] * z[0] - 4.0]), np.array([[2.0 * z[0]]])
+    return (lambda z: z if z[0] >= 0.0 else None, lambda z: abs(z[0] * z[0] - 4.0),
+            lambda g, d, m: m, derivatives)
+
+
+@pytest.mark.parametrize("stop", ["max_iter", "non_finite_merit"])
+def test_one_start_loop_stops_at_max_iter_and_at_a_non_finite_start(stop):
+    # the two stops of the one-start loop that no solve of these tests reaches.
+    # From z = 1 the Newton step d = 3/2 is exact and its full step is
+    # accepted, to z = 2.5, where max_iter = 1 stops the loop; from z = inf
+    # the start's merit is inf, and it is refused with no step, as a start
+    # outside the domain is
+    start = [1.0] if stop == "max_iter" else [math.inf]
+    s, state, steps = solver._damped_newton(start, None, *_square_root_callbacks(), tol=0.0,
+                                            max_iter=1)
+    if stop == "max_iter":
+        assert (s.tolist(), state.tolist(), steps) == ([2.5], [2.5], 1)
+    else:
+        assert (s.tolist(), state, steps) == ([math.inf], None, 0)
 
 
 def test_a_singular_row_leaves_the_other_newton_directions_as_they_are_alone(monkeypatch):
@@ -382,11 +429,11 @@ def test_a_singular_row_leaves_the_other_newton_directions_as_they_are_alone(mon
         return solve_newton(Hr, gr)
 
     monkeypatch.setattr(solver, "_solve_newton", recording)
-    D = solver._newton_directions(H, g)
+    D = critical._newton_directions(H, g)
     assert len(alone) == 3
     for r in (0, 2):
         assert D[r].tobytes() == np.linalg.solve(-H[r], g[r]).tobytes()
-        assert D[r].tobytes() == solver._newton_directions(H[r][None], g[r][None])[0].tobytes()
+        assert D[r].tobytes() == critical._newton_directions(H[r][None], g[r][None])[0].tobytes()
     ridge = 1e-12 * (float(np.max(np.abs(H[1]))) + 1.0)
     assert np.isfinite(D[1]).all()
     assert D[1].tobytes() == np.linalg.solve(-H[1] + ridge * np.eye(3), g[1]).tobytes()
@@ -400,11 +447,11 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     if search == "root":
         p = double_well(1.75)  # one real root: most root searches never converge
         starts = critical._ladder_starts(p)
-        callbacks = critical._roots(p, [p] * len(starts))
+        trial, derivatives = critical._roots(p, [p] * len(starts))
     else:
         p = _barrier_problem("continuous")
-        callbacks, starts = solver._barrier(p, 0.01), [solver._phase1(p)[0]]
-    trial, merit, slope, derivatives = callbacks
+        start = solver._phase1(p)[0]
+        trial, merit, slope, derivatives = solver._barrier(p, 0.01)
     built, derived, tried = [], [], []
     init = dual.DualPoint.__init__
 
@@ -412,18 +459,22 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
         init(point, *args, **kwargs)
         built.append(point)
 
-    def recording_trial(Z, *args):
-        tried.extend(Z)
+    def recording_trial(Z, *args):  # a stack of rows, or the barrier's one point
+        tried.extend(Z if args else [Z])
         return trial(Z, *args)
 
-    def recording_derivatives(points):
-        derived.extend(points)
+    def recording_derivatives(points):  # a stack of states, or the barrier's one
+        derived.extend(points if search == "root" else [points])
         return derivatives(points)
 
     monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
-    ends = solver._damped_newton(starts, recording_trial, merit, slope,
-                                 recording_derivatives, tol=1e-12, max_iter=60)
-    kept = {id(point) for point in derived + [state for _, state, _ in ends]}
+    if search == "root":
+        ends = [state for _, state, _ in critical._lockstep(
+            starts, recording_trial, recording_derivatives, tol=1e-12, max_iter=60)]
+    else:
+        ends = [solver._damped_newton(start, None, recording_trial, merit, slope,
+                                      recording_derivatives, tol=1e-12, max_iter=60)[1]]
+    kept = {id(point) for point in derived + ends}
     refused = [point for point in built if id(point) not in kept]
     if search == "root":
         # the Hessians of the accepted points are formed as one stack
@@ -504,8 +555,9 @@ def _same_terms_families() -> list:
 def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
     # every start of a multistart, run in one lockstep stack with stacked LU
     # trials, ends at the same s, with the same None-ness and the same step
-    # count, as the start run alone on its problem with its trials
-    # factorized one at a time.  One stack holds the starts of one
+    # count, as the start run alone through the one-start loop of the
+    # barrier and the polish (solver._damped_newton), on its problem with
+    # its points factorized one at a time.  One stack holds the starts of one
     # _root_search_problems draw (12 random starts each), or of a family of
     # problems on the same terms (6 each), each row with its own f,
     # tolerance and problem
@@ -523,16 +575,12 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
             starts += drawn
             owners += [q] * len(drawn)
             tols += [1e-11 * q.f_scale] * len(drawn)
-        together = solver._damped_newton(
-            starts, *critical._roots(family[0], owners), tol=tols,
-            max_iter=60)
+        together = critical._lockstep(starts, *critical._roots(family[0], owners), tol=tols,
+                                      max_iter=60)
         for start, q, tol, (s, state, steps) in zip(starts, owners, tols, together):
-            alone = ((solver._one_at_a_time(partial(dual.factor_point, q, cholesky=False),
-                                            solver._gradient_norm),)
-                     + critical._roots(q, [q])[1:3]
-                     + (solver._one_start(lambda point: point.barrier_derivs(0.0)),))
-            [(s_alone, state_alone, steps_alone)] = solver._damped_newton(
-                [start], *alone, tol=tol, max_iter=60)
+            s_alone, state_alone, steps_alone = solver._damped_newton(
+                start, None, partial(dual.factor_point, q, cholesky=False), solver._gradient_norm,
+                lambda g, d, m: m, lambda point: point.barrier_derivs(0.0), tol=tol, max_iter=60)
             assert s.tobytes() == s_alone.tobytes()
             assert (state is None, steps) == (state_alone is None, steps_alone)
             if state is not None:
@@ -575,7 +623,7 @@ def test_merge_points_stack_equals_each_point_alone(monkeypatch):
         rng = np.random.default_rng(0)
         starts = critical._ladder_starts(p) + [critical._random_dual_start(p, rng)
                                                for _ in range(6)]
-        ends = [s for s, _, _ in solver._damped_newton(
+        ends = [s for s, _, _ in critical._lockstep(
             starts, *critical._roots(p, [p] * len(starts)), tol=1e-11 * p.f_scale, max_iter=60)]
         bad = [np.full(p.dual_dim, np.nan)]
         if k < 12:  # the README well, G(s) = s
@@ -747,8 +795,8 @@ def test_newton_radius_is_scale_free():
     assert [t.kind for t in cont.terms[1:]] == [TermKind.XLOGX, TermKind.QUARTIC]
     for p in (certified, cont):
         s, _ = solver._phase1(p)
-        [(s, point, _)] = solver._damped_newton([s], *solver._barrier(p, 1.0), tol=0.0,
-                                                max_iter=60, centred=solver._CENTERING)
+        s, point, _ = solver._damped_newton(s, None, *solver._barrier(p, 1.0), tol=0.0,
+                                            max_iter=60, centred=solver._CENTERING)
         r = point.newton_radius()
         assert 0.0 < r < math.inf
         for c in (1e-4, 1e4):
@@ -802,9 +850,10 @@ def _newton_end_points(monkeypatch, problems) -> list:
     newton = solver._damped_newton
 
     def recording(*args, **kwargs):
-        ends = newton(*args, **kwargs)
-        points.extend(state for _, state, _ in ends if isinstance(state, dual.DualPoint))
-        return ends
+        end = newton(*args, **kwargs)
+        if isinstance(end[1], dual.DualPoint):
+            points.append(end[1])
+        return end
 
     monkeypatch.setattr(solver, "_damped_newton", recording)
     statuses = []
@@ -890,21 +939,24 @@ def test_newton_loops_make_no_eigh_call(monkeypatch):
 
     calls = {"newton": 0, "outside": 0}
     inside = []
-    eigh, newton = linalg.eigh, solver._damped_newton
+    eigh = linalg.eigh
 
     def counting_eigh(M):
         calls["newton" if inside else "outside"] += 1
         return eigh(M)
 
-    def flagged(*args, **kwargs):
-        inside.append(True)
-        try:
-            return newton(*args, **kwargs)
-        finally:
-            inside.pop()
+    def flagged(driver):
+        def run(*args, **kwargs):
+            inside.append(True)
+            try:
+                return driver(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
 
     monkeypatch.setattr(linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(solver, "_damped_newton", flagged)
+    monkeypatch.setattr(solver, "_damped_newton", flagged(solver._damped_newton))
+    monkeypatch.setattr(critical, "_lockstep", flagged(critical._lockstep))
     # the barrier ascent and the polish of a solve, and the root search from
     # every start of a multistart
     assert solver.solve_dual(_continuous_problem(np.random.default_rng(5), 32)).status == "interior"
@@ -921,12 +973,12 @@ def test_polish_takes_no_step_onto_the_singular_boundary(monkeypatch):
     newton = solver._damped_newton
 
     def recording(*args, **kwargs):
-        ends = newton(*args, **kwargs)
+        _, state, its = end = newton(*args, **kwargs)
         if kwargs.get("step_tol") is None:  # the barrier steps pass one
-            polish_steps.extend((state, its) for _, state, its in ends)
+            polish_steps.append((state, its))
         else:
-            last_points[:] = [state for _, state, _ in ends]
-        return ends
+            last_points[:] = [state]
+        return end
 
     monkeypatch.setattr(solver, "_damped_newton", recording)
     problems = [double_well(0.0)] + [random_qip(np.random.default_rng(seed), n, f_style="zero")
@@ -1183,12 +1235,21 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     # deep steps past each start's accepted one among them, in 126 stacks,
     # and its own screen refuses the same 10,576 for their slacks.  Each of
     # their 25 iterations forms the Hessians of its running starts as one
-    # stack (1,865 in all), and the Newton directions too: no start is
-    # solved alone
+    # stack (1,865 in all), and the Newton directions too: no start of the
+    # root search is solved alone (the one-start loop of the solves takes
+    # each direction from solver._solve_newton, and is not counted)
     calls = {"points": 0, "stacks": 0, "rows": 0, "slack_refused": 0,
              "hessian_stacks": 0, "hessians": 0, "alone_directions": 0}
     factor, stack = dual.factor_point, critical.factor_stack
     hessians, alone_direction = dual.bare_hessians, solver._solve_newton
+    root_search, searching = critical._root_search, []
+
+    def flagged_search(*args):
+        searching.append(True)
+        try:
+            return root_search(*args)
+        finally:
+            searching.pop()
 
     def counting_hessians(p, s, G, images):
         calls["hessian_stacks"] += 1
@@ -1196,7 +1257,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
         return hessians(p, s, G, images)
 
     def counting_alone(H, g):
-        calls["alone_directions"] += 1
+        calls["alone_directions"] += len(searching)
         return alone_direction(H, g)
 
     def counting(p, s, cholesky=True):
@@ -1213,6 +1274,7 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
     monkeypatch.setattr(critical, "factor_stack", counting_stack)
     monkeypatch.setattr(dual, "bare_hessians", counting_hessians)
     monkeypatch.setattr(solver, "_solve_newton", counting_alone)
+    monkeypatch.setattr(critical, "_root_search", flagged_search)
     res = solver.fc_sweep(double_well(1.0), [1.0], np.linspace(0.25, 3.0, 12))
     assert calls == {"points": 89, "stacks": 126, "rows": 39_584, "slack_refused": 10_576,
                      "hessian_stacks": 25, "hessians": 1_865, "alone_directions": 0}
