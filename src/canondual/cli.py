@@ -294,6 +294,8 @@ def _cmd_plotdata(args, cfg, p, qip) -> tuple:
 def _parse_range2(spec: str) -> tuple:
     lo, hi = spec.split(":")
     lo, hi = float(lo), float(hi)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"range bounds must be finite, got {spec}")
     if hi <= lo:
         raise ValueError("range upper bound must exceed the lower bound")
     return lo, hi
@@ -302,6 +304,8 @@ def _parse_range2(spec: str) -> tuple:
 def _parse_range3(spec: str) -> tuple:
     a, b, steps = spec.split(":")
     a, b, steps = float(a), float(b), int(steps)
+    if not np.isfinite([a, b]).all():
+        raise ValueError(f"range bounds must be finite, got {spec}")
     if steps < 2 or b <= a:
         raise ValueError("range must be a:b:steps with b > a and steps >= 2")
     return a, b, steps

@@ -12,7 +12,7 @@ search of all of them, then merges each problem's points.  The root
 search (``_root_search``) passes the starts of all its problems, a ladder
 away from each domain edge and RANDOM_STARTS seeded random draws each, to
 ``_lockstep`` as one stack.  G(s) does not depend on f, so each row has
-its own f, tolerance and ``Problem``.  ``_lockstep`` is the iteration of
+its own f and tolerance.  ``_lockstep`` is the iteration of
 ``solver._damped_newton`` on the gradient-norm merit, with its state in
 arrays over the running starts and every test of a start a mask, so each
 start ends where the one-start loop ends it, to the bit; it shares the
@@ -20,12 +20,12 @@ step table and ``solver._solve_newton`` with that loop, which serves the
 single start of every solve.  Its trials (``_lu_trials``) are LU points
 made a stack at a time (``factor_stack``) within a fixed count of
 numbers, and its states are the rows of ``PointStack``s: arrays that the
-Hessians A'G^-1 A of all the starts (``dual.bare_hessians``) read
-directly.  A ``dual.DualPoint`` is built only for a start's end.
-``_merge_points`` evaluates the points a search found as stacks
-(``stack_values``, one stacked ``eigh``), each row to the bit of
-``dual.assemble_G`` at the point alone.  What it shares with ``solver``
-is read as ``solver`` attributes at each call.
+merits and the Hessians A'G^-1 A of all the starts (``dual.bare_hessians``)
+read directly, and no point object is built.  ``_merge_points`` evaluates
+the points a search found as stacks (``stack_values``, one stacked
+``eigh``), each row to the bit of ``dual.assemble_G`` at the point alone.
+What it shares with ``solver`` is read as ``solver`` attributes at each
+call.
 """
 
 from __future__ import annotations
@@ -52,56 +52,45 @@ RANDOM_STARTS = 12
 
 class PointStack:
     """LU points at a stack of dual points, evaluated in one pass; build it
-    with ``factor_stack``.  Row j is the point ``Z[j]`` on its own
-    ``problems[j]``, with its ``slacks``, ``G``, x (``X``), coordinate
-    ``images`` and ``bare_grads``: the gradients are all that a line-search
-    trial's merit reads.  ``stack[j]`` is the ``dual.DualPoint`` of row j,
-    with copies of its G and images, so that it does not keep the stack
-    alive, and views of its x and gradient.  ``stack[rows]``, for an index
-    array, is the stack of those rows, and ``stack.join(others)`` the stack
-    of its rows followed by theirs."""
+    with ``factor_stack``.  Row j is the point ``Z[j]``, with its ``G``,
+    coordinate ``images`` and ``bare_grads``: the gradients are all that a
+    line-search trial's merit reads, and the rest is what the Hessians
+    (``dual.bare_hessians``) read.  ``stack[rows]``, for an index array, is
+    the stack of those rows, and ``stack.join(others)`` the stack of its
+    rows followed by theirs."""
 
-    _FIELDS = ("Z", "slacks", "G", "X", "images", "problems", "bare_grads")
+    _FIELDS = ("Z", "G", "images", "bare_grads")
 
-    def __init__(self, p: Problem, Z: np.ndarray, slacks: np.ndarray, G: np.ndarray,
-                 X: np.ndarray, images: np.ndarray, problems: np.ndarray, grads: np.ndarray):
-        self.p, self.Z, self.slacks, self.G, self.X = p, Z, slacks, G, X
-        self.images, self.problems, self.bare_grads = images, problems, grads
+    def __init__(self, Z: np.ndarray, G: np.ndarray, images: np.ndarray, grads: np.ndarray):
+        self.Z, self.G, self.images, self.bare_grads = Z, G, images, grads
 
-    def __getitem__(self, j):
-        if isinstance(j, np.ndarray):
-            return PointStack(self.p, *(getattr(self, name)[j] for name in self._FIELDS))
-        point = dual.DualPoint(self.problems[j], self.Z[j], self.slacks[j], self.G[j].copy(),
-                               None, x=self.X[j])
-        point.images, point.bare_grad = self.images[j].copy(), self.bare_grads[j]
-        return point
+    def __getitem__(self, rows: np.ndarray) -> "PointStack":
+        return PointStack(*(getattr(self, name)[rows] for name in self._FIELDS))
 
     def join(self, others: Sequence["PointStack"]) -> "PointStack":
         if not others:
             return self
         stacks = (self, *others)
-        return PointStack(self.p, *(np.concatenate([getattr(stack, name) for stack in stacks])
-                                    for name in self._FIELDS))
+        return PointStack(*(np.concatenate([getattr(stack, name) for stack in stacks])
+                            for name in self._FIELDS))
 
 
-def factor_stack(p: Problem, Z, f, problems: np.ndarray) -> tuple:
-    """(kept, stack): ``dual.factor_point(problems[j], z_j, cholesky=False)``
-    at every row z_j of Z, in one pass, where ``kept`` lists in order the
-    rows where that is not None and ``stack`` holds their points.  One
-    ``dual.screen`` of every row, then, for the rows inside, the stacked
-    operator, one ``np.linalg.solve`` over the stack (singular rows, which
-    make it fail, are then refused one by one) and the bare gradients.
-    Every problem (an object array) is on p's terms, and row j solves
-    G x = f[j], its problem's input: G(s) does not depend on f, so one
-    stack may hold the points of several inputs."""
+def factor_stack(p: Problem, Z, F) -> tuple:
+    """(kept, stack): ``dual.factor_point(q, z_j, cholesky=False)`` at every
+    row z_j of Z, in one pass, for q the problem on p's terms with input
+    ``F[j]``, where ``kept`` lists in order the rows where that is not None
+    and ``stack`` holds their points.  One ``dual.screen`` of every row,
+    then, for the rows inside, the stacked operator, one ``np.linalg.solve``
+    of G x = F[j] over the stack (singular rows, which make it fail, are
+    then refused one by one) and the bare gradients: G(s) does not depend
+    on f, so one stack may hold the points of several inputs."""
     Z = np.asarray(Z, dtype=float)
-    outside, slacks = dual.screen(p, Z, cholesky=False)
-    kept = np.flatnonzero(~outside)
-    Z, slacks = Z[kept], slacks[kept]
+    kept = np.flatnonzero(~dual.screen(p, Z, cholesky=False)[0])
+    Z = Z[kept]
     G = dual.operator(p, Z)
     # b as a stack of columns like G: numpy 1.x reads an (n, 1) b as a stack
     # of vectors, numpy 2 as one column
-    F = np.asarray(f, dtype=float)[kept][..., None]
+    F = np.asarray(F, dtype=float)[kept][..., None]
     try:
         X = np.linalg.solve(G, F)[..., 0]
     except np.linalg.LinAlgError:
@@ -113,10 +102,9 @@ def factor_stack(p: Problem, Z, f, problems: np.ndarray) -> tuple:
                 pass
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
-        kept, Z, slacks, G, X = kept[finite], Z[finite], slacks[finite], G[finite], X[finite]
+        kept, Z, G, X = kept[finite], Z[finite], G[finite], X[finite]
     images = dual.coordinate_images(p, X)
-    return kept, PointStack(p, Z, slacks, G, X, images, problems[kept],
-                            dual.bare_grads(p, Z, X, images))
+    return kept, PointStack(Z, G, images, dual.bare_grads(p, Z, X, images))
 
 
 def stack_values(p: Problem, S: np.ndarray) -> list:
@@ -162,17 +150,15 @@ def _stack_rows(p: Problem) -> int:
     return max(1, _STACK_ELEMENTS // _row_size(p))
 
 
-def _roots(p: Problem, problems: Sequence[Problem]) -> tuple:
+def _roots(p: Problem, F) -> tuple:
     """``_lockstep`` callbacks for grad = 0 on the bare dual, with the
     gradient norm as merit, at every point with nonnegative domain slacks
-    and nonsingular G, for starts with the ``problems`` on p's terms (each
-    its own f): the states are the rows of ``PointStack``s, made a stack of
-    trials at a time by ``_lu_trials``, and the Hessians of all the starts
-    come in one pass of ``dual.bare_hessians``."""
+    and nonsingular G, for starts on p's terms each with its own input, its
+    row of ``F``: the states are the rows of ``PointStack``s, made a stack
+    of trials at a time by ``_lu_trials``, and the Hessians of all the
+    starts come in one pass of ``dual.bare_hessians``."""
     cap = _stack_rows(p)
-    # the problems as a 1-d object array, which indexes like a PointStack's arrays
-    problems = np.fromiter(problems, object, len(problems))
-    return (partial(_lu_trials, p, np.array([q.f for q in problems]), problems, cap),
+    return (partial(_lu_trials, p, np.asarray(F, dtype=float), cap),
             partial(_lu_derivatives, p, cap))
 
 
@@ -208,8 +194,9 @@ def _lockstep(S: Sequence[np.ndarray], trial, derivatives, tol, max_iter: int) -
     _SINGLE_STEPS step lengths, then one with every other step of every
     start left, longest first across the starts.
     A start stops at |g| <= tol (a number, or one per start), when no step
-    is accepted, or after ``max_iter`` steps.  Returns one (s, state, steps)
-    per start; the state is None where the start is outside the domain.
+    is accepted, or after ``max_iter`` steps.  Returns one (s, merit, steps)
+    per start: the merit of its end, or None where the start is outside the
+    domain.
     """
     S = np.array(S, dtype=float)
     ends, steps = [None] * len(S), [0] * len(S)
@@ -221,7 +208,7 @@ def _lockstep(S: Sequence[np.ndarray], trial, derivatives, tol, max_iter: int) -
     def stop(rows, n):  # the starts at these rows stop after n steps
         for r in rows.tolist():
             i = live[r]
-            S[i], ends[i], steps[i] = s[r], states[r], n
+            S[i], ends[i], steps[i] = s[r], merits[r], n
 
     for it in range(max_iter):
         if not len(live):
@@ -237,40 +224,31 @@ def _lockstep(S: Sequence[np.ndarray], trial, derivatives, tol, max_iter: int) -
                 break
             g, H = g[rows], H[rows]
         D = _newton_directions(H, g)
-        left, got = None, []  # the rows still searching (None: every row), the accepted
+        left, got = np.arange(len(live)), []  # the rows still searching, the accepted
         for k in range(_SINGLE_STEPS + 1):
             if k < _SINGLE_STEPS:
-                at = slice(None) if left is None else left  # a view while all are left
-                Z = s[at] + solver._STEPS[k] * D[at]
-                m = merits[at]
-                rows, zms, made = trial(Z, live[at], m - solver._ARMIJO_STEPS[k] * m)
-                if left is None and len(rows) == len(live):  # every row, at one step length
-                    s, merits, states, got = Z, zms, made, None
-                    break
+                at, j = left, k
             else:  # every other step of every row left, longest first across them
-                left = np.arange(len(live)) if left is None else left
                 j, at = np.divmod(np.arange((solver._HALVINGS - k) * len(left)), len(left))
                 at, j = left[at], j + k
-                Z, m = s[at] + solver._STEPS[j, None] * D[at], merits[at]
-                rows, zms, made = trial(Z, live[at], m - solver._ARMIJO_STEPS[j] * m)
+            Z, m = s[at] + solver._STEPS[j, None] * D[at], merits[at]
+            rows, zms, made = trial(Z, live[at], m - solver._ARMIJO_STEPS[j] * m)
             if len(rows):
-                at = rows if left is None else at[rows]
-                got.append((at, Z[rows], zms[rows], made))
+                got.append((at[rows], Z[rows], zms[rows], made))
                 searching = np.ones(len(live), dtype=bool)
-                searching[at] = False
-                left = searching.nonzero()[0] if left is None else left[searching[left]]
+                searching[at[rows]] = False
+                left = left[searching[left]]
                 if not len(left):
                     break
-        if got is not None:
-            if len(left):
-                stop(left, it + 1)  # no step accepted
-            if not got:
-                live = live[:0]
-                break
-            at, s, merits, states = zip(*got)
-            at, s, merits = (a[0] if len(a) == 1 else np.concatenate(a) for a in (at, s, merits))
-            live, tols = live[at], tols[at]
-            states = states[0].join(states[1:])
+        if len(left):
+            stop(left, it + 1)  # no step accepted
+        if not got:
+            live = live[:0]
+            break
+        at, s, merits, states = zip(*got)
+        at, s, merits = (a[0] if len(a) == 1 else np.concatenate(a) for a in (at, s, merits))
+        live, tols = live[at], tols[at]
+        states = states[0].join(states[1:])
     if len(live):
         stop(np.arange(len(live)), max_iter)
     return list(zip(S, ends, steps))
@@ -291,28 +269,25 @@ def _newton_directions(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return D
 
 
-def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, owners,
-               bounds) -> tuple:
+def _lu_trials(p: Problem, F: np.ndarray, cap: int, Z, owners, bounds) -> tuple:
     """The root search's trial: the LU points of ``factor_stack``, each row
-    with the input ``f`` and the ``Problem`` of its owner, and their
-    gradient-norm merits (``solver._gradient_norms``).  The rows are made
-    in order, in calls of at most ``cap`` rows (``_stack_rows``), and once
-    a start has accepted a row its later rows are dropped: with the rows of
-    a deep round longest step first across all starts, few are made past a
-    start's accepted one, and a 1x1 or 2x2 G takes the whole round in one
-    call.  Only the accepted rows outlive their call, in the arrays of one
-    ``PointStack``."""
+    with the input of its owner (its row of ``F``), and their gradient-norm
+    merits (``_gradient_norms``).  The rows are made in order, in calls of
+    at most ``cap`` rows (``_stack_rows``), and once a start has accepted a
+    row its later rows are dropped: with the rows of a deep round longest
+    step first across all starts, few are made past a start's accepted
+    one, and a 1x1 or 2x2 G takes the whole round in one call.  Only the
+    accepted rows outlive their call, in the arrays of one ``PointStack``."""
     Z, owners, bounds = np.asarray(Z, dtype=float), np.asarray(owners), np.asarray(bounds)
     merits = np.full(len(Z), math.inf)
-    first = np.full(len(problems), len(Z))  # each start's accepted row; len(Z) before it has one
+    first = np.full(len(F), len(Z))  # each start's accepted row; len(Z) before it has one
     rows, parts = [], []
     waiting = np.arange(len(Z))
     while waiting.size:
         take, waiting = waiting[:cap], waiting[cap:]
-        who = owners[take]
-        kept, stack = factor_stack(p, Z[take], f[who], problems[who])
+        kept, stack = factor_stack(p, Z[take], F[owners[take]])
         made = take[kept]  # the rows of Z in the stack, in its order
-        m = merits[made] = solver._gradient_norms(stack.bare_grads)
+        m = merits[made] = _gradient_norms(stack.bare_grads)
         passed = np.flatnonzero(np.isfinite(m) & (m <= bounds[made]))  # places in the stack
         # a start's first row to pass, its longest step, is its accepted one
         np.minimum.at(first, owners[made[passed]], made[passed])
@@ -321,6 +296,15 @@ def _lu_trials(p: Problem, f: np.ndarray, problems: np.ndarray, cap: int, Z, own
         parts.append(stack[chosen])
         waiting = waiting[first[owners[waiting]] == len(Z)]
     return np.concatenate(rows), merits, parts[0].join(parts[1:])
+
+
+def _gradient_norms(grads: np.ndarray) -> np.ndarray:
+    """The norm of each row of a stack of gradients, with the arithmetic of
+    np.linalg.norm on the row alone (``linalg.dots``).  Far out in the
+    domain a norm can overflow: it is then inf, which the line search
+    refuses, so the overflow is not warned about."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(linalg.dots(grads, grads))
 
 
 def _lu_derivatives(p: Problem, cap: int, stack: PointStack) -> tuple:
@@ -360,11 +344,12 @@ def _root_search(problems: Sequence[Problem], cfg: solver.SolverConfig) -> list:
     problem's starts end at, one list per problem.
 
     G(s) does not depend on f, so the starts of several problems run as one
-    lockstep stack, each row with its own f, its own tolerance and its own
-    ``Problem``: as many problems, in order, as keep the points of its
-    starts within _SEARCH_ELEMENTS numbers (``_row_size`` a start), and at
-    least one.  Each start ends where it would alone, to the bit.  A
-    problem with no dual coordinate has no stationary point to find.
+    lockstep stack, each row with its own f and its own tolerance: as many
+    problems, in order, as keep the points of their starts within
+    _SEARCH_ELEMENTS numbers (``_row_size`` a start), and at least one.
+    Each start ends where it would alone, to the bit, and is a root where
+    the merit of its end is within its tolerance.  A problem with no dual
+    coordinate has no stationary point to find.
     """
     roots = [[] for _ in problems]
     if not problems or not problems[0].dual_dim:
@@ -381,13 +366,10 @@ def _root_search(problems: Sequence[Problem], cfg: solver.SolverConfig) -> list:
             starts += drawn
             owners += [k] * len(drawn)
             tols += [max(cfg.grad_tol, 1e-11) * q.f_scale] * len(drawn)
-        callbacks = _roots(problems[first], [problems[k] for k in owners])
-        ends = _lockstep(starts, *callbacks, tol=tols, max_iter=60)
-        ends = [(s, k, gtol, state.bare_grad) for (s, state, _), k, gtol in zip(ends, owners, tols)
-                if state is not None]
-        norms = solver._gradient_norms(np.array([g for *_, g in ends])) if ends else ()
-        for (s, k, gtol, _), norm in zip(ends, norms):
-            if norm <= gtol:
+        F = np.array([problems[k].f for k in owners])
+        ends = _lockstep(starts, *_roots(problems[first], F), tol=tols, max_iter=60)
+        for (s, merit, _), k, gtol in zip(ends, owners, tols):
+            if merit is not None and merit <= gtol:
                 roots[k].append(s)
     return roots
 

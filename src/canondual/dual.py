@@ -36,7 +36,8 @@ and the length of the bare Newton step in its local norm
 and at a stack of points alike, and ``bare_hessians`` gives the LU
 Hessians of a stack of points in one stacked solve, each row with the
 arithmetic of the point alone: the multistart root search of ``critical``
-builds its stacked points from them.  ``GapMatrix``, built by
+keeps its stacked points as these arrays and builds no ``DualPoint``.
+``GapMatrix``, built by
 ``assemble_G``, is the eigen-side twin of ``DualPoint``: G(s) and its
 eigendecomposition, which give once each x = [G(s)]^+ f, Pi_d, the
 reference gradient (``bare_grads`` at that x) and the membership of the
@@ -299,24 +300,24 @@ class DualPoint:
     factorization of G.  The Cholesky form (L given) serves the barrier
     ascent and the polish, where G is positive definite: x comes from two
     triangular solves with L, and sum log diag L and L^-1 give the log-det
-    terms.  The LU form (L None) serves the root search and classification,
-    where G may be indefinite: x (unless given, as ``critical.PointStack`` does)
-    and the G^-1 A term of the Hessian come from ``np.linalg.solve``.  The
-    domain test of ``factor_point`` keeps every conjugate defined, so
-    everything else is computed on first use: the barrier-free value
-    -0.5 f'x - conjugate total (``bare_value``, all that the barrier merit
-    of a line-search trial reads), the bare gradient (``bare_grad``, all
-    that the gradient-norm merit reads), the bare Hessian (``bare_hess``,
-    with L^-1) and the log-det derivatives.  ``barrier`` and
-    ``barrier_derivs`` combine them with the slack terms at any barrier
-    weight.
+    terms.  The LU form (L None) serves classification, where G may be
+    indefinite: x and the G^-1 A term of the Hessian come from
+    ``np.linalg.solve``; the root search keeps its LU points as arrays
+    (``critical.PointStack``).  The domain test of ``factor_point`` keeps
+    every conjugate defined, so everything else is computed on first use:
+    the barrier-free value -0.5 f'x - conjugate total (``bare_value``, all
+    that the barrier merit of a line-search trial reads), the bare gradient
+    (``bare_grad``, all that the gradient-norm merit reads), the bare
+    Hessian (``bare_hess``, with L^-1) and the log-det derivatives.
+    ``barrier`` and ``barrier_derivs`` combine them with the slack terms at
+    any barrier weight.
     """
 
     def __init__(self, p: Problem, s: np.ndarray, slacks: np.ndarray, G: np.ndarray,
-                 L: Optional[np.ndarray], x: Optional[np.ndarray] = None):
+                 L: Optional[np.ndarray]):
         self.p, self.s, self.slacks, self.G, self.L = p, s, slacks, G, L
         if L is None:
-            self.x = np.linalg.solve(G, p.f) if x is None else x
+            self.x = np.linalg.solve(G, p.f)
         else:
             self.x = np.linalg.solve(L.T, np.linalg.solve(L, p.f))
             self.logdet = float(np.log(L.diagonal()).sum())  # 0.5 log det G

@@ -155,6 +155,8 @@ def _box_arrays(n: int, box) -> tuple:
         if box.shape != (n, 2):
             raise ValueError(f"box must be (lo, hi) or shape ({n}, 2)")
         lo, hi = box[:, 0].copy(), box[:, 1].copy()
+    if not np.isfinite(box).all():
+        raise ValueError("box bounds must be finite")
     if np.any(hi <= lo):
         raise ValueError("box upper bounds must exceed lower bounds")
     return lo, hi

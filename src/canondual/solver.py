@@ -33,7 +33,8 @@ trial builds only what its merit reads; the Hessian and L^-1 are formed
 only at accepted points.  The multistart root search of ``critical``,
 which serves ``dual_critical_points`` and ``fc_sweep`` and loads on their
 first call, runs the same iteration on a stack of starts in lockstep
-(``critical._lockstep``), sharing the step table and ``_solve_newton``.
+(``critical._lockstep``), with its states as arrays and no ``DualPoint``,
+sharing the step table and ``_solve_newton``.
 The eigendecomposition serves phase one, the report and triality.  For a
 continuous problem with an interior certificate the report refines
 x = G^-1 f by one Newton step on the primal gradient in np.longdouble.
@@ -63,7 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dual, linalg, model, triality
+from . import dual, model, triality
 from .dual import Membership, SolveReport
 from .errors import (CanonDualError, DimensionMismatch, EmptyInterior, MaxIterations,
                      RangeViolation, SingularG)
@@ -171,17 +172,13 @@ def _polish(p: Problem) -> tuple:
 
 def _gradient_norm(point: dual.DualPoint) -> float:
     """The norm of the bare gradient, the merit of the polish and, a stack
-    at a time (``_gradient_norms``), of the root search."""
-    return float(_gradient_norms(point.bare_grad[None])[0])
-
-
-def _gradient_norms(grads: np.ndarray) -> np.ndarray:
-    """The norm of each row of a stack of gradients, with the arithmetic of
-    np.linalg.norm on the row alone (``linalg.dots``).  Far out in the
-    domain a norm can overflow: it is then inf, which the line search
-    refuses, so the overflow is not warned about."""
+    at a time (``critical._gradient_norms``), of the root search, with the
+    arithmetic of np.linalg.norm.  Far out in the domain the norm can
+    overflow: it is then inf, which the line search refuses, so the
+    overflow is not warned about."""
+    g = point.bare_grad
     with np.errstate(over="ignore"):
-        return np.sqrt(linalg.dots(grads, grads))
+        return math.sqrt(g.dot(g))
 
 
 def _damped_newton(s, state, make, merit, slope, derivatives, tol: float, max_iter: int,

@@ -514,7 +514,14 @@ def test_export_rejects_a_box_that_does_not_apply(tmp_path, doc, fmt):
     (_plain(1, [1.0, 0.0]), ("export", "--format", "lp", "--box", "1:1"),
      "upper bound must exceed"),
     (DW, ("plotdata", "--range", "1:0:5"), "b > a"),
-], ids=["lp-of-a-quartic", "empty-box", "empty-range"])
+    (DW, ("oracle", "--box", "0:nan"), "must be finite"),
+    (DW, ("oracle", "--box", "0:inf"), "must be finite"),
+    (DW, ("oracle", "--box", "nan:1"), "must be finite"),
+    (_plain(1, [1.0, 0.0]), ("export", "--format", "lp", "--box", "-1:inf"), "must be finite"),
+    (DW, ("plotdata", "--range", "0:inf:3"), "must be finite"),
+    (DW, ("plotdata", "--range", "nan:1:3"), "must be finite"),
+], ids=["lp-of-a-quartic", "empty-box", "empty-range", "nan-box", "inf-box", "nan-lower-box",
+        "inf-lp-box", "inf-range", "nan-range"])
 def test_refused_command_arguments_exit_one_with_a_message(tmp_path, doc, args, message):
     out = tmp_path / "out.lp"
     if args[0] == "export":
@@ -522,7 +529,7 @@ def test_refused_command_arguments_exit_one_with_a_message(tmp_path, doc, args, 
     res = run_cli(args[0], write(tmp_path, "doc.json", doc), *args[1:])
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and message in res.stderr
-    assert "Traceback" not in res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
     assert not out.exists()
 
 

@@ -152,6 +152,18 @@ def test_grid_default_follows_the_budget():
     assert (res.method, res.samples) == ("grid", 10 ** 6)
 
 
+@pytest.mark.parametrize("box", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0),
+                                 [(-1.0, 1.0), (0.0, np.inf)]],
+                         ids=["nan-upper", "inf-upper", "nan-lower", "inf-lower", "per-axis"])
+def test_grid_refuses_a_non_finite_box(box):
+    # a NaN bound passes the hi > lo test and an infinite one makes a grid
+    # of NaN and inf points; both are refused before any sample is drawn
+    p = Problem(n=2, terms=[CanonicalTerm(TermKind.QUARTIC, np.eye(2), 1.0, -2.0)],
+                f=np.full(2, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        oracle.grid_multistart(p, box)
+
+
 def test_multistart_used_above_grid_cap(rng):
     p = Problem(n=7, terms=[CanonicalTerm(TermKind.PLAIN_QUADRATIC,
                                           np.eye(7), 1.0)], f=np.zeros(7))

@@ -322,7 +322,8 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
     # the domain among them.  The point's own screen (the barrier's
     # Cholesky dual.factor_point, the root search's stacked LU trial)
     # refuses those, every row's merit is that of its point made alone, and
-    # a point it makes holds its own row's slacks
+    # a point it makes holds its own row's slacks (the barrier's) or its
+    # own row's point and gradient (the root search's)
     p = _barrier_problem(name)
     s, _ = solver._phase1(p)
     refused_any, edge_steps = False, set()
@@ -350,7 +351,7 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
                                   lambda g, d, m: 1.0, lambda state: (d, -np.eye(p.dual_dim)),
                                   tol=0.0, max_iter=1)
         else:
-            trial = critical._roots(p, [p])[0]
+            trial = critical._roots(p, [p.f])[0]
             merit, started = solver._gradient_norm, []
 
             def refusing(Z, owners, bounds):
@@ -360,7 +361,9 @@ def test_line_search_screen_hands_over_the_pointwise_slacks(name, cholesky, rng)
                 # the start, accepts it
                 rows, merits, made = trial(Z, owners, np.full(len(Z), math.inf))
                 for k, a in enumerate(rows.tolist()):
-                    assert made[k].slacks.tobytes() == dual.domain_slacks(p, Z[a]).tobytes()
+                    alone = dual.factor_point(p, Z[a], cholesky=False)
+                    assert made.Z[k].tobytes() == Z[a].tobytes()
+                    assert made.bare_grads[k].tobytes() == alone.bare_grad.tobytes()
                 if not started:
                     started.append(Z)
                     return rows, merits, made
@@ -443,11 +446,12 @@ def test_a_singular_row_leaves_the_other_newton_directions_as_they_are_alone(mon
 def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
     # a trial the line search refuses carries its merit's inputs only: the
     # barrier's value, with no L^-1, no Hessian and no gradient; the root
-    # search's stacked trials build no point at all for a refused row
+    # search keeps its trials, states and ends as arrays and builds no point
+    # at all
     if search == "root":
         p = double_well(1.75)  # one real root: most root searches never converge
         starts = critical._ladder_starts(p)
-        trial, derivatives = critical._roots(p, [p] * len(starts))
+        trial, derivatives = critical._roots(p, [p.f] * len(starts))
     else:
         p = _barrier_problem("continuous")
         start = solver._phase1(p)[0]
@@ -464,24 +468,21 @@ def test_refused_trials_build_only_what_the_merit_reads(search, monkeypatch):
         return trial(Z, *args)
 
     def recording_derivatives(points):  # a stack of states, or the barrier's one
-        derived.extend(points if search == "root" else [points])
+        derived.append(points)
         return derivatives(points)
 
     monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
     if search == "root":
-        ends = [state for _, state, _ in critical._lockstep(
-            starts, recording_trial, recording_derivatives, tol=1e-12, max_iter=60)]
-    else:
-        ends = [solver._damped_newton(start, None, recording_trial, merit, slope,
-                                      recording_derivatives, tol=1e-12, max_iter=60)[1]]
+        # the merits and the Hessians (dual.bare_hessians) of the accepted
+        # points read the arrays of critical.PointStacks
+        critical._lockstep(starts, recording_trial, recording_derivatives, tol=1e-12,
+                           max_iter=60)
+        assert built == [] and tried and derived
+        return
+    ends = [solver._damped_newton(start, None, recording_trial, merit, slope,
+                                  recording_derivatives, tol=1e-12, max_iter=60)[1]]
     kept = {id(point) for point in derived + ends}
     refused = [point for point in built if id(point) not in kept]
-    if search == "root":
-        # the Hessians of the accepted points are formed as one stack
-        # (dual.bare_hessians), not cached on each point
-        assert refused == [] and len(built) < len(tried)
-        assert all("bare_grad" in vars(point) for point in built)
-        return
     assert all("bare_hess" in vars(point) for point in derived)
     assert refused
     for point in refused:
@@ -508,11 +509,11 @@ def test_lu_points_refuse_an_exponential_coordinate_on_its_edge(alpha):
         assert outside == refused
         assert dual.screen(p, s)[0]  # a Cholesky point needs every slack positive
         assert (dual.factor_point(p, s, cholesky=False) is None) == refused
-    kept, stack = critical.factor_stack(p, [on_edges, exponential_inside], [p.f] * 2,
-                                        np.array([p] * 2, dtype=object))
+    kept, stack = critical.factor_stack(p, [on_edges, exponential_inside], [p.f] * 2)
     assert kept.tolist() == [1] and len(stack.Z) == 1
     alone = dual.factor_point(p, exponential_inside, cholesky=False)
-    assert stack[0].x.tobytes() == alone.x.tobytes()
+    assert stack.G[0].tobytes() == alone.G.tobytes()
+    assert stack.bare_grads[0].tobytes() == alone.bare_grad.tobytes()
 
 
 def _root_search_problems() -> list:
@@ -554,13 +555,13 @@ def _same_terms_families() -> list:
 
 def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
     # every start of a multistart, run in one lockstep stack with stacked LU
-    # trials, ends at the same s, with the same None-ness and the same step
-    # count, as the start run alone through the one-start loop of the
-    # barrier and the polish (solver._damped_newton), on its problem with
-    # its points factorized one at a time.  One stack holds the starts of one
-    # _root_search_problems draw (12 random starts each), or of a family of
-    # problems on the same terms (6 each), each row with its own f,
-    # tolerance and problem
+    # trials, ends at the same s, with the same None-ness, the same step
+    # count and the same merit bits, as the start run alone through the
+    # one-start loop of the barrier and the polish (solver._damped_newton),
+    # on its problem with its points factorized one at a time.  One stack
+    # holds the starts of one _root_search_problems draw (12 random starts
+    # each), or of a family of problems on the same terms (6 each), each row
+    # with its own f and tolerance
     problems = _root_search_problems()
     kinds = {t.kind for p in problems for t in p.terms}
     assert kinds == set(TermKind) and {p.n for p in problems} >= set(range(1, 7))
@@ -575,20 +576,19 @@ def test_lockstep_root_search_ends_every_start_where_it_ends_alone():
             starts += drawn
             owners += [q] * len(drawn)
             tols += [1e-11 * q.f_scale] * len(drawn)
-        together = critical._lockstep(starts, *critical._roots(family[0], owners), tol=tols,
-                                      max_iter=60)
-        for start, q, tol, (s, state, steps) in zip(starts, owners, tols, together):
+        together = critical._lockstep(starts, *critical._roots(family[0], [q.f for q in owners]),
+                                      tol=tols, max_iter=60)
+        for start, q, tol, (s, merit, steps) in zip(starts, owners, tols, together):
             s_alone, state_alone, steps_alone = solver._damped_newton(
                 start, None, partial(dual.factor_point, q, cholesky=False), solver._gradient_norm,
                 lambda g, d, m: m, lambda point: point.barrier_derivs(0.0), tol=tol, max_iter=60)
             assert s.tobytes() == s_alone.tobytes()
-            assert (state is None, steps) == (state_alone is None, steps_alone)
-            if state is not None:
-                assert state.p is q
-                assert state.x.tobytes() == state_alone.x.tobytes()
-                assert state.bare_grad.tobytes() == state_alone.bare_grad.tobytes()
-            outcomes.add("none" if state is None else "60" if steps == 60 else
-                         "root" if solver._gradient_norm(state) <= tol else "stopped")
+            assert (merit is None, steps) == (state_alone is None, steps_alone)
+            if merit is not None:
+                alone = solver._gradient_norm(state_alone)
+                assert np.float64(merit).tobytes() == np.float64(alone).tobytes()
+            outcomes.add("none" if merit is None else "60" if steps == 60 else
+                         "root" if merit <= tol else "stopped")
     assert outcomes == {"none", "60", "root", "stopped"}
 
 
@@ -624,7 +624,8 @@ def test_merge_points_stack_equals_each_point_alone(monkeypatch):
         starts = critical._ladder_starts(p) + [critical._random_dual_start(p, rng)
                                                for _ in range(6)]
         ends = [s for s, _, _ in critical._lockstep(
-            starts, *critical._roots(p, [p] * len(starts)), tol=1e-11 * p.f_scale, max_iter=60)]
+            starts, *critical._roots(p, [p.f] * len(starts)), tol=1e-11 * p.f_scale,
+            max_iter=60)]
         bad = [np.full(p.dual_dim, np.nan)]
         if k < 12:  # the README well, G(s) = s
             bad += [np.array([0.0]), np.array([-10.0])]
@@ -1192,13 +1193,13 @@ def test_root_search_refuses_an_overflowing_trial_without_a_warning(monkeypatch)
     p = [random_problem(rng, n_max=4, max_terms=3) for _ in range(12)][-1]
     assert p.n == 3
     merits = []
-    norms = solver._gradient_norms
+    norms = critical._gradient_norms
 
     def recording(grads):
         merits.extend(norms(grads).tolist())
         return norms(grads)
 
-    monkeypatch.setattr(solver, "_gradient_norms", recording)
+    monkeypatch.setattr(critical, "_gradient_norms", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points = solver.dual_critical_points(p)
@@ -1264,11 +1265,11 @@ def test_readme_well_sweep_rows_are_pinned_and_deep_trials_are_screened(monkeypa
         calls["points"] += 1
         return factor(p, s, cholesky)
 
-    def counting_stack(p, Z, f, problems):
+    def counting_stack(p, Z, F):
         calls["stacks"] += 1
         calls["rows"] += len(Z)
         calls["slack_refused"] += int(dual.screen(p, np.array(Z), False)[0].sum())
-        return stack(p, Z, f, problems)
+        return stack(p, Z, F)
 
     monkeypatch.setattr(dual, "factor_point", counting)
     monkeypatch.setattr(critical, "factor_stack", counting_stack)
@@ -1366,9 +1367,9 @@ def test_root_search_stacks_stay_within_their_bound(monkeypatch):
     def sweep(stack_elements, search_elements):
         calls = []
 
-        def counting_stack(p, Z, f, problems):
+        def counting_stack(p, Z, F):
             calls.append(("trial", len(Z)))
-            return factor(p, Z, f, problems)
+            return factor(p, Z, F)
 
         def counting_hessians(p, s, G, images):
             calls.append(("hessians", len(s)))
@@ -1404,8 +1405,8 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     # round hands them over, longest step first across the starts; a
     # start's rows past its accepted one may go unmade (merit inf).  A
     # stacked LU trial keeps its accepted rows in the arrays of one
-    # critical.PointStack and builds no DualPoint: one is built only where a
-    # row of the stack is asked for, with the bits of the point made alone
+    # critical.PointStack, with the bits of the point made alone, and
+    # builds no DualPoint
     p = double_well(1.75)
     rng = np.random.default_rng(2)
     owners = np.array([0, 1, 2, 0, 2, 0, 2, 0, 2, 0])
@@ -1419,9 +1420,9 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
     sizes, built = [], []
     factor, init = critical.factor_stack, dual.DualPoint.__init__
 
-    def counting_stack(p, Z, f, problems):
+    def counting_stack(p, Z, F):
         sizes.append(len(Z))
-        return factor(p, Z, f, problems)
+        return factor(p, Z, F)
 
     def recording_init(point, *args, **kwargs):
         init(point, *args, **kwargs)
@@ -1429,20 +1430,15 @@ def test_lu_trial_builds_only_each_starts_first_accepted_point(trial, monkeypatc
 
     monkeypatch.setattr(critical, "factor_stack", counting_stack)
     monkeypatch.setattr(dual.DualPoint, "__init__", recording_init)
-    run = partial(critical._lu_trials, p, np.array([p.f] * 3),
-                  np.array([p] * 3, dtype=object), 3 if trial == "lu_3_a_call" else 10)
+    run = partial(critical._lu_trials, p, np.array([p.f] * 3), 3 if trial == "lu_3_a_call" else 10)
     rows, merits, made = run(Z, owners, bounds)
     assert rows.tolist() == [2, 7]
     assert built == []
-    assert [q is p for q in made.problems] == [True, True]
     for k, a in enumerate(rows.tolist()):
         assert made.Z[k].tobytes() == Z[a].tobytes()
-        assert made.X[k].tobytes() == alone[a].x.tobytes()
+        assert made.G[k].tobytes() == alone[a].G.tobytes()
+        assert made.images[k].tobytes() == alone[a].images.tobytes()
         assert made.bare_grads[k].tobytes() == alone[a].bare_grad.tobytes()
-    for k, a in enumerate(rows.tolist()):
-        state = made[k]
-        assert state.p is p and state.x.tobytes() == alone[a].x.tobytes()
-        assert state.bare_grad.tobytes() == alone[a].bare_grad.tobytes()
     made_rows = np.flatnonzero(np.isfinite(merits))
     assert (merits[made_rows] == every[made_rows]).all()
     # every row up to each start's accepted one is made; one call makes all
